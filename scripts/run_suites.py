@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Run every verification suite and print a one-line summary per suite.
 
-Set QHC_THREADS to parallelise independent items inside a suite.  Exit code
-is nonzero when any item fails.
+Exit code is nonzero when any item fails.
 """
 
 import argparse

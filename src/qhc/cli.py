@@ -25,51 +25,43 @@ from fractions import Fraction
 from . import daha, dqops, hciso, invham, qgroup, suites
 from .exprparse import ParseError, Parser, ValueOps, WordAlgebraOps
 from .ncpoly import NcPoly
-from .rewrite import EngineError, check_ambiguities, hilbert_table, rank_of_family
+from .rewrite import EngineError, LocElem, check_ambiguities, hilbert_table, rank_of_family
 
 ALGEBRAS = ("daha", "sdaha", "uq", "oq", "dq", "inv", "ham")
 
 
 class LocOps(ValueOps):
-    """Values carrying a localisation wrapper (OqElem / DqElem)."""
+    """Values in the localisation of spec at dens; each inverse is an atom
+    under its display name, and named holds further atoms' bodies."""
 
-    def __init__(self, spec, wrap_body, extra_atoms):
+    def __init__(self, spec, dens, named):
         self.spec = spec
         self.field = spec.field
-        self.wrap_body = wrap_body
-        self.extra = extra_atoms
+        self.dens = dens
+        self.named = named
+
+    def wrap(self, body, exps=None):
+        return LocElem(self.spec, self.dens, body, exps)
 
     def scalar(self, c):
-        return self.wrap_body(self.spec.scalar(c))
+        return self.wrap(self.spec.scalar(c))
 
     def atom(self, name: str):
-        if name in self.extra:
-            return self.extra[name]()
+        for i, den in enumerate(self.dens):
+            if den.inverse_name == name:
+                return self.wrap(self.spec.unit(), [int(j == i) for j in range(len(self.dens))])
+        if name in self.named:
+            return self.wrap(self.named[name]())
         if name in self.spec.alphabet.by_name:
-            return self.wrap_body(self.spec.gen(name))
+            return self.wrap(self.spec.gen(name))
         raise KeyError(name)
 
-    def scalar_of(self, v):
-        if v.loc_pair() != (0, 0):
-            return None
-        body = v.body
-        if not body.terms:
-            return self.field.from_int(0)
-        if set(body.terms) == {()}:
-            return body.terms[()]
-        return None
 
-
-def _oq_elem_loc_pair(self):
-    return (self.loc, 0)
-
-
-def _dq_elem_loc_pair(self):
-    return (self.la, self.ld)
-
-
-qgroup.OqElem.loc_pair = _oq_elem_loc_pair
-dqops.DqElem.loc_pair = _dq_elem_loc_pair
+#: algebras with a symbolic localisation: denominators and named elements
+LOCALISED = {
+    "oq": (qgroup.oq_denominators, {}),
+    "dq": (dqops.dq_denominators, {"detA": dqops.det_a_body, "detD": dqops.det_d_body}),
+}
 
 
 class Context:
@@ -92,21 +84,9 @@ class Context:
             "ham": invham.ham_spec,
         }[algebra]()
         self.spec = base.specialize(q0, t0) if self.specialized else base
-        if not self.specialized and algebra == "oq":
-            self.ops: ValueOps = LocOps(
-                self.spec, qgroup.OqElem.from_body,
-                {"detLi": qgroup.OqElem.det_inverse},
-            )
-        elif not self.specialized and algebra == "dq":
-            self.ops = LocOps(
-                self.spec, dqops.DqElem.from_body,
-                {
-                    "detA": lambda: dqops.DqElem.from_body(dqops.det_a_body()),
-                    "detD": lambda: dqops.DqElem.from_body(dqops.det_d_body()),
-                    "detAi": dqops.DqElem.det_a_inverse,
-                    "detDi": dqops.DqElem.det_d_inverse,
-                },
-            )
+        if not self.specialized and algebra in LOCALISED:
+            dens, named = LOCALISED[algebra]
+            self.ops: ValueOps = LocOps(self.spec, dens(), named)
         else:
             self.ops = WordAlgebraOps(self.spec)
 
@@ -221,12 +201,7 @@ def cmd_act(args) -> int:
     ctx = Context(args.algebra, None, None)
     action = qgroup.oq_action() if args.algebra == "oq" else dqops.dq_action()
     value = ctx.parse(args.expr)
-    body = value.body
-    acted = action.act(args.gen, body)
-    if args.algebra == "oq":
-        out = qgroup.OqElem(value.loc, acted)
-    else:
-        out = dqops.DqElem(value.la, value.ld, acted)
+    out = ctx.ops.wrap(action.act(args.gen, value.body), value.exps)
     _emit({
         "schema": 1,
         "command": "act",

@@ -21,19 +21,18 @@ idempotent sandwich; it is never materialised as a separate quotient.
 
 from __future__ import annotations
 
-from ._util import locked_cache
+from functools import cache
 
 from .coeffring import RAT, RC_ONE, RC_T, RatCoeff
 from .ncpoly import Alphabet, NcPoly
 from .rewrite import (
-    DEFAULT_POINTS,
     AlgebraSpec,
     EngineError,
     PowerBlocksPbw,
     QCentralGen,
     RewriteRule,
     WordOrder,
-    rank_of_family,
+    agreed_rank,
 )
 
 BETA = RC_T - RC_T.inverse()          # t - 1/t
@@ -246,7 +245,7 @@ class _DahaBuilder:
         return AlgebraSpec(self.alph, trusted, self.order, self.pbw, field=RAT)
 
 
-@locked_cache
+@cache
 def daha_spec() -> AlgebraSpec:
     """The DAHA of GL2 as a confluent rewriting system, 42 rules."""
     return _DahaBuilder().build()
@@ -295,7 +294,7 @@ def reordering_residuals(spec: AlgebraSpec | None = None) -> list[tuple[str, NcP
 # idempotent and the spherical generators
 # ---------------------------------------------------------------------------
 
-@locked_cache
+@cache
 def idempotent() -> NcPoly:
     """e = (1 + t T) / (1 + t^2); requires 1 + t^2 invertible."""
     spec = daha_spec()
@@ -325,7 +324,7 @@ _SDAHA_GENS = [
 ]
 
 
-@locked_cache
+@cache
 def sdaha_spec() -> AlgebraSpec:
     """Presentation of the spherical DAHA on Q1, Q2^+-, R, P1, P2^+-."""
     alph = Alphabet("sdaha", _SDAHA_GENS)
@@ -379,7 +378,7 @@ _PHI_WORDS = {
 }
 
 
-@locked_cache
+@cache
 def _phi_images() -> dict[str, NcPoly]:
     spec = daha_spec()
     e = idempotent()
@@ -437,13 +436,9 @@ def hplus_words(M: int, N: int) -> list[NcPoly]:
     return out
 
 
-def spherical_dimension(M: int, N: int, points=DEFAULT_POINTS) -> int:
+def spherical_dimension(M: int, N: int) -> int:
     """dim e H^+[M,N] e computed as the rank of the sandwiched PBW basis."""
-    elems = [idempotent_sandwich(w) for w in hplus_words(M, N)]
-    elems = [p for p in elems if p]
-    if not elems:
-        return 0
-    return rank_of_family(daha_spec(), elems, points).rank
+    return agreed_rank(daha_spec(), [idempotent_sandwich(w) for w in hplus_words(M, N)])
 
 
 def aplus_words(M: int, N: int) -> list[NcPoly]:
@@ -451,10 +446,6 @@ def aplus_words(M: int, N: int) -> list[NcPoly]:
     return [NcPoly.from_word(sd.alphabet, w) for w in sd.pbw.enumerate(M, N)]
 
 
-def phi_rank(M: int, N: int, points=DEFAULT_POINTS) -> int:
+def phi_rank(M: int, N: int) -> int:
     """Rank of the phi images of the positive-cone spherical basis."""
-    images = [phi_apply(wp) for wp in aplus_words(M, N)]
-    images = [p for p in images if p]
-    if not images:
-        return 0
-    return rank_of_family(daha_spec(), images, points).rank
+    return agreed_rank(daha_spec(), [phi_apply(wp) for wp in aplus_words(M, N)])

@@ -6,14 +6,12 @@ cross relations; together with the six relations inside each copy this gives
 the 28 straightening rules of D_q^+(GL2).  Normal-form words are row-major
 sorted a-monomials followed by row-major sorted p-monomials.
 
-The localisation at the q-determinants is carried by DqElem, which represents
-detq(A)^{-la} detq(D)^{-ld} * body with both denominators on the left.  The
-inner grading
+The localisation at the q-determinants is rewrite.LocElem over
+dq_denominators(), whose kappas are read off the inner grading
 
     detq(A) h = q^{2N} h detq(A)      detq(D) h = q^{-2M} h detq(D)
 
-for h of bidegree (M, N) drives all denominator shuffling, so products and
-equality tests are exact.
+for h of bidegree (M, N); dq_elem(body, la, ld) is detq(A)^-la detq(D)^-ld body.
 
 The quantum cofactor matrices are not transcribed: they are solved from the
 eight linear conditions A adj(A) = adj(A) A = detq(A) I (and the D analogue),
@@ -25,7 +23,7 @@ q^2 a11 + (1 - q^2) a22).
 
 from __future__ import annotations
 
-from ._util import locked_cache
+from functools import cache
 
 from .coeffring import RAT, RC_ONE, RC_T, RatCoeff
 from .linalg import solve_dense
@@ -43,7 +41,7 @@ from .qgroup import (
     rmatrix_vector,
     scalar_inverse_4x4,
 )
-from .rewrite import AlgebraSpec, EngineError, SortedBlocksPbw, WordOrder
+from .rewrite import AlgebraSpec, Denominator, EngineError, LocElem, SortedBlocksPbw, WordOrder
 
 
 def _q(k: int) -> RatCoeff:
@@ -56,7 +54,7 @@ _P_NAMES = ("p11", "p12", "p21", "p22")
 _DQ_GENS = [(n, (1, 0), None) for n in _A_NAMES] + [(n, (0, 1), None) for n in _P_NAMES]
 
 
-@locked_cache
+@cache
 def dq_spec() -> AlgebraSpec:
     """The 28-relation presentation of D_q^+(GL2)."""
     alph = Alphabet("dq", _DQ_GENS)
@@ -111,166 +109,35 @@ def _det_body(names) -> NcPoly:
     return D.word_poly(n11, n22) - D.word_poly(n12, n21).scale(_q(2))
 
 
-@locked_cache
+@cache
 def det_a_body() -> NcPoly:
     return _det_body(_A_NAMES)
 
 
-@locked_cache
+@cache
 def det_d_body() -> NcPoly:
     return _det_body(_P_NAMES)
 
 
-def detq(which: str) -> "DqElem":
-    """detq(A) = a11 a22 - q^2 a12 a21 or its derivative-side analogue."""
-    if which == "A":
-        return DqElem.from_body(det_a_body())
-    if which == "D":
-        return DqElem.from_body(det_d_body())
-    raise EngineError("which must be 'A' or 'D'")
+@cache
+def dq_denominators() -> tuple[Denominator, Denominator]:
+    return (Denominator("detAi", det_a_body(), (0, 2)),
+            Denominator("detDi", det_d_body(), (-2, 0)))
 
 
-class DqElem:
-    """detq(A)^{-la} detq(D)^{-ld} * body, denominators kept on the left."""
-
-    __slots__ = ("la", "ld", "body")
-
-    def __init__(self, la: int, ld: int, body: NcPoly):
-        if la < 0 or ld < 0:
-            raise EngineError("localisation exponents must be nonnegative")
-        self.la = la
-        self.ld = ld
-        self.body = dq_spec().nf(body)
-
-    # -- constructors ----------------------------------------------------------
-
-    @staticmethod
-    def from_body(body: NcPoly) -> "DqElem":
-        return DqElem(0, 0, body)
-
-    @staticmethod
-    def one() -> "DqElem":
-        return DqElem(0, 0, dq_spec().unit())
-
-    @staticmethod
-    def scalar(c: RatCoeff) -> "DqElem":
-        return DqElem(0, 0, dq_spec().scalar(c))
-
-    @staticmethod
-    def det_a_inverse(k: int = 1) -> "DqElem":
-        return DqElem(k, 0, dq_spec().unit())
-
-    @staticmethod
-    def det_d_inverse(k: int = 1) -> "DqElem":
-        return DqElem(0, k, dq_spec().unit())
-
-    # -- structure ---------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.body.is_zero()
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def bidegree(self):
-        d = self.body.bidegree()
-        if d in (None, "any"):
-            return d
-        return (d[0] - 2 * self.la, d[1] - 2 * self.ld)
-
-    def _shift_body(self, dla: int, dld: int) -> NcPoly:
-        """Body of the same element written with loc exponents raised by
-        (dla, dld): multiply on the left by detD^dld detA^dla, with the
-        q-power from commuting detA^dla past detD^{-ld}."""
-        D = dq_spec()
-        out = self.body
-        for _ in range(dla):
-            out = D.nf(det_a_body() * out)
-        for _ in range(dld):
-            out = D.nf(det_d_body() * out)
-        return out.scale(_q(-4 * self.ld * dla))
-
-    def _at_loc(self, la: int, ld: int) -> NcPoly:
-        return self._shift_body(la - self.la, ld - self.ld)
-
-    def __eq__(self, other):
-        if not isinstance(other, DqElem):
-            return NotImplemented
-        la, ld = max(self.la, other.la), max(self.ld, other.ld)
-        return self._at_loc(la, ld) == other._at_loc(la, ld)
-
-    def __add__(self, other: "DqElem") -> "DqElem":
-        la, ld = max(self.la, other.la), max(self.ld, other.ld)
-        return DqElem(la, ld, self._at_loc(la, ld) + other._at_loc(la, ld))
-
-    def __neg__(self):
-        return DqElem(self.la, self.ld, -self.body)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c: RatCoeff) -> "DqElem":
-        return DqElem(self.la, self.ld, self.body.scale(c))
-
-    def __mul__(self, other: "DqElem") -> "DqElem":
-        """Product in the localisation; denominators commute to the left
-        picking up q powers from the inner grading."""
-        D = dq_spec()
-        acc = D.zero()
-        for (m, n), part in self.body.homogeneous_parts().items():
-            e = 2 * n * other.la - 2 * m * other.ld
-            acc = acc + D.nf(part * other.body).scale(_q(e))
-        acc = acc.scale(_q(-4 * self.ld * other.la))
-        return DqElem(self.la + other.la, self.ld + other.ld, acc)
-
-    def reduced(self) -> "DqElem":
-        """Strip determinant factors from the body where an exact quotient
-        exists, so detA * detAi renders as 1."""
-        from .rewrite import divide_left
-
-        D = dq_spec()
-        la, ld, body = self.la, self.ld, self.body
-        changed = True
-        while changed and body:
-            changed = False
-            if ld > 0:
-                quo = divide_left(D, det_d_body(), body)
-                if quo is not None:
-                    ld, body, changed = ld - 1, quo, True
-                    continue
-            if la > 0:
-                quo = divide_left(D, det_a_body(), body)
-                if quo is not None:
-                    # detD^-ld detA = q^{4 ld} detA detD^-ld when re-slotted
-                    la, body, changed = la - 1, quo.scale(_q(4 * ld)), True
-        if not body:
-            la = ld = 0
-        return DqElem(la, ld, body)
-
-    def __str__(self):
-        pre = []
-        if self.la:
-            pre.append(f"detAi^{self.la}" if self.la > 1 else "detAi")
-        if self.ld:
-            pre.append(f"detDi^{self.ld}" if self.ld > 1 else "detDi")
-        head = "*".join(pre)
-        return f"{head}*({self.body})" if head else str(self.body)
-
-    def __repr__(self):
-        return f"<dq: {self}>"
+# perfbench/tracer.py wraps the localised product, _at_loc and reduced under
+# this name, so it stays bound to the one localisation class
+DqElem = LocElem
 
 
-def loc_mul(x: DqElem, y: DqElem) -> DqElem:
-    return x * y
+def dq_elem(body: NcPoly, la: int = 0, ld: int = 0) -> LocElem:
+    """detq(A)^-la detq(D)^-ld * body."""
+    return LocElem(dq_spec(), dq_denominators(), body, (la, ld))
 
 
 # ---------------------------------------------------------------------------
-# 2x2 matrices over DqElem
+# 2x2 matrices over the localisation
 # ---------------------------------------------------------------------------
-
-def qmat(entries) -> list[list[DqElem]]:
-    return [[e for e in row] for row in entries]
-
 
 def qmat_mul(a, b):
     return [
@@ -279,17 +146,17 @@ def qmat_mul(a, b):
     ]
 
 
-def qmat_a() -> list[list[DqElem]]:
+def qmat_a() -> list[list[LocElem]]:
     D = dq_spec()
-    return [[DqElem.from_body(D.gen(_A_NAMES[2 * i + j])) for j in range(2)] for i in range(2)]
+    return [[dq_elem(D.gen(_A_NAMES[2 * i + j])) for j in range(2)] for i in range(2)]
 
 
-def qmat_d() -> list[list[DqElem]]:
+def qmat_d() -> list[list[LocElem]]:
     D = dq_spec()
-    return [[DqElem.from_body(D.gen(_P_NAMES[2 * i + j])) for j in range(2)] for i in range(2)]
+    return [[dq_elem(D.gen(_P_NAMES[2 * i + j])) for j in range(2)] for i in range(2)]
 
 
-def qtrace(m) -> DqElem:
+def qtrace(m) -> LocElem:
     """tr_q = (1,1) entry + q^-2 (2,2) entry."""
     return m[0][0] + m[1][1].scale(_q(-2))
 
@@ -309,7 +176,7 @@ def _letter_matrix(names):
     return [[D.gen(names[2 * i + j]) for j in range(2)] for i in range(2)]
 
 
-@locked_cache
+@cache
 def cofactor(which: str) -> tuple[tuple[NcPoly, ...], ...]:
     """Solve M * adj = adj * M = detq(M) * I for adj, entrywise linear in the
     degree-one span.  Raises if the system were inconsistent or ambiguous."""
@@ -414,12 +281,11 @@ def cofactor_identity_residuals(which: str) -> list[tuple[str, NcPoly]]:
     return out
 
 
-def inverse_matrix(which: str) -> list[list[DqElem]]:
+def inverse_matrix(which: str) -> list[list[LocElem]]:
     """A^{-1} = detq(A)^{-1} adj(A), and likewise for D."""
     adj = cofactor(which)
-    if which == "A":
-        return [[DqElem(1, 0, adj[i][j]) for j in range(2)] for i in range(2)]
-    return [[DqElem(0, 1, adj[i][j]) for j in range(2)] for i in range(2)]
+    la, ld = (1, 0) if which == "A" else (0, 1)
+    return [[dq_elem(adj[i][j], la, ld) for j in range(2)] for i in range(2)]
 
 
 # ---------------------------------------------------------------------------
@@ -471,35 +337,25 @@ def matrix_relation_entries() -> dict[str, list[NcPoly]]:
 # the quantum moment map
 # ---------------------------------------------------------------------------
 
-@locked_cache
-def moment_matrix() -> tuple[tuple[DqElem, ...], ...]:
+@cache
+def moment_matrix() -> tuple[tuple[LocElem, ...], ...]:
     """mu(L) = D A^{-1} D^{-1} A as a matrix over the localisation."""
-    Dm = [[DqElem.from_body(x) for x in row] for row in _letter_matrix(_P_NAMES)]
-    Am = [[DqElem.from_body(x) for x in row] for row in _letter_matrix(_A_NAMES)]
+    Dm = [[dq_elem(x) for x in row] for row in _letter_matrix(_P_NAMES)]
+    Am = [[dq_elem(x) for x in row] for row in _letter_matrix(_A_NAMES)]
     Ai = inverse_matrix("A")
     Di = inverse_matrix("D")
     prod = qmat_mul(qmat_mul(qmat_mul(Dm, Ai), Di), Am)
     return tuple(tuple(row) for row in prod)
 
 
-@locked_cache
-def moment_zt() -> DqElem:
+@cache
+def moment_zt() -> LocElem:
     """mu(Z_t) = tr_q(mu(L)) - q^4 (1/t^2 + q^-2 t^2)."""
     m = moment_matrix()
-    return qtrace([list(m[0]), list(m[1])]) - DqElem.scalar(_q(4) * trq_xt())
+    return qtrace([list(m[0]), list(m[1])]) - dq_elem(dq_spec().scalar(_q(4) * trq_xt()))
 
 
-def moment_map(target):
-    """target: 'matrix', 'Zt', or an entry pair (i, j) with 1-based indexes."""
-    if target == "matrix":
-        return moment_matrix()
-    if target == "Zt":
-        return moment_zt()
-    i, j = target
-    return moment_matrix()[i - 1][j - 1]
-
-
-def moment_relation_residuals() -> list[tuple[str, DqElem]]:
+def moment_relation_residuals() -> list[tuple[str, LocElem]]:
     """The six coordinate-algebra relations on the entries of mu(L)."""
     m = moment_matrix()
     one = RC_ONE
@@ -520,7 +376,7 @@ def moment_relation_residuals() -> list[tuple[str, DqElem]]:
     return items
 
 
-def moment_det() -> DqElem:
+def moment_det() -> LocElem:
     """detq of mu(L); equals q^8 identically."""
     m = moment_matrix()
     return m[0][0] * m[1][1] - (m[0][1] * m[1][0]).scale(_q(2))
@@ -530,7 +386,7 @@ def moment_det() -> DqElem:
 # the adjoint action on D_q
 # ---------------------------------------------------------------------------
 
-@locked_cache
+@cache
 def dq_action() -> AdjointAction:
     D = dq_spec()
     a_names = {(1, 1): "a11", (1, 2): "a12", (2, 1): "a21", (2, 2): "a22"}
@@ -540,7 +396,7 @@ def dq_action() -> AdjointAction:
     return AdjointAction(D, {**w1, **w2}, {**e1, **e2}, {**f1, **f2})
 
 
-def dq_elem_invariant(x: DqElem) -> bool:
+def dq_elem_invariant(x: LocElem) -> bool:
     """Invariance of a localised element; the determinant denominators are
     themselves invariant, so the body decides."""
     return dq_action().is_invariant(x.body)

@@ -7,9 +7,9 @@ Grammar (one pass covers both coefficient and algebra expressions):
     factor := ['-'] atom ('^' int)?
     atom   := int | 'q' | 't' | generator-name | '(' expr ')'
 
-'/' requires a scalar divisor; '^' takes integer exponents, negative ones
-only on scalars and on invertible single generators.  Errors carry line and
-column positions.
+'/' requires a scalar divisor; '^' takes integer exponents up to
+MAX_EXPONENT in absolute value, negative ones only on scalars and on
+invertible single generators.  Errors carry line and column positions.
 """
 
 from __future__ import annotations
@@ -18,6 +18,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .ncpoly import NcPoly
+
+
+#: largest |n| accepted in x^n; bounds the work and the size of a coefficient
+MAX_EXPONENT = 1000
 
 
 class ParseError(ValueError):
@@ -81,7 +85,7 @@ class ValueOps:
 
     Implementations must provide: scalar(coeff), atom(name), the field used
     for integer and q/t literals, and the value operations below.  Values are
-    either NcPoly or a localised wrapper with compatible operators.
+    NcPoly or rewrite.LocElem; both provide scalar_coeff().
     """
 
     field = None
@@ -108,13 +112,7 @@ class ValueOps:
 
     def scalar_of(self, v) -> Optional[object]:
         """The coefficient if v is scalar (a multiple of the unit), else None."""
-        if isinstance(v, NcPoly):
-            if not v.terms:
-                return self.field.from_int(0)
-            if set(v.terms) == {()}:
-                return v.terms[()]
-            return None
-        return getattr(v, "scalar_coeff", lambda: None)()
+        return v.scalar_coeff()
 
     def div(self, a, b, tok: Token):
         c = self.scalar_of(b)
@@ -122,21 +120,16 @@ class ValueOps:
             raise ParseError("division only by scalar expressions", tok.line, tok.col)
         if not c:
             raise ParseError("division by zero", tok.line, tok.col)
-        inv = self.field.invert(c)
-        if isinstance(a, NcPoly):
-            return a.scale(inv)
-        return a.scale(inv)
+        return a.scale(self.field.invert(c))
 
     def pow(self, a, n: int, tok: Token):
+        if abs(n) > MAX_EXPONENT:
+            raise ParseError(f"exponent {n} exceeds the limit of {MAX_EXPONENT}", tok.line, tok.col)
         c = self.scalar_of(a)
         if c is not None:
             if not c and n < 0:
                 raise ParseError("zero to a negative power", tok.line, tok.col)
-            out = self.field.from_int(1)
-            inv = self.field.invert(c) if n < 0 else c
-            for _ in range(abs(n)):
-                out = out * inv
-            return self.scalar(out)
+            return self.scalar(c ** n)
         if n >= 0:
             out = self.unit()
             for _ in range(n):

@@ -15,7 +15,7 @@ of the map in those bases is diagonal and invertible).
 
 from __future__ import annotations
 
-from ._util import locked_cache
+from functools import cache
 
 from .coeffring import RAT
 from .daha import sdaha_spec
@@ -35,7 +35,7 @@ _DICT = {
 }
 
 
-@locked_cache
+@cache
 def _letter_map() -> dict[int, tuple[int, int]]:
     H, A = ham_spec(), sdaha_spec()
     out = {}

@@ -19,17 +19,15 @@ confirmed by the diamond check and by the identification above.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-
-from ._util import locked_cache
+from functools import cache, lru_cache
 
 from .coeffring import RAT, RC_ONE, RatCoeff
 from .dqops import (
-    DqElem,
     cofactor,
     det_a_body,
     det_d_body,
     dq_action,
+    dq_elem,
     dq_spec,
     moment_zt,
     qmat_a,
@@ -41,13 +39,15 @@ from .dqops import (
 from .linalg import frac_rank, frac_solve, solve_dense
 from .ncpoly import Alphabet, NcPoly
 from .rewrite import (
+    DEFAULT_POINTS,
     AlgebraSpec,
     EngineError,
+    LocElem,
     PowerBlocksPbw,
     QCentralGen,
     RewriteRule,
     WordOrder,
-    rank_of_family,
+    agreed_rank,
 )
 
 
@@ -67,7 +67,7 @@ _INV_GENS = [
 ]
 
 
-def _inv_rules_common(alph, order, with_w: bool):
+def _inv_rules_common(alph, order):
     """The straightening rules shared by the invariant algebra and its
     Hamiltonian reduction (all except the r^2 relation and the w block)."""
 
@@ -99,7 +99,7 @@ def _inv_rules_common(alph, order, with_w: bool):
     return rules
 
 
-@locked_cache
+@cache
 def inv_spec() -> AlgebraSpec:
     """The sixteen-relation presentation of the invariant subalgebra."""
     alph = Alphabet("inv", _INV_GENS)
@@ -109,7 +109,7 @@ def inv_spec() -> AlgebraSpec:
         return NcPoly.from_word(alph, alph.word(*names))
 
     qm2, qm4 = _q(-2), _q(-4)
-    rules = _inv_rules_common(alph, order, with_w=True)
+    rules = _inv_rules_common(alph, order)
     rules.append(RewriteRule(
         alph.word("r", "r"),
         W("w").scale(qm4)
@@ -146,7 +146,7 @@ def quotient_w_image() -> NcPoly:
     return B.word_poly("c2", "d2").scale(trq_xt())
 
 
-@locked_cache
+@cache
 def ham_spec() -> AlgebraSpec:
     """The Hamiltonian reduction: substitute w by its class in the r^2 rule."""
     gens = [g for g in _INV_GENS if g[0] != "w"]
@@ -172,7 +172,7 @@ def ham_spec() -> AlgebraSpec:
             else:
                 names.append(nm)
         rhs = rhs + W(*names).scale(coeff)
-    rules = _inv_rules_common(alph, order, with_w=False)
+    rules = _inv_rules_common(alph, order)
     rules.append(RewriteRule(alph.word("r", "r"), rhs, "r*r", order))
     pbw = PowerBlocksPbw(alph, [
         ("c1", None, None),
@@ -191,44 +191,47 @@ def ham_spec() -> AlgebraSpec:
 # the identification with the invariants of D_q
 # ---------------------------------------------------------------------------
 
-@locked_cache
-def psibar_images() -> dict[str, DqElem]:
+@cache
+def psibar_images() -> dict[str, LocElem]:
     D = dq_spec()
     adj_a = cofactor("A")
     adj_d = cofactor("D")
     Am, Dm = qmat_a(), qmat_d()
-    adj_a_m = [[DqElem.from_body(x) for x in row] for row in adj_a]
-    adj_d_m = [[DqElem.from_body(x) for x in row] for row in adj_d]
+    adj_a_m = [[dq_elem(x) for x in row] for row in adj_a]
+    adj_d_m = [[dq_elem(x) for x in row] for row in adj_d]
     w_mat = qmat_mul(qmat_mul(qmat_mul(Dm, adj_a_m), adj_d_m), Am)
     return {
         "c1": qtrace(Am),
-        "c2": DqElem.from_body(det_a_body()),
-        "c2i": DqElem.det_a_inverse(),
+        "c2": dq_elem(det_a_body()),
+        "c2i": dq_elem(D.unit(), 1, 0),
         "d1": qtrace(Dm),
-        "d2": DqElem.from_body(det_d_body()),
-        "d2i": DqElem.det_d_inverse(),
+        "d2": dq_elem(det_d_body()),
+        "d2i": dq_elem(D.unit(), 0, 1),
         "r": qtrace(qmat_mul(Dm, Am)).scale(_q(2)),
         "w": qtrace(w_mat),
     }
 
 
-def psibar_apply(x: NcPoly) -> DqElem:
-    """Image of an invariant-algebra element inside D_q (localised)."""
-    B = inv_spec()
-    if x.alphabet is not B.alphabet:
-        raise EngineError("psibar_apply expects an element of the invariant algebra")
+def psibar_apply(x: NcPoly) -> LocElem:
+    """Image inside D_q (localised) of an element of the invariant algebra,
+    or of the reduction, whose letters are a subset of the invariant ones;
+    for the reduction the image is a coset representative modulo the left
+    ideal of mu(Z_t)."""
+    if x.alphabet is not inv_spec().alphabet and x.alphabet is not ham_spec().alphabet:
+        raise EngineError("psibar_apply expects an element of the invariant algebra or the reduction")
     img = psibar_images()
+    gens = x.alphabet.gens
     out = None
     for word, c in x.terms.items():
-        acc = DqElem.one()
+        acc = dq_elem(dq_spec().unit())
         for i in word:
-            acc = acc * img[B.alphabet.gens[i].name]
+            acc = acc * img[gens[i].name]
         acc = acc.scale(c)
         out = acc if out is None else out + acc
-    return out if out is not None else DqElem.one().scale(RAT.zero)
+    return out if out is not None else dq_elem(dq_spec().zero())
 
 
-def psibar_relation_residuals() -> list[tuple[str, DqElem]]:
+def psibar_relation_residuals() -> list[tuple[str, LocElem]]:
     B = inv_spec()
     out = []
     for rule in B.rules:
@@ -242,33 +245,25 @@ def bplus_words(M: int, N: int) -> list[NcPoly]:
     return [NcPoly.from_word(B.alphabet, w) for w in B.pbw.enumerate(M, N)]
 
 
-def psibar_rank(M: int, N: int, points=None) -> int:
+def psibar_rank(M: int, N: int) -> int:
     """Rank of the psibar images of the positive-cone basis in bidegree (M,N)."""
-    from .rewrite import DEFAULT_POINTS
-
     bodies = []
     for wp in bplus_words(M, N):
         img = psibar_apply(wp)
-        if img.la or img.ld:
+        if any(img.exps):
             raise EngineError("positive-cone image unexpectedly localised")
-        if img.body:
-            bodies.append(img.body)
-    if not bodies:
-        return 0
-    return rank_of_family(dq_spec(), bodies, points or DEFAULT_POINTS).rank
+        bodies.append(img.body)
+    return agreed_rank(dq_spec(), bodies)
 
 
 # ---------------------------------------------------------------------------
 # invariant dimensions by exact linear algebra at rational points
 # ---------------------------------------------------------------------------
 
-DEFAULT_QPOINTS = (Fraction(2), Fraction(3), Fraction(5))
-
-
-def invariant_dimension(M: int, N: int, qpoints=DEFAULT_QPOINTS) -> int:
+def invariant_dimension(M: int, N: int) -> int:
     """dim of the U-invariants of D_q^+[M,N]: the joint kernel of the E and F
-    actions inside the K-weight-zero subspace, at several rational q that
-    must agree."""
+    actions inside the K-weight-zero subspace, at DEFAULT_POINTS, which must
+    agree (the action carries no t, so only their q values matter)."""
     D = dq_spec()
     act = dq_action()
     words = list(D.pbw.enumerate(M, N))
@@ -282,10 +277,7 @@ def invariant_dimension(M: int, N: int, qpoints=DEFAULT_QPOINTS) -> int:
     cols_e: dict = {}
     cols_f: dict = {}
     dims = []
-    for q0 in qpoints:
-        if q0 in (0, 1, -1):
-            raise EngineError(f"degenerate point q = {q0}")
-        t0 = Fraction(1)
+    for q0, t0 in DEFAULT_POINTS:
         rows = []
         for j, (pe, pf) in enumerate(img_polys):
             for p, cols, off in ((pe, cols_e, 0), (pf, cols_f, 1)):
@@ -306,51 +298,34 @@ def invariant_dimension(M: int, N: int, qpoints=DEFAULT_QPOINTS) -> int:
 # the reduction map and congruence modulo the moment ideal
 # ---------------------------------------------------------------------------
 
-def psi_apply(x: NcPoly) -> DqElem:
-    """Same dictionary as psibar restricted to the reduction's generators;
-    the result is a coset representative modulo the left ideal of mu(Z_t)."""
-    H = ham_spec()
-    if x.alphabet is not H.alphabet:
-        raise EngineError("psi_apply expects an element of the reduction")
-    img = psibar_images()
-    out = None
-    for word, c in x.terms.items():
-        acc = DqElem.one()
-        for i in word:
-            acc = acc * img[H.alphabet.gens[i].name]
-        acc = acc.scale(c)
-        out = acc if out is None else out + acc
-    return out if out is not None else DqElem.one().scale(RAT.zero)
-
-
-def find_ideal_multiplier(x: DqElem, extra_loc: int = 1):
+def find_ideal_multiplier(x: LocElem):
     """Find s with x = s * mu(Z_t), homogeneous of the same localised
-    bidegree as x; returns the multiplier as a DqElem or None.
+    bidegree as x; returns the multiplier or None.
 
-    The solve runs over candidate PBW words for the numerator of s.  The
-    candidate set is pruned by first solving the specialised system at
-    rational points, then the surviving columns are solved exactly.
+    The solve runs over candidate PBW words for the numerator of s, over no
+    denominator or over one detq(A) detq(D) pair.  The candidate set is
+    pruned by first solving the specialised system at rational points, then
+    the surviving columns are solved exactly.
     """
     if not x:
-        return DqElem.one().scale(RAT.zero)
+        return dq_elem(dq_spec().zero())
     z = moment_zt()
     deg = x.bidegree()
     if deg in (None, "any"):
         raise EngineError("ideal membership needs a homogeneous element")
     D = dq_spec()
-    for k in range(extra_loc + 1):
+    for k in (0, 1):
         wdeg = (deg[0] + 2 * k, deg[1] + 2 * k)
         if wdeg[0] < 0 or wdeg[1] < 0:
             continue
         words = list(D.pbw.enumerate(*wdeg))
         if not words:
             continue
-        cands = [DqElem(k, k, NcPoly.from_word(D.alphabet, w)) for w in words]
+        cands = [dq_elem(NcPoly.from_word(D.alphabet, w), k, k) for w in words]
         prods = [s * z for s in cands]
-        la = max([x.la] + [p.la for p in prods])
-        ld = max([x.ld] + [p.ld for p in prods])
-        target = x._at_loc(la, ld)
-        bodies = [p._at_loc(la, ld) for p in prods]
+        exps = tuple(map(max, x.exps, *(p.exps for p in prods)))
+        target = x._at_loc(exps)
+        bodies = [p._at_loc(exps) for p in prods]
         cols: dict = {}
         for b in bodies + [target]:
             for word in b.terms:
@@ -358,7 +333,7 @@ def find_ideal_multiplier(x: DqElem, extra_loc: int = 1):
         # prune over rational points
         support = set()
         consistent = True
-        for q0, t0 in ((Fraction(2), Fraction(3)), (Fraction(3), Fraction(2)), (Fraction(5), Fraction(7))):
+        for q0, t0 in DEFAULT_POINTS:
             rows = [dict() for _ in range(len(cols))]
             rhs = [Fraction(0)] * len(cols)
             for j, b in enumerate(bodies):
@@ -393,7 +368,7 @@ def find_ideal_multiplier(x: DqElem, extra_loc: int = 1):
                 term = cands[j].scale(lam)
                 s = term if s is None else s + term
         if s is None:
-            s = DqElem.one().scale(zero)
+            s = dq_elem(D.zero())
         if x == s * z:
             return s
     return None
@@ -405,7 +380,7 @@ def psi_congruent_zero(x: NcPoly):
 
     Returns ('exact', None), ('ideal', multiplier), or ('unverified', None).
     """
-    img = psi_apply(x)
+    img = psibar_apply(x)
     if not img:
         return ("exact", None)
     s = find_ideal_multiplier(img)
@@ -414,7 +389,7 @@ def psi_congruent_zero(x: NcPoly):
     return ("unverified", None)
 
 
-@locked_cache
+@cache
 def ham_relation_congruences() -> list[tuple[str, str]]:
     """Each reduction relation, checked in D_q modulo the moment ideal."""
     H = ham_spec()

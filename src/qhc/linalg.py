@@ -38,11 +38,6 @@ def frac_rank(rows: Sequence[dict[int, Fraction]]) -> int:
     return rank
 
 
-def frac_kernel_dim(rows: Sequence[dict[int, Fraction]], ncols: int) -> int:
-    """Dimension of the solution space of rows * x = 0 over Q."""
-    return ncols - frac_rank(rows)
-
-
 def frac_solve(rows: Sequence[dict[int, Fraction]], rhs: Sequence[Fraction], ncols: int):
     """Solve a sparse rational system; returns (status, particular solution).
 

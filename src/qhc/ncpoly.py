@@ -145,6 +145,14 @@ class NcPoly:
     def __bool__(self):
         return bool(self.terms)
 
+    def scalar_coeff(self):
+        """The coefficient if this is a multiple of 1, else None."""
+        if not self.terms:
+            return self.field.from_int(0)
+        if set(self.terms) == {EMPTY_WORD}:
+            return self.terms[EMPTY_WORD]
+        return None
+
     def __eq__(self, other):
         return (
             isinstance(other, NcPoly)
@@ -265,11 +273,3 @@ class NcPoly:
 
     def __repr__(self):
         return f"<{self.alphabet.algebra_id}: {self}>"
-
-
-def poly_mul(p: NcPoly, r: NcPoly) -> NcPoly:
-    return p * r
-
-
-def bidegree_of(p: NcPoly):
-    return p.bidegree()

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .ncpoly import NcPoly
-from .rewrite import AlgebraSpec, q_central_residual
+from .rewrite import DEFAULT_POINTS, AlgebraSpec, q_central_residual
 
 
 def random_word_poly(spec: AlgebraSpec, rng: random.Random, max_len: int = 4) -> NcPoly:
@@ -72,16 +72,9 @@ def check_q_centrality(spec: AlgebraSpec, n: int = 50, seed: int = 3,
     return None
 
 
-DEFAULT_EVAL_POINTS = (
-    (Fraction(2), Fraction(3)),
-    (Fraction(3), Fraction(2)),
-    (Fraction(5), Fraction(7)),
-)
-
-
 def check_specialization_consistency(
     spec: AlgebraSpec,
-    points: Sequence[tuple[Fraction, Fraction]] = DEFAULT_EVAL_POINTS,
+    points: Sequence[tuple[Fraction, Fraction]] = DEFAULT_POINTS,
     n: int = 40,
     seed: int = 4,
     max_len: int = 4,

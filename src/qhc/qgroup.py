@@ -15,16 +15,18 @@ so only the EF relation is a core straightening rule.
 O_q(GL2) is generated by the entries of a 2x2 matrix L subject to the
 reflection equation R21 L1 R L2 = L2 R21 L1 R; its q-trace and q-determinant
 generate the center and the subalgebra of invariants for the adjoint action.
+Its localisation at det_q(L) is rewrite.LocElem over oq_denominators().
 """
 
 from __future__ import annotations
 
-from ._util import locked_cache
+from functools import cache
 
 from .coeffring import RAT, RC_ONE, RC_Q, RatCoeff
 from .ncpoly import Alphabet, NcPoly
 from .rewrite import (
     AlgebraSpec,
+    Denominator,
     EngineError,
     PowerBlocksPbw,
     QCentralGen,
@@ -55,7 +57,7 @@ _UQ_GENS = [
 ]
 
 
-@locked_cache
+@cache
 def uq_spec() -> AlgebraSpec:
     alph = Alphabet("uq", _UQ_GENS)
     order = WordOrder(ranks=[0, 1, 2, 2, 3, 3])
@@ -89,7 +91,7 @@ RHO_F = ((0, 1), (0, 0))
 WEIGHTS = ((-1, 0), (0, -1))
 
 
-@locked_cache
+@cache
 def rmatrix_vector() -> tuple[tuple[RatCoeff, ...], ...]:
     """(rho x rho) of the universal R-matrix on V x V.
 
@@ -180,7 +182,7 @@ def _uq_scalar(c: RatCoeff) -> NcPoly:
     return uq_spec().scalar(c)
 
 
-@locked_cache
+@cache
 def lmatrices() -> tuple[list[list[NcPoly]], list[list[NcPoly]]]:
     """L+ and L- with entries in U_q: l^{+-i}_i = K_i^{-+1},
     l^{+1}_2 = (q - 1/q) K1i E, l^{-2}_1 = -(q - 1/q) F K1."""
@@ -305,7 +307,7 @@ def _re_rules(alph: Alphabet, n11, n12, n21, n22, order) -> list[RewriteRule]:
     ]
 
 
-@locked_cache
+@cache
 def oq_spec() -> AlgebraSpec:
     alph = Alphabet("oq", _OQ_GENS)
     order = WordOrder(ranks=[0, 1, 2, 3])
@@ -324,6 +326,12 @@ def qdet_oq() -> NcPoly:
     """det_q(L) = l11 l22 - q^2 l12 l21."""
     O = oq_spec()
     return O.word_poly("l11", "l22") - O.word_poly("l12", "l21").scale(_q(2))
+
+
+@cache
+def oq_denominators() -> tuple[Denominator]:
+    """O_q(GL2) is localised at det_q(L), which is central (kappa 0)."""
+    return (Denominator("detLi", qdet_oq(), (0, 0)),)
 
 
 def reflection_equation_entries(spec: AlgebraSpec, names: tuple[str, str, str, str]):
@@ -358,7 +366,7 @@ def _swap_legs(R):
 # embedding of O_q into U_q
 # ---------------------------------------------------------------------------
 
-@locked_cache
+@cache
 def phi_images() -> dict[str, NcPoly]:
     """The embedding on generators:
 
@@ -515,7 +523,7 @@ def _oq_like_action_tables(spec: AlgebraSpec, names: dict[tuple[int, int], str])
     return weights, e_im, f_im
 
 
-@locked_cache
+@cache
 def oq_action() -> AdjointAction:
     O = oq_spec()
     names = {(1, 1): "l11", (1, 2): "l12", (2, 1): "l21", (2, 2): "l22"}
@@ -524,95 +532,6 @@ def oq_action() -> AdjointAction:
 
 def is_invariant(x: NcPoly, action: AdjointAction | None = None) -> bool:
     return (action or oq_action()).is_invariant(x)
-
-
-class OqElem:
-    """det_q(L)^{-loc} * body in the localised coordinate algebra.
-
-    The q-determinant is central, so the localisation needs no q-power
-    bookkeeping at all; equality clears denominators by multiplying with
-    det powers.
-    """
-
-    __slots__ = ("loc", "body")
-
-    def __init__(self, loc: int, body: NcPoly):
-        if loc < 0:
-            raise EngineError("determinant exponent must be nonnegative")
-        self.loc = loc
-        self.body = oq_spec().nf(body)
-
-    @staticmethod
-    def from_body(body: NcPoly) -> "OqElem":
-        return OqElem(0, body)
-
-    @staticmethod
-    def det_inverse(k: int = 1) -> "OqElem":
-        return OqElem(k, oq_spec().unit())
-
-    def _at_loc(self, loc: int) -> NcPoly:
-        O = oq_spec()
-        out = self.body
-        for _ in range(loc - self.loc):
-            out = O.nf(qdet_oq() * out)
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, OqElem):
-            return NotImplemented
-        loc = max(self.loc, other.loc)
-        return self._at_loc(loc) == other._at_loc(loc)
-
-    def __bool__(self):
-        return bool(self.body)
-
-    def __add__(self, other: "OqElem") -> "OqElem":
-        loc = max(self.loc, other.loc)
-        return OqElem(loc, self._at_loc(loc) + other._at_loc(loc))
-
-    def __neg__(self):
-        return OqElem(self.loc, -self.body)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "OqElem":
-        return OqElem(self.loc, self.body.scale(c))
-
-    def __mul__(self, other: "OqElem") -> "OqElem":
-        return OqElem(self.loc + other.loc, oq_spec().nf(self.body * other.body))
-
-    def is_invariant(self) -> bool:
-        return oq_action().is_invariant(self.body)
-
-    def reduced(self) -> "OqElem":
-        from .rewrite import divide_left
-
-        O = oq_spec()
-        loc, body = self.loc, self.body
-        while loc > 0 and body:
-            quo = divide_left(O, qdet_oq(), body)
-            if quo is None:
-                break
-            loc, body = loc - 1, quo
-        if not body:
-            loc = 0
-        return OqElem(loc, body)
-
-    def embed(self) -> NcPoly:
-        """Image in U_q, inverting the central determinant through K1^2 K2^2."""
-        U = uq_spec()
-        img = embed_phi(self.body)
-        for _ in range(self.loc):
-            img = U.mul(img, U.word_poly("K1", "K1", "K2", "K2"))
-        return img
-
-    def __str__(self):
-        head = ("detLi" if self.loc == 1 else f"detLi^{self.loc}") if self.loc else ""
-        return f"{head}*({self.body})" if head else str(self.body)
-
-    def __repr__(self):
-        return f"<oq: {self}>"
 
 
 def adjoint_in_uq(gen: str, y: NcPoly) -> NcPoly:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .coeffring import RAT, QQField
 from .linalg import frac_rank
@@ -345,11 +345,10 @@ class AlgebraSpec:
         direction: str,
         frozen_lhs: bool = False,
         check_pbw: Optional[bool] = None,
-        use_cache: bool = True,
     ) -> dict[Word, object]:
         if check_pbw is None:
             check_pbw = self.validate_pbw
-        cache = self._nf_cache[direction] if (use_cache and not frozen_lhs) else None
+        cache = None if frozen_lhs else self._nf_cache[direction]
         work = dict(terms)
         out: dict[Word, object] = {}
         steps = 0
@@ -710,12 +709,30 @@ def rank_of_family(
     return RankResult(rank, agreeing, tuple(per_point))
 
 
-def divide_left(spec: AlgebraSpec, factor: NcPoly, p: NcPoly, dim_guard: int = 600):
+def agreed_rank(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> int:
+    """Rank of the nonzero elems at DEFAULT_POINTS; raises when the points
+    disagree, since a rank drop at one point would otherwise be hidden."""
+    elems = [p for p in elems if p]
+    if not elems:
+        return 0
+    res = rank_of_family(spec, elems)
+    if res.agreeing != len(res.per_point):
+        raise EngineError(
+            f"{spec.algebra_id}: rank disagrees across points: per_point {list(res.per_point)}"
+        )
+    return res.rank
+
+
+#: largest positive-cone component divide_left will solve for
+DIVIDE_DIM_GUARD = 600
+
+
+def divide_left(spec: AlgebraSpec, factor: NcPoly, p: NcPoly):
     """Exact division: the x with normal_form(factor * x) = p, or None.
 
     Works per homogeneous component over the positive-cone PBW basis; used to
     strip invertible determinant factors from localised elements.  Returns
-    None when no quotient exists or a component exceeds the size guard.
+    None when no quotient exists or a component exceeds DIVIDE_DIM_GUARD.
     """
     from .linalg import solve_dense
 
@@ -730,7 +747,7 @@ def divide_left(spec: AlgebraSpec, factor: NcPoly, p: NcPoly, dim_guard: int = 6
         if qm < 0 or qn < 0:
             return None
         cols = list(spec.pbw.enumerate(qm, qn))
-        if not cols or len(cols) > dim_guard:
+        if not cols or len(cols) > DIVIDE_DIM_GUARD:
             return None
         images = [spec.nf(factor * NcPoly.from_word(spec.alphabet, w, field=spec.field))
                   for w in cols]
@@ -765,3 +782,140 @@ def q_central_residual(spec: AlgebraSpec, name: str, h: NcPoly) -> NcPoly:
     e = kap[0] * d[0] + kap[1] * d[1]
     g = spec.gen(name)
     return spec.nf(g * h - (h * g).scale(spec.field.q_power(e)))
+
+
+# ---------------------------------------------------------------------------
+# Ore localisation at q-central elements
+# ---------------------------------------------------------------------------
+
+class Denominator(NamedTuple):
+    """A homogeneous invertible element with body*h = q^<kappa, bideg h> h*body,
+    the QCentralGen convention; its inverse prints as inverse_name."""
+
+    inverse_name: str
+    body: NcPoly
+    kappa: tuple[int, int]
+
+
+def _pair(kappa: tuple[int, int], d: tuple[int, int]) -> int:
+    return kappa[0] * d[0] + kappa[1] * d[1]
+
+
+class LocElem:
+    """den_1^-e_1 ... den_k^-e_k * body in the localisation of spec at the
+    denominators dens, kept on the left in their declared order.
+
+    Every q-power that moving a denominator costs follows from its kappa and
+    the bidegrees involved, so products, sums and equality are exact.
+    """
+
+    __slots__ = ("spec", "dens", "exps", "body")
+
+    def __init__(self, spec: AlgebraSpec, dens: Sequence[Denominator], body: NcPoly,
+                 exps: Optional[Sequence[int]] = None):
+        self.spec = spec
+        self.dens = dens
+        self.exps = (0,) * len(dens) if exps is None else tuple(exps)
+        if len(self.exps) != len(dens) or any(e < 0 for e in self.exps):
+            raise EngineError("localisation exponents must be nonnegative, one per denominator")
+        self.body = spec.nf(body)
+
+    def _new(self, exps, body: NcPoly) -> "LocElem":
+        return LocElem(self.spec, self.dens, body, exps)
+
+    def _q(self, e: int):
+        return self.spec.field.q_power(e)
+
+    def _cross(self, e, f) -> int:
+        """The c with den^-e den^-f = q^c den^-(e+f): den_j^-f_j moves left past
+        den_i^-e_i for i > j, and den_i^-a den_j^-b = q^(a b <kappa_i, deg den_j>)
+        den_j^-b den_i^-a."""
+        degs = [den.body.bidegree() for den in self.dens]
+        return sum(e[i] * f[j] * _pair(self.dens[i].kappa, degs[j])
+                   for i in range(len(e)) for j in range(i))
+
+    def __bool__(self):
+        return bool(self.body)
+
+    def scalar_coeff(self):
+        """The coefficient if this is a multiple of 1, else None."""
+        return None if any(self.exps) else self.body.scalar_coeff()
+
+    def bidegree(self):
+        d = self.body.bidegree()
+        if d in (None, "any"):
+            return d
+        for e, den in zip(self.exps, self.dens):
+            dd = den.body.bidegree()
+            d = (d[0] - e * dd[0], d[1] - e * dd[1])
+        return d
+
+    def _at_loc(self, exps) -> NcPoly:
+        """Body of the same element written over den^-exps, exps >= self.exps:
+        multiply on the left by den_k^d_k ... den_1^d_1 with d = exps - self.exps,
+        with the q-power from moving each den_j^d_j past den_i^-e_i, i > j."""
+        delta = [g - e for g, e in zip(exps, self.exps)]
+        out = self.body
+        for den, d in zip(self.dens, delta):
+            for _ in range(d):
+                out = self.spec.nf(den.body * out)
+        return out.scale(self._q(self._cross(self.exps, delta)))
+
+    def __eq__(self, other):
+        if not isinstance(other, LocElem):
+            return NotImplemented
+        exps = tuple(map(max, self.exps, other.exps))
+        return self._at_loc(exps) == other._at_loc(exps)
+
+    def __add__(self, other: "LocElem") -> "LocElem":
+        exps = tuple(map(max, self.exps, other.exps))
+        return self._new(exps, self._at_loc(exps) + other._at_loc(exps))
+
+    def __neg__(self):
+        return self._new(self.exps, -self.body)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c) -> "LocElem":
+        return self._new(self.exps, self.body.scale(c))
+
+    def __mul__(self, other: "LocElem") -> "LocElem":
+        """Product in the localisation: other's denominators move left past
+        each homogeneous part of self's body, then past self's denominators."""
+        spec = self.spec
+        acc = spec.zero()
+        for d, part in self.body.homogeneous_parts().items():
+            e = sum(f * _pair(den.kappa, d) for f, den in zip(other.exps, other.dens))
+            acc = acc + spec.nf(part * other.body).scale(self._q(e))
+        acc = acc.scale(self._q(self._cross(self.exps, other.exps)))
+        return self._new([a + b for a, b in zip(self.exps, other.exps)], acc)
+
+    def reduced(self) -> "LocElem":
+        """Strip denominator factors from the body where an exact quotient
+        exists, last denominator first, so den * den^-1 renders as 1."""
+        exps, body = list(self.exps), self.body
+        changed = True
+        while changed and body:
+            changed = False
+            for i in reversed(range(len(exps))):
+                if exps[i] > 0:
+                    quo = divide_left(self.spec, self.dens[i].body, body)
+                    if quo is not None:
+                        # den_i moves left past den_l^-e_l for l > i
+                        step = [int(j == i) for j in range(len(exps))]
+                        body = quo.scale(self._q(-self._cross(exps, step)))
+                        exps[i] -= 1
+                        changed = True
+                        break
+        if not body:
+            exps = [0] * len(exps)
+        return self._new(exps, body)
+
+    def __str__(self):
+        head = "*".join(den.inverse_name if e == 1 else f"{den.inverse_name}^{e}"
+                        for den, e in zip(self.dens, self.exps) if e)
+        return f"{head}*({self.body})" if head else str(self.body)
+
+    def __repr__(self):
+        return f"<{self.spec.algebra_id}: {self}>"

@@ -3,15 +3,10 @@
 Each suite returns a list of items {"name": ..., "pass": bool, "detail":
 optional string}.  Items are computed against the symbolic presentations;
 everything is exact, so "pass" means an identity holds on the nose.
-
-Suites fan out over a thread pool sized by the QHC_THREADS environment
-variable; item order in the report is fixed regardless of scheduling.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Optional
 
 from . import daha, dqops, hciso, invham, qgroup
@@ -26,22 +21,6 @@ def _item(name: str, ok: bool, detail: Optional[str] = None) -> dict:
     if detail:
         out["detail"] = detail
     return out
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QHC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _run_tasks(tasks: list[tuple[str, Callable[[], dict]]]) -> list[dict]:
-    n = _threads()
-    if n == 1:
-        return [fn() for _, fn in tasks]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        futures = [pool.submit(fn) for _, fn in tasks]
-        return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +233,7 @@ def suite_moment() -> list[dict]:
     for tag, resid in dqops.moment_relation_residuals():
         items.append(_item(f"mu(L) satisfies {tag}", not resid))
     items.append(_item("det_q(mu(L)) = q^8",
-                       dqops.moment_det() == dqops.DqElem.scalar(RAT.q_power(8))))
+                       dqops.moment_det() == dqops.dq_elem(dqops.dq_spec().scalar(RAT.q_power(8)))))
     items.append(_item("mu(Z_t) invariant", dqops.dq_elem_invariant(dqops.moment_zt())))
     items.append(_item("mu(Z_t) = psibar(c2^-1 d2^-1 (w - trq(Xt) c2 d2))",
                        invham.moment_zt_in_invariant_coordinates()))
@@ -316,18 +295,11 @@ def suite_hilbert_all() -> list[dict]:
     items.append(_item("spherical positive cone counts match the series up to (6,6)", ok))
     items.append(_item("dim (1,1) = 2", tab.dim(1, 1) == 2))
     items.append(_item("dim (2,2) = 5", tab.dim(2, 2) == 5))
-
-    def sandwich_task(m, n):
-        want = series.get((m, n), 0)
-
-        def run():
+    for m in range(7):
+        for n in range(7):
+            want = series.get((m, n), 0)
             got = daha.spherical_dimension(m, n)
-            return _item(f"sandwich rank ({m},{n}) = {want}", got == want, f"got {got}")
-
-        return run
-
-    tasks = [(f"({m},{n})", sandwich_task(m, n)) for m in range(7) for n in range(7)]
-    items.extend(_run_tasks(tasks))
+            items.append(_item(f"sandwich rank ({m},{n}) = {want}", got == want, f"got {got}"))
     for m, n in ((1, 1), (2, 2), (3, 3), (4, 4)):
         want = series.get((m, n), 0)
         got = daha.phi_rank(m, n)

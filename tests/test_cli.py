@@ -28,6 +28,12 @@ def test_parse_negative_generator_power():
     assert ctx.spec.alphabet.word_str(w) == "X1i^2"
 
 
+def test_parse_scalar_powers():
+    ctx = Context("sdaha")
+    assert ctx.parse("(2*q)^-3") == ctx.parse("1/(8*q^3)")
+    assert ctx.parse("(q - t)^0") == ctx.parse("1")
+
+
 def test_parse_errors_carry_positions():
     ctx = Context("daha")
     with pytest.raises(ParseError, match="column 1"):
@@ -142,7 +148,18 @@ def test_cli_dq_localized(capsys):
 
 
 def test_cli_oq_localized(capsys):
-    rc = main(["normalize", "--algebra", "oq", "(l11*l22 - q^2*l12*l21)*detLi"])
-    out = json.loads(capsys.readouterr().out)
-    assert rc == 0
-    assert out["normal_form"] == "1"
+    for expr in ("(l11*l22 - q^2*l12*l21)*detLi", "detLi*(l11*l22 - q^2*l12*l21)"):
+        rc = main(["normalize", "--algebra", "oq", expr])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert out["normal_form"] == "1"
+
+
+def test_cli_rejects_huge_exponent(capsys):
+    # a scalar power once multiplied in a loop (hang) and, specialised,
+    # overflowed the int-to-str limit when printed (uncaught ValueError)
+    for argv in (["normalize", "--algebra", "sdaha", "q^100000000"],
+                 ["normalize", "--algebra", "sdaha", "--q", "5/3", "--t", "2", "q^20000"]):
+        rc = main(argv)
+        assert rc == 2
+        assert "exceeds the limit" in capsys.readouterr().err

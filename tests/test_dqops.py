@@ -4,7 +4,6 @@ import pytest
 
 from qhc.coeffring import RAT, RC_ONE, RC_T
 from qhc.dqops import (
-    DqElem,
     claimed_cofactor_display,
     cofactor,
     cofactor_display_mismatches,
@@ -13,12 +12,12 @@ from qhc.dqops import (
     det_d_body,
     det_qcommutation_residuals,
     dq_action,
+    dq_denominators,
+    dq_elem,
     dq_elem_invariant,
     dq_spec,
-    loc_mul,
     matrix_relation_entries,
     moment_det,
-    moment_map,
     moment_relation_residuals,
     moment_zt,
     qmat_a,
@@ -29,7 +28,8 @@ from qhc.dqops import (
 )
 from qhc.linalg import dense_rank
 from qhc.ncpoly import NcPoly
-from qhc.rewrite import check_ambiguities, hilbert_table
+from qhc.qgroup import oq_denominators, oq_spec
+from qhc.rewrite import LocElem, check_ambiguities, hilbert_table
 
 from oracles import diffops_positive_dims
 
@@ -120,35 +120,54 @@ def test_cofactor_display_erratum(D):
         assert len(claimed[1][1].terms) == 1
 
 
+@pytest.mark.parametrize("spec, dens", [(dq_spec, dq_denominators), (oq_spec, oq_denominators)])
+def test_denominator_kappas(spec, dens):
+    # den * g = q^<kappa, deg g> g * den for every generator g
+    S = spec()
+    for den in dens():
+        for g in S.alphabet.gens:
+            h = S.gen(g.name)
+            e = den.kappa[0] * g.bidegree[0] + den.kappa[1] * g.bidegree[1]
+            assert not S.nf(den.body * h - (h * den.body).scale(RAT.q_power(e))), (den.inverse_name, g.name)
+
+
 def test_loc_mul_examples(D):
     # detA^-1 p11 = q^-2 p11 detA^-1 (inverting p11 detA = q^-2 detA p11)
-    p11 = DqElem.from_body(D.gen("p11"))
-    lhs = loc_mul(DqElem.det_a_inverse(), p11)
-    rhs = loc_mul(p11, DqElem.det_a_inverse()).scale(RAT.q_power(-2))
+    p11 = dq_elem(D.gen("p11"))
+    det_a_inv = dq_elem(D.unit(), 1, 0)
+    lhs = det_a_inv * p11
+    rhs = (p11 * det_a_inv).scale(RAT.q_power(-2))
     assert lhs == rhs
     # in the left-denominator representation the body stays p11
-    assert lhs.body == D.gen("p11") and (lhs.la, lhs.ld) == (1, 0)
+    assert lhs.body == D.gen("p11") and lhs.exps == (1, 0)
     # x * x^-1 = 1 for x = detA detD; the inverse is detD^-1 detA^-1, which
     # in left-ordered form is q^-4 detA^-1 detD^-1
-    x = DqElem.from_body(D.nf(det_a_body() * det_d_body()))
-    xi = loc_mul(DqElem.det_a_inverse(), DqElem.det_d_inverse()).scale(RAT.q_power(-4))
-    assert loc_mul(xi, x) == DqElem.one()
-    assert loc_mul(x, xi) == DqElem.one()
+    x = dq_elem(D.nf(det_a_body() * det_d_body()))
+    xi = (det_a_inv * dq_elem(D.unit(), 0, 1)).scale(RAT.q_power(-4))
+    one = dq_elem(D.unit())
+    assert xi * x == one
+    assert x * xi == one
 
 
 def test_loc_mul_associative(D):
-    elems = [
-        DqElem(1, 0, D.gen("p11")),
-        DqElem(0, 1, D.gen("a12") + D.gen("a21")),
-        DqElem.from_body(D.word_poly("a11", "p22")),
-    ]
-    x, y, z = elems
+    x, y, z = (
+        dq_elem(D.gen("p11"), 1, 0),
+        dq_elem(D.gen("a12") + D.gen("a21"), 0, 1),
+        dq_elem(D.word_poly("a11", "p22")),
+    )
+    assert (x * y) * z == x * (y * z)
+    O = oq_spec()
+
+    def oq(body, e=0):
+        return LocElem(O, oq_denominators(), body, (e,))
+
+    x, y, z = oq(O.gen("l12"), 1), oq(O.gen("l21") + O.gen("l11"), 2), oq(O.word_poly("l22", "l12"))
     assert (x * y) * z == x * (y * z)
 
 
 def test_qtrace_values(D):
     A = qmat_a()
-    assert qtrace(A) == DqElem.from_body(D.gen("a11") + D.gen("a22").scale(RAT.q_power(-2)))
+    assert qtrace(A) == dq_elem(D.gen("a11") + D.gen("a22").scale(RAT.q_power(-2)))
     assert trq_xt() == (RC_T * RC_T).inverse() + RAT.q_power(-2) * RC_T * RC_T
 
 
@@ -165,7 +184,7 @@ def test_qtrace_da_explicit(D):
                 + D.word_poly("a21", "p12")
                 + D.word_poly("a22", "p11").scale(qm2 - RC_ONE)
                 + D.word_poly("a22", "p22").scale(RC_ONE - qm2 + RAT.q_power(-4)))
-    assert r_img == DqElem.from_body(expected)
+    assert r_img == dq_elem(expected)
 
 
 def test_trace_commutator_gives_r(D):
@@ -181,14 +200,14 @@ def test_moment_map_entries_satisfy_coordinate_relations():
         assert not r, tag
 
 
-def test_moment_det_is_q8():
-    assert moment_det() == DqElem.scalar(RAT.q_power(8))
+def test_moment_det_is_q8(D):
+    assert moment_det() == dq_elem(D.scalar(RAT.q_power(8)))
 
 
 def test_moment_zt_invariant():
-    assert dq_elem_invariant(moment_zt())
-    zt = moment_map("Zt")
-    assert zt.la == 1 and zt.ld == 1
+    zt = moment_zt()
+    assert dq_elem_invariant(zt)
+    assert zt.exps == (1, 1)
 
 
 def test_action_kills_dq_relations():

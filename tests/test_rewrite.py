@@ -21,6 +21,7 @@ from qhc.rewrite import (
     RewriteRule,
     SpecError,
     WordOrder,
+    agreed_rank,
     check_ambiguities,
     hilbert_table,
     normal_form,
@@ -107,6 +108,16 @@ def test_rank_of_family(plane):
     assert res.agreeing == 3
     res1 = rank_of_family(plane, [z, z])
     assert res1.rank == 1
+
+
+def test_agreed_rank_surfaces_disagreement(plane):
+    x, y, z = plane.gen("x"), plane.gen("y"), plane.gen("z")
+    assert agreed_rank(plane, [plane.mul(x, y), z, plane.zero()]) == 2
+    # (q - 2) z vanishes at the first default point, q = 2
+    drop = z.scale(RAT.q_power(1) - RAT.from_int(2))
+    assert rank_of_family(plane, [drop]).per_point == (0, 1, 1)
+    with pytest.raises(EngineError, match=r"per_point \[0, 1, 1\]"):
+        agreed_rank(plane, [drop])
 
 
 def test_rank_guards(plane):
