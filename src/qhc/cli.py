@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import daha, dqops, hciso, invham, qgroup, suites
 from .exprparse import ParseError, Parser, ValueOps, WordAlgebraOps
@@ -68,12 +67,8 @@ class Context:
     def __init__(self, algebra: str, q0=None, t0=None):
         self.algebra = algebra
         self.specialized = q0 is not None or t0 is not None
-        if self.specialized:
-            if q0 is None or t0 is None:
-                raise EngineError("give both --q and --t to specialise")
-            q0, t0 = Fraction(q0), Fraction(t0)
-            if q0 in (0, 1, -1) or t0 == 0:
-                raise EngineError(f"degenerate specialisation point ({q0}, {t0})")
+        if self.specialized and (q0 is None or t0 is None):
+            raise EngineError("give both --q and --t to specialise")
         base = {
             "daha": daha.daha_spec,
             "sdaha": daha.sdaha_spec,
@@ -83,6 +78,7 @@ class Context:
             "inv": invham.inv_spec,
             "ham": invham.ham_spec,
         }[algebra]()
+        # specialize converts --q/--t and refuses malformed or degenerate points
         self.spec = base.specialize(q0, t0) if self.specialized else base
         if not self.specialized and algebra in LOCALISED:
             dens, named = LOCALISED[algebra]

@@ -45,10 +45,6 @@ def p_neg(f: Poly) -> Poly:
     return {m: -c for m, c in f.items()}
 
 
-def p_sub(f: Poly, g: Poly) -> Poly:
-    return p_add(f, p_neg(g))
-
-
 def p_mul(f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return {}
@@ -70,13 +66,6 @@ def p_scale(f: Poly, k: int) -> Poly:
     if k == 0:
         return {}
     return {m: c * k for m, c in f.items()}
-
-
-def p_pow(f: Poly, n: int) -> Poly:
-    out = dict(P_ONE)
-    for _ in range(n):
-        out = p_mul(out, f)
-    return out
 
 
 def _lead_mono(f: Poly) -> Mono:

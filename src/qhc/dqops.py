@@ -139,21 +139,12 @@ def dq_elem(body: NcPoly, la: int = 0, ld: int = 0) -> LocElem:
 # 2x2 matrices over the localisation
 # ---------------------------------------------------------------------------
 
-def qmat_mul(a, b):
-    return [
-        [a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)]
-        for i in range(2)
-    ]
-
-
 def qmat_a() -> list[list[LocElem]]:
-    D = dq_spec()
-    return [[dq_elem(D.gen(_A_NAMES[2 * i + j])) for j in range(2)] for i in range(2)]
+    return [[dq_elem(x) for x in row] for row in _letter_matrix(_A_NAMES)]
 
 
 def qmat_d() -> list[list[LocElem]]:
-    D = dq_spec()
-    return [[dq_elem(D.gen(_P_NAMES[2 * i + j])) for j in range(2)] for i in range(2)]
+    return [[dq_elem(x) for x in row] for row in _letter_matrix(_P_NAMES)]
 
 
 def qtrace(m) -> LocElem:
@@ -223,7 +214,7 @@ def cofactor(which: str) -> tuple[tuple[NcPoly, ...], ...]:
                             row[unk(m, mm, k)] = row[unk(m, mm, k)] + coeff
                 rows.append(row)
                 rhs.append(want.terms.get(w, zero))
-    status, sol = solve_dense(rows, rhs, zero, RC_ONE)
+    status, sol = solve_dense(rows, rhs, zero)
     if status != "unique":
         raise EngineError(f"cofactor conditions for {which} are {status}")
     out = []
@@ -340,11 +331,7 @@ def matrix_relation_entries() -> dict[str, list[NcPoly]]:
 @cache
 def moment_matrix() -> tuple[tuple[LocElem, ...], ...]:
     """mu(L) = D A^{-1} D^{-1} A as a matrix over the localisation."""
-    Dm = [[dq_elem(x) for x in row] for row in _letter_matrix(_P_NAMES)]
-    Am = [[dq_elem(x) for x in row] for row in _letter_matrix(_A_NAMES)]
-    Ai = inverse_matrix("A")
-    Di = inverse_matrix("D")
-    prod = qmat_mul(qmat_mul(qmat_mul(Dm, Ai), Di), Am)
+    prod = mat_mul(mat_mul(mat_mul(qmat_d(), inverse_matrix("A")), inverse_matrix("D")), qmat_a())
     return tuple(tuple(row) for row in prod)
 
 

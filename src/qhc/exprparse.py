@@ -262,7 +262,3 @@ class Parser:
                 raise ParseError("expected ')'", close.line, close.col)
             return v
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col)
-
-
-def parse_expression(src: str, ops: ValueOps):
-    return Parser(ops).parse(src)

@@ -18,7 +18,6 @@ confirmed by the diamond check and by the identification above.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, lru_cache
 
 from .coeffring import RAT, RC_ONE, RatCoeff
@@ -32,12 +31,12 @@ from .dqops import (
     moment_zt,
     qmat_a,
     qmat_d,
-    qmat_mul,
     qtrace,
     trq_xt,
 )
 from .linalg import frac_rank, frac_solve, solve_dense
 from .ncpoly import Alphabet, NcPoly
+from .qgroup import mat_mul
 from .rewrite import (
     DEFAULT_POINTS,
     AlgebraSpec,
@@ -48,6 +47,7 @@ from .rewrite import (
     RewriteRule,
     WordOrder,
     agreed_rank,
+    eval_rows,
 )
 
 
@@ -199,7 +199,7 @@ def psibar_images() -> dict[str, LocElem]:
     Am, Dm = qmat_a(), qmat_d()
     adj_a_m = [[dq_elem(x) for x in row] for row in adj_a]
     adj_d_m = [[dq_elem(x) for x in row] for row in adj_d]
-    w_mat = qmat_mul(qmat_mul(qmat_mul(Dm, adj_a_m), adj_d_m), Am)
+    w_mat = mat_mul(mat_mul(mat_mul(Dm, adj_a_m), adj_d_m), Am)
     return {
         "c1": qtrace(Am),
         "c2": dq_elem(det_a_body()),
@@ -207,7 +207,7 @@ def psibar_images() -> dict[str, LocElem]:
         "d1": qtrace(Dm),
         "d2": dq_elem(det_d_body()),
         "d2i": dq_elem(D.unit(), 0, 1),
-        "r": qtrace(qmat_mul(Dm, Am)).scale(_q(2)),
+        "r": qtrace(mat_mul(Dm, Am)).scale(_q(2)),
         "w": qtrace(w_mat),
     }
 
@@ -274,21 +274,18 @@ def invariant_dimension(M: int, N: int) -> int:
     for w in zero_words:
         p = NcPoly.from_word(D.alphabet, w)
         img_polys.append((act.act("E", p), act.act("F", p)))
+    # row 2k (2k+1) holds the coefficient of the k-th word of the E (F) images
     cols_e: dict = {}
     cols_f: dict = {}
-    dims = []
-    for q0, t0 in DEFAULT_POINTS:
-        rows = []
-        for j, (pe, pf) in enumerate(img_polys):
-            for p, cols, off in ((pe, cols_e, 0), (pf, cols_f, 1)):
-                for word, c in p.terms.items():
-                    key = cols.setdefault(word, len(cols))
-                    while len(rows) <= 2 * key + off:
-                        rows.append({})
-                    v = c.eval(q0, t0)
-                    if v:
-                        rows[2 * key + off][j] = v
-        dims.append(len(zero_words) - frac_rank(rows))
+    rows: list[dict] = []
+    for j, (pe, pf) in enumerate(img_polys):
+        for p, cols, off in ((pe, cols_e, 0), (pf, cols_f, 1)):
+            for word, c in p.terms.items():
+                key = cols.setdefault(word, len(cols))
+                while len(rows) <= 2 * key + off:
+                    rows.append({})
+                rows[2 * key + off][j] = c
+    dims = [len(zero_words) - frac_rank(eval_rows(rows, q0, t0)) for q0, t0 in DEFAULT_POINTS]
     if len(set(dims)) != 1:
         raise EngineError(f"invariant dimension disagrees across points: {dims}")
     return dims[0]
@@ -330,20 +327,19 @@ def find_ideal_multiplier(x: LocElem):
         for b in bodies + [target]:
             for word in b.terms:
                 cols.setdefault(word, len(cols))
+        # one row per word; the target's coefficients, keyed by row, are
+        # evaluated along with them as one more sparse vector
+        rows = [dict() for _ in range(len(cols))]
+        for j, b in enumerate(bodies):
+            for word, c in b.terms.items():
+                rows[cols[word]][j] = c
+        rhs = {cols[word]: c for word, c in target.terms.items()}
         # prune over rational points
         support = set()
         consistent = True
         for q0, t0 in DEFAULT_POINTS:
-            rows = [dict() for _ in range(len(cols))]
-            rhs = [Fraction(0)] * len(cols)
-            for j, b in enumerate(bodies):
-                for word, c in b.terms.items():
-                    v = c.eval(q0, t0)
-                    if v:
-                        rows[cols[word]][j] = v
-            for word, c in target.terms.items():
-                rhs[cols[word]] = c.eval(q0, t0)
-            status, sol = frac_solve(rows, rhs, len(bodies))
+            *rows_at, rhs_at = eval_rows(rows + [rhs], q0, t0)
+            status, sol = frac_solve(rows_at, [rhs_at.get(i, 0) for i in range(len(cols))], len(bodies))
             if status == "none":
                 consistent = False
                 break
@@ -353,13 +349,8 @@ def find_ideal_multiplier(x: LocElem):
         support = sorted(support) or [0]
         # exact solve on the surviving columns
         zero = RAT.zero
-        rows = []
-        rhs = []
-        for word, ci in cols.items():
-            row = [bodies[j].terms.get(word, zero) for j in support]
-            rows.append(row)
-            rhs.append(target.terms.get(word, zero))
-        status, sol = solve_dense(rows, rhs, zero, RAT.one)
+        status, sol = solve_dense([[row.get(j, zero) for j in support] for row in rows],
+                                  [rhs.get(i, zero) for i in range(len(cols))], zero)
         if status == "none" or sol is None:
             continue
         s = None

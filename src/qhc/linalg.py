@@ -1,11 +1,12 @@
-"""Exact linear algebra helpers.
+"""Exact linear algebra over any field whose elements support + - * / and
+truth testing: Fraction for systems specialised at rational points, RatCoeff
+for symbolic ones.
 
-Two regimes are used by the algebra layer:
-
-* big sparse systems over Q (rank and kernel dimensions after specialising
-  q, t at rational points);
-* small dense systems over the symbolic coefficient field (cofactor solving,
-  span comparisons), where the entries implement field arithmetic.
+One sparse echelon kernel does all elimination.  Rows are {column: value};
+each row is reduced against the pivots found so far, always at its minimum
+column, and what is left becomes a new pivot row divided by its leading
+entry.  Ranks and solves are entry points on it; the dense ones take rows
+as lists with explicit zeros.
 """
 
 from __future__ import annotations
@@ -13,67 +14,47 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+_FRAC_ZERO = Fraction(0)
 
-def frac_rank(rows: Sequence[dict[int, Fraction]]) -> int:
-    """Rank of a sparse matrix given as rows {column: value} over Q."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    rank = 0
+
+def _echelon(rows, zero) -> dict[int, dict]:
+    """Pivot rows of the row space, keyed by their leading column, each with
+    leading entry one.  The pivot columns are the leading columns of the row
+    space, whatever the row order."""
+    pivots: dict[int, dict] = {}
     for row in rows:
         cur = dict(row)
         while cur:
             c = min(cur)
+            f = cur[c]
             piv = pivots.get(c)
             if piv is None:
-                f = cur[c]
                 pivots[c] = {cc: vv / f for cc, vv in cur.items()}
-                rank += 1
                 break
-            f = cur[c]
             for cc, vv in piv.items():
-                s = cur.get(cc, 0) - f * vv
+                s = cur.get(cc, zero) - f * vv
                 if s:
                     cur[cc] = s
                 else:
                     cur.pop(cc, None)
-    return rank
+    return pivots
 
 
-def frac_solve(rows: Sequence[dict[int, Fraction]], rhs: Sequence[Fraction], ncols: int):
-    """Solve a sparse rational system; returns (status, particular solution).
-
-    status is 'none' for inconsistent systems, else 'unique' or
-    'underdetermined' (free variables set to zero).
-    """
+def _solve(rows, rhs, ncols: int, zero):
     aug = []
     for row, b in zip(rows, rhs):
-        r = dict(row)
         if b:
-            r[ncols] = b
-        aug.append(r)
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for row in aug:
-        cur = dict(row)
-        while cur:
-            c = min(cur)
-            piv = pivots.get(c)
-            if piv is None:
-                f = cur[c]
-                pivots[c] = {cc: vv / f for cc, vv in cur.items()}
-                break
-            f = cur[c]
-            for cc, vv in piv.items():
-                s = cur.get(cc, 0) - f * vv
-                if s:
-                    cur[cc] = s
-                else:
-                    cur.pop(cc, None)
+            row = dict(row)
+            row[ncols] = b
+        aug.append(row)
+    pivots = _echelon(aug, zero)
     if ncols in pivots:
         return "none", None
-    # back substitution
-    sol = [Fraction(0)] * ncols
+    # back substitution; every column right of a pivot is solved before it
+    sol = [zero] * ncols
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
-        v = row.get(ncols, Fraction(0))
+        v = row.get(ncols, zero)
         for cc, vv in row.items():
             if cc != c and cc != ncols:
                 v -= vv * sol[cc]
@@ -82,69 +63,31 @@ def frac_solve(rows: Sequence[dict[int, Fraction]], rhs: Sequence[Fraction], nco
     return status, sol
 
 
-def solve_dense(rows, rhs, zero, one):
-    """Gaussian elimination over any exact field (entries support + - * /).
+def _sparse(row) -> dict[int, object]:
+    return {j: v for j, v in enumerate(row) if v}
 
-    rows: list of list of field elements, rhs: list of field elements.
-    Returns (status, solution) like frac_solve.
+
+def frac_rank(rows: Sequence[dict[int, Fraction]]) -> int:
+    """Rank of a sparse matrix given as rows {column: value} over Q."""
+    return len(_echelon(rows, _FRAC_ZERO))
+
+
+def frac_solve(rows: Sequence[dict[int, Fraction]], rhs: Sequence[Fraction], ncols: int):
+    """Solve a sparse rational system; returns (status, particular solution).
+
+    status is 'none' for inconsistent systems, else 'unique' or
+    'underdetermined' (free variables set to zero).
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = one / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n]:
-            return "none", None
-    sol = [zero] * n
-    for i, c in enumerate(piv_cols):
-        sol[c] = a[i][n]
-    status = "unique" if len(piv_cols) == n else "underdetermined"
-    return status, sol
+    return _solve(rows, rhs, ncols, _FRAC_ZERO)
 
 
-def dense_rank(rows, one) -> int:
-    """Rank over an exact field for small dense matrices."""
-    if not rows:
-        return 0
-    m, n = len(rows), len(rows[0])
-    a = [list(r) for r in rows]
-    rank = 0
-    for c in range(n):
-        piv = None
-        for i in range(rank, m):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = one / a[rank][c]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+def solve_dense(rows, rhs, zero):
+    """Solve dense rows (lists of field elements, zero being the field's
+    zero) against rhs; returns (status, solution) like frac_solve."""
+    ncols = len(rows[0]) if rows else 0
+    return _solve([_sparse(r) for r in rows], rhs, ncols, zero)
+
+
+def dense_rank(rows, zero) -> int:
+    """Rank of dense rows over the field whose zero is given."""
+    return len(_echelon([_sparse(r) for r in rows], zero))

@@ -211,14 +211,6 @@ class NcPoly:
                     out.pop(w, None)
         return NcPoly(self.alphabet, out, self.field, _clean=True)
 
-    def __pow__(self, n: int) -> "NcPoly":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = NcPoly.unit(self.alphabet, self.field)
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- grading ---------------------------------------------------------------
 
     def bidegree(self):

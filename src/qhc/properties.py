@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .ncpoly import NcPoly
-from .rewrite import DEFAULT_POINTS, AlgebraSpec, q_central_residual
+from .rewrite import DEFAULT_POINTS, AlgebraSpec, eval_rows, q_central_residual
 
 
 def random_word_poly(spec: AlgebraSpec, rng: random.Random, max_len: int = 4) -> NcPoly:
@@ -85,12 +85,8 @@ def check_specialization_consistency(
     for q0, t0 in points:
         sp = spec.specialize(q0, t0)
         for p in samples:
-            nf_then_eval = {
-                w: c.eval(q0, t0) for w, c in spec.nf(p).terms.items()
-            }
-            nf_then_eval = {w: c for w, c in nf_then_eval.items() if c}
-            pe = NcPoly(sp.alphabet, {w: c.eval(q0, t0) for w, c in p.terms.items()}, sp.field)
-            eval_then_nf = sp.nf(pe).terms
+            nf_then_eval, p_at = eval_rows([spec.nf(p).terms, p.terms], q0, t0)
+            eval_then_nf = sp.nf(NcPoly(sp.alphabet, p_at, sp.field)).terms
             if nf_then_eval != dict(eval_then_nf):
                 return f"specialisation at ({q0},{t0}) disagrees on {p}"
     return None

@@ -23,6 +23,7 @@ from __future__ import annotations
 from functools import cache
 
 from .coeffring import RAT, RC_ONE, RC_Q, RatCoeff
+from .linalg import solve_dense
 from .ncpoly import Alphabet, NcPoly
 from .rewrite import (
     AlgebraSpec,
@@ -132,19 +133,15 @@ def mat_sub(A, B):
 
 
 def scalar_inverse_4x4(R):
-    """Inverse of a 4x4 scalar matrix by Gauss-Jordan over the field."""
-    n = 4
-    a = [list(R[i]) + [RC_ONE if i == j else RatCoeff.from_int(0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if a[i][c])
-        a[c], a[piv] = a[piv], a[c]
-        inv = a[c][c].inverse()
-        a[c] = [x * inv for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [row[n:] for row in a]
+    """Inverse of a 4x4 scalar matrix, solved one column at a time."""
+    zero = RatCoeff.from_int(0)
+    cols = []
+    for j in range(4):
+        status, x = solve_dense(R, [RC_ONE if i == j else zero for i in range(4)], zero)
+        if status != "unique":
+            raise EngineError("the 4x4 matrix is singular")
+        cols.append(x)
+    return [[x[i] for x in cols] for i in range(4)]
 
 
 def yang_baxter_residual() -> bool:
@@ -212,10 +209,6 @@ def _leg2(L, U):
             for i in range(2) for k in range(2)]
 
 
-def _scalar_mat(R, U):
-    return [[U.scalar(c) for c in row] for row in R]
-
-
 def lmatrix_check() -> list[tuple[str, bool]]:
     """All printed relations of the L-matrix presentation, checked in U_q."""
     U = uq_spec()
@@ -246,7 +239,7 @@ def lmatrix_check() -> list[tuple[str, bool]]:
     for tag, resid in explicit:
         results.append((tag, nfz(resid)))
 
-    R = _scalar_mat(rmatrix_vector(), U)
+    R = _scalar_mat_for(rmatrix_vector(), U)
     eqs = [
         ("L1+ L2+ R = R L2+ L1+", lp, lp),
         ("L1- L2- R = R L2- L1-", lm, lm),
@@ -528,10 +521,6 @@ def oq_action() -> AdjointAction:
     O = oq_spec()
     names = {(1, 1): "l11", (1, 2): "l12", (2, 1): "l21", (2, 2): "l22"}
     return AdjointAction(O, *_oq_like_action_tables(O, names))
-
-
-def is_invariant(x: NcPoly, action: AdjointAction | None = None) -> bool:
-    return (action or oq_action()).is_invariant(x)
 
 
 def adjoint_in_uq(gen: str, y: NcPoly) -> NcPoly:

@@ -25,10 +25,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .coeffring import RAT, QQField
-from .linalg import frac_rank
+from .linalg import frac_rank, solve_dense
 from .ncpoly import EMPTY_WORD, Alphabet, NcPoly, Word
 
 
@@ -62,27 +62,21 @@ class WordOrder:
         ranks: Sequence[int],
         heavy: Iterable[int] = (),
         tiebreak: Optional[dict[int, int]] = None,
-        pair_weight: Optional[Callable[[int, int], int]] = None,
     ):
         self.ranks = tuple(ranks)
         self.heavy = frozenset(heavy)
         self.tiebreak = dict(tiebreak or {})
-        if pair_weight is None:
-            top = max(self.ranks) + 1
-            ranks_t = self.ranks
-            pair_weight = lambda x, y: top - ranks_t[x]
-        self.pair_weight = pair_weight
+        self.top = max(self.ranks) + 1
 
     def key(self, w: Word):
-        ranks = self.ranks
+        ranks, top = self.ranks, self.top
         inv = 0
         n = len(w)
-        pw = self.pair_weight
         for i in range(n):
             ri = ranks[w[i]]
             for j in range(i + 1, n):
                 if ri > ranks[w[j]]:
-                    inv += pw(w[i], w[j])
+                    inv += top - ri
         hv = sum(1 for x in w if x in self.heavy) if self.heavy else 0
         tb = sum(self.tiebreak.get(x, 0) for x in w) if self.tiebreak else 0
         return (inv, hv, n, tb, w)
@@ -444,7 +438,7 @@ class AlgebraSpec:
     # -- specialisation ----------------------------------------------------------
 
     def specialize(self, q0, t0) -> "AlgebraSpec":
-        fld = QQField(Fraction(q0), Fraction(t0))
+        fld = QQField(*specialisation_point(q0, t0))
 
         def conv(rule: RewriteRule) -> RewriteRule:
             rhs = NcPoly(
@@ -660,6 +654,32 @@ DEFAULT_POINTS = (
 )
 
 
+def specialisation_point(q0, t0) -> tuple[Fraction, Fraction]:
+    """(q0, t0) as rationals; raises EngineError on a malformed value and at
+    the points the presentations exclude, q in {0, 1, -1} or t = 0, where
+    q - 1/q or a negative power of q or t has no value."""
+    try:
+        q0, t0 = Fraction(q0), Fraction(t0)
+    except (ValueError, ZeroDivisionError):
+        raise EngineError(f"specialisation point ({q0}, {t0}) is not a pair of rationals") from None
+    if q0 in (0, 1, -1) or t0 == 0:
+        raise EngineError(f"degenerate specialisation point ({q0}, {t0})")
+    return q0, t0
+
+
+def eval_rows(rows: Sequence[dict], q0: Fraction, t0: Fraction) -> list[dict]:
+    """Sparse rows {key: RatCoeff} evaluated at (q0, t0), zero entries dropped."""
+    out = []
+    for row in rows:
+        ev = {}
+        for k, c in row.items():
+            v = c.eval(q0, t0)
+            if v:
+                ev[k] = v
+        out.append(ev)
+    return out
+
+
 @dataclass
 class RankResult:
     rank: int
@@ -686,24 +706,10 @@ def rank_of_family(
             degs.add(d)
     if len(degs) > 1:
         raise EngineError(f"inputs span several bidegrees: {sorted(degs)}")
-    for q0, t0 in points:
-        if q0 in (0, 1, -1) or t0 == 0:
-            raise EngineError(f"degenerate specialisation point ({q0}, {t0})")
+    points = [specialisation_point(q0, t0) for q0, t0 in points]
     cols: dict[Word, int] = {}
-    for p in elems:
-        for w in p.terms:
-            cols.setdefault(w, len(cols))
-    per_point = []
-    for q0, t0 in points:
-        rows = []
-        for p in elems:
-            row = {}
-            for w, c in p.terms.items():
-                v = c.eval(q0, t0)
-                if v:
-                    row[cols[w]] = v
-            rows.append(row)
-        per_point.append(frac_rank(rows))
+    rows = [{cols.setdefault(w, len(cols)): c for w, c in p.terms.items()} for p in elems]
+    per_point = [frac_rank(eval_rows(rows, q0, t0)) for q0, t0 in points]
     rank = max(per_point)
     agreeing = sum(1 for r in per_point if r == rank)
     return RankResult(rank, agreeing, tuple(per_point))
@@ -734,8 +740,6 @@ def divide_left(spec: AlgebraSpec, factor: NcPoly, p: NcPoly):
     strip invertible determinant factors from localised elements.  Returns
     None when no quotient exists or a component exceeds DIVIDE_DIM_GUARD.
     """
-    from .linalg import solve_dense
-
     fdeg = factor.bidegree()
     if fdeg in (None, "any"):
         return None
@@ -755,7 +759,7 @@ def divide_left(spec: AlgebraSpec, factor: NcPoly, p: NcPoly):
         zero = spec.field.from_int(0)
         rows = [[im.terms.get(w, zero) for im in images] for w in rows_words]
         rhs = [part.terms.get(w, zero) for w in rows_words]
-        status, sol = solve_dense(rows, rhs, zero, spec.field.from_int(1))
+        status, sol = solve_dense(rows, rhs, zero)
         if status == "none" or sol is None:
             return None
         comp = spec.zero()
@@ -819,6 +823,8 @@ class LocElem:
         if len(self.exps) != len(dens) or any(e < 0 for e in self.exps):
             raise EngineError("localisation exponents must be nonnegative, one per denominator")
         self.body = spec.nf(body)
+        if not self.body:
+            self.exps = (0,) * len(dens)
 
     def _new(self, exps, body: NcPoly) -> "LocElem":
         return LocElem(self.spec, self.dens, body, exps)
@@ -908,8 +914,6 @@ class LocElem:
                         exps[i] -= 1
                         changed = True
                         break
-        if not body:
-            exps = [0] * len(exps)
         return self._new(exps, body)
 
     def __str__(self):

@@ -201,11 +201,11 @@ def suite_dq_relations() -> list[dict]:
             return r
 
         base = [row(e) for e in ents[block] if e]
-        rk = dense_rank(base, RC_ONE)
+        rk = dense_rank(base, zero)
         ok = rk == len(rules)
         for rule in rules:
             resid = NcPoly.from_word(D.alphabet, rule.lhs) - rule.rhs
-            if dense_rank(base + [row(resid)], RC_ONE) != rk:
+            if dense_rank(base + [row(resid)], zero) != rk:
                 ok = False
         items.append(_item(f"entries span exactly the {block} rules", ok,
                            f"rank {rk}, rules {len(rules)}"))

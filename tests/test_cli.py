@@ -85,6 +85,11 @@ def test_cli_specialized(capsys):
 def test_cli_rejects_degenerate_point(capsys):
     rc = main(["normalize", "--algebra", "daha", "--q", "1", "--t", "3", "T"])
     assert rc == 2
+    # malformed rationals once escaped as ValueError / ZeroDivisionError
+    for q in ("abc", "1/0"):
+        rc = main(["normalize", "--algebra", "daha", "--q", q, "--t", "2", "T"])
+        assert rc == 2
+        assert "not a pair of rationals" in capsys.readouterr().err
 
 
 def test_cli_unknown_generator(capsys):
@@ -117,10 +122,12 @@ def test_cli_rank(capsys):
 
 
 def test_cli_act(capsys):
-    rc = main(["act", "--gen", "E", "--algebra", "oq", "l11 + q^-2*l22"])
-    out = json.loads(capsys.readouterr().out)
-    assert rc == 0
-    assert out["result"] == "0"
+    # detLi is invariant; its image once printed as detLi*(0)
+    for expr in ("l11 + q^-2*l22", "detLi"):
+        rc = main(["act", "--gen", "E", "--algebra", "oq", expr])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert out["result"] == "0"
 
 
 def test_cli_verify_suite(capsys):
