@@ -7,6 +7,14 @@ fixes the sign so that the denominator's leading coefficient under graded
 lex with q < t is positive, which makes equality a dictionary comparison.
 
 Polynomials are sparse maps (e_q, e_t) -> int with nonnegative exponents.
+
+Most coefficients the localisations produce are Laurent: their denominator
+is a single term c*q^a*t^b.  Reducing such a fraction needs no polynomial
+gcd, since gcd(num, c*q^a*t^b) is the integer gcd of c with num's content
+times the least powers of q and t; the general gcd runs only for longer
+denominators.  Point evaluation clears the denominators of q0 and t0 first,
+so a polynomial is evaluated as a sum of integers and a value costs one
+Fraction.
 """
 
 from __future__ import annotations
@@ -315,11 +323,24 @@ def p_gcd(f: Poly, g: Poly) -> Poly:
     return out
 
 
-def p_eval(f: Poly, q0: Fraction, t0: Fraction) -> Fraction:
-    acc = Fraction(0)
+def p_eval(f: Poly, q0: Fraction, t0: Fraction) -> tuple[int, int]:
+    """f(q0, t0) as integers (n, d) with d > 0 and f(q0, t0) = n/d.
+
+    With e_q, e_t the largest exponents in f, d = qd^e_q * td^e_t clears the
+    denominators of q0 = qn/qd and t0 = tn/td, and n is a sum of integers.
+    """
+    qn, qd = q0.numerator, q0.denominator
+    tn, td = t0.numerator, t0.denominator
+    eq = et = 0
+    for a, b in f:
+        if a > eq:
+            eq = a
+        if b > et:
+            et = b
+    n = 0
     for (a, b), c in f.items():
-        acc += c * q0**a * t0**b
-    return acc
+        n += c * qn**a * qd ** (eq - a) * tn**b * td ** (et - b)
+    return n, qd**eq * td**et
 
 
 def p_str(f: Poly) -> str:
@@ -365,6 +386,27 @@ class RatCoeff:
         if not num:
             self.num, self.den = {}, dict(P_ONE)
             return
+        if len(den) == 1:
+            # den = c*q^dq*t^dt, so gcd(num, den) is igcd(content(num), c)
+            # times q^mq*t^mt with mq, mt the least exponents over num and den;
+            # dividing by it with the sign of c leaves den's coefficient positive
+            ((dq, dt), c) = next(iter(den.items()))
+            g, mq, mt = abs(c), dq, dt
+            for x, y in num:
+                if x < mq:
+                    mq = x
+                if y < mt:
+                    mt = y
+            if g != 1:
+                for v in num.values():
+                    g = _igcd(g, v)
+            if c < 0:
+                g = -g
+            if g != 1 or mq or mt:
+                num = {(x - mq, y - mt): v // g for (x, y), v in num.items()}
+                den = {(dq - mq, dt - mt): c // g}
+            self.num, self.den = num, den
+            return
         g = p_gcd(num, den)
         if g != P_ONE:
             num = p_exact_div(num, g)
@@ -382,10 +424,6 @@ class RatCoeff:
         if n == 1:
             return RC_ONE
         return RatCoeff({(0, 0): n}, dict(P_ONE), _canonical=True)
-
-    @staticmethod
-    def from_fraction(x: Fraction) -> "RatCoeff":
-        return RatCoeff({(0, 0): x.numerator}, {(0, 0): x.denominator})
 
     @staticmethod
     def monomial(c: int, eq: int, et: int) -> "RatCoeff":
@@ -464,8 +502,8 @@ class RatCoeff:
     # -- evaluation and profiling --------------------------------------------
 
     def eval(self, q0: Fraction, t0: Fraction) -> Fraction:
-        d = p_eval(self.den, q0, t0)
-        if d == 0:
+        dn, dd = p_eval(self.den, q0, t0)
+        if dn == 0:
             prof = self.denom_profile()
             if prof.q_power and q0 == 0:
                 factor = "q"
@@ -478,7 +516,8 @@ class RatCoeff:
             raise CoeffError(
                 f"denominator factor {factor} vanishes at (q, t) = ({q0}, {t0})"
             )
-        return p_eval(self.num, q0, t0) / d
+        nn, nd = p_eval(self.num, q0, t0)
+        return Fraction(nn * dd, nd * dn)
 
     def denom_profile(self) -> "DenomProfile":
         den = self.den

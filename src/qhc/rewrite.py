@@ -389,8 +389,8 @@ class AlgebraSpec:
             steps += 1
             if steps > budget:
                 raise NonTermination(
-                    f"{self.algebra_id}: step budget exceeded while reducing "
-                    f"{self.alphabet.word_str(w)}"
+                    f"{self.algebra_id}: step budget of {budget} exceeded while reducing "
+                    + ", ".join(self.alphabet.word_str(t) for t in terms)
                 )
             pre, post = w[:i], w[i + L :]
             for rw, rc in rule.rhs.terms.items():

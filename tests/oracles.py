@@ -1,11 +1,14 @@
 """Independent oracles for expected values used across the test suite.
 
 These are deliberately kept naive: truncated power series expansion for
-graded dimension tables, and direct enumeration where a count is wanted.
-They never touch the rewriting engine.
+graded dimension tables, direct enumeration where a count is wanted, and
+term-by-term Fraction evaluation of coefficient polynomials.  They never
+touch the rewriting engine.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 Series = dict[tuple[int, int], int]
 
@@ -58,3 +61,11 @@ def diffops_positive_dims(M: int, N: int) -> int:
     from math import comb
 
     return comb(M + 3, 3) * comb(N + 3, 3)
+
+
+def poly_eval(f: dict[tuple[int, int], int], q0: Fraction, t0: Fraction) -> Fraction:
+    """A {(e_q, e_t): c} polynomial at (q0, t0), summed term by term in Fraction."""
+    acc = Fraction(0)
+    for (a, b), c in f.items():
+        acc += c * q0**a * t0**b
+    return acc

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import poly_eval
 from qhc.coeffring import (
     CoeffError,
     RatCoeff,
@@ -146,3 +147,48 @@ def test_gcd_divides_products(a, b):
     # a.num divides the gcd of the two products
     from qhc.coeffring import p_exact_div
     p_exact_div(d, a.num)
+
+
+@st.composite
+def monomial_denominators(draw):
+    """(num, den) with den = c*q^a*t^b; num may share a monomial and an integer with den."""
+    c = draw(st.sampled_from([1, -1, 2, -2, 3, -3, 6, -6]))
+    a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    num: dict = {}
+    for x, y, v in draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-6, 6)), max_size=4)):
+        num[(x, y)] = num.get((x, y), 0) + v
+    num = {m: v for m, v in num.items() if v}
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([1, -1, 2, 3, 6]))
+        num = p_mul(num, {(draw(st.integers(0, a)), draw(st.integers(0, b))): k})
+    return num, {(a, b): c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_denominators())
+def test_single_term_denominator_matches_gcd_path(pair):
+    num, den = pair
+    h = {(0, 0): 1, (1, 1): 1}  # den*h has two terms, so the right side goes through p_gcd
+    fast = RatCoeff(num, den)
+    slow = RatCoeff(p_mul(num, h), p_mul(den, h))
+    assert (fast.num, fast.den) == (slow.num, slow.den)
+    assert str(fast) == str(slow)
+
+
+points = st.builds(
+    Fraction,
+    st.integers(-7, 7).filter(bool),
+    st.integers(1, 5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs(), coeffs(), points, points)
+def test_eval_matches_term_by_term_oracle(a, b, q0, t0):
+    c = a / b if b else a
+    d = poly_eval(c.den, q0, t0)
+    if d == 0:
+        with pytest.raises(CoeffError, match="vanishes"):
+            c.eval(q0, t0)
+    else:
+        assert c.eval(q0, t0) == poly_eval(c.num, q0, t0) / d

@@ -151,6 +151,17 @@ def test_budget_guard():
         normal_form(spec, NcPoly.from_word(alph, long_word))
 
 
+def test_budget_error_names_algebra_word_and_steps():
+    alph = Alphabet("loop", [("a", (1, 0), None), ("b", (1, 0), None)])
+    order = WordOrder(ranks=[1, 0])
+    pbw = PowerBlocksPbw(alph, [("b", None, None), ("a", None, None)])
+    rule = RewriteRule(alph.word("a", "b"), NcPoly(alph, {alph.word("b", "a"): RAT.one}), "a*b", order)
+    spec = AlgebraSpec(alph, [rule], order, pbw, step_budget=3)
+    long_word = alph.word(*(["a"] * 3 + ["b"] * 3))
+    with pytest.raises(NonTermination, match=r"^loop: step budget of 3 exceeded while reducing a\^3\*b\^3$"):
+        spec.nf_word(long_word)
+
+
 def test_straighten_trace_fixed_point(plane):
     w = plane.alphabet.word("x", "y")
     assert straighten_trace(plane, w) == plane.word_poly("x", "y")
