@@ -5,7 +5,7 @@ identification between their reductions.
 All computations are exact over the field of rational functions in q and t.
 """
 
-from .coeffring import RatCoeff, RAT, QQField, CoeffError, DenomProfile, coeff_arith
+from .coeffring import RatCoeff, RAT, QQField, CoeffError, DenomProfile
 from .ncpoly import Alphabet, GenSym, NcPoly, Word, ANY_BIDEGREE
 from .rewrite import (
     AlgebraSpec,
@@ -26,7 +26,7 @@ from .rewrite import (
 )
 
 __all__ = [
-    "RatCoeff", "RAT", "QQField", "CoeffError", "DenomProfile", "coeff_arith",
+    "RatCoeff", "RAT", "QQField", "CoeffError", "DenomProfile",
     "Alphabet", "GenSym", "NcPoly", "Word", "ANY_BIDEGREE",
     "AlgebraSpec", "AmbiguityReport", "EngineError", "HilbertTable",
     "NonTermination", "QCentralGen", "RankResult", "RewriteRule", "SpecError",

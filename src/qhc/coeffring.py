@@ -573,18 +573,6 @@ class DenomProfile:
         return self.residual.is_one()
 
 
-def coeff_arith(a: RatCoeff, b: RatCoeff, op: str) -> RatCoeff:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # coefficient fields for the rewriting engine
 # ---------------------------------------------------------------------------

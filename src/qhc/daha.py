@@ -60,16 +60,11 @@ _DAHA_GENS = [
     ("X2i", (0, -1), "X2"),
 ]
 
-_DAHA_RANKS = [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
-
-
 class _DahaBuilder:
     """Bootstraps the 42-rule signed table from the defining relations."""
 
     def __init__(self):
         self.alph = Alphabet("daha", _DAHA_GENS)
-        ti = self.alph.index("Ti")
-        self.order = WordOrder(ranks=_DAHA_RANKS, tiebreak={ti: 1})
         self.pbw = PowerBlocksPbw(self.alph, [
             ("T", None, 1),
             ("Y1", "Y1i", None),
@@ -77,6 +72,7 @@ class _DahaBuilder:
             ("X1", "X1i", None),
             ("X2", "X2i", None),
         ])
+        self.order = WordOrder(ranks=self.pbw.ranks, tiebreak={self.alph.index("Ti"): 1})
         self.rules: list[RewriteRule] = []
 
     # small helpers -----------------------------------------------------------
@@ -328,7 +324,14 @@ _SDAHA_GENS = [
 def sdaha_spec() -> AlgebraSpec:
     """Presentation of the spherical DAHA on Q1, Q2^+-, R, P1, P2^+-."""
     alph = Alphabet("sdaha", _SDAHA_GENS)
-    order = WordOrder(ranks=[0, 1, 1, 2, 3, 4, 4], heavy=[alph.index("R")])
+    pbw = PowerBlocksPbw(alph, [
+        ("Q1", None, None),
+        ("Q2", "Q2i", None),
+        ("R", None, 1),
+        ("P1", None, None),
+        ("P2", "P2i", None),
+    ])
+    order = WordOrder(ranks=pbw.ranks, heavy=[alph.index("R")])
 
     def W(*names):
         return NcPoly.from_word(alph, alph.word(*names))
@@ -355,13 +358,6 @@ def sdaha_spec() -> AlgebraSpec:
          "R*R"),
     ]
     rules = [RewriteRule(alph.word(*lhs), rhs, tag, order) for lhs, rhs, tag in rules_src]
-    pbw = PowerBlocksPbw(alph, [
-        ("Q1", None, None),
-        ("Q2", "Q2i", None),
-        ("R", None, 1),
-        ("P1", None, None),
-        ("P2", "P2i", None),
-    ])
     return AlgebraSpec(
         alph, rules, order, pbw,
         q_central=[QCentralGen("P2", (-2, 0)), QCentralGen("Q2", (0, 2))],

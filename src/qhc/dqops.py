@@ -38,10 +38,11 @@ from .qgroup import (
     _swap_legs,
     mat_mul,
     mat_sub,
+    reflection_equation_entries,
     rmatrix_vector,
     scalar_inverse_4x4,
 )
-from .rewrite import AlgebraSpec, Denominator, EngineError, LocElem, SortedBlocksPbw, WordOrder
+from .rewrite import AlgebraSpec, Denominator, EngineError, LocElem, PowerBlocksPbw, WordOrder
 
 
 def _q(k: int) -> RatCoeff:
@@ -58,7 +59,8 @@ _DQ_GENS = [(n, (1, 0), None) for n in _A_NAMES] + [(n, (0, 1), None) for n in _
 def dq_spec() -> AlgebraSpec:
     """The 28-relation presentation of D_q^+(GL2)."""
     alph = Alphabet("dq", _DQ_GENS)
-    order = WordOrder(ranks=list(range(8)))
+    pbw = PowerBlocksPbw(alph, [(g.name, None, None) for g in alph.gens])
+    order = WordOrder(ranks=pbw.ranks)
 
     def W(*names):
         return NcPoly.from_word(alph, alph.word(*names))
@@ -95,7 +97,6 @@ def dq_spec() -> AlgebraSpec:
             rhs = rhs + W(*wnames).scale(c)
         rules.append(RewriteRule(alph.word(lhs1, lhs2), rhs, f"{lhs1}*{lhs2}", order))
 
-    pbw = SortedBlocksPbw(alph, [_A_NAMES, _P_NAMES])
     return AlgebraSpec(alph, rules, order, pbw)
 
 
@@ -303,25 +304,19 @@ def det_qcommutation_residuals() -> list[tuple[str, NcPoly]]:
 def matrix_relation_entries() -> dict[str, list[NcPoly]]:
     """Free entry residuals of the three defining matrix equations."""
     D = dq_spec()
-    A = _letter_matrix(_A_NAMES)
-    Dm = _letter_matrix(_P_NAMES)
     R = _scalar_mat_for(rmatrix_vector(), D)
     R21 = _swap_legs(rmatrix_vector())
     R21m = _scalar_mat_for(R21, D)
     R21i = _scalar_mat_for(scalar_inverse_4x4(R21), D)
-    A1, A2 = _leg1(A, D), _leg2(A, D)
-    D1, D2 = _leg1(Dm, D), _leg2(Dm, D)
-    out = {}
-    lhs = mat_mul(mat_mul(mat_mul(R21m, A1), R), A2)
-    rhs = mat_mul(mat_mul(mat_mul(A2, R21m), A1), R)
-    out["coordinates"] = [x for row in mat_sub(lhs, rhs) for x in row]
-    lhs = mat_mul(mat_mul(mat_mul(R21m, D1), R), D2)
-    rhs = mat_mul(mat_mul(mat_mul(D2, R21m), D1), R)
-    out["derivatives"] = [x for row in mat_sub(lhs, rhs) for x in row]
+    D1 = _leg1(_letter_matrix(_P_NAMES), D)
+    A2 = _leg2(_letter_matrix(_A_NAMES), D)
     lhs = mat_mul(mat_mul(mat_mul(R21m, D1), R), A2)
     rhs = mat_mul(mat_mul(mat_mul(A2, R21m), D1), R21i)
-    out["cross"] = [x for row in mat_sub(lhs, rhs) for x in row]
-    return out
+    return {
+        "coordinates": reflection_equation_entries(D, _A_NAMES),
+        "derivatives": reflection_equation_entries(D, _P_NAMES),
+        "cross": [x for row in mat_sub(lhs, rhs) for x in row],
+    }
 
 
 # ---------------------------------------------------------------------------

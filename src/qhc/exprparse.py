@@ -130,16 +130,16 @@ class ValueOps:
             if not c and n < 0:
                 raise ParseError("zero to a negative power", tok.line, tok.col)
             return self.scalar(c ** n)
-        if n >= 0:
-            out = self.unit()
-            for _ in range(n):
-                out = self.mul(out, a)
-            return out
-        inv = self.invert_value(a, tok)
+        if n < 0:
+            a, n = self.invert_value(a, tok), -n
         out = self.unit()
-        for _ in range(-n):
-            out = self.mul(out, inv)
+        for _ in range(n):
+            out = self.power_step(out, a)
         return out
+
+    def power_step(self, acc, a):
+        """acc * a, one factor of a power."""
+        return self.mul(acc, a)
 
     def unit(self):
         return self.scalar(self.field.from_int(1))
@@ -174,6 +174,12 @@ class WordAlgebraOps(ValueOps):
                         self.spec.alphabet, (j,), self.field.invert(c), self.field
                     )
         raise ParseError("negative powers need an invertible generator", tok.line, tok.col)
+
+    def power_step(self, acc, a):
+        # a free power of a sum grows 2^n words before its one reduction;
+        # normal forms are unique, so reducing after each factor changes no
+        # result
+        return self.spec.nf(acc * a)
 
 
 class Parser:
@@ -222,7 +228,6 @@ class Parser:
 
     def _factor(self):
         tok = self._peek()
-        neg = False
         if tok.kind == "-":
             self._next()
             return self.ops.neg(self._factor())

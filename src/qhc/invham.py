@@ -66,6 +66,15 @@ _INV_GENS = [
     ("w", (2, 2), None),
 ]
 
+# the PBW blocks shared by inv and ham; inv appends w
+_INV_BLOCKS = [
+    ("c1", None, None),
+    ("c2", "c2i", None),
+    ("r", None, 1),
+    ("d1", None, None),
+    ("d2", "d2i", None),
+]
+
 
 def _inv_rules_common(alph, order):
     """The straightening rules shared by the invariant algebra and its
@@ -103,7 +112,8 @@ def _inv_rules_common(alph, order):
 def inv_spec() -> AlgebraSpec:
     """The sixteen-relation presentation of the invariant subalgebra."""
     alph = Alphabet("inv", _INV_GENS)
-    order = WordOrder(ranks=[0, 1, 1, 2, 3, 4, 4, 5], heavy=[alph.index("r")])
+    pbw = PowerBlocksPbw(alph, _INV_BLOCKS + [("w", None, None)])
+    order = WordOrder(ranks=pbw.ranks, heavy=[alph.index("r")])
 
     def W(*names):
         return NcPoly.from_word(alph, alph.word(*names))
@@ -126,14 +136,6 @@ def inv_spec() -> AlgebraSpec:
         RewriteRule(alph.word("w", "d1"), W("d1", "w").scale(_q(2)), "w*d1", order),
         RewriteRule(alph.word("w", "d2"), W("d2", "w").scale(_q(4)), "w*d2", order),
     ]
-    pbw = PowerBlocksPbw(alph, [
-        ("c1", None, None),
-        ("c2", "c2i", None),
-        ("r", None, 1),
-        ("d1", None, None),
-        ("d2", "d2i", None),
-        ("w", None, None),
-    ])
     return AlgebraSpec(
         alph, rules, order, pbw,
         q_central=[QCentralGen("c2", (0, 2)), QCentralGen("d2", (-2, 0))],
@@ -151,7 +153,8 @@ def ham_spec() -> AlgebraSpec:
     """The Hamiltonian reduction: substitute w by its class in the r^2 rule."""
     gens = [g for g in _INV_GENS if g[0] != "w"]
     alph = Alphabet("ham", gens)
-    order = WordOrder(ranks=[0, 1, 1, 2, 3, 4, 4], heavy=[alph.index("r")])
+    pbw = PowerBlocksPbw(alph, _INV_BLOCKS)
+    order = WordOrder(ranks=pbw.ranks, heavy=[alph.index("r")])
 
     def W(*names):
         return NcPoly.from_word(alph, alph.word(*names))
@@ -174,13 +177,6 @@ def ham_spec() -> AlgebraSpec:
         rhs = rhs + W(*names).scale(coeff)
     rules = _inv_rules_common(alph, order)
     rules.append(RewriteRule(alph.word("r", "r"), rhs, "r*r", order))
-    pbw = PowerBlocksPbw(alph, [
-        ("c1", None, None),
-        ("c2", "c2i", None),
-        ("r", None, 1),
-        ("d1", None, None),
-        ("d2", "d2i", None),
-    ])
     return AlgebraSpec(
         alph, rules, order, pbw,
         q_central=[QCentralGen("c2", (0, 2)), QCentralGen("d2", (-2, 0))],

@@ -90,13 +90,3 @@ def check_specialization_consistency(
             if nf_then_eval != dict(eval_then_nf):
                 return f"specialisation at ({q0},{t0}) disagrees on {p}"
     return None
-
-
-def run_all(spec: AlgebraSpec, n: int = 200) -> dict[str, Optional[str]]:
-    return {
-        "strategy_independence": check_strategy_independence(spec, n),
-        "associativity": check_associativity(spec, n),
-        "homogeneity": check_homogeneity(spec, max(n // 2, 20)),
-        "q_centrality": check_q_centrality(spec, max(n // 4, 10)),
-        "specialization": check_specialization_consistency(spec, n=max(n // 5, 10)),
-    }

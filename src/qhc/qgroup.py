@@ -32,7 +32,6 @@ from .rewrite import (
     PowerBlocksPbw,
     QCentralGen,
     RewriteRule,
-    SortedBlocksPbw,
     WordOrder,
 )
 
@@ -61,7 +60,13 @@ _UQ_GENS = [
 @cache
 def uq_spec() -> AlgebraSpec:
     alph = Alphabet("uq", _UQ_GENS)
-    order = WordOrder(ranks=[0, 1, 2, 2, 3, 3])
+    pbw = PowerBlocksPbw(alph, [
+        ("F", None, None),
+        ("E", None, None),
+        ("K1", "K1i", None),
+        ("K2", "K2i", None),
+    ])
+    order = WordOrder(ranks=pbw.ranks)
     inv = QMQI.inverse()
     ef_rhs = (
         NcPoly.from_word(alph, alph.word("F", "E"))
@@ -69,12 +74,6 @@ def uq_spec() -> AlgebraSpec:
         - NcPoly.from_word(alph, alph.word("K1i", "K2"), inv)
     )
     rules = [RewriteRule(alph.word("E", "F"), ef_rhs, "E*F", order)]
-    pbw = PowerBlocksPbw(alph, [
-        ("F", None, None),
-        ("E", None, None),
-        ("K1", "K1i", None),
-        ("K2", "K2i", None),
-    ])
     return AlgebraSpec(
         alph, rules, order, pbw,
         q_central=[QCentralGen("K1", (1, 0)), QCentralGen("K2", (0, 1))],
@@ -174,10 +173,6 @@ def yang_baxter_residual() -> bool:
 # ---------------------------------------------------------------------------
 # the L-matrix presentation under the standard identification
 # ---------------------------------------------------------------------------
-
-def _uq_scalar(c: RatCoeff) -> NcPoly:
-    return uq_spec().scalar(c)
-
 
 @cache
 def lmatrices() -> tuple[list[list[NcPoly]], list[list[NcPoly]]]:
@@ -303,9 +298,9 @@ def _re_rules(alph: Alphabet, n11, n12, n21, n22, order) -> list[RewriteRule]:
 @cache
 def oq_spec() -> AlgebraSpec:
     alph = Alphabet("oq", _OQ_GENS)
-    order = WordOrder(ranks=[0, 1, 2, 3])
+    pbw = PowerBlocksPbw(alph, [(g.name, None, None) for g in alph.gens])
+    order = WordOrder(ranks=pbw.ranks)
     rules = _re_rules(alph, "l11", "l12", "l21", "l22", order)
-    pbw = SortedBlocksPbw(alph, [("l11", "l12", "l21", "l22")])
     return AlgebraSpec(alph, rules, order, pbw)
 
 

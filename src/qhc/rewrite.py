@@ -22,7 +22,6 @@ construction), and every normal-form computation carries a step budget.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -94,7 +93,11 @@ class PowerBlocksPbw:
 
     Each block names a positive letter, an optional inverse letter (negative
     exponents), and an optional exponent cap (for involutive-type letters).
-    Enumeration covers the nonnegative cone only.
+    A weakly increasing run of letters is one block per letter, so this one
+    descriptor covers the coordinate-style algebras too.
+
+    ``ranks`` gives each letter the index of its block, or of its alphabet
+    inverse's block (daha's Ti); the algebra's WordOrder is built from it.
     """
 
     def __init__(self, alphabet: Alphabet, blocks: Sequence[tuple[str, Optional[str], Optional[int]]]):
@@ -108,6 +111,13 @@ class PowerBlocksPbw:
             self.block_of[p] = k
             if i is not None:
                 self.block_of[i] = k
+        ranks = []
+        for g in alphabet.gens:
+            k = self.block_of.get(g.index, self.block_of.get(alphabet.inverse_index.get(g.index)))
+            if k is None:
+                raise SpecError(f"{alphabet.algebra_id}: letter {g.name} is in no PBW block")
+            ranks.append(k)
+        self.ranks = tuple(ranks)
 
     def accepts(self, w: Word) -> bool:
         cur = -1
@@ -128,6 +138,15 @@ class PowerBlocksPbw:
         return True
 
     def enumerate(self, M: int, N: int):
+        """Normal words of bidegree (M, N) in the nonnegative cone.
+
+        Each block's exponent runs from its largest feasible value down to 0,
+        so one-letter blocks of positive degree give the words in
+        lexicographic order of their letter indexes (for oq, the order of
+        itertools.combinations_with_replacement).  dq's invariant_dimension
+        and find_ideal_multiplier take their column order from this; the
+        reverse order made their eliminations three to four times slower.
+        """
         alph = self.alphabet
         degs = [alph.gens[p].bidegree for p, _, _ in self.blocks]
 
@@ -138,81 +157,17 @@ class PowerBlocksPbw:
                 return
             p, _, cap = self.blocks[k]
             a, b = degs[k]
-            if a == 0 and b == 0 and cap is None:
-                raise EngineError("degree-zero block with unbounded exponent is not enumerable")
-            e = 0
-            while True:
-                if cap is not None and e > cap:
-                    break
-                mm, nn = m - e * a, n - e * b
-                if (a > 0 and mm < 0) or (b > 0 and nn < 0):
-                    break
-                yield from rec(k + 1, mm, nn, acc + (p,) * e)
-                e += 1
+            bounds = [] if cap is None else [cap]
+            if a > 0:
+                bounds.append(m // a)
+            if b > 0:
+                bounds.append(n // b)
+            if not bounds:
+                raise EngineError(f"block {alph.gens[p].name} has an unbounded exponent and is not enumerable")
+            for e in range(min(bounds), -1, -1):
+                yield from rec(k + 1, m - e * a, n - e * b, acc + (p,) * e)
 
         yield from rec(0, M, N, EMPTY_WORD)
-
-
-class SortedBlocksPbw:
-    """Normal words are weakly increasing runs, one block after another.
-
-    Used for the coordinate-style algebras where a basis is given by row-major
-    sorted monomials in each family of matrix entries.
-    """
-
-    def __init__(self, alphabet: Alphabet, blocks: Sequence[Sequence[str]]):
-        self.alphabet = alphabet
-        self.blocks = [tuple(alphabet.index(n) for n in blk) for blk in blocks]
-        self.block_of = {}
-        for k, blk in enumerate(self.blocks):
-            for i in blk:
-                self.block_of[i] = k
-
-    def accepts(self, w: Word) -> bool:
-        cur = 0
-        prev = -1
-        for x in w:
-            blk = self.block_of.get(x)
-            if blk is None or blk < cur:
-                return False
-            if blk > cur:
-                cur, prev = blk, x
-            else:
-                if x < prev:
-                    return False
-                prev = x
-        return True
-
-    def enumerate(self, M: int, N: int):
-        alph = self.alphabet
-        sizes = []
-        for blk in self.blocks:
-            degs = {alph.gens[i].bidegree for i in blk}
-            if len(degs) != 1:
-                raise EngineError("mixed bidegrees inside a sorted block")
-            sizes.append(next(iter(degs)))
-        want = (M, N)
-
-        def block_count(k):
-            a, b = sizes[k]
-            tot = want[0] if a else want[1]
-            unit = a if a else b
-            if tot % unit:
-                return None
-            return tot // unit
-
-        counts = []
-        for k in range(len(self.blocks)):
-            c = block_count(k)
-            if c is None:
-                return
-            counts.append(c)
-        pools = [
-            itertools.combinations_with_replacement(self.blocks[k], counts[k])
-            for k in range(len(self.blocks))
-        ]
-        for combo in itertools.product(*pools):
-            yield tuple(itertools.chain.from_iterable(combo))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from qhc.cli import Context, main
-from qhc.exprparse import ParseError
+from qhc.daha import sdaha_spec
+from qhc.exprparse import ParseError, Parser, WordAlgebraOps
 
 
 def test_parse_simple_word():
@@ -32,6 +33,14 @@ def test_parse_scalar_powers():
     ctx = Context("sdaha")
     assert ctx.parse("(2*q)^-3") == ctx.parse("1/(8*q^3)")
     assert ctx.parse("(q - t)^0") == ctx.parse("1")
+
+
+def test_parse_power_is_reduced():
+    spec = sdaha_spec()
+    v = Parser(WordAlgebraOps(spec)).parse("(Q1+P1)^3")
+    x = spec.gen("Q1") + spec.gen("P1")
+    assert spec.is_normal(v)
+    assert v == spec.nf(x * x * x)
 
 
 def test_parse_errors_carry_positions():

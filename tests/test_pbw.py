@@ -1,0 +1,83 @@
+"""PBW declarations: each spec's blocks against its rules, the enumeration
+order, and the letter ranks every WordOrder reads from the blocks."""
+
+import itertools
+
+import pytest
+
+from qhc.daha import daha_spec, sdaha_spec
+from qhc.dqops import dq_spec
+from qhc.invham import ham_spec, inv_spec
+from qhc.ncpoly import Alphabet
+from qhc.qgroup import oq_spec, uq_spec
+from qhc.rewrite import EngineError, PowerBlocksPbw, SpecError
+
+SPECS = [daha_spec, sdaha_spec, uq_spec, oq_spec, dq_spec, inv_spec, ham_spec]
+
+
+def _name(build):
+    return build.__name__
+
+
+@pytest.mark.parametrize("build", SPECS, ids=_name)
+def test_accepts_exactly_the_irreducible_words(build):
+    spec = build()
+    letters = range(len(spec.alphabet))
+    for n in range(4):
+        for w in itertools.product(letters, repeat=n):
+            irreducible = spec._find_redex(w, "leftmost") is None
+            assert spec.pbw.accepts(w) == irreducible, spec.alphabet.word_str(w)
+
+
+@pytest.mark.parametrize("build", [b for b in SPECS if b is not uq_spec], ids=_name)
+def test_enumerated_words_are_normal_and_of_the_bidegree(build):
+    spec = build()
+    for m in range(4):
+        for n in range(4):
+            words = list(spec.pbw.enumerate(m, n))
+            assert len(set(words)) == len(words)
+            for w in words:
+                assert spec.alphabet.word_bidegree(w) == (m, n)
+                assert spec.pbw.accepts(w)
+                assert spec._find_redex(w, "leftmost") is None
+
+
+def test_uq_degree_zero_blocks_are_not_enumerable():
+    with pytest.raises(EngineError):
+        list(uq_spec().pbw.enumerate(0, 0))
+
+
+def test_oq_enumeration_order():
+    O = oq_spec()
+    letters = O.alphabet.word("l11", "l12", "l21", "l22")
+    for m in range(6):
+        assert list(O.pbw.enumerate(m, 0)) == list(itertools.combinations_with_replacement(letters, m))
+
+
+def test_dq_enumeration_order():
+    # invariant_dimension and find_ideal_multiplier take their columns in
+    # this order
+    D = dq_spec()
+    a = D.alphabet.word("a11", "a12", "a21", "a22")
+    p = D.alphabet.word("p11", "p12", "p21", "p22")
+    for m in range(5):
+        for n in range(5):
+            want = [
+                x + y for x, y in itertools.product(
+                    itertools.combinations_with_replacement(a, m),
+                    itertools.combinations_with_replacement(p, n),
+                )
+            ]
+            assert list(D.pbw.enumerate(m, n)) == want
+
+
+def test_ranks_read_from_blocks():
+    # Ti is in no block and takes the block of its inverse T
+    assert daha_spec().order.ranks == (0, 0, 1, 1, 2, 2, 3, 3, 4, 4)
+    assert dq_spec().order.ranks == tuple(range(8))
+
+
+def test_letter_in_no_block_is_rejected():
+    alph = Alphabet("pair", [("x", (1, 0), None), ("y", (0, 1), None)])
+    with pytest.raises(SpecError, match="y"):
+        PowerBlocksPbw(alph, [("x", None, None)])
