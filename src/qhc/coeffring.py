@@ -9,12 +9,12 @@ lex with q < t is positive, which makes equality a dictionary comparison.
 Polynomials are sparse maps (e_q, e_t) -> int with nonnegative exponents.
 
 Most coefficients the localisations produce are Laurent: their denominator
-is a single term c*q^a*t^b.  Reducing such a fraction needs no polynomial
-gcd, since gcd(num, c*q^a*t^b) is the integer gcd of c with num's content
-times the least powers of q and t; the general gcd runs only for longer
-denominators.  Point evaluation clears the denominators of q0 and t0 first,
-so a polynomial is evaluated as a sum of integers and a value costs one
-Fraction.
+is a single term c*q^a*t^b.  Reducing a fraction with a one-term numerator
+or denominator needs no polynomial gcd, since gcd(f, c*q^a*t^b) is the
+integer gcd of c with f's content times the least powers of q and t; the
+general gcd runs only when both have two or more terms.  Point evaluation
+clears the denominators of q0 and t0 first, so a polynomial is evaluated as
+a sum of integers and a value costs one Fraction.
 """
 
 from __future__ import annotations
@@ -386,25 +386,27 @@ class RatCoeff:
         if not num:
             self.num, self.den = {}, dict(P_ONE)
             return
-        if len(den) == 1:
-            # den = c*q^dq*t^dt, so gcd(num, den) is igcd(content(num), c)
-            # times q^mq*t^mt with mq, mt the least exponents over num and den;
-            # dividing by it with the sign of c leaves den's coefficient positive
-            ((dq, dt), c) = next(iter(den.items()))
-            g, mq, mt = abs(c), dq, dt
-            for x, y in num:
+        if len(den) == 1 or len(num) == 1:
+            # one side is c*q^a*t^b, so gcd(num, den) is igcd(c, content of the
+            # other side) times q^mq*t^mt with mq, mt the least exponents over
+            # num and den; dividing by it, negated when den's leading
+            # coefficient is negative, is what p_gcd and p_exact_div give
+            mono, other = (den, num) if len(den) == 1 else (num, den)
+            ((mq, mt), g), = mono.items()
+            g = abs(g)
+            for x, y in other:
                 if x < mq:
                     mq = x
                 if y < mt:
                     mt = y
             if g != 1:
-                for v in num.values():
+                for v in other.values():
                     g = _igcd(g, v)
-            if c < 0:
+            if (next(iter(den.values())) if len(den) == 1 else p_lead_coeff(den)) < 0:
                 g = -g
             if g != 1 or mq or mt:
                 num = {(x - mq, y - mt): v // g for (x, y), v in num.items()}
-                den = {(dq - mq, dt - mt): c // g}
+                den = {(x - mq, y - mt): v // g for (x, y), v in den.items()}
             self.num, self.den = num, den
             return
         g = p_gcd(num, den)

@@ -374,11 +374,41 @@ class AlgebraSpec:
             cache[w] = res
         return res
 
+    def _sum_scaled(self, pairs) -> NcPoly:
+        """sum of c * p over (p, c) pairs, accumulated in one dict."""
+        out: dict[Word, object] = {}
+        for p, c in pairs:
+            for hw, hc in p.terms.items():
+                s = out.get(hw)
+                s = hc * c if s is None else s + hc * c
+                if s:
+                    out[hw] = s
+                else:
+                    out.pop(hw, None)
+        return NcPoly(self.alphabet, out, self.field, _clean=True)
+
     def nf(self, p: NcPoly, direction: str = "leftmost") -> NcPoly:
-        out = self.zero()
-        for w, c in p.terms.items():
-            out = out + self.nf_word(w, direction).scale(c)
-        return out
+        return self._sum_scaled((self.nf_word(w, direction), c) for w, c in p.terms.items())
+
+    def mul_normal(self, a: NcPoly, b: NcPoly) -> NcPoly:
+        """nf(a * b), for b already in (leftmost) normal form.
+
+        Each word of a acts on b one letter at a time, right to left:
+        act(()) = b and act(x u) = nf(x * act(u)).  Suffix results are kept
+        for this call only, so words of a that share a suffix share the work.
+        """
+        acts: dict[Word, NcPoly] = {EMPTY_WORD: b}
+        for w in a.terms:
+            k = 0
+            while w[k:] not in acts:
+                k += 1
+            for j in range(k - 1, -1, -1):
+                x = w[j]
+                acts[w[j:]] = self.nf(NcPoly(
+                    self.alphabet, {(x,) + v: c for v, c in acts[w[j + 1:]].terms.items()},
+                    self.field, _clean=True,
+                ))
+        return self._sum_scaled((acts[w], c) for w, c in a.terms.items())
 
     def mul(self, *polys: NcPoly) -> NcPoly:
         """Normal form of a product of (any) elements."""
@@ -814,12 +844,13 @@ class LocElem:
     def _at_loc(self, exps) -> NcPoly:
         """Body of the same element written over den^-exps, exps >= self.exps:
         multiply on the left by den_k^d_k ... den_1^d_1 with d = exps - self.exps,
-        with the q-power from moving each den_j^d_j past den_i^-e_i, i > j."""
+        with the q-power from moving each den_j^d_j past den_i^-e_i, i > j.
+        Each den_j acts on the normal body through spec.mul_normal."""
         delta = [g - e for g, e in zip(exps, self.exps)]
         out = self.body
         for den, d in zip(self.dens, delta):
             for _ in range(d):
-                out = self.spec.nf(den.body * out)
+                out = self.spec.mul_normal(den.body, out)
         return out.scale(self._q(self._cross(self.exps, delta)))
 
     def __eq__(self, other):
@@ -843,14 +874,18 @@ class LocElem:
 
     def __mul__(self, other: "LocElem") -> "LocElem":
         """Product in the localisation: other's denominators move left past
-        each homogeneous part of self's body, then past self's denominators."""
+        each word of self's body, then past self's denominators, and the
+        q-scaled body acts on other's normal body through spec.mul_normal."""
         spec = self.spec
-        acc = spec.zero()
-        for d, part in self.body.homogeneous_parts().items():
+        alph = spec.alphabet
+        cross = self._cross(self.exps, other.exps)
+        moved = {}
+        for w, c in self.body.terms.items():
+            d = alph.word_bidegree(w)
             e = sum(f * _pair(den.kappa, d) for f, den in zip(other.exps, other.dens))
-            acc = acc + spec.nf(part * other.body).scale(self._q(e))
-        acc = acc.scale(self._q(self._cross(self.exps, other.exps)))
-        return self._new([a + b for a, b in zip(self.exps, other.exps)], acc)
+            moved[w] = c * self._q(cross + e)
+        body = spec.mul_normal(NcPoly(alph, moved, spec.field, _clean=True), other.body)
+        return self._new([a + b for a, b in zip(self.exps, other.exps)], body)
 
     def reduced(self) -> "LocElem":
         """Strip denominator factors from the body where an exact quotient

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import poly_eval
@@ -167,6 +167,18 @@ def monomial_denominators(draw):
 def test_single_term_denominator_matches_gcd_path(pair):
     num, den = pair
     h = {(0, 0): 1, (1, 1): 1}  # den*h has two terms, so the right side goes through p_gcd
+    fast = RatCoeff(num, den)
+    slow = RatCoeff(p_mul(num, h), p_mul(den, h))
+    assert (fast.num, fast.den) == (slow.num, slow.den)
+    assert str(fast) == str(slow)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_denominators())
+def test_single_term_numerator_matches_gcd_path(pair):
+    den, num = pair  # the one-term side becomes the numerator
+    assume(len(den) > 1)
+    h = {(0, 0): 1, (1, 1): 1}  # num*h has two terms, so the right side goes through p_gcd
     fast = RatCoeff(num, den)
     slow = RatCoeff(p_mul(num, h), p_mul(den, h))
     assert (fast.num, fast.den) == (slow.num, slow.den)

@@ -1,8 +1,10 @@
 """D_q(GL2): the 28 relations, localisation, cofactors, q-traces, moment map."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qhc.coeffring import RAT, RC_ONE, RC_T
+from qhc.coeffring import RAT, RC_ONE, RC_T, RatCoeff
 from qhc.dqops import (
     claimed_cofactor_display,
     cofactor,
@@ -163,6 +165,60 @@ def test_loc_mul_associative(D):
 
     x, y, z = oq(O.gen("l12"), 1), oq(O.gen("l21") + O.gen("l11"), 2), oq(O.word_poly("l22", "l12"))
     assert (x * y) * z == x * (y * z)
+
+
+def free_product_reference(x, y):
+    """(body, exps) of x * y by the free-product formula: nf(part * y.body)
+    for each homogeneous part of x.body, scaled by the q-power of moving
+    y's denominators left past it and past x's denominators."""
+    spec = x.spec
+    acc = spec.zero()
+    for d, part in x.body.homogeneous_parts().items():
+        e = sum(f * (den.kappa[0] * d[0] + den.kappa[1] * d[1]) for f, den in zip(y.exps, y.dens))
+        acc = acc + spec.nf(part * y.body).scale(RAT.q_power(e))
+    acc = acc.scale(RAT.q_power(x._cross(x.exps, y.exps)))
+    return acc, tuple(a + b for a, b in zip(x.exps, y.exps))
+
+
+def free_at_loc_reference(x, exps):
+    """x's body over den^-exps by d calls of nf(den.body * out) per denominator."""
+    delta = [g - e for g, e in zip(exps, x.exps)]
+    out = x.body
+    for den, d in zip(x.dens, delta):
+        for _ in range(d):
+            out = x.spec.nf(den.body * out)
+    return out.scale(RAT.q_power(x._cross(x.exps, delta)))
+
+
+laurent = st.builds(RatCoeff.monomial, st.integers(-3, 3).filter(bool), st.integers(-2, 2), st.integers(-2, 2))
+
+
+def loc_elems(name):
+    """Random localised elements with exponents 1 or 2 and short bodies."""
+    if name == "dq":
+        spec, ndens = dq_spec(), 2
+        make = lambda body, exps: dq_elem(body, *exps)
+    else:
+        spec, ndens = oq_spec(), 1
+        make = lambda body, exps: LocElem(spec, oq_denominators(), body, exps)
+    words = st.lists(st.integers(0, len(spec.alphabet) - 1), max_size=2).map(tuple)
+    bodies = st.dictionaries(words, laurent, min_size=1, max_size=3).map(lambda t: NcPoly(spec.alphabet, t))
+    exps = st.lists(st.integers(1, 2), min_size=ndens, max_size=ndens)
+    return st.builds(make, bodies, exps)
+
+
+@pytest.mark.parametrize("name", ["dq", "oq"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_loc_products_match_free_product_reference(name, data):
+    x, y = data.draw(loc_elems(name)), data.draw(loc_elems(name))
+    body, exps = free_product_reference(x, y)
+    ref = LocElem(x.spec, x.dens, body, exps)
+    prod = x * y
+    assert (prod.body, prod.exps) == (ref.body, ref.exps)
+    shift = data.draw(st.lists(st.integers(0, 2), min_size=len(x.exps), max_size=len(x.exps)))
+    target = tuple(e + s for e, s in zip(x.exps, shift))
+    assert x._at_loc(target) == free_at_loc_reference(x, target)
 
 
 def test_qtrace_values(D):

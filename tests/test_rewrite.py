@@ -4,14 +4,22 @@ The toy algebra has y*x = q^2 x*y (oriented y x -> q^2 x y) together with an
 invertible central letter z.  Everything is checkable by hand, so the engine
 mechanics (normal forms, budgets, ambiguities, Hilbert counts, ranks,
 serialisation) are exercised independently of the production presentations.
+The last test checks AlgebraSpec.mul_normal against the free product on the
+production presentations themselves.
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qhc.coeffring import RAT
+from qhc.coeffring import RAT, RatCoeff
+from qhc.daha import daha_spec, sdaha_spec
+from qhc.dqops import dq_spec
+from qhc.invham import ham_spec
 from qhc.ncpoly import Alphabet, NcPoly
+from qhc.qgroup import oq_spec
 from qhc.rewrite import (
     AlgebraSpec,
     EngineError,
@@ -174,3 +182,30 @@ def test_specialize(plane):
     ((w, c),) = nf.terms.items()
     assert c == Fraction(4)
     assert sp.alphabet.word_str(w) == "x*y"
+
+
+# mul_normal against the free product, on the production presentations
+
+PRODUCT_SPECS = {"dq": dq_spec, "oq": oq_spec, "ham": ham_spec, "sdaha": sdaha_spec, "daha": daha_spec}
+
+laurent = st.builds(RatCoeff.monomial, st.integers(-3, 3).filter(bool), st.integers(-2, 2), st.integers(-2, 2))
+
+
+def short_polys(spec):
+    words = st.lists(st.integers(0, len(spec.alphabet) - 1), max_size=3).map(tuple)
+    return st.dictionaries(words, laurent, max_size=3).map(
+        lambda terms: NcPoly(spec.alphabet, terms, spec.field))
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_SPECS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mul_normal_matches_nf_of_free_product(name, data):
+    spec = PRODUCT_SPECS[name]()
+    a, b = data.draw(short_polys(spec)), data.draw(short_polys(spec))
+    nb = spec.nf(b)
+    assert spec.mul_normal(a, nb) == spec.nf(a * b)
+    with_scalar = a + spec.scalar(data.draw(laurent))
+    assert spec.mul_normal(with_scalar, nb) == spec.nf(with_scalar * b)
+    assert spec.mul_normal(spec.zero(), nb) == spec.zero()
+    assert spec.mul_normal(a, spec.zero()) == spec.zero()
