@@ -14,7 +14,8 @@ or denominator needs no polynomial gcd, since gcd(f, c*q^a*t^b) is the
 integer gcd of c with f's content times the least powers of q and t; the
 general gcd runs only when both have two or more terms.  Point evaluation
 clears the denominators of q0 and t0 first, so a polynomial is evaluated as
-a sum of integers and a value costs one Fraction.
+a sum of integers and a value costs one Fraction, or mod a prime one modular
+inverse.
 """
 
 from __future__ import annotations
@@ -506,20 +507,41 @@ class RatCoeff:
     def eval(self, q0: Fraction, t0: Fraction) -> Fraction:
         dn, dd = p_eval(self.den, q0, t0)
         if dn == 0:
-            prof = self.denom_profile()
-            if prof.q_power and q0 == 0:
-                factor = "q"
-            elif prof.t_power and t0 == 0:
-                factor = "t"
-            elif prof.t2plus1_power and t0 * t0 + 1 == 0:
-                factor = "t^2 + 1"
-            else:
-                factor = p_str(prof.residual.num)
-            raise CoeffError(
-                f"denominator factor {factor} vanishes at (q, t) = ({q0}, {t0})"
-            )
+            raise self._vanishing(q0, t0)
         nn, nd = p_eval(self.num, q0, t0)
         return Fraction(nn * dd, nd * dn)
+
+    def eval_mod(self, q0: Fraction, t0: Fraction, p: int) -> int:
+        """The residue of self(q0, t0) mod the prime p, in [0, p), for q0 and
+        t0 whose denominators p does not divide: the integers of p_eval and
+        one modular inverse.  A denominator that vanishes mod p raises
+        CoeffError, even where it has a value over Q."""
+        dn, dd = p_eval(self.den, q0, t0)
+        if dn % p == 0:
+            raise self._vanishing(q0, t0, p)
+        nn, nd = p_eval(self.num, q0, t0)
+        return nn * dd * pow(nd * dn, -1, p) % p
+
+    def _vanishing(self, q0: Fraction, t0: Fraction, p: int = 0) -> CoeffError:
+        """The error for a denominator that vanishes at (q0, t0), over Q or,
+        for p > 0, mod p; it names the first factor of denom_profile that
+        vanishes there."""
+
+        def vanishes(f: Poly) -> bool:
+            n = p_eval(f, q0, t0)[0]
+            return n % p == 0 if p else n == 0
+
+        prof = self.denom_profile()
+        if prof.q_power and vanishes({(1, 0): 1}):
+            factor = "q"
+        elif prof.t_power and vanishes({(0, 1): 1}):
+            factor = "t"
+        elif prof.t2plus1_power and vanishes({(0, 0): 1, (0, 2): 1}):
+            factor = "t^2 + 1"
+        else:
+            factor = p_str(prof.residual.num)
+        where = f" mod {p}" if p else ""
+        return CoeffError(f"denominator factor {factor} vanishes at (q, t) = ({q0}, {t0}){where}")
 
     def denom_profile(self) -> "DenomProfile":
         den = self.den

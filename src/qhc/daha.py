@@ -433,7 +433,9 @@ def hplus_words(M: int, N: int) -> list[NcPoly]:
 
 
 def spherical_dimension(M: int, N: int) -> int:
-    """dim e H^+[M,N] e computed as the rank of the sandwiched PBW basis."""
+    """dim e H^+[M,N] e computed as the rank of the sandwiched PBW basis,
+    taken mod P at DEFAULT_POINTS (agreed_rank): a lower bound on the
+    generic dimension."""
     return agreed_rank(daha_spec(), [idempotent_sandwich(w) for w in hplus_words(M, N)])
 
 
@@ -443,5 +445,6 @@ def aplus_words(M: int, N: int) -> list[NcPoly]:
 
 
 def phi_rank(M: int, N: int) -> int:
-    """Rank of the phi images of the positive-cone spherical basis."""
+    """Rank of the phi images of the positive-cone spherical basis, taken mod
+    P at DEFAULT_POINTS (agreed_rank): a lower bound on the generic rank."""
     return agreed_rank(daha_spec(), [phi_apply(wp) for wp in aplus_words(M, N)])

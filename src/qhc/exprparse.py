@@ -178,8 +178,9 @@ class WordAlgebraOps(ValueOps):
     def power_step(self, acc, a):
         # a free power of a sum grows 2^n words before its one reduction;
         # normal forms are unique, so reducing after each factor changes no
-        # result
-        return self.spec.nf(acc * a)
+        # result, and acc, a normal form, acts on nf(a) with the suffix work
+        # its words share done once
+        return self.spec.mul_normal(acc, self.spec.nf(a))
 
 
 class Parser:

@@ -242,7 +242,9 @@ def bplus_words(M: int, N: int) -> list[NcPoly]:
 
 
 def psibar_rank(M: int, N: int) -> int:
-    """Rank of the psibar images of the positive-cone basis in bidegree (M,N)."""
+    """Rank of the psibar images of the positive-cone basis in bidegree (M,N),
+    taken mod P at DEFAULT_POINTS (agreed_rank): a lower bound on the
+    generic rank."""
     bodies = []
     for wp in bplus_words(M, N):
         img = psibar_apply(wp)
@@ -253,13 +255,17 @@ def psibar_rank(M: int, N: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# invariant dimensions by exact linear algebra at rational points
+# invariant dimensions by linear algebra mod P at rational points
 # ---------------------------------------------------------------------------
 
 def invariant_dimension(M: int, N: int) -> int:
     """dim of the U-invariants of D_q^+[M,N]: the joint kernel of the E and F
     actions inside the K-weight-zero subspace, at DEFAULT_POINTS, which must
-    agree (the action carries no t, so only their q values matter)."""
+    agree (the action carries no t, so only their q values matter).
+
+    The kernel is taken mod P, so its dimension is an upper bound on the
+    generic one: rank mod P <= generic rank.  psibar_rank is a lower bound
+    on the same dimension, so where the two meet it is certified."""
     D = dq_spec()
     act = dq_action()
     words = list(D.pbw.enumerate(M, N))
@@ -297,8 +303,11 @@ def find_ideal_multiplier(x: LocElem):
 
     The solve runs over candidate PBW words for the numerator of s, over no
     denominator or over one detq(A) detq(D) pair.  The candidate set is
-    pruned by first solving the specialised system at rational points, then
-    the surviving columns are solved exactly.
+    pruned by first solving the system mod P at DEFAULT_POINTS, then the
+    surviving columns are solved exactly.  The prune is a heuristic: a point
+    or the prime may drop a needed column or report no solution, which can
+    only lose a multiplier.  What is returned is certified by the exact
+    check x == s * z alone.
     """
     if not x:
         return dq_elem(dq_spec().zero())
@@ -330,7 +339,7 @@ def find_ideal_multiplier(x: LocElem):
             for word, c in b.terms.items():
                 rows[cols[word]][j] = c
         rhs = {cols[word]: c for word, c in target.terms.items()}
-        # prune over rational points
+        # prune mod P at the default points
         support = set()
         consistent = True
         for q0, t0 in DEFAULT_POINTS:

@@ -1,20 +1,32 @@
-"""Exact linear algebra over any field whose elements support + - * / and
-truth testing: Fraction for systems specialised at rational points, RatCoeff
-for symbolic ones.
+"""Exact linear algebra: over GF(P) for systems specialised at a point,
+over any field for symbolic ones.
 
-One sparse echelon kernel does all elimination.  Rows are {column: value};
-each row is reduced against the pivots found so far, always at its minimum
-column, and what is left becomes a new pivot row divided by its leading
-entry.  Ranks and solves are entry points on it; the dense ones take rows
-as lists with explicit zeros.
+Ranks, kernel dimensions and the pruning solve of ideal membership take
+symbolic rows evaluated at a rational point and reduced mod the prime
+P = 2^61 - 45 (``RatCoeff.eval_mod``).  Their entries are ints in [0, P), and
+``frac_rank`` and ``frac_solve`` eliminate them mod P.  A rank mod P at a
+point is at most the rank over Q at that point, which is at most the
+generic rank over Frac(Z[q,t]): a rank taken mod P is a lower bound, and a
+kernel dimension taken mod P an upper bound.  P = 3 mod 4, so t^2 + 1 has no
+root mod P, and q0 = 2, 3, 5 each have multiplicative order above 10^4 mod
+P, so no q^k - 1 with 0 < k <= 10^4 vanishes at them.  Any other
+denominator vanishes mod P only by chance, and then raises CoeffError.
+
+``solve_dense`` and ``dense_rank`` take dense rows over any field whose
+elements support + - * / and truth testing (RatCoeff for symbolic systems),
+given its zero.
+
+Both kernels work alike.  Rows are {column: value}; each row is reduced
+against the pivots found so far, always at its minimum column, and what is
+left becomes a new pivot row divided by its leading entry.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-_FRAC_ZERO = Fraction(0)
+#: the prime of every specialised rank and solve
+P = 2**61 - 45
 
 
 def _echelon(rows, zero) -> dict[int, dict]:
@@ -40,17 +52,45 @@ def _echelon(rows, zero) -> dict[int, dict]:
     return pivots
 
 
-def _solve(rows, rhs, ncols: int, zero):
+def _echelon_mod(rows: Sequence[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """_echelon over GF(P): entries are nonzero residues mod P."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        cur = dict(row)
+        while cur:
+            c = min(cur)
+            f = cur[c]
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(f, -1, P)
+                pivots[c] = {cc: vv * inv % P for cc, vv in cur.items()}
+                break
+            for cc, vv in piv.items():
+                s = (cur.get(cc, 0) - f * vv) % P
+                if s:
+                    cur[cc] = s
+                else:
+                    cur.pop(cc, None)
+    return pivots
+
+
+def _augment(rows, rhs, ncols: int) -> list[dict]:
+    """rows with each nonzero right-hand side as column ncols."""
     aug = []
     for row, b in zip(rows, rhs):
         if b:
             row = dict(row)
             row[ncols] = b
         aug.append(row)
-    pivots = _echelon(aug, zero)
+    return aug
+
+
+def _back_substitute(pivots: dict[int, dict], ncols: int, zero, reduce=None):
+    """(status, particular solution) from the pivots of an augmented system,
+    free variables set to zero; reduce, if given, normalises each value."""
     if ncols in pivots:
         return "none", None
-    # back substitution; every column right of a pivot is solved before it
+    # every column right of a pivot is solved before it
     sol = [zero] * ncols
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
@@ -58,7 +98,7 @@ def _solve(rows, rhs, ncols: int, zero):
         for cc, vv in row.items():
             if cc != c and cc != ncols:
                 v -= vv * sol[cc]
-        sol[c] = v
+        sol[c] = v if reduce is None else reduce(v)
     status = "unique" if len(pivots) == ncols else "underdetermined"
     return status, sol
 
@@ -67,25 +107,28 @@ def _sparse(row) -> dict[int, object]:
     return {j: v for j, v in enumerate(row) if v}
 
 
-def frac_rank(rows: Sequence[dict[int, Fraction]]) -> int:
-    """Rank of a sparse matrix given as rows {column: value} over Q."""
-    return len(_echelon(rows, _FRAC_ZERO))
+def frac_rank(rows: Sequence[dict[int, int]]) -> int:
+    """Rank mod P of a sparse matrix given as rows {column: residue}."""
+    return len(_echelon_mod(rows))
 
 
-def frac_solve(rows: Sequence[dict[int, Fraction]], rhs: Sequence[Fraction], ncols: int):
-    """Solve a sparse rational system; returns (status, particular solution).
+def frac_solve(rows: Sequence[dict[int, int]], rhs: Sequence[int], ncols: int):
+    """Solve a sparse system mod P; returns (status, particular solution).
 
-    status is 'none' for inconsistent systems, else 'unique' or
-    'underdetermined' (free variables set to zero).
+    Entries and right-hand sides are residues in [0, P).  status is 'none'
+    for inconsistent systems, else 'unique' or 'underdetermined' (free
+    variables set to zero).
     """
-    return _solve(rows, rhs, ncols, _FRAC_ZERO)
+    pivots = _echelon_mod(_augment(rows, rhs, ncols))
+    return _back_substitute(pivots, ncols, 0, lambda v: v % P)
 
 
 def solve_dense(rows, rhs, zero):
     """Solve dense rows (lists of field elements, zero being the field's
     zero) against rhs; returns (status, solution) like frac_solve."""
     ncols = len(rows[0]) if rows else 0
-    return _solve([_sparse(r) for r in rows], rhs, ncols, zero)
+    pivots = _echelon(_augment([_sparse(r) for r in rows], rhs, ncols), zero)
+    return _back_substitute(pivots, ncols, zero)
 
 
 def dense_rank(rows, zero) -> int:

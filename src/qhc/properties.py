@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .linalg import P
 from .ncpoly import NcPoly
 from .rewrite import DEFAULT_POINTS, AlgebraSpec, eval_rows, q_central_residual
 
@@ -79,14 +80,19 @@ def check_specialization_consistency(
     seed: int = 4,
     max_len: int = 4,
 ) -> Optional[str]:
-    """Evaluating coefficients commutes with reduction: eval . nf = nf . eval."""
+    """Evaluating coefficients commutes with reduction: eval . nf = nf . eval,
+    over Q at each point and, through eval_rows, mod the linalg prime P."""
     rng = random.Random(seed)
     samples = [random_word_poly(spec, rng, max_len) for _ in range(n)]
     for q0, t0 in points:
         sp = spec.specialize(q0, t0)
         for p in samples:
-            nf_then_eval, p_at = eval_rows([spec.nf(p).terms, p.terms], q0, t0)
-            eval_then_nf = sp.nf(NcPoly(sp.alphabet, p_at, sp.field)).terms
-            if nf_then_eval != dict(eval_then_nf):
+            nf_p = spec.nf(p).terms
+            p_at = NcPoly(sp.alphabet, {w: c.eval(q0, t0) for w, c in p.terms.items()}, sp.field)
+            eval_then_nf = dict(sp.nf(p_at).terms)
+            if {w: v for w, c in nf_p.items() if (v := c.eval(q0, t0))} != eval_then_nf:
                 return f"specialisation at ({q0},{t0}) disagrees on {p}"
+            residues = {w: v.numerator * pow(v.denominator, -1, P) % P for w, v in eval_then_nf.items()}
+            if eval_rows([nf_p], q0, t0) != [{w: r for w, r in residues.items() if r}]:
+                return f"specialisation mod P at ({q0},{t0}) disagrees on {p}"
     return None

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .coeffring import RAT, QQField
-from .linalg import frac_rank, solve_dense
+from .linalg import P, frac_rank, solve_dense
 from .ncpoly import EMPTY_WORD, Alphabet, NcPoly, Word
 
 
@@ -653,12 +653,14 @@ def specialisation_point(q0, t0) -> tuple[Fraction, Fraction]:
 
 
 def eval_rows(rows: Sequence[dict], q0: Fraction, t0: Fraction) -> list[dict]:
-    """Sparse rows {key: RatCoeff} evaluated at (q0, t0), zero entries dropped."""
+    """Sparse rows {key: RatCoeff} evaluated at (q0, t0) and reduced mod the
+    linalg prime P, zero residues dropped.  A denominator that vanishes mod P
+    raises CoeffError, even where it has a value over Q."""
     out = []
     for row in rows:
         ev = {}
         for k, c in row.items():
-            v = c.eval(q0, t0)
+            v = c.eval_mod(q0, t0, P)
             if v:
                 ev[k] = v
         out.append(ev)
@@ -677,7 +679,9 @@ def rank_of_family(
     elems: Sequence[NcPoly],
     points: Sequence[tuple[Fraction, Fraction]] = DEFAULT_POINTS,
 ) -> RankResult:
-    """Maximum rank of the coefficient matrix of elems over the given points."""
+    """Maximum rank mod P of the coefficient matrix of elems over the given
+    points.  Each rank is a lower bound on the generic rank over
+    Frac(Z[q,t]): rank mod P at a point <= rank over Q there <= generic."""
     if not elems:
         return RankResult(0, len(points), tuple(0 for _ in points))
     degs = set()
@@ -701,8 +705,9 @@ def rank_of_family(
 
 
 def agreed_rank(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> int:
-    """Rank of the nonzero elems at DEFAULT_POINTS; raises when the points
-    disagree, since a rank drop at one point would otherwise be hidden."""
+    """Rank mod P of the nonzero elems at DEFAULT_POINTS, a lower bound on
+    their generic rank; raises when the points disagree, since a rank drop
+    at one point would otherwise be hidden."""
     elems = [p for p in elems if p]
     if not elems:
         return 0

@@ -43,6 +43,18 @@ def test_parse_power_is_reduced():
     assert v == spec.nf(x * x * x)
 
 
+def test_long_power_matches_factorwise_fold():
+    # the fold power_step replaced: nf(acc * a) after each factor
+    spec = sdaha_spec()
+    x = spec.gen("Q1") + spec.gen("P1")
+    acc = spec.unit()
+    for _ in range(16):
+        acc = spec.nf(acc * x)
+    v = Parser(WordAlgebraOps(spec)).parse("(Q1+P1)^16")
+    assert v == acc
+    assert str(v) == str(acc)
+
+
 def test_parse_errors_carry_positions():
     ctx = Context("daha")
     with pytest.raises(ParseError, match="column 1"):
