@@ -92,8 +92,9 @@ class Context:
     def normalize(self, value):
         if isinstance(value, NcPoly):
             return self.spec.nf(value)
-        # localised wrappers normalise on construction; strip removable
-        # determinant denominators for presentation
+        # localised wrappers normalise on construction; strip every
+        # determinant denominator that divides the body exactly, by
+        # leading-word division, for presentation
         return value.reduced()
 
     def render(self, value) -> str:

@@ -139,9 +139,6 @@ class NcPoly:
 
     # -- basic structure ------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -223,15 +220,6 @@ class NcPoly:
             if self.alphabet.word_bidegree(w) != d:
                 return None
         return d
-
-    def homogeneous_parts(self) -> dict[tuple[int, int], "NcPoly"]:
-        parts: dict[tuple[int, int], dict[Word, object]] = {}
-        for w, c in self.terms.items():
-            parts.setdefault(self.alphabet.word_bidegree(w), {})[w] = c
-        return {
-            d: NcPoly(self.alphabet, ts, self.field, _clean=True)
-            for d, ts in parts.items()
-        }
 
     # -- presentation ------------------------------------------------------------
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .coeffring import RAT, QQField
-from .linalg import P, frac_rank, solve_dense
+from .linalg import P, frac_rank
 from .ncpoly import EMPTY_WORD, Alphabet, NcPoly, Word
 
 
@@ -136,6 +136,20 @@ class PowerBlocksPbw:
             cur = blk
             i = j
         return True
+
+    def exponents(self, w: Word) -> tuple[int, ...]:
+        """The signed exponent of each block in the normal word w."""
+        return tuple(w.count(p) - (0 if i is None else w.count(i)) for p, i, _ in self.blocks)
+
+    def word(self, exps: Sequence[int]) -> Optional[Word]:
+        """The normal word with these block exponents, or None when a block
+        with no inverse letter gets a negative exponent or one exceeds its cap."""
+        out = EMPTY_WORD
+        for (p, i, cap), e in zip(self.blocks, exps):
+            if (e < 0 and i is None) or (cap is not None and abs(e) > cap):
+                return None
+            out += (p if e >= 0 else i,) * abs(e)
+        return out
 
     def enumerate(self, M: int, N: int):
         """Normal words of bidegree (M, N) in the nonnegative cone.
@@ -719,47 +733,37 @@ def agreed_rank(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> int:
     return res.rank
 
 
-#: largest positive-cone component divide_left will solve for
-DIVIDE_DIM_GUARD = 600
-
-
 def divide_left(spec: AlgebraSpec, factor: NcPoly, p: NcPoly):
     """Exact division: the x with normal_form(factor * x) = p, or None.
 
-    Works per homogeneous component over the positive-cone PBW basis; used to
-    strip invertible determinant factors from localised elements.  Returns
-    None when no quotient exists or a component exceeds DIVIDE_DIM_GUARD.
+    Leading-word division under lex order on PBW block exponents: the
+    remainder's leading word w, less lead(factor), is the next quotient word
+    u, with the coefficient that cancels w in nf(factor * u).  This finds
+    every quotient where lead(nf(factor * u)) = lead(factor) + u, as for the
+    q-determinants of dq and oq; where that fails it gives up with None.
+    Quotient words stay in the nonnegative cone, which lex order well-orders,
+    so the loop ends.  Used to strip determinant factors from LocElem bodies.
     """
-    fdeg = factor.bidegree()
-    if fdeg in (None, "any"):
-        return None
-    if p.is_zero():
-        return spec.zero()
-    out = spec.zero()
-    for (m, n), part in p.homogeneous_parts().items():
-        qm, qn = m - fdeg[0], n - fdeg[1]
-        if qm < 0 or qn < 0:
+    pbw = spec.pbw
+
+    def lead(poly: NcPoly) -> Word:
+        return max(poly.terms, key=pbw.exponents)
+
+    flead = pbw.exponents(lead(factor))
+    rem, quo = p, {}
+    while rem:
+        w = lead(rem)
+        d = [a - b for a, b in zip(pbw.exponents(w), flead)]
+        u = pbw.word(d) if min(d) >= 0 else None
+        if u is None:
             return None
-        cols = list(spec.pbw.enumerate(qm, qn))
-        if not cols or len(cols) > DIVIDE_DIM_GUARD:
+        img = spec.mul_normal(factor, NcPoly.from_word(spec.alphabet, u, field=spec.field))
+        if not img or lead(img) != w:
             return None
-        images = [spec.nf(factor * NcPoly.from_word(spec.alphabet, w, field=spec.field))
-                  for w in cols]
-        rows_words = sorted(set().union(*[set(im.terms) for im in images], set(part.terms)))
-        zero = spec.field.from_int(0)
-        rows = [[im.terms.get(w, zero) for im in images] for w in rows_words]
-        rhs = [part.terms.get(w, zero) for w in rows_words]
-        status, sol = solve_dense(rows, rhs, zero)
-        if status == "none" or sol is None:
-            return None
-        comp = spec.zero()
-        for w, lam in zip(cols, sol):
-            if lam:
-                comp = comp + NcPoly.from_word(spec.alphabet, w, lam, spec.field)
-        if spec.nf(factor * comp) != part:
-            return None
-        out = out + comp
-    return out
+        quo[u] = rem.terms[w] / img.terms[w]
+        rem = rem - img.scale(quo[u])
+    x = NcPoly(spec.alphabet, quo, spec.field, _clean=True)
+    return x if spec.mul_normal(factor, x) == p else None
 
 
 def q_central_residual(spec: AlgebraSpec, name: str, h: NcPoly) -> NcPoly:
@@ -893,8 +897,9 @@ class LocElem:
         return self._new([a + b for a, b in zip(self.exps, other.exps)], body)
 
     def reduced(self) -> "LocElem":
-        """Strip denominator factors from the body where an exact quotient
-        exists, last denominator first, so den * den^-1 renders as 1."""
+        """Strip denominator factors from the body where divide_left finds
+        an exact quotient, last denominator first, until none divides, so
+        den^k * den^-k renders as 1 for every k."""
         exps, body = list(self.exps), self.body
         changed = True
         while changed and body:

@@ -183,6 +183,22 @@ def test_cli_oq_localized(capsys):
         assert out["normal_form"] == "1"
 
 
+def test_cli_dq_cancels_high_determinant_powers(capsys):
+    # the first quotient has 680 PBW words, past the size a dense solve once
+    # accepted, so this printed a 37-term detAi^8*(...)
+    rc = main(["normalize", "--algebra", "dq", "detA^8*detAi^8"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert out["normal_form"] == "1"
+
+
+def test_cli_oq_cancels_high_determinant_powers(capsys):
+    rc = main(["normalize", "--algebra", "oq", "detLi^8*(l11*l22 - q^2*l12*l21)^8"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert out["normal_form"] == "1"
+
+
 def test_cli_rejects_huge_exponent(capsys):
     # a scalar power once multiplied in a loop (hang) and, specialised,
     # overflowed the int-to-str limit when printed (uncaught ValueError)

@@ -168,14 +168,15 @@ def test_loc_mul_associative(D):
 
 
 def free_product_reference(x, y):
-    """(body, exps) of x * y by the free-product formula: nf(part * y.body)
-    for each homogeneous part of x.body, scaled by the q-power of moving
-    y's denominators left past it and past x's denominators."""
+    """(body, exps) of x * y by the free-product formula: nf(c w * y.body)
+    for each term c w of x.body, scaled by the q-power of moving y's
+    denominators left past w and past x's denominators."""
     spec = x.spec
     acc = spec.zero()
-    for d, part in x.body.homogeneous_parts().items():
+    for w, c in x.body.terms.items():
+        d = spec.alphabet.word_bidegree(w)
         e = sum(f * (den.kappa[0] * d[0] + den.kappa[1] * d[1]) for f, den in zip(y.exps, y.dens))
-        acc = acc + spec.nf(part * y.body).scale(RAT.q_power(e))
+        acc = acc + spec.nf(NcPoly.from_word(spec.alphabet, w, c) * y.body).scale(RAT.q_power(e))
     acc = acc.scale(RAT.q_power(x._cross(x.exps, y.exps)))
     return acc, tuple(a + b for a, b in zip(x.exps, y.exps))
 
@@ -276,3 +277,22 @@ def test_dq_invariant_examples(D):
     assert act.is_invariant(det_a_body())
     assert act.is_invariant(D.nf(qtrace(mat_mul(qmat_d(), qmat_a())).body))
     assert not act.is_invariant(D.gen("a12"))
+
+
+@pytest.mark.parametrize("name", ["dq", "oq"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_reduced_keeps_the_element_and_lowers_exponents(name, data):
+    # v = den^-e den^k x; reduced() strips what divides exactly
+    x = data.draw(loc_elems(name))
+    spec, dens = x.spec, x.dens
+    ks = data.draw(st.lists(st.integers(0, 2), min_size=len(dens), max_size=len(dens)))
+    es = data.draw(st.lists(st.integers(0, 2), min_size=len(dens), max_size=len(dens)))
+    body = x.body
+    for den, k in reversed(list(zip(dens, ks))):
+        for _ in range(k):
+            body = spec.mul_normal(den.body, body)
+    v = LocElem(spec, dens, body, es)
+    r = v.reduced()
+    assert r == v
+    assert all(a <= b for a, b in zip(r.exps, v.exps))

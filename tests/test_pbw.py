@@ -81,3 +81,29 @@ def test_letter_in_no_block_is_rejected():
     alph = Alphabet("pair", [("x", (1, 0), None), ("y", (0, 1), None)])
     with pytest.raises(SpecError, match="y"):
         PowerBlocksPbw(alph, [("x", None, None)])
+
+
+@pytest.mark.parametrize("build", SPECS, ids=_name)
+def test_word_inverts_exponents(build):
+    spec = build()
+    pbw = spec.pbw
+    letters = range(len(spec.alphabet))
+    # every normal word of length <= 3, inverse letters included
+    words = [w for n in range(4) for w in itertools.product(letters, repeat=n) if pbw.accepts(w)]
+    if build is not uq_spec:
+        words += [w for m in range(4) for n in range(4) for w in pbw.enumerate(m, n)]
+    for w in words:
+        exps = pbw.exponents(w)
+        assert len(exps) == len(pbw.blocks)
+        assert pbw.word(exps) == w, spec.alphabet.word_str(w)
+
+
+def test_word_refuses_missing_inverse_and_cap():
+    D = dq_spec()
+    assert D.pbw.word((-1,) + (0,) * 7) is None
+    assert D.pbw.word((0,) * 7 + (-1,)) is None
+    H = daha_spec()
+    # T has cap 1 and no inverse block letter; Y1 has the inverse Y1i
+    assert H.pbw.word((2, 0, 0, 0, 0)) is None
+    assert H.pbw.word((-1, 0, 0, 0, 0)) is None
+    assert H.pbw.word((1, -2, 0, 0, 0)) == H.alphabet.word("T", "Y1i", "Y1i")
