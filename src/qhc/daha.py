@@ -17,6 +17,16 @@ inverse-clearing residual reduces to zero against the rules already trusted.
 The spherical subalgebra e*H*e, with e = (1 + t T)/(1 + t^2), is presented on
 generators P1, P2^+-, Q1, Q2^+-, R and accessed through the map phi and the
 idempotent sandwich; it is never materialised as a separate quotient.
+
+The scalar 1/(1 + t^2) is the only non-Laurent coefficient in the picture, so it
+is kept out of the rewriting: products run on the body 1 + t T, whose rules and
+coefficients are all Laurent, and the scalar is applied once at the end where
+an exact value is asked for (idempotent, idempotent_sandwich, phi_apply).  The
+rank checks (spherical_dimension, phi_rank) skip it altogether: each exact
+row is its row of bodies times a power of 1/(1 + t^2), a nonzero scalar, and
+scaling rows by nonzero scalars changes no rank, over Frac(Z[q,t]) or at a
+point.  At the points 1 + t0^2 is also nonzero mod the linalg prime P, since
+P = 3 (mod 4) leaves -1 without a square root.
 """
 
 from __future__ import annotations
@@ -290,19 +300,28 @@ def reordering_residuals(spec: AlgebraSpec | None = None) -> list[tuple[str, NcP
 # idempotent and the spherical generators
 # ---------------------------------------------------------------------------
 
+E_SCALE = T2P1.inverse()              # e = E_SCALE * idempotent_body()
+
+
+@cache
+def idempotent_body() -> NcPoly:
+    """1 + t T, the idempotent without its scalar: its square is (1 + t^2)
+    times itself."""
+    spec = daha_spec()
+    return spec.unit() + spec.gen("T").scale(RC_T)
+
+
 @cache
 def idempotent() -> NcPoly:
     """e = (1 + t T) / (1 + t^2); requires 1 + t^2 invertible."""
-    spec = daha_spec()
-    c = T2P1.inverse()
-    return spec.unit().scale(c) + spec.gen("T").scale(RC_T * c)
+    return idempotent_body().scale(E_SCALE)
 
 
 def idempotent_sandwich(h: NcPoly) -> NcPoly:
-    """normal_form(e * h * e)."""
-    spec = daha_spec()
-    e = idempotent()
-    return spec.mul(e, h, e)
+    """normal_form(e * h * e), exact: the product of bodies, rewritten with
+    Laurent coefficients, scaled once by 1/(1 + t^2)^2."""
+    body = idempotent_body()
+    return daha_spec().mul(body, h, body).scale(E_SCALE * E_SCALE)
 
 
 # ---------------------------------------------------------------------------
@@ -376,32 +395,43 @@ _PHI_WORDS = {
 
 @cache
 def _phi_images() -> dict[str, NcPoly]:
+    """nf(b * body) for each generator body b; phi of a generator is
+    e * b * e = E_SCALE^2 * body * b * body."""
     spec = daha_spec()
-    e = idempotent()
+    body_e = idempotent_body()
     out = {}
     for name, words in _PHI_WORDS.items():
         body = spec.zero()
         for wnames in words:
             body = body + spec.word_poly(*wnames)
-        out[name] = spec.mul(e, body, e)
+        out[name] = spec.mul(body, body_e)
     r_body = spec.word_poly("Y1", "X1").scale((RC_T * RC_T).inverse()) + spec.word_poly("Y2", "X2")
-    out["R"] = spec.mul(e, r_body, e)
+    out["R"] = spec.mul(r_body, body_e)
     return out
 
 
+def _phi_word_body(w) -> NcPoly:
+    """body * (b1 body) * ... * (bk body) for the spherical word w = x1...xk,
+    which is phi(w) / E_SCALE^(k+1) since e * e = e."""
+    spec = daha_spec()
+    gens = sdaha_spec().alphabet.gens
+    images = _phi_images()
+    acc = idempotent_body()
+    for i in w:
+        acc = spec.mul(acc, images[gens[i].name])
+    return acc
+
+
 def phi_apply(x: NcPoly) -> NcPoly:
-    """The presentation map into e*H*e, extended multiplicatively; phi(1) = e."""
+    """The presentation map into e*H*e, extended multiplicatively; phi(1) = e.
+    Exact: each word's body is scaled once by E_SCALE^(k+1)."""
     sd = sdaha_spec()
     if x.alphabet is not sd.alphabet:
         raise EngineError("phi_apply expects a spherical element")
     spec = daha_spec()
-    images = _phi_images()
     out = spec.zero()
     for w, c in x.terms.items():
-        acc = idempotent()
-        for i in w:
-            acc = spec.mul(acc, images[sd.alphabet.gens[i].name])
-        out = out + acc.scale(c)
+        out = out + _phi_word_body(w).scale(c * E_SCALE ** (len(w) + 1))
     return spec.nf(out)
 
 
@@ -435,8 +465,12 @@ def hplus_words(M: int, N: int) -> list[NcPoly]:
 def spherical_dimension(M: int, N: int) -> int:
     """dim e H^+[M,N] e computed as the rank of the sandwiched PBW basis,
     taken mod P at DEFAULT_POINTS (agreed_rank): a lower bound on the
-    generic dimension."""
-    return agreed_rank(daha_spec(), [idempotent_sandwich(w) for w in hplus_words(M, N)])
+    generic dimension.  The rows are the bodies (1 + t T) w (1 + t T), each
+    the exact sandwich times (1 + t^2)^2; that scalar is nonzero at every
+    point, and mod P too since P = 3 (mod 4), so the rank is the same."""
+    spec = daha_spec()
+    body = idempotent_body()
+    return agreed_rank(spec, [spec.mul(body, w, body) for w in hplus_words(M, N)])
 
 
 def aplus_words(M: int, N: int) -> list[NcPoly]:
@@ -446,5 +480,8 @@ def aplus_words(M: int, N: int) -> list[NcPoly]:
 
 def phi_rank(M: int, N: int) -> int:
     """Rank of the phi images of the positive-cone spherical basis, taken mod
-    P at DEFAULT_POINTS (agreed_rank): a lower bound on the generic rank."""
-    return agreed_rank(daha_spec(), [phi_apply(wp) for wp in aplus_words(M, N)])
+    P at DEFAULT_POINTS (agreed_rank): a lower bound on the generic rank.
+    The rows are the word bodies, each phi(w) times (1 + t^2)^(k+1) for a
+    word of length k; that scalar is nonzero at every point, and mod P too
+    since P = 3 (mod 4), so the rank is the same."""
+    return agreed_rank(daha_spec(), [_phi_word_body(w) for w in sdaha_spec().pbw.enumerate(M, N)])

@@ -5,14 +5,18 @@ import random
 
 import pytest
 
+from qhc import coeffring
 from qhc.coeffring import RAT, RC_ONE, RC_T
 from qhc.daha import (
     BETA,
     T2P1,
+    _phi_word_body,
     aplus_words,
     daha_spec,
     defining_relation_residuals,
+    hplus_words,
     idempotent,
+    idempotent_body,
     idempotent_sandwich,
     phi_apply,
     phi_rank,
@@ -21,7 +25,14 @@ from qhc.daha import (
     sdaha_spec,
     spherical_dimension,
 )
-from qhc.rewrite import check_ambiguities, hilbert_table, q_central_residual, straighten_trace
+from qhc.ncpoly import NcPoly
+from qhc.rewrite import (
+    check_ambiguities,
+    hilbert_table,
+    q_central_residual,
+    rank_of_family,
+    straighten_trace,
+)
 
 from oracles import spherical_positive_series
 
@@ -183,3 +194,104 @@ def test_phi_rank_matches_dimension():
         want = series.get((m, n), 0)
         assert len(aplus_words(m, n)) == want
         assert phi_rank(m, n) == want
+
+
+# ---------------------------------------------------------------------------
+# the body 1 + t T against the exact idempotent
+# ---------------------------------------------------------------------------
+
+BIDEGREES_33 = [(m, n) for m in range(4) for n in range(4)]
+
+
+def _exact_phi_images(H):
+    """e * b * e for each generator body b, with the scalar inside the rewriting."""
+    e = idempotent()
+    bodies = {
+        "P1": H.word_poly("X1") + H.word_poly("X2"),
+        "Q1": H.word_poly("Y1") + H.word_poly("Y2"),
+        "P2": H.word_poly("X1", "X2"),
+        "Q2": H.word_poly("Y1", "Y2"),
+        "P2i": H.word_poly("X1i", "X2i"),
+        "Q2i": H.word_poly("Y1i", "Y2i"),
+        "R": H.word_poly("Y1", "X1").scale((RC_T * RC_T).inverse()) + H.word_poly("Y2", "X2"),
+    }
+    return {name: H.mul(e, b, e) for name, b in bodies.items()}
+
+
+def _exact_phi_apply(H, A, x, images):
+    """phi by the fold acc = e; acc = mul(acc, e b e) over each word."""
+    out = H.zero()
+    for w, c in x.terms.items():
+        acc = idempotent()
+        for i in w:
+            acc = H.mul(acc, images[A.alphabet.gens[i].name])
+        out = out + acc.scale(c)
+    return H.nf(out)
+
+
+def _nonzero(polys):
+    return [p for p in polys if p]
+
+
+def test_sandwich_and_phi_ranks_make_no_gcd(H, A, monkeypatch):
+    idempotent()
+    calls = []
+    gcd = coeffring.p_gcd
+
+    def counting(f, g):
+        calls.append(1)
+        return gcd(f, g)
+
+    monkeypatch.setattr(coeffring, "p_gcd", counting)
+    for m, n in BIDEGREES_33:
+        spherical_dimension(m, n)
+        assert not calls, f"spherical_dimension({m}, {n}) made {len(calls)} gcds"
+    phi_rank(2, 2)
+    assert not calls, f"phi_rank(2, 2) made {len(calls)} gcds"
+
+
+def test_idempotent_body_squares_to_its_scalar_multiple(H):
+    body = idempotent_body()
+    assert H.mul(body, body) == body.scale(T2P1)
+    c = T2P1.inverse()
+    assert idempotent() == H.unit().scale(c) + H.gen("T").scale(RC_T * c)
+
+
+def test_sandwich_is_exact(H):
+    e = idempotent()
+    for m, n in BIDEGREES_33:
+        for w in hplus_words(m, n):
+            assert idempotent_sandwich(w) == H.mul(e, w, e), (m, n, w)
+
+
+def test_phi_apply_is_exact(H, A):
+    images = _exact_phi_images(H)
+    for m in range(3):
+        for n in range(3):
+            for x in aplus_words(m, n):
+                assert phi_apply(x) == _exact_phi_apply(H, A, x, images), (m, n, x)
+    x = A.word_poly("Q1", "R").scale(T2P1.inverse()) - A.word_poly("Q2", "P1") + A.unit()
+    assert phi_apply(x) == _exact_phi_apply(H, A, x, images)
+
+
+def test_body_ranks_equal_exact_ranks_pointwise(H):
+    body = idempotent_body()
+    for m, n in BIDEGREES_33:
+        words = hplus_words(m, n)
+        bodies = _nonzero(H.mul(body, w, body) for w in words)
+        exact = _nonzero(idempotent_sandwich(w) for w in words)
+        assert len(bodies) == len(exact)
+        if exact:
+            assert (rank_of_family(H, bodies).per_point
+                    == rank_of_family(H, exact).per_point), (m, n)
+
+
+def test_phi_body_ranks_equal_exact_ranks_pointwise(H, A):
+    for m in range(1, 4):
+        for n in range(1, 4):
+            words = list(A.pbw.enumerate(m, n))
+            bodies = _nonzero(_phi_word_body(w) for w in words)
+            exact = _nonzero(phi_apply(NcPoly.from_word(A.alphabet, w)) for w in words)
+            assert len(bodies) == len(exact)
+            assert (rank_of_family(H, bodies).per_point
+                    == rank_of_family(H, exact).per_point), (m, n)
