@@ -162,9 +162,18 @@ def cmd_diamonds(args) -> int:
     return 0 if all(r.resolved for r in reports) else 1
 
 
+def _max_bidegree(args, default=None):
+    """--max as a pair, refusing negative bounds, which would check nothing."""
+    if args.max is None:
+        return default
+    if min(args.max) < 0:
+        raise EngineError(f"--max must be nonnegative, got {args.max[0]} {args.max[1]}")
+    return tuple(args.max)
+
+
 def cmd_hilbert(args) -> int:
     ctx = Context(args.algebra, args.q, args.t)
-    tab = hilbert_table(ctx.spec, (args.max[0], args.max[1]))
+    tab = hilbert_table(ctx.spec, _max_bidegree(args))
     doc = {"schema": 1, "command": "hilbert"}
     doc.update(tab.to_json())
     _emit(doc, args.output)
@@ -195,6 +204,8 @@ def cmd_rank(args) -> int:
 def cmd_act(args) -> int:
     if args.algebra not in ("oq", "dq"):
         raise EngineError("the adjoint action is registered for 'oq' and 'dq'")
+    if args.q is not None or args.t is not None:
+        raise EngineError("act runs symbolically; drop --q/--t")
     ctx = Context(args.algebra, None, None)
     action = qgroup.oq_action() if args.algebra == "oq" else dqops.dq_action()
     value = ctx.parse(args.expr)
@@ -218,7 +229,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hc_check(args) -> int:
-    rep = hciso.hc_verify((args.max[0], args.max[1]) if args.max else (4, 4))
+    rep = hciso.hc_verify(_max_bidegree(args, (4, 4)))
     doc = {
         "schema": 1,
         "command": "hc-check",

@@ -1,15 +1,15 @@
 """Exact linear algebra: over GF(P) for systems specialised at a point,
 over any field for symbolic ones.
 
-Ranks, kernel dimensions and the pruning solve of ideal membership take
-symbolic rows evaluated at a rational point and reduced mod the prime
-P = 2^61 - 45 (``RatCoeff.eval_mod``).  Their entries are ints in [0, P), and
-``frac_rank`` and ``frac_solve`` eliminate them mod P.  A rank mod P at a
-point is at most the rank over Q at that point, which is at most the
-generic rank over Frac(Z[q,t]): a rank taken mod P is a lower bound, and a
-kernel dimension taken mod P an upper bound.  P = 3 mod 4, so t^2 + 1 has no
-root mod P, and q0 = 2, 3, 5 each have multiplicative order above 10^4 mod
-P, so no q^k - 1 with 0 < k <= 10^4 vanishes at them.  Any other
+Ranks and kernel dimensions take symbolic rows evaluated at a rational
+point and reduced mod the prime P = 2^61 - 45 (``RatCoeff.eval_mod``).
+Their entries are ints in [0, P), and ``frac_rank`` eliminates them mod P;
+``frac_solve`` solves such a system mod P and has no caller in the package.
+A rank mod P at a point is at most the rank over Q at that point, which is
+at most the generic rank over Frac(Z[q,t]): a rank taken mod P is a lower
+bound, and a kernel dimension taken mod P an upper bound.  P = 3 mod 4, so
+t^2 + 1 has no root mod P, and q0 = 2, 3, 5 each have multiplicative order
+above 10^4 mod P, so no q^k - 1 with 0 < k <= 10^4 vanishes at them.  Any other
 denominator vanishes mod P only by chance, and then raises CoeffError.
 
 ``solve_dense`` and ``dense_rank`` take dense rows over any field whose

@@ -158,8 +158,8 @@ class PowerBlocksPbw:
         so one-letter blocks of positive degree give the words in
         lexicographic order of their letter indexes (for oq, the order of
         itertools.combinations_with_replacement).  dq's invariant_dimension
-        and find_ideal_multiplier take their column order from this; the
-        reverse order made their eliminations three to four times slower.
+        takes its column order from this; the reverse order made its
+        elimination three to four times slower.
         """
         alph = self.alphabet
         degs = [alph.gens[p].bidegree for p, _, _ in self.blocks]
@@ -733,21 +733,33 @@ def agreed_rank(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> int:
     return res.rank
 
 
-def divide_left(spec: AlgebraSpec, factor: NcPoly, p: NcPoly):
-    """Exact division: the x with normal_form(factor * x) = p, or None.
+def divide(spec: AlgebraSpec, factor: NcPoly, p: NcPoly, right: bool = False,
+           order: Optional[Sequence[int]] = None):
+    """Exact division: the x with normal_form(factor * x) = p, or with
+    normal_form(x * factor) = p if right is set; None if none is found.
 
-    Leading-word division under lex order on PBW block exponents: the
-    remainder's leading word w, less lead(factor), is the next quotient word
-    u, with the coefficient that cancels w in nf(factor * u).  This finds
-    every quotient where lead(nf(factor * u)) = lead(factor) + u, as for the
-    q-determinants of dq and oq; where that fails it gives up with None.
-    Quotient words stay in the nonnegative cone, which lex order well-orders,
-    so the loop ends.  Used to strip determinant factors from LocElem bodies.
+    Leading-word division under lex order on PBW block exponents, the blocks
+    read in the given order (default their own): the remainder's leading
+    word w, less lead(factor), is the next quotient word u, with the
+    coefficient that cancels w in nf(factor * u).  This finds every quotient
+    where lead(nf(factor * u)) = lead(factor) + u, as for the q-determinants
+    of dq and oq; where that fails it gives up with None.  Quotient words
+    stay in the nonnegative cone, which lex order well-orders, so the loop
+    ends.
     """
     pbw = spec.pbw
+    if order is None:
+        key = pbw.exponents
+    else:
+        def key(w: Word) -> tuple[int, ...]:
+            e = pbw.exponents(w)
+            return tuple(e[k] for k in order)
 
     def lead(poly: NcPoly) -> Word:
-        return max(poly.terms, key=pbw.exponents)
+        return max(poly.terms, key=key)
+
+    def times(x: NcPoly) -> NcPoly:
+        return spec.mul_normal(x, factor) if right else spec.mul_normal(factor, x)
 
     flead = pbw.exponents(lead(factor))
     rem, quo = p, {}
@@ -757,13 +769,13 @@ def divide_left(spec: AlgebraSpec, factor: NcPoly, p: NcPoly):
         u = pbw.word(d) if min(d) >= 0 else None
         if u is None:
             return None
-        img = spec.mul_normal(factor, NcPoly.from_word(spec.alphabet, u, field=spec.field))
+        img = times(NcPoly.from_word(spec.alphabet, u, field=spec.field))
         if not img or lead(img) != w:
             return None
         quo[u] = rem.terms[w] / img.terms[w]
         rem = rem - img.scale(quo[u])
     x = NcPoly(spec.alphabet, quo, spec.field, _clean=True)
-    return x if spec.mul_normal(factor, x) == p else None
+    return x if times(x) == p else None
 
 
 def q_central_residual(spec: AlgebraSpec, name: str, h: NcPoly) -> NcPoly:
@@ -881,23 +893,29 @@ class LocElem:
     def scale(self, c) -> "LocElem":
         return self._new(self.exps, self.body.scale(c))
 
-    def __mul__(self, other: "LocElem") -> "LocElem":
-        """Product in the localisation: other's denominators move left past
-        each word of self's body, then past self's denominators, and the
-        q-scaled body acts on other's normal body through spec.mul_normal."""
-        spec = self.spec
-        alph = spec.alphabet
-        cross = self._cross(self.exps, other.exps)
+    def _moved(self, exps, sign: int = 1) -> NcPoly:
+        """The body, each word scaled by the q-power that den^-exps costs
+        moving left past it and then past self's denominators, so that
+        self * den^-exps = den^-(self.exps + exps) * self._moved(exps);
+        sign=-1 scales by the inverse powers and so undoes the move."""
+        alph = self.spec.alphabet
+        cross = self._cross(self.exps, exps)
         moved = {}
         for w, c in self.body.terms.items():
             d = alph.word_bidegree(w)
-            e = sum(f * _pair(den.kappa, d) for f, den in zip(other.exps, other.dens))
-            moved[w] = c * self._q(cross + e)
-        body = spec.mul_normal(NcPoly(alph, moved, spec.field, _clean=True), other.body)
+            e = sum(f * _pair(den.kappa, d) for f, den in zip(exps, self.dens))
+            moved[w] = c * self._q(sign * (cross + e))
+        return NcPoly(alph, moved, self.spec.field, _clean=True)
+
+    def __mul__(self, other: "LocElem") -> "LocElem":
+        """Product in the localisation: other's denominators move left past
+        self's body and denominators, and the q-scaled body acts on other's
+        normal body through spec.mul_normal."""
+        body = self.spec.mul_normal(self._moved(other.exps), other.body)
         return self._new([a + b for a, b in zip(self.exps, other.exps)], body)
 
     def reduced(self) -> "LocElem":
-        """Strip denominator factors from the body where divide_left finds
+        """Strip denominator factors from the body where divide finds
         an exact quotient, last denominator first, until none divides, so
         den^k * den^-k renders as 1 for every k."""
         exps, body = list(self.exps), self.body
@@ -906,7 +924,7 @@ class LocElem:
             changed = False
             for i in reversed(range(len(exps))):
                 if exps[i] > 0:
-                    quo = divide_left(self.spec, self.dens[i].body, body)
+                    quo = divide(self.spec, self.dens[i].body, body)
                     if quo is not None:
                         # den_i moves left past den_l^-e_l for l > i
                         step = [int(j == i) for j in range(len(exps))]

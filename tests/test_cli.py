@@ -151,6 +151,15 @@ def test_cli_act(capsys):
         assert out["result"] == "0"
 
 
+def test_cli_act_refuses_a_point(capsys):
+    # act has no specialised form; the point was once dropped silently
+    rc = main(["act", "--q", "2", "--t", "3", "--gen", "E", "--algebra", "oq", "l11 + q^-2*l22"])
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.out == ""
+    assert "drop --q/--t" in cap.err
+
+
 def test_cli_verify_suite(capsys):
     rc = main(["verify", "--suite", "sdaha-diamonds"])
     out = json.loads(capsys.readouterr().out)
@@ -165,6 +174,19 @@ def test_cli_hc_check(capsys):
     assert rc == 0
     assert out["pass"] is True
     assert len(out["relations"]) == 11
+
+
+@pytest.mark.parametrize("argv", [
+    ["hc-check", "--max", "-1", "-1"],
+    ["hilbert", "--algebra", "inv", "--max", "-2", "1"],
+], ids=["hc-check", "hilbert"])
+def test_cli_rejects_negative_max(capsys, argv):
+    # a negative bound once checked nothing and reported a pass or an empty table
+    rc = main(argv)
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.out == ""
+    assert "--max must be nonnegative" in cap.err
 
 
 def test_cli_dq_localized(capsys):

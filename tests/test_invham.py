@@ -225,3 +225,19 @@ def test_find_ideal_multiplier_detects_nonmembers():
     z = moment_zt()
     probe = dq_elem(dq_spec().gen("a11"))
     assert find_ideal_multiplier(probe) is None
+
+
+@pytest.mark.parametrize("exps", [(1, 1), (1, 0), (0, 0)], ids=["detA-detD", "detA", "none"])
+def test_find_ideal_multiplier_recovers_the_multiplier(exps):
+    # s over detq(A)^-la detq(D)^-ld, two words of different bidegrees and a
+    # coefficient with a non-Laurent denominator
+    D = dq_spec()
+    body = D.word_poly("a12", "p21") + D.word_poly("a11", "a22", "p11").scale(
+        RC_ONE / (RC_ONE + RC_T))
+    s = dq_elem(body, *exps)
+    assert find_ideal_multiplier(s * moment_zt()) == s
+
+
+def test_find_ideal_multiplier_refuses_a_nonmember_with_denominators():
+    D = dq_spec()
+    assert find_ideal_multiplier(dq_elem(D.word_poly("a11", "p12"), 1, 1)) is None

@@ -5,8 +5,8 @@ invertible central letter z.  Everything is checkable by hand, so the engine
 mechanics (normal forms, budgets, ambiguities, Hilbert counts, ranks,
 serialisation) are exercised independently of the production presentations.
 The last tests check AlgebraSpec.mul_normal against the free product, and
-divide_left against the q-determinants, on the production presentations
-themselves.
+divide against the q-determinants and mu(Z_t), on the production
+presentations themselves.
 """
 
 from fractions import Fraction
@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from qhc.coeffring import RAT, RatCoeff
 from qhc.daha import daha_spec, sdaha_spec
-from qhc.dqops import det_a_body, det_d_body, dq_spec
-from qhc.invham import ham_spec
+from qhc.dqops import det_a_body, det_d_body, dq_spec, moment_zt
+from qhc.invham import ZT_LEAD_ORDER, ham_spec
 from qhc.ncpoly import Alphabet, NcPoly
 from qhc.qgroup import oq_spec, qdet_oq
 from qhc.rewrite import (
@@ -32,7 +32,7 @@ from qhc.rewrite import (
     WordOrder,
     agreed_rank,
     check_ambiguities,
-    divide_left,
+    divide,
     hilbert_table,
     normal_form,
     rank_of_family,
@@ -213,45 +213,68 @@ def test_mul_normal_matches_nf_of_free_product(name, data):
     assert spec.mul_normal(a, spec.zero()) == spec.zero()
 
 
-# -- divide_left on the q-determinants ---------------------------------------
+# -- divide on the q-determinants and on mu(Z_t) ------------------------------
 
 def _divisions():
     D, O = dq_spec(), oq_spec()
     dq_words = [w for m in range(3) for n in range(3) for w in D.pbw.enumerate(m, n)]
     oq_words = [w for m in range(5) for w in O.pbw.enumerate(m, 0)]
-    return [(D, det_a_body(), dq_words), (D, det_d_body(), dq_words), (O, qdet_oq(), oq_words)]
+    return [
+        (D, det_a_body(), dq_words, False, None),
+        (D, det_d_body(), dq_words, False, None),
+        (O, qdet_oq(), oq_words, False, None),
+        (D, moment_zt().body, dq_words, True, ZT_LEAD_ORDER),
+    ]
 
 
-@pytest.mark.parametrize("spec, den, words", _divisions(), ids=["detA", "detD", "detL"])
-def test_divide_left_round_trips_on_pbw_words(spec, den, words):
+def _leading_words_multiply(spec, den, img, w, order):
+    """lead(img) = lead(den) + w, leading words taken under lex order on the
+    PBW blocks in the given order (None: their own)."""
     pbw = spec.pbw
-    lead = pbw.exponents(max(den.terms, key=pbw.exponents))
+
+    def lead(poly):
+        def key(v):
+            e = pbw.exponents(v)
+            return e if order is None else tuple(e[k] for k in order)
+        return pbw.exponents(max(poly.terms, key=key))
+
+    return lead(img) == tuple(a + b for a, b in zip(lead(den), pbw.exponents(w)))
+
+
+@pytest.mark.parametrize("spec, den, words, right, order", _divisions(),
+                         ids=["detA", "detD", "detL", "Zt-right"])
+def test_divide_round_trips_on_pbw_words(spec, den, words, right, order):
+    plain_lex_holds = []
     for w in words:
         x = NcPoly.from_word(spec.alphabet, w)
-        img = spec.mul_normal(den, x)
-        # leading words multiply, lead(nf(den * w)) = lead(den) + w: every
-        # quotient is found because of this
-        got = pbw.exponents(max(img.terms, key=pbw.exponents))
-        assert got == tuple(a + b for a, b in zip(lead, pbw.exponents(w))), spec.alphabet.word_str(w)
-        assert divide_left(spec, den, img) == x, spec.alphabet.word_str(w)
+        img = spec.mul_normal(x, den) if right else spec.mul_normal(den, x)
+        # leading words multiply, lead(nf(den * w)) = lead(den) + w (and so
+        # does lead(nf(w * den)) on the right): every quotient is found
+        # because of this
+        assert _leading_words_multiply(spec, den, img, w, order), spec.alphabet.word_str(w)
+        assert divide(spec, den, img, right=right, order=order) == x, spec.alphabet.word_str(w)
+        plain_lex_holds.append(_leading_words_multiply(spec, den, img, w, None))
+    if order is not None:
+        # the order is needed: under plain lex the law breaks on some word
+        assert not all(plain_lex_holds)
 
 
 def test_divide_left_refuses_a_non_multiple():
     D = dq_spec()
-    assert divide_left(D, det_a_body(), D.gen("a11")) is None
+    assert divide(D, det_a_body(), D.gen("a11")) is None
 
 
 def test_divide_left_non_homogeneous_multiple():
     D = dq_spec()
     x = D.unit() + D.gen("p11") + D.word_poly("a11", "a11")
-    assert divide_left(D, det_a_body(), D.mul_normal(det_a_body(), x)) == x
-    assert divide_left(D, det_a_body(), D.zero()) == D.zero()
+    assert divide(D, det_a_body(), D.mul_normal(det_a_body(), x)) == x
+    assert divide(D, det_a_body(), D.zero()) == D.zero()
 
 
 def test_divide_left_stays_in_the_nonnegative_cone(plane):
     # 1 = (1 - z)(-zi - zi^2 - ...) has no finite quotient; with negative
     # exponents allowed the division would run down that series forever
     one, z = plane.unit(), plane.gen("z")
-    assert divide_left(plane, one - z, one) is None
+    assert divide(plane, one - z, one) is None
     xy = plane.word_poly("x", "y")
-    assert divide_left(plane, one - z, plane.nf((one - z) * xy)) == xy
+    assert divide(plane, one - z, plane.nf((one - z) * xy)) == xy
