@@ -23,9 +23,9 @@ def main() -> int:
     names = args.suite or list(SUITES)
     any_failed = False
     for name in names:
-        t0 = time.time()
+        t0 = time.perf_counter()
         rep = run_verify_suite(name)
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         total = rep["passed"] + rep["failed"]
         mark = "ok  " if rep["pass"] else "FAIL"
         print(f"{mark} {name:16s} {rep['passed']:3d}/{total:<3d} items   {dt:7.1f}s")

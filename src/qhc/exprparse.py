@@ -9,7 +9,8 @@ Grammar (one pass covers both coefficient and algebra expressions):
 
 '/' requires a scalar divisor; '^' takes integer exponents up to
 MAX_EXPONENT in absolute value, negative ones only on scalars and on
-invertible single generators.  Errors carry line and column positions.
+invertible single generators.  A factor may sit inside at most MAX_DEPTH
+parentheses and unary minus signs.  Errors carry line and column positions.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ from .ncpoly import NcPoly
 
 #: largest |n| accepted in x^n; bounds the work and the size of a coefficient
 MAX_EXPONENT = 1000
+
+#: most parentheses and unary minus signs around one factor; each level costs
+#: the recursive-descent parser up to four Python frames, so this keeps it
+#: well inside the default recursion limit of 1000
+MAX_DEPTH = 200
 
 
 class ParseError(ValueError):
@@ -190,6 +196,7 @@ class Parser:
     def parse(self, src: str):
         self.toks = tokenize(src)
         self.pos = 0
+        self.depth = 0
         v = self._expr()
         tok = self._peek()
         if tok.kind != "end":
@@ -229,13 +236,18 @@ class Parser:
 
     def _factor(self):
         tok = self._peek()
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"nesting deeper than the limit of {MAX_DEPTH}", tok.line, tok.col)
+        self.depth += 1
         if tok.kind == "-":
             self._next()
-            return self.ops.neg(self._factor())
-        v = self._atom()
-        if self._peek().kind == "^":
-            op = self._next()
-            v = self.ops.pow(v, self._int(), op)
+            v = self.ops.neg(self._factor())
+        else:
+            v = self._atom()
+            if self._peek().kind == "^":
+                op = self._next()
+                v = self.ops.pow(v, self._int(), op)
+        self.depth -= 1
         return v
 
     def _int(self) -> int:

@@ -669,12 +669,22 @@ def specialisation_point(q0, t0) -> tuple[Fraction, Fraction]:
 def eval_rows(rows: Sequence[dict], q0: Fraction, t0: Fraction) -> list[dict]:
     """Sparse rows {key: RatCoeff} evaluated at (q0, t0) and reduced mod the
     linalg prime P, zero residues dropped.  A denominator that vanishes mod P
-    raises CoeffError, even where it has a value over Q."""
+    raises CoeffError, even where it has a value over Q.
+
+    Each distinct coefficient is evaluated once per call: residues are
+    memoised by the items of num and den, so equal coefficients that are
+    distinct objects share one evaluation.  Equal coefficients whose dicts
+    list their terms in another order miss the memo, which only costs a
+    second evaluation."""
+    memo: dict[tuple, int] = {}
     out = []
     for row in rows:
         ev = {}
         for k, c in row.items():
-            v = c.eval_mod(q0, t0, P)
+            key = (tuple(c.num.items()), tuple(c.den.items()))
+            v = memo.get(key)
+            if v is None:
+                v = memo[key] = c.eval_mod(q0, t0, P)
             if v:
                 ev[k] = v
         out.append(ev)
@@ -701,7 +711,11 @@ def rank_of_family(
     degs = set()
     for p in elems:
         if not spec.is_normal(p):
-            raise EngineError("rank_of_family requires normal-form inputs")
+            bad = next(w for w in p.terms if spec._find_redex(w, "leftmost"))
+            raise EngineError(
+                f"{spec.algebra_id}: rank_of_family requires normal-form inputs, "
+                f"and word {spec.alphabet.word_str(bad)} has a redex"
+            )
         d = p.bidegree()
         if d is None:
             raise EngineError("rank_of_family requires homogeneous inputs")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from qhc import exprparse
 from qhc.cli import Context, main
 from qhc.daha import sdaha_spec
 from qhc.exprparse import ParseError, Parser, WordAlgebraOps
@@ -63,6 +64,26 @@ def test_parse_errors_carry_positions():
         ctx.parse("T* $")
     with pytest.raises(ParseError):
         ctx.parse("T/(X1)")
+
+
+def test_parse_depth_is_bounded(monkeypatch):
+    monkeypatch.setattr(exprparse, "MAX_DEPTH", 3)
+    ctx = Context("daha")
+    assert ctx.parse("(((T)))") == ctx.parse("T")
+    assert ctx.parse("T*---T") == ctx.parse("-T*T")
+    with pytest.raises(ParseError, match=r"nesting deeper than the limit of 3 \(line 1, column 5\)"):
+        ctx.parse("((((T))))")
+    with pytest.raises(ParseError, match="nesting deeper than the limit of 3"):
+        ctx.parse("T*----T")
+
+
+def test_cli_deep_nesting_exits_2(capsys):
+    # 300 parentheses used to overflow the stack with an uncaught RecursionError
+    n = exprparse.MAX_DEPTH
+    rc = main(["normalize", "--algebra", "daha", "(" * 300 + "T" + ")" * 300])
+    assert rc == 2
+    assert f"nesting deeper than the limit of {n}" in capsys.readouterr().err
+    assert main(["normalize", "--algebra", "daha", "(" * n + "T" + ")" * n]) == 0
 
 
 def test_roundtrip_printed_normal_forms():

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qhc.coeffring import RC_ZERO, CoeffError, RatCoeff
-from qhc.linalg import P, dense_rank, frac_rank, frac_solve, solve_dense
+from qhc.linalg import P, _echelon_mod, dense_rank, frac_rank, frac_solve, solve_dense
 from qhc.rewrite import DEFAULT_POINTS, eval_rows
 
 
@@ -85,6 +85,28 @@ def test_rank_of_transpose(a):
     assert frac_rank(sparse(a)) == frac_rank(sparse(at))
 
 
+@st.composite
+def sparse_rows(draw):
+    """Sparse rows of residues, tall, wide or square, with empty and
+    duplicate rows mixed in."""
+    m, n = draw(st.sampled_from([(9, 3), (3, 9), (6, 6), (12, 5), (1, 1)]))
+    value = st.one_of(st.integers(1, 3), st.integers(1, P - 1))
+    rows = [draw(st.dictionaries(st.integers(0, n - 1), value, max_size=3)) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), {})
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), dict(draw(st.sampled_from(rows))))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_rows())
+def test_rank_ignores_elimination_order(rows):
+    # frac_rank transposes tall matrices and permutes rows and columns
+    # before eliminating; the kernel on the rows as given is the reference
+    assert frac_rank(rows) == len(_echelon_mod(rows))
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices(), st.data())
 def test_solve_consistent(a, data):
@@ -124,6 +146,35 @@ def test_denominator_vanishing_mod_p_raises():
     with pytest.raises(CoeffError, match=rf"q \+ {P - 2} vanishes .* mod {P}"):
         eval_rows([{0: RatCoeff.from_int(1), 1: c}], q0, t0)
     assert eval_rows([{0: c}], *DEFAULT_POINTS[1]) == [{0: pow(3 + P - 2, -1, P)}]
+
+
+def test_eval_rows_evaluates_each_distinct_coefficient_once(monkeypatch):
+    calls = []
+    eval_mod = RatCoeff.eval_mod
+
+    def counted(self, q0, t0, p):
+        calls.append(self)
+        return eval_mod(self, q0, t0, p)
+
+    monkeypatch.setattr(RatCoeff, "eval_mod", counted)
+    a = RatCoeff.monomial(1, 1, 0) + RatCoeff.from_int(1)
+    b = RatCoeff.monomial(1, 1, 0) + RatCoeff.from_int(1)
+    assert a is not b and a == b
+    q0, t0 = DEFAULT_POINTS[0]
+    rows = eval_rows([{0: a, 1: b}, {2: b}, {0: RatCoeff.from_int(-3)}], q0, t0)
+    assert rows == [{0: 3, 1: 3}, {2: 3}, {0: P - 3}]
+    assert len(calls) == 2
+
+
+def test_vanishing_denominator_raises_through_the_memo():
+    # a residue is memoised only once it is computed, so a vanishing
+    # coefficient raises whichever of its entries (or equal copies) comes first
+    q0, t0 = DEFAULT_POINTS[0]
+    c = RatCoeff({(0, 0): 1}, {(1, 0): 1, (0, 0): P - 2})
+    d = RatCoeff({(0, 0): 1}, {(1, 0): 1, (0, 0): P - 2})
+    for rows in ([{0: c, 1: c}], [{0: RatCoeff.from_int(1)}, {0: c}, {1: d, 2: c}]):
+        with pytest.raises(CoeffError, match=rf"q \+ {P - 2} vanishes .* mod {P}"):
+            eval_rows(rows, q0, t0)
 
 
 monos = st.tuples(st.integers(-2, 2), st.integers(-1, 2), st.integers(0, 2))

@@ -137,6 +137,14 @@ def test_rank_guards(plane):
         rank_of_family(plane, [plane.gen("x") + plane.gen("y")])
 
 
+def test_rank_guard_names_algebra_and_word():
+    H = daha_spec()
+    free = H.word_poly("T", "T")
+    assert not H.is_normal(free)
+    with pytest.raises(EngineError, match=r"^daha: .*normal-form inputs.* word T\^2 "):
+        rank_of_family(H, [H.gen("T"), free])
+
+
 def test_rule_invariants_enforced():
     alph = Alphabet("bad", [("x", (1, 0), None), ("y", (0, 1), None)])
     order = WordOrder(ranks=[0, 1])
