@@ -1,21 +1,27 @@
 """Exact arithmetic in the field of rational functions in q and t.
 
-Scalars live in Frac(Z[q,t]).  A value is a reduced fraction of two integer
-polynomials in the commuting variables q and t; Laurent behaviour (negative
-powers of q or t) is carried by a monomial denominator.  The canonical form
-fixes the sign so that the denominator's leading coefficient under graded
-lex with q < t is positive, which makes equality a dictionary comparison.
+Scalars live in Frac(Z[q,t]), but almost every scalar the relations produce
+is a Laurent polynomial in q and t; the idempotent's 1/(1+t^2) is the only
+genuine denominator.  So a RatCoeff is stored Laurent-first: a numerator
+whose exponents may be negative, over a denominator that is None for the
+unit, or else a polynomial with no monomial factor, a positive leading
+coefficient under graded lex with q < t, and no common factor with the
+numerator.  That form is unique, which makes equality a dictionary
+comparison.  It is in bijection with the classic reduced pair num/den of
+integer polynomials, which RatCoeff.num and .den compute on demand and
+printing uses.
 
-Polynomials are sparse maps (e_q, e_t) -> int with nonnegative exponents.
-
-Most coefficients the localisations produce are Laurent: their denominator
-is a single term c*q^a*t^b.  Reducing a fraction with a one-term numerator
-or denominator needs no polynomial gcd, since gcd(f, c*q^a*t^b) is the
-integer gcd of c with f's content times the least powers of q and t; the
-general gcd runs only when both have two or more terms.  Point evaluation
-clears the denominators of q0 and t0 first, so a polynomial is evaluated as
-a sum of integers and a value costs one Fraction, or mod a prime one modular
+A Laurent product is one p_mul and a Laurent sum one p_add, with nothing to
+reduce.  A genuine fraction is reduced through p_gcd, except where one side
+is a single term c*q^a*t^b: then the monomial moves into the numerator and
+an integer gcd divides out.  Point evaluation clears the denominators of q0
+and t0 and the negative powers first, so a polynomial is evaluated as a sum
+of integers and a value costs one Fraction, or mod a prime one modular
 inverse.
+
+Polynomials are sparse maps (e_q, e_t) -> int.  p_add, p_neg, p_mul,
+p_scale and p_eval take exponents of either sign; the gcd and exact
+division routines expect nonnegative ones.
 """
 
 from __future__ import annotations
@@ -325,23 +331,31 @@ def p_gcd(f: Poly, g: Poly) -> Poly:
 
 
 def p_eval(f: Poly, q0: Fraction, t0: Fraction) -> tuple[int, int]:
-    """f(q0, t0) as integers (n, d) with d > 0 and f(q0, t0) = n/d.
+    """f(q0, t0) as integers (n, d) with f(q0, t0) = n/d, for exponents of
+    either sign.
 
-    With e_q, e_t the largest exponents in f, d = qd^e_q * td^e_t clears the
-    denominators of q0 = qn/qd and t0 = tn/td, and n is a sum of integers.
+    With lq <= 0 <= hq the least and largest q-exponents of f widened to take
+    in 0 (lt, ht likewise for t), q0^a * qn^-lq * qd^hq is the integer
+    qn^(a-lq) * qd^(hq-a) for q0 = qn/qd.  So d = qn^-lq * qd^hq * tn^-lt *
+    td^ht and n is a sum of integers.  d is 0 exactly when a negative power
+    meets a zero value; for nonnegative exponents d = qd^hq * td^ht > 0.
     """
     qn, qd = q0.numerator, q0.denominator
     tn, td = t0.numerator, t0.denominator
-    eq = et = 0
+    lq = hq = lt = ht = 0
     for a, b in f:
-        if a > eq:
-            eq = a
-        if b > et:
-            et = b
+        if a > hq:
+            hq = a
+        elif a < lq:
+            lq = a
+        if b > ht:
+            ht = b
+        elif b < lt:
+            lt = b
     n = 0
     for (a, b), c in f.items():
-        n += c * qn**a * qd ** (eq - a) * tn**b * td ** (et - b)
-    return n, qd**eq * td**et
+        n += c * qn ** (a - lq) * qd ** (hq - a) * tn ** (b - lt) * td ** (ht - b)
+    return n, qn**-lq * qd**hq * tn**-lt * td**ht
 
 
 def p_str(f: Poly) -> str:
@@ -372,51 +386,79 @@ def p_str(f: Poly) -> str:
 # the fraction field
 # ---------------------------------------------------------------------------
 
+def _laurent_shift(n: Poly) -> Mono:
+    """The least (sq, st) >= 0 with q^sq * t^st * n free of negative exponents."""
+    if not n:
+        return 0, 0
+    eq, et = _mono_content(n)
+    return max(-eq, 0), max(-et, 0)
+
+
 class RatCoeff:
-    """A reduced fraction num/den of integer polynomials in q, t."""
+    """An element of Frac(Z[q,t]), stored Laurent-first as lnum / lden.
 
-    __slots__ = ("num", "den")
+    lnum is a polynomial whose exponents may be negative.  lden is None for
+    a Laurent polynomial, the unit denominator.  Otherwise it is a polynomial
+    with nonnegative exponents and no monomial factor (its least q- and
+    t-exponents are 0), with a positive leading coefficient under graded lex
+    with q < t, and coprime to lnum in Z[q^-1, q, t^-1, t], integer content
+    included; an integer denominator such as 2 is one of these.
 
-    def __init__(self, num: Poly, den: Poly, _canonical: bool = False):
-        if _canonical:
-            self.num = num
-            self.den = den
-            return
+    The stored pair is in bijection with the classic reduced pair of integer
+    polynomials: multiplying both sides by q^sq * t^st, the least monomial
+    that clears lnum's negative exponents, gives num and den, which the
+    properties of those names compute on demand.  Both forms are unique, so
+    equality and hashing compare the stored pair.
+    """
+
+    __slots__ = ("lnum", "lden")
+
+    def __init__(self, num: Poly, den: Poly):
+        """num / den in stored form, for exponents of either sign."""
         if not den:
             raise CoeffError("zero denominator")
         if not num:
-            self.num, self.den = {}, dict(P_ONE)
+            self.lnum, self.lden = {}, None
             return
-        if len(den) == 1 or len(num) == 1:
-            # one side is c*q^a*t^b, so gcd(num, den) is igcd(c, content of the
-            # other side) times q^mq*t^mt with mq, mt the least exponents over
-            # num and den; dividing by it, negated when den's leading
-            # coefficient is negative, is what p_gcd and p_exact_div give
-            mono, other = (den, num) if len(den) == 1 else (num, den)
-            ((mq, mt), g), = mono.items()
-            g = abs(g)
-            for x, y in other:
-                if x < mq:
-                    mq = x
-                if y < mt:
-                    mt = y
+        if len(den) == 1:
+            # num / (c*q^a*t^b): q^-a*t^-b moves into the numerator and the
+            # integer gcd of c with num's content, signed as c, divides out
+            ((mq, mt), c), = den.items()
+            g = abs(c)
             if g != 1:
-                for v in other.values():
+                for v in num.values():
                     g = _igcd(g, v)
-            if (next(iter(den.values())) if len(den) == 1 else p_lead_coeff(den)) < 0:
+                    if g == 1:
+                        break
+            if c < 0:
                 g = -g
             if g != 1 or mq or mt:
                 num = {(x - mq, y - mt): v // g for (x, y), v in num.items()}
-                den = {(x - mq, y - mt): v // g for (x, y), v in den.items()}
-            self.num, self.den = num, den
+            self.lnum = num
+            self.lden = None if c == g else {(0, 0): c // g}
             return
-        g = p_gcd(num, den)
-        if g != P_ONE:
-            num = p_exact_div(num, g)
-            den = p_exact_div(den, g)
+        # take both monomial contents out, so den has no monomial factor and
+        # their gcd is one of polynomials; num's monomial goes back at the end
+        dq, dt = _mono_content(den)
+        nq, nt = _mono_content(num)
+        den = _mono_shift(den, -dq, -dt)
+        num = _mono_shift(num, -nq, -nt)
+        if len(num) == 1:
+            # gcd(c, den) is the integer gcd of c with den's content
+            ((m, c),) = num.items()
+            g = _igcd(c, _int_content(den))
+            if g != 1:
+                num = {m: c // g}
+                den = {k: v // g for k, v in den.items()}
+        else:
+            g = p_gcd(num, den)
+            if g != P_ONE:
+                num = p_exact_div(num, g)
+                den = p_exact_div(den, g)
         if p_lead_coeff(den) < 0:
             num, den = p_neg(num), p_neg(den)
-        self.num, self.den = num, den
+        self.lnum = _mono_shift(num, nq - dq, nt - dt)
+        self.lden = None if den == P_ONE else den
 
     # -- constructors ------------------------------------------------------
 
@@ -426,67 +468,90 @@ class RatCoeff:
             return RC_ZERO
         if n == 1:
             return RC_ONE
-        return RatCoeff({(0, 0): n}, dict(P_ONE), _canonical=True)
+        return _raw({(0, 0): n}, None)
 
     @staticmethod
     def monomial(c: int, eq: int, et: int) -> "RatCoeff":
         """c * q^eq * t^et with exponents of either sign."""
         if c == 0:
             return RC_ZERO
-        nq, nt = max(eq, 0), max(et, 0)
-        dq, dt = max(-eq, 0), max(-et, 0)
-        return RatCoeff({(nq, nt): c}, {(dq, dt): 1}, _canonical=True)
+        return _raw({(eq, et): c}, None)
+
+    # -- the classic pair ------------------------------------------------------
+
+    @property
+    def num(self) -> Poly:
+        """The classic reduced numerator, nonnegative exponents."""
+        return self._classic()[0]
+
+    @property
+    def den(self) -> Poly:
+        """The classic reduced denominator, nonnegative exponents."""
+        return self._classic()[1]
+
+    def _classic(self) -> tuple[Poly, Poly]:
+        sq, st = _laurent_shift(self.lnum)
+        return _mono_shift(self.lnum, sq, st), _mono_shift(self.lden or P_ONE, sq, st)
 
     # -- predicates ----------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self.lnum)
 
     def is_one(self) -> bool:
-        return self.num == P_ONE and self.den == P_ONE
+        return self.lden is None and self.lnum == P_ONE
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatCoeff) and self.num == other.num and self.den == other.den
+        return isinstance(other, RatCoeff) and self.lnum == other.lnum and self.lden == other.lden
 
     def __hash__(self):
-        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
+        return hash((frozenset(self.lnum.items()), self.lden and frozenset(self.lden.items())))
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "RatCoeff") -> "RatCoeff":
-        if not other.num:
+        if not other.lnum:
             return self
-        if not self.num:
+        if not self.lnum:
             return other
-        if self.den == other.den:
-            return RatCoeff(p_add(self.num, other.num), self.den)
-        return RatCoeff(
-            p_add(p_mul(self.num, other.den), p_mul(other.num, self.den)),
-            p_mul(self.den, other.den),
-        )
+        a, b = self.lden, other.lden
+        if a is None and b is None:
+            return _raw(p_add(self.lnum, other.lnum), None)
+        if a is None or b is None:
+            # n + m/d = (n*d + m)/d, reduced already: gcd(n*d + m, d) = gcd(m, d) = 1
+            (n, m, d) = (self.lnum, other.lnum, b) if a is None else (other.lnum, self.lnum, a)
+            return _raw(p_add(p_mul(n, d), m), d)
+        if a == b:
+            return RatCoeff(p_add(self.lnum, other.lnum), a)
+        return RatCoeff(p_add(p_mul(self.lnum, b), p_mul(other.lnum, a)), p_mul(a, b))
 
     def __neg__(self) -> "RatCoeff":
-        return RatCoeff(p_neg(self.num), self.den, _canonical=True)
+        return _raw(p_neg(self.lnum), self.lden)
 
     def __sub__(self, other: "RatCoeff") -> "RatCoeff":
         return self + (-other)
 
     def __mul__(self, other: "RatCoeff") -> "RatCoeff":
-        if not self.num or not other.num:
+        m, n = self.lnum, other.lnum
+        if not m or not n:
             return RC_ZERO
-        if self.is_one():
+        a, b = self.lden, other.lden
+        # is_one, inline: a product with 1 keeps the other factor
+        if a is None and m == P_ONE:
             return other
-        if other.is_one():
+        if b is None and n == P_ONE:
             return self
-        return RatCoeff(p_mul(self.num, other.num), p_mul(self.den, other.den))
+        if a is None and b is None:
+            return _raw(p_mul(m, n), None)
+        return RatCoeff(p_mul(m, n), b if a is None else a if b is None else p_mul(a, b))
 
     def inverse(self) -> "RatCoeff":
-        if not self.num:
+        if not self.lnum:
             raise CoeffError("division by zero")
-        return RatCoeff(dict(self.den), dict(self.num))
+        return RatCoeff(self.lden or dict(P_ONE), self.lnum)
 
     def __truediv__(self, other: "RatCoeff") -> "RatCoeff":
-        if not other.num:
+        if not other.lnum:
             raise CoeffError("division by zero")
         return self * other.inverse()
 
@@ -504,23 +569,31 @@ class RatCoeff:
 
     # -- evaluation and profiling --------------------------------------------
 
+    def _eval_pair(self, q0: Fraction, t0: Fraction) -> tuple[int, int]:
+        """Integers (n, d) with self(q0, t0) = n/d; d = 0 where the classic
+        denominator vanishes, and mod p likewise for p dividing neither
+        denominator of q0 and t0."""
+        n, d = p_eval(self.lnum, q0, t0)
+        if self.lden is not None:
+            dn, dd = p_eval(self.lden, q0, t0)
+            n, d = n * dd, d * dn
+        return n, d
+
     def eval(self, q0: Fraction, t0: Fraction) -> Fraction:
-        dn, dd = p_eval(self.den, q0, t0)
-        if dn == 0:
+        n, d = self._eval_pair(q0, t0)
+        if d == 0:
             raise self._vanishing(q0, t0)
-        nn, nd = p_eval(self.num, q0, t0)
-        return Fraction(nn * dd, nd * dn)
+        return Fraction(n, d)
 
     def eval_mod(self, q0: Fraction, t0: Fraction, p: int) -> int:
         """The residue of self(q0, t0) mod the prime p, in [0, p), for q0 and
         t0 whose denominators p does not divide: the integers of p_eval and
         one modular inverse.  A denominator that vanishes mod p raises
         CoeffError, even where it has a value over Q."""
-        dn, dd = p_eval(self.den, q0, t0)
-        if dn % p == 0:
+        n, d = self._eval_pair(q0, t0)
+        if d % p == 0:
             raise self._vanishing(q0, t0, p)
-        nn, nd = p_eval(self.num, q0, t0)
-        return nn * dd * pow(nd * dn, -1, p) % p
+        return n * pow(d, -1, p) % p
 
     def _vanishing(self, q0: Fraction, t0: Fraction, p: int = 0) -> CoeffError:
         """The error for a denominator that vanishes at (q0, t0), over Q or,
@@ -544,9 +617,8 @@ class RatCoeff:
         return CoeffError(f"denominator factor {factor} vanishes at (q, t) = ({q0}, {t0}){where}")
 
     def denom_profile(self) -> "DenomProfile":
-        den = self.den
-        eq, et = _mono_content(den) if den else (0, 0)
-        rest = _mono_shift(den, -eq, -et)
+        eq, et = _laurent_shift(self.lnum)
+        rest = dict(self.lden or P_ONE)
         k = 0
         t2p1: Poly = {(0, 0): 1, (0, 2): 1}
         while True:
@@ -559,17 +631,18 @@ class RatCoeff:
         return DenomProfile(eq, et, k, RatCoeff(rest, dict(P_ONE)))
 
     def __str__(self) -> str:
-        if not self.num:
+        if not self.lnum:
             return "0"
-        ns = p_str(self.num)
-        if self.den == P_ONE:
+        num, den = self._classic()
+        ns = p_str(num)
+        if den == P_ONE:
             return ns
-        ds = p_str(self.den)
-        if len(self.num) > 1:
+        ds = p_str(den)
+        if len(num) > 1:
             ns = f"({ns})"
         # leave the denominator bare only for a single power of one variable
-        ((eq, et), dc) = next(iter(self.den.items()))
-        if len(self.den) > 1 or dc != 1 or (eq and et):
+        ((eq, et), dc) = next(iter(den.items()))
+        if len(den) > 1 or dc != 1 or (eq and et):
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
@@ -577,8 +650,19 @@ class RatCoeff:
         return f"RatCoeff({self})"
 
 
-RC_ZERO = RatCoeff({}, dict(P_ONE), _canonical=True)
-RC_ONE = RatCoeff(dict(P_ONE), dict(P_ONE), _canonical=True)
+_new = object.__new__
+
+
+def _raw(lnum: Poly, lden: Poly | None) -> RatCoeff:
+    """A RatCoeff from a pair already in stored form."""
+    out = _new(RatCoeff)
+    out.lnum = lnum
+    out.lden = lden
+    return out
+
+
+RC_ZERO = _raw({}, None)
+RC_ONE = _raw(dict(P_ONE), None)
 RC_Q = RatCoeff.monomial(1, 1, 0)
 RC_T = RatCoeff.monomial(1, 0, 1)
 

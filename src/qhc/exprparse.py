@@ -140,12 +140,8 @@ class ValueOps:
             a, n = self.invert_value(a, tok), -n
         out = self.unit()
         for _ in range(n):
-            out = self.power_step(out, a)
+            out = self.mul(out, a)
         return out
-
-    def power_step(self, acc, a):
-        """acc * a, one factor of a power."""
-        return self.mul(acc, a)
 
     def unit(self):
         return self.scalar(self.field.from_int(1))
@@ -181,12 +177,12 @@ class WordAlgebraOps(ValueOps):
                     )
         raise ParseError("negative powers need an invertible generator", tok.line, tok.col)
 
-    def power_step(self, acc, a):
-        # a free power of a sum grows 2^n words before its one reduction;
-        # normal forms are unique, so reducing after each factor changes no
-        # result, and acc, a normal form, acts on nf(a) with the suffix work
+    def mul(self, a, b):
+        # a free product of sums grows its words multiplicatively before its
+        # one reduction; normal forms are unique, so reducing after each
+        # factor changes no result, and a acts on nf(b) with the suffix work
         # its words share done once
-        return self.spec.mul_normal(acc, self.spec.nf(a))
+        return self.spec.mul_normal(a, self.spec.nf(b))
 
 
 class Parser:

@@ -672,16 +672,16 @@ def eval_rows(rows: Sequence[dict], q0: Fraction, t0: Fraction) -> list[dict]:
     raises CoeffError, even where it has a value over Q.
 
     Each distinct coefficient is evaluated once per call: residues are
-    memoised by the items of num and den, so equal coefficients that are
-    distinct objects share one evaluation.  Equal coefficients whose dicts
-    list their terms in another order miss the memo, which only costs a
-    second evaluation."""
+    memoised by the items of its stored form, lnum and lden, so equal
+    coefficients that are distinct objects share one evaluation.  Equal
+    coefficients whose dicts list their terms in another order miss the
+    memo, which only costs a second evaluation."""
     memo: dict[tuple, int] = {}
     out = []
     for row in rows:
         ev = {}
         for k, c in row.items():
-            key = (tuple(c.num.items()), tuple(c.den.items()))
+            key = (tuple(c.lnum.items()), c.lden and tuple(c.lden.items()))
             v = memo.get(key)
             if v is None:
                 v = memo[key] = c.eval_mod(q0, t0, P)

@@ -12,9 +12,11 @@ from qhc.exprparse import ParseError, Parser, WordAlgebraOps
 
 
 def test_parse_simple_word():
+    # products reduce per factor, so T*T parses to its normal form
     ctx = Context("daha")
     v = ctx.parse("T*T")
-    assert set(v.terms) == {ctx.spec.alphabet.word("T", "T")}
+    t = ctx.spec.gen("T")
+    assert v == ctx.spec.nf(t * t)
 
 
 def test_parse_two_term_poly():
@@ -54,6 +56,17 @@ def test_long_power_matches_factorwise_fold():
     v = Parser(WordAlgebraOps(spec)).parse("(Q1+P1)^16")
     assert v == acc
     assert str(v) == str(acc)
+
+
+def test_product_chain_matches_power():
+    # each explicit factor reduces as a power's does, so the chain prints the
+    # power's normal form byte for byte
+    ctx = Context("daha")
+    chain = ctx.parse("*".join(["(T+X1+Y1)"] * 6))
+    power = ctx.parse("(T+X1+Y1)^6")
+    assert ctx.spec.is_normal(chain)
+    assert chain == power
+    assert str(chain) == str(power)
 
 
 def test_parse_errors_carry_positions():
