@@ -22,6 +22,7 @@ import json
 import sys
 
 from . import daha, dqops, hciso, invham, qgroup, suites
+from .coeffring import CoeffError
 from .exprparse import ParseError, Parser, ValueOps, WordAlgebraOps
 from .ncpoly import NcPoly
 from .rewrite import EngineError, LocElem, check_ambiguities, hilbert_table, rank_of_family
@@ -309,7 +310,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, EngineError, KeyError) as exc:
+    except (ParseError, EngineError, CoeffError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,9 +26,9 @@ division routines expect nonnegative ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _igcd
+from typing import NamedTuple
 
 Mono = tuple[int, int]
 Poly = dict[Mono, int]
@@ -667,8 +667,7 @@ RC_Q = RatCoeff.monomial(1, 1, 0)
 RC_T = RatCoeff.monomial(1, 0, 1)
 
 
-@dataclass(frozen=True)
-class DenomProfile:
+class DenomProfile(NamedTuple):
     """Factorisation of a canonical denominator as q^a t^b (t^2+1)^c * residual."""
 
     q_power: int

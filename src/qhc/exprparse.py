@@ -15,8 +15,7 @@ parentheses and unary minus signs.  Errors carry line and column positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .ncpoly import NcPoly
 
@@ -37,8 +36,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int

@@ -21,7 +21,7 @@ from .coeffring import RAT
 from .daha import sdaha_spec
 from .invham import ham_spec
 from .ncpoly import NcPoly
-from .rewrite import EngineError
+from .rewrite import EngineError, WordBudget
 
 
 _DICT = {
@@ -80,13 +80,15 @@ def hc_relation_residuals() -> list[tuple[str, NcPoly]]:
 
 def hc_basis_bijection(max_bidegree: tuple[int, int]) -> list[dict]:
     """Per bidegree up to max: the map sends PBW words to q-power multiples
-    of PBW words, bijectively.  Returns one record per bidegree."""
+    of PBW words, bijectively.  Returns one record per bidegree; the words
+    of both sides share one WordBudget."""
     H, A = ham_spec(), sdaha_spec()
     out = []
+    budget = WordBudget()
     for m in range(max_bidegree[0] + 1):
         for n in range(max_bidegree[1] + 1):
-            ham_words = list(H.pbw.enumerate(m, n))
-            sph_words = set(A.pbw.enumerate(m, n))
+            ham_words = list(budget.words(H, m, n))
+            sph_words = set(budget.words(A, m, n))
             seen = {}
             ok = len(ham_words) == len(sph_words)
             for w in ham_words:

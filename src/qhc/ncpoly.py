@@ -12,8 +12,7 @@ of summed bidegree, which the grading helpers below rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .coeffring import RAT
 
@@ -28,8 +27,7 @@ class AlgebraMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GenSym:
+class GenSym(NamedTuple):
     """A named generator with a bidegree and an optional formal inverse."""
 
     algebra: str

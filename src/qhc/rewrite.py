@@ -22,7 +22,6 @@ construction), and every normal-form computation carries a step budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -154,31 +153,55 @@ class PowerBlocksPbw:
     def enumerate(self, M: int, N: int):
         """Normal words of bidegree (M, N) in the nonnegative cone.
 
-        Each block's exponent runs from its largest feasible value down to 0,
-        so one-letter blocks of positive degree give the words in
-        lexicographic order of their letter indexes (for oq, the order of
+        Each block's exponent runs from its largest feasible value down to
+        the least the later blocks can still complete, so one-letter blocks
+        of positive degree give the words in lexicographic order of their
+        letter indexes (for oq, the order of
         itertools.combinations_with_replacement).  dq's invariant_dimension
         takes its column order from this; the reverse order made its
         elimination three to four times slower.
         """
         alph = self.alphabet
-        degs = [alph.gens[p].bidegree for p, _, _ in self.blocks]
+        blocks = [(p, cap, alph.gens[p].bidegree) for p, _, cap in self.blocks]
+        signed = any(a < 0 or b < 0 for _, _, (a, b) in blocks)
 
-        def rec(k: int, m: int, n: int, acc: Word):
-            if k == len(self.blocks):
-                if m == 0 and n == 0:
-                    yield acc
-                return
-            p, _, cap = self.blocks[k]
-            a, b = degs[k]
+        def most(cap, a, b, m, n):
+            """Largest exponent a block of degree (a, b) can take within (m, n)."""
             bounds = [] if cap is None else [cap]
             if a > 0:
                 bounds.append(m // a)
             if b > 0:
                 bounds.append(n // b)
-            if not bounds:
+            return min(bounds) if bounds else None
+
+        def rec(k: int, m: int, n: int, acc: Word):
+            if k == len(blocks):
+                if m == 0 and n == 0:
+                    yield acc
+                return
+            p, cap, (a, b) = blocks[k]
+            top = most(cap, a, b, m, n)
+            if top is None:
                 raise EngineError(f"block {alph.gens[p].name} has an unbounded exponent and is not enumerable")
-            for e in range(min(bounds), -1, -1):
+            lo = 0
+            if not signed:
+                # skip exponents that leave more degree than the later
+                # blocks can take up: those branches end without a word
+                room_m = room_n = 0
+                for _, c, (x, y) in blocks[k + 1:]:
+                    most_j = most(c, x, y, m, n)
+                    if most_j is None:
+                        break
+                    room_m += most_j * x
+                    room_n += most_j * y
+                else:
+                    if (not a and m > room_m) or (not b and n > room_n):
+                        return
+                    if a:
+                        lo = max(lo, -((room_m - m) // a))
+                    if b:
+                        lo = max(lo, -((room_n - n) // b))
+            for e in range(top, lo - 1, -1):
                 yield from rec(k + 1, m - e * a, n - e * b, acc + (p,) * e)
 
         yield from rec(0, M, N, EMPTY_WORD)
@@ -217,8 +240,7 @@ class RewriteRule:
         return f"<rule {self.tag}>"
 
 
-@dataclass(frozen=True)
-class QCentralGen:
+class QCentralGen(NamedTuple):
     """An invertible generator g with g*h = q^<kappa, bideg h> h*g."""
 
     name: str
@@ -535,8 +557,7 @@ def normal_form(spec: AlgebraSpec, p: NcPoly, direction: str = "leftmost") -> Nc
     return spec.nf(p, direction)
 
 
-@dataclass
-class AmbiguityReport:
+class AmbiguityReport(NamedTuple):
     monomial: Word
     left_tag: str
     right_tag: str
@@ -615,8 +636,7 @@ def straighten_trace(spec: AlgebraSpec, w: Word, first: str = "leftmost") -> NcP
     return NcPoly(spec.alphabet, terms, spec.field, _clean=True)
 
 
-@dataclass
-class HilbertTable:
+class HilbertTable(NamedTuple):
     algebra: str
     max_bidegree: tuple[int, int]
     dims: dict[tuple[int, int], int]
@@ -632,13 +652,43 @@ class HilbertTable:
         }
 
 
+#: most normal words one Hilbert table or basis bijection may enumerate;
+#: each bidegree also counts as one word, so a grid of empty ones is bounded
+WORD_BUDGET = 100_000
+
+
+class WordBudget:
+    """Shared count of the words enumerated for one table; past WORD_BUDGET
+    it raises EngineError naming the algebra and the bidegree reached."""
+
+    def __init__(self):
+        self.spent = 0
+
+    def words(self, spec: AlgebraSpec, m: int, n: int):
+        """spec's normal words of bidegree (m, n), charged one by one after
+        one charge for the bidegree itself."""
+        self.charge(spec, m, n)
+        for w in spec.pbw.enumerate(m, n):
+            self.charge(spec, m, n)
+            yield w
+
+    def charge(self, spec: AlgebraSpec, m: int, n: int) -> None:
+        self.spent += 1
+        if self.spent > WORD_BUDGET:
+            raise EngineError(
+                f"{spec.algebra_id}: more than {WORD_BUDGET} words enumerated "
+                f"by bidegree ({m}, {n}); lower --max"
+            )
+
+
 def hilbert_table(spec: AlgebraSpec, max_bidegree: tuple[int, int]) -> HilbertTable:
     M, N = max_bidegree
     dims = {}
+    budget = WordBudget()
     for m in range(M + 1):
         for n in range(N + 1):
             cnt = 0
-            for w in spec.pbw.enumerate(m, n):
+            for w in budget.words(spec, m, n):
                 if not spec.pbw.accepts(w):
                     raise EngineError("enumerator produced a non normal-form word")
                 cnt += 1
@@ -691,8 +741,7 @@ def eval_rows(rows: Sequence[dict], q0: Fraction, t0: Fraction) -> list[dict]:
     return out
 
 
-@dataclass
-class RankResult:
+class RankResult(NamedTuple):
     rank: int
     agreeing: int
     per_point: tuple[int, ...]

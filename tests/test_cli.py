@@ -1,11 +1,15 @@
 """Expression front-end and command dispatcher."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qhc import exprparse
+from qhc import exprparse, rewrite
 from qhc.cli import Context, main
 from qhc.daha import sdaha_spec
 from qhc.exprparse import ParseError, Parser, WordAlgebraOps
@@ -221,6 +225,48 @@ def test_cli_rejects_negative_max(capsys, argv):
     assert rc == 2
     assert cap.out == ""
     assert "--max must be nonnegative" in cap.err
+
+
+def test_cli_rank_vanishing_denominator_exits_2(capsys):
+    # 1/(q-2) has no value at the default point (2, 3); the CoeffError once
+    # escaped main as a traceback with exit status 1
+    rc = main(["rank", "--algebra", "daha", "1/(q-2)", "T"])
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.out == ""
+    assert cap.err.startswith("error: denominator factor q - 2 vanishes at (q, t) = (2, 3)")
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["hilbert", "--algebra", "inv", "--max", "4", "4"], "inv: more than 50 words enumerated by bidegree (2, 3)"),
+    # empty bidegrees are charged too: oq has one word of degree (0, *)
+    (["hilbert", "--algebra", "oq", "--max", "0", "100"], "oq: more than 50 words enumerated by bidegree (0, 49)"),
+    (["hc-check", "--max", "4", "4"], "ham: more than 50 words enumerated by bidegree (1, 3)"),
+], ids=["hilbert", "hilbert-empty", "hc-check"])
+def test_cli_word_budget_exits_2(capsys, monkeypatch, argv, where):
+    # dq --max 16 16 and hc-check --max 60 60 were once bounded by --max alone
+    monkeypatch.setattr(rewrite, "WORD_BUDGET", 50)
+    rc = main(argv)
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.out == ""
+    assert f"{where}; lower --max" in cap.err
+
+
+def test_cli_import_skips_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize: more than a third of
+    # what importing qhc.cli costs every cold request; a bare interpreter is
+    # the baseline, so modules that .pth files load do not count
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def modules(code):
+        res = subprocess.run([sys.executable, "-c", f"{code}; import sys; print(*sys.modules)"],
+                             capture_output=True, text=True, env=env, timeout=60, check=True)
+        return set(res.stdout.split())
+
+    extra = modules("import qhc.cli") - modules("pass")
+    assert "qhc.cli" in extra
+    assert not extra & {"dataclasses", "inspect"}
 
 
 def test_cli_dq_localized(capsys):
