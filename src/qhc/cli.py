@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import daha, dqops, hciso, invham, qgroup, suites
@@ -305,8 +306,46 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: options whose value may start with "-", as in --q -1/2
+VALUE_OPTIONS = ("--q", "--t", "--output")
+#: argparse's test for a negative number, which it reads as a value
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _glue_values(argv: list[str]) -> list[str]:
+    """argv with a value after --q, --t or --output that starts with "-"
+    glued on as --q=-1/2, which argparse would otherwise read as an option.
+
+    Raises ValueError on any other word before "--" that argparse would
+    read as an option but no option of qhc's can be: every option but -h
+    is long, so a word such as -T+X1 is an expression."""
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        a = argv[i]
+        if a == "--":
+            return out + argv[i:]
+        nxt = argv[i + 1] if i + 1 < len(argv) else ""
+        if a in VALUE_OPTIONS and nxt.startswith("-") and not nxt.startswith("--"):
+            out.append(f"{a}={nxt}")
+            i += 2
+            continue
+        if (a.startswith("-") and not a.startswith(("--", "-h")) and len(a) > 1
+                and " " not in a and not _NEGATIVE_NUMBER.match(a)):
+            raise ValueError(f"{a!r} starts with '-' and reads as an option; "
+                             f"put -- before the expressions")
+        out.append(a)
+        i += 1
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
+    try:
+        argv = _glue_values(sys.argv[1:] if argv is None else list(argv))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     args = ap.parse_args(argv)
     try:
         return args.fn(args)

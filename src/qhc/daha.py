@@ -131,36 +131,22 @@ class _DahaBuilder:
         # inverse-letter versions obtained by inverting those words
         self.assert_zero(s0, self.word("T", "X1", "T", "Ti", "X1i", "Ti") - one, "X2*X2i seed")
         self.assert_zero(s0, self.word("T", "Ti", "Y1", "Ti", "T") - self.gen("Y1"), "Y1 seed")
-        temps = [
-            self.rule(("T", "X1", "T"), self.gen("X2"), "seed:TX1T"),
-            self.rule(("T", "Y2", "T"), self.gen("Y1"), "seed:TY2T"),
-            self.rule(("T", "X2i", "T"), self.gen("X1i"), "seed:TX2iT"),
-            self.rule(("T", "Y1i", "T"), self.gen("Y2i"), "seed:TY1iT"),
-        ]
-        s1 = self.partial(base + temps)
 
-        # rules z*T for all signed z, derived by conjugation
-        zt_plan = [
-            ("X1", Ti * self.gen("X2"), "left"),
-            ("X2", self.word("T", "X1", "T", "T"), "right"),
-            ("Y1", self.word("T", "Y2", "T", "T"), "right"),
-            ("Y2", Ti * self.gen("Y1"), "left"),
-            ("X1i", self.word("T", "X2i", "T", "T"), "right"),
-            ("X2i", Ti * self.gen("X1i"), "left"),
-            ("Y1i", Ti * self.gen("Y2i"), "left"),
-            ("Y2i", self.word("T", "Y1i", "T", "T"), "right"),
-        ]
-        zt_rules = []
-        for z, seed, side in zt_plan:
-            rhs = s1.nf(seed, "rightmost" if side == "right" else "leftmost")
-            r = self.rule((z, "T"), rhs, f"{z}*T")
-            check = self.partial(base + temps + zt_rules)
-            lhs_p = self.word(z, "T")
-            resid = lhs_p - rhs
-            cleared = (T * resid) if side == "left" else (resid * T)
-            self.assert_zero(check, cleared, f"{z}*T")
-            zt_rules.append(r)
-        trusted = base + zt_rules
+        # rules z*T for all signed z, derived by conjugation: each seed
+        # zc = T z T gives z*T = Ti zc, and then zc*T = T z T T, reduced
+        # with T^2 first
+        seeds = (("X1", "X2"), ("Y2", "Y1"), ("X2i", "X1i"), ("Y1i", "Y2i"))
+        zt = {}
+        for z, zc in seeds:
+            rhs = s0.nf(Ti * self.gen(zc))
+            self.assert_zero(s0, T * rhs - self.gen(zc), f"{z}*T")
+            zt[z] = self.rule((z, "T"), rhs, f"{z}*T")
+        s1 = self.partial(base + list(zt.values()))
+        for z, zc in seeds:
+            rhs = s1.nf(self.word("T", z, "T", "T"), "rightmost")
+            self.assert_zero(s1, (self.word(zc, "T") - rhs) * T, f"{zc}*T")
+            zt[zc] = self.rule((zc, "T"), rhs, f"{zc}*T")
+        trusted = base + [zt[z] for z in ("X1", "X2", "Y1", "Y2", "X1i", "X2i", "Y1i", "Y2i")]
 
         # lattice sorting rules, positive pair from the commutation relations,
         # signed pairs validated by clearing the inverse letter

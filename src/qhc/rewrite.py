@@ -1,10 +1,16 @@
 """Generic noncommutative rewriting engine.
 
 An algebra is presented by oriented straightening rules lhs -> rhs where lhs
-is a word and rhs a polynomial.  Exhaustive application of the rules computes
-normal forms; overlap and inclusion ambiguities between rule left-hand sides
-are enumerated and checked for resolution (the diamond condition), which by
-Bergman's lemma certifies that the normal-form words are a linear basis.
+is a word of one or two letters and rhs a polynomial.  Exhaustive application
+of the rules computes normal forms; overlap and inclusion ambiguities between
+rule left-hand sides are enumerated and checked for resolution (the diamond
+condition), which by Bergman's lemma certifies that the normal-form words are
+a linear basis.
+
+Because every lhs has at most two letters, the rule that applies at a
+position is one lookup in a letter-pair table.  After a rewrite only the
+seam around it can hold a new redex, so the search in each word it makes
+resumes there instead of rescanning the untouched letters.
 
 Two layers of rules are kept:
 
@@ -278,13 +284,26 @@ class AlgebraSpec:
             self.aux_rules = generate_aux_rules(self)
         else:
             self.aux_rules = list(aux_rules)
-        self._index: dict[int, dict[Word, RewriteRule]] = {}
+        # _rule_at[x][y]: the rule the search applies at a position reading x
+        # then y, column G standing for the end of the word (see _end).  A
+        # one-letter rule sits in column G and, being tried first at its
+        # position, fills its letter's row.
+        G = len(alphabet)
+        rows: list[list[Optional[RewriteRule]]] = [[None] * (G + 1) for _ in range(G)]
         for r in self.rules + self.aux_rules:
-            self._index.setdefault(len(r.lhs), {})
-            if r.lhs in self._index[len(r.lhs)]:
+            if len(r.lhs) > 2:
+                raise SpecError(
+                    f"rule {r.tag}: left-hand side {alphabet.word_str(r.lhs)} has "
+                    f"{len(r.lhs)} letters; rules take one or two"
+                )
+            row, col = rows[r.lhs[0]], r.lhs[1] if len(r.lhs) == 2 else G
+            if row[col] is not None:
                 raise SpecError(f"duplicate rule lhs {alphabet.word_str(r.lhs)}")
-            self._index[len(r.lhs)][r.lhs] = r
-        self._lengths = sorted(self._index)
+            row[col] = r
+        self._rule_at = tuple(
+            (row[G],) * (G + 1) if row[G] is not None else tuple(row) for row in rows
+        )
+        self._end = (G,)
         self._nf_cache: dict[str, dict[Word, NcPoly]] = {"leftmost": {}, "rightmost": {}}
         # standalone powers of one generator (R^2 and the like) are kept
         # symbolic by straighten_trace, matching by-hand diamond bookkeeping
@@ -313,15 +332,17 @@ class AlgebraSpec:
     # -- reduction -------------------------------------------------------------
 
     def _find_redex(self, w: Word, direction: str):
-        idx = self._index
+        """(position, lhs length, rule) of the redex reduction in this
+        direction rewrites first in w, or None if w is irreducible.
+
+        Leftmost takes the lowest position, rightmost the highest, and at a
+        position a one-letter lhs comes before a two-letter one."""
+        table, v = self._rule_at, w + self._end
         n = len(w)
-        positions = range(n) if direction == "leftmost" else range(n - 1, -1, -1)
-        for i in positions:
-            for L in self._lengths:
-                if i + L <= n:
-                    r = idx[L].get(w[i : i + L])
-                    if r is not None:
-                        return i, L, r
+        for i in range(n) if direction == "leftmost" else range(n - 1, -1, -1):
+            rule = table[v[i]][v[i + 1]]
+            if rule is not None:
+                return i, len(rule.lhs), rule
         return None
 
     def _reduce_terms(
@@ -331,10 +352,23 @@ class AlgebraSpec:
         frozen_lhs: bool = False,
         check_pbw: Optional[bool] = None,
     ) -> dict[Word, object]:
+        """Reduce the sum of c * w over terms to normal form, rewriting in
+        each word the redex _find_redex(w, direction) names.
+
+        A rewrite at position i leaves the letters away from it as they
+        were, and the search that found it had passed them: leftmost, no
+        redex of a word it makes starts before position i - 1; rightmost,
+        none starts in its last len(post) letters.  clean[w] holds that
+        count for a pending word, and the search in w starts past them.  The
+        count is a fact about the word alone, so a word made twice keeps the
+        count stored first."""
         if check_pbw is None:
             check_pbw = self.validate_pbw
         cache = None if frozen_lhs else self._nf_cache[direction]
+        leftmost = direction == "leftmost"
+        table, end = self._rule_at, self._end
         work = dict(terms)
+        clean: dict[Word, int] = {}
         out: dict[Word, object] = {}
         steps = 0
         budget = self.step_budget
@@ -362,8 +396,12 @@ class AlgebraSpec:
                 else:
                     out.pop(w, None)
                 continue
-            hit = self._find_redex(w, direction)
-            if hit is None:
+            n, v, k = len(w), w + end, clean.pop(w, 0)
+            for i in range(k, n) if leftmost else range(n - 1 - k, -1, -1):
+                rule = table[v[i]][v[i + 1]]
+                if rule is not None:
+                    break
+            else:
                 if check_pbw and not self.pbw.accepts(w):
                     raise EngineError(
                         f"{self.algebra_id}: irreducible word {self.alphabet.word_str(w)} "
@@ -376,14 +414,14 @@ class AlgebraSpec:
                 else:
                     out.pop(w, None)
                 continue
-            i, L, rule = hit
             steps += 1
             if steps > budget:
                 raise NonTermination(
                     f"{self.algebra_id}: step budget of {budget} exceeded while reducing "
                     + ", ".join(self.alphabet.word_str(t) for t in terms)
                 )
-            pre, post = w[:i], w[i + L :]
+            pre, post = w[:i], w[i + len(rule.lhs) :]
+            k = (i - 1 if i else 0) if leftmost else len(post)
             for rw, rc in rule.rhs.terms.items():
                 nw = pre + rw + post
                 nc = c * rc
@@ -391,6 +429,8 @@ class AlgebraSpec:
                 s = nc if s is None else s + nc
                 if s:
                     work[nw] = s
+                    if k:
+                        clean.setdefault(nw, k)
                 else:
                     work.pop(nw, None)
         return out
@@ -809,6 +849,13 @@ def divide(spec: AlgebraSpec, factor: NcPoly, p: NcPoly, right: bool = False,
     of dq and oq; where that fails it gives up with None.  Quotient words
     stay in the nonnegative cone, which lex order well-orders, so the loop
     ends.
+
+    No closing product certifies the quotient, because none is needed.  Each
+    step cancels the remainder's leading word w and leaves only smaller ones,
+    as lead(nf(factor * u)) = w, so every quotient word is new.  The loop
+    returns only once the remainder is exactly 0, so p is the sum of
+    c_u * nf(factor * u) over the quotient's terms c_u * u, which is
+    nf(factor * x) as the product is linear in x (on the right likewise).
     """
     pbw = spec.pbw
     if order is None:
@@ -821,9 +868,6 @@ def divide(spec: AlgebraSpec, factor: NcPoly, p: NcPoly, right: bool = False,
     def lead(poly: NcPoly) -> Word:
         return max(poly.terms, key=key)
 
-    def times(x: NcPoly) -> NcPoly:
-        return spec.mul_normal(x, factor) if right else spec.mul_normal(factor, x)
-
     flead = pbw.exponents(lead(factor))
     rem, quo = p, {}
     while rem:
@@ -832,13 +876,13 @@ def divide(spec: AlgebraSpec, factor: NcPoly, p: NcPoly, right: bool = False,
         u = pbw.word(d) if min(d) >= 0 else None
         if u is None:
             return None
-        img = times(NcPoly.from_word(spec.alphabet, u, field=spec.field))
+        up = NcPoly.from_word(spec.alphabet, u, field=spec.field)
+        img = spec.mul_normal(up, factor) if right else spec.mul_normal(factor, up)
         if not img or lead(img) != w:
             return None
         quo[u] = rem.terms[w] / img.terms[w]
         rem = rem - img.scale(quo[u])
-    x = NcPoly(spec.alphabet, quo, spec.field, _clean=True)
-    return x if times(x) == p else None
+    return NcPoly(spec.alphabet, quo, spec.field, _clean=True)
 
 
 def q_central_residual(spec: AlgebraSpec, name: str, h: NcPoly) -> NcPoly:

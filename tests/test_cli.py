@@ -51,7 +51,7 @@ def test_parse_power_is_reduced():
 
 
 def test_long_power_matches_factorwise_fold():
-    # the fold power_step replaced: nf(acc * a) after each factor
+    # reference: the fold nf(acc * x) over the sixteen factors
     spec = sdaha_spec()
     x = spec.gen("Q1") + spec.gen("P1")
     acc = spec.unit()
@@ -267,6 +267,42 @@ def test_cli_import_skips_dataclasses():
     extra = modules("import qhc.cli") - modules("pass")
     assert "qhc.cli" in extra
     assert not extra & {"dataclasses", "inspect"}
+
+
+def test_cli_negative_point_values(capsys):
+    # argparse once read a separate -1/2 as an option and exited 2 with
+    # "argument --q: expected one argument"
+    outs = []
+    for argv in (["--q", "-1/2", "--t", "-3"], ["--q=-1/2", "--t=-3"]):
+        rc = main(["normalize", "--algebra", "daha", *argv, "q*t*T"])
+        outs.append(capsys.readouterr().out)
+        assert rc == 0
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["normal_form"] == "(3/2)*T"
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--algebra", "daha", "-T+X1"],
+    ["mul", "--algebra", "daha", "T", "-X1"],
+], ids=["normalize", "mul"])
+def test_cli_leading_minus_expression_says_to_use_dashes(capsys, argv):
+    # argparse once reported "the following arguments are required: expr"
+    rc = main(argv)
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.out == ""
+    assert cap.err.startswith("error: ") and "put -- before the expressions" in cap.err
+    rc = main([*argv[:3], "--", *argv[3:]])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["normal_form"].startswith("-")
+
+
+@pytest.mark.parametrize("expr", ["-3", "-T + X1"])
+def test_cli_leading_minus_that_argparse_reads_as_a_value(capsys, expr):
+    # a negative number, or a word with a space, never read as an option
+    rc = main(["normalize", "--algebra", "daha", expr])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["input"] == expr
 
 
 def test_cli_dq_localized(capsys):

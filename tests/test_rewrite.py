@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from qhc.coeffring import RAT, RatCoeff
 from qhc.daha import daha_spec, sdaha_spec
 from qhc.dqops import det_a_body, det_d_body, dq_spec, moment_zt
-from qhc.invham import ZT_LEAD_ORDER, ham_spec
+from qhc.invham import ZT_LEAD_ORDER, ham_spec, inv_spec
 from qhc.ncpoly import Alphabet, NcPoly
-from qhc.qgroup import oq_spec, qdet_oq
+from qhc.qgroup import oq_spec, qdet_oq, uq_spec
 from qhc.rewrite import (
     AlgebraSpec,
     EngineError,
@@ -221,6 +221,71 @@ def test_mul_normal_matches_nf_of_free_product(name, data):
     assert spec.mul_normal(a, spec.zero()) == spec.zero()
 
 
+# redex search and reduction against a naive reference, on all seven
+# presentations
+
+ALL_SPECS = dict(PRODUCT_SPECS, uq=uq_spec, inv=inv_spec)
+
+
+def naive_redex(spec, w, direction):
+    """Every position in the direction's order, every rule's lhs sliced
+    against the word there, a shorter lhs first."""
+    rules = sorted(spec.rules + spec.aux_rules, key=lambda r: len(r.lhs))
+    for i in range(len(w)) if direction == "leftmost" else range(len(w) - 1, -1, -1):
+        for r in rules:
+            if w[i:i + len(r.lhs)] == r.lhs:
+                return i, len(r.lhs), r
+    return None
+
+
+def naive_nf(spec, w, direction):
+    """Reduce w by rewriting naive_redex until no word has one."""
+    work, out = {w: spec.field.one}, {}
+    while work:
+        v, c = work.popitem()
+        hit = naive_redex(spec, v, direction)
+        if hit is None:
+            out[v] = out[v] + c if v in out else c
+            continue
+        i, n, rule = hit
+        for rw, rc in rule.rhs.terms.items():
+            u = v[:i] + rw + v[i + n:]
+            work[u] = work[u] + c * rc if u in work else c * rc
+    return NcPoly(spec.alphabet, out, spec.field)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_SPECS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_redex_table_and_resumed_reduction_match_naive(name, data):
+    spec = ALL_SPECS[name]()
+    letters = st.integers(0, len(spec.alphabet) - 1)
+    w = tuple(data.draw(st.lists(letters, max_size=10)))
+    for d in ("leftmost", "rightmost"):
+        assert spec._find_redex(w, d) == naive_redex(spec, w, d)
+    # a fresh spec has empty normal-form caches, so every intermediate word
+    # goes through the resumed search
+    fresh = AlgebraSpec(spec.alphabet, spec.rules, spec.order, spec.pbw, spec.q_central,
+                        field=spec.field, aux_rules=spec.aux_rules)
+    v = w[:5]
+    left = fresh.nf_word(v, "leftmost")
+    assert left == fresh.nf_word(v, "rightmost") == naive_nf(spec, v, "leftmost")
+
+
+def test_three_letter_lhs_is_refused():
+    alph = Alphabet("cubic", [("x", (1, 0), None), ("y", (0, 1), None)])
+    order = WordOrder(ranks=[0, 1])
+    pbw = PowerBlocksPbw(alph, [("x", None, None), ("y", None, None)])
+
+    def rule(lhs, rhs):
+        return RewriteRule(alph.word(*lhs), NcPoly(alph, {alph.word(*rhs): RAT.one}), "*".join(lhs), order)
+
+    pair = rule(("y", "x"), ("x", "y"))
+    AlgebraSpec(alph, [pair], order, pbw)
+    with pytest.raises(SpecError, match=r"^rule y\*y\*x: left-hand side y\^2\*x has 3 letters"):
+        AlgebraSpec(alph, [pair, rule(("y", "y", "x"), ("x", "y", "y"))], order, pbw)
+
+
 # -- divide on the q-determinants and on mu(Z_t) ------------------------------
 
 def _divisions():
@@ -265,6 +330,25 @@ def test_divide_round_trips_on_pbw_words(spec, den, words, right, order):
     if order is not None:
         # the order is needed: under plain lex the law breaks on some word
         assert not all(plain_lex_holds)
+
+
+def test_divide_one_word_quotient_makes_one_product(monkeypatch):
+    # the loop's one product certifies the quotient; a closing product of
+    # the whole quotient once doubled the cost
+    D = dq_spec()
+    w = next(D.pbw.enumerate(1, 1))
+    x = NcPoly.from_word(D.alphabet, w)
+    img = D.mul_normal(det_a_body(), x)
+    calls = []
+    mul_normal = AlgebraSpec.mul_normal
+
+    def counting(self, a, b):
+        calls.append(a)
+        return mul_normal(self, a, b)
+
+    monkeypatch.setattr(AlgebraSpec, "mul_normal", counting)
+    assert divide(D, det_a_body(), img) == x
+    assert len(calls) == 1
 
 
 def test_divide_left_refuses_a_non_multiple():
