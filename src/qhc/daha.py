@@ -437,15 +437,8 @@ def phi_relation_residuals() -> list[tuple[str, NcPoly]]:
 
 def hplus_words(M: int, N: int) -> list[NcPoly]:
     """PBW basis of the nonnegative cone of the DAHA in bidegree (M, N)."""
-    spec = daha_spec()
-    out = []
-    for eps in (0, 1):
-        for a in range(M + 1):
-            for b in range(N + 1):
-                names = (["T"] * eps + ["Y1"] * a + ["Y2"] * (M - a)
-                         + ["X1"] * b + ["X2"] * (N - b))
-                out.append(spec.word_poly(*names))
-    return out
+    H = daha_spec()
+    return [NcPoly.from_word(H.alphabet, w) for w in H.pbw.enumerate(M, N)]
 
 
 def spherical_dimension(M: int, N: int) -> int:

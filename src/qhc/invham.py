@@ -298,24 +298,15 @@ def invariant_dimension(M: int, N: int) -> int:
 # the reduction map and congruence modulo the moment ideal
 # ---------------------------------------------------------------------------
 
-# dq's PBW blocks a11, a12, a21, a22, p12, p11, p21, p22: the order in which
-# find_ideal_multiplier picks leading words.  Right division by mu(Z_t) needs
-# lead(nf(u * Z)) = u + lead(Z); under plain lex on the blocks (p11 before
-# p12) that fails on 15 of the 225 dq words up to (2,2), under this order it
-# holds on all 1,225 up to (3,3).
-ZT_LEAD_ORDER = (0, 1, 2, 3, 5, 4, 6, 7)
-
-
 def find_ideal_multiplier(x: LocElem):
     """Find s with x = s * mu(Z_t); returns the multiplier or None.
 
     s = den^-sigma * body, first with sigma = max(x.exps - z.exps, (0, 0)),
     then with one more detq(A) detq(D) pair.  x written over
-    den^-(sigma + z.exps) is divided on the right by the body of z, picking
-    leading words under ZT_LEAD_ORDER, and the q-power that z's denominators
-    pick up moving past the quotient is taken off.  The division gives up
-    where leading words fail to multiply, which can only lose a multiplier;
-    what is returned is certified by the exact check x == s * z alone.
+    den^-(sigma + z.exps) is divided exactly on the right by the body of z
+    (None if it is no multiple), and the q-power that z's denominators pick
+    up moving past the quotient is taken off.  What is returned is certified
+    by the exact check x == s * z, which checks the denominator bookkeeping.
     """
     if not x:
         return dq_elem(dq_spec().zero())
@@ -323,7 +314,7 @@ def find_ideal_multiplier(x: LocElem):
     for k in (0, 1):
         sigma = [max(a - b, k) for a, b in zip(x.exps, z.exps)]
         target = x._at_loc([a + b for a, b in zip(sigma, z.exps)])
-        quo = divide(dq_spec(), z.body, target, right=True, order=ZT_LEAD_ORDER)
+        quo = divide(dq_spec(), z.body, target, right=True)
         if quo is None:
             continue
         # quo = s._moved(z.exps), the body of s * z before it acts on z's body

@@ -298,7 +298,8 @@ def _re_rules(alph: Alphabet, n11, n12, n21, n22, order) -> list[RewriteRule]:
 @cache
 def oq_spec() -> AlgebraSpec:
     alph = Alphabet("oq", _OQ_GENS)
-    pbw = PowerBlocksPbw(alph, [(g.name, None, None) for g in alph.gens])
+    # divide's leading-word weights on l11, l12, l21, l22, as for dq_spec
+    pbw = PowerBlocksPbw(alph, [(g.name, None, None) for g in alph.gens], weights=(1, 1, 2, 1))
     order = WordOrder(ranks=pbw.ranks)
     rules = _re_rules(alph, "l11", "l12", "l21", "l22", order)
     return AlgebraSpec(alph, rules, order, pbw)

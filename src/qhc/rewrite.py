@@ -85,9 +85,6 @@ class WordOrder:
         tb = sum(self.tiebreak.get(x, 0) for x in w) if self.tiebreak else 0
         return (inv, hv, n, tb, w)
 
-    def less(self, u: Word, v: Word) -> bool:
-        return self.key(u) < self.key(v)
-
 
 # ---------------------------------------------------------------------------
 # PBW descriptors
@@ -103,10 +100,17 @@ class PowerBlocksPbw:
 
     ``ranks`` gives each letter the index of its block, or of its alphabet
     inverse's block (daha's Ti); the algebra's WordOrder is built from it.
+
+    ``weights`` gives each block a nonnegative weight (default 0) for
+    ``lead_key``, the order in which ``divide`` takes leading words.
     """
 
-    def __init__(self, alphabet: Alphabet, blocks: Sequence[tuple[str, Optional[str], Optional[int]]]):
+    def __init__(self, alphabet: Alphabet, blocks: Sequence[tuple[str, Optional[str], Optional[int]]],
+                 weights: Optional[Sequence[int]] = None):
         self.alphabet = alphabet
+        self.weights = (0,) * len(blocks) if weights is None else tuple(weights)
+        if len(self.weights) != len(blocks) or min(self.weights, default=0) < 0:
+            raise SpecError(f"{alphabet.algebra_id}: PBW weights must be nonnegative, one per block")
         self.blocks = []
         self.block_of: dict[int, int] = {}
         for k, (pos, inv, cap) in enumerate(blocks):
@@ -146,6 +150,13 @@ class PowerBlocksPbw:
         """The signed exponent of each block in the normal word w."""
         return tuple(w.count(p) - (0 if i is None else w.count(i)) for p, i, _ in self.blocks)
 
+    def lead_key(self, w: Word) -> tuple[int, tuple[int, ...]]:
+        """The leading-word order on normal words: the weighted degree
+        weights . e of the block exponents e, then lex on e.  Zero weights
+        leave lex on the blocks."""
+        e = self.exponents(w)
+        return sum(a * b for a, b in zip(self.weights, e)), e
+
     def word(self, exps: Sequence[int]) -> Optional[Word]:
         """The normal word with these block exponents, or None when a block
         with no inverse letter gets a negative exponent or one exceeds its cap."""
@@ -164,8 +175,9 @@ class PowerBlocksPbw:
         of positive degree give the words in lexicographic order of their
         letter indexes (for oq, the order of
         itertools.combinations_with_replacement).  dq's invariant_dimension
-        takes its column order from this; the reverse order made its
-        elimination three to four times slower.
+        takes its column order from this, but frac_rank renumbers the columns
+        itself, so neither the rank nor the time of the elimination depends
+        on it.
         """
         alph = self.alphabet
         blocks = [(p, cap, alph.gens[p].bidegree) for p, _, cap in self.blocks]
@@ -836,19 +848,19 @@ def agreed_rank(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> int:
     return res.rank
 
 
-def divide(spec: AlgebraSpec, factor: NcPoly, p: NcPoly, right: bool = False,
-           order: Optional[Sequence[int]] = None):
+def divide(spec: AlgebraSpec, factor: NcPoly, p: NcPoly, right: bool = False):
     """Exact division: the x with normal_form(factor * x) = p, or with
     normal_form(x * factor) = p if right is set; None if none is found.
 
-    Leading-word division under lex order on PBW block exponents, the blocks
-    read in the given order (default their own): the remainder's leading
+    Leading-word division under spec.pbw.lead_key: the remainder's leading
     word w, less lead(factor), is the next quotient word u, with the
-    coefficient that cancels w in nf(factor * u).  This finds every quotient
-    where lead(nf(factor * u)) = lead(factor) + u, as for the q-determinants
-    of dq and oq; where that fails it gives up with None.  Quotient words
-    stay in the nonnegative cone, which lex order well-orders, so the loop
-    ends.
+    coefficient that cancels w in nf(factor * u).  Quotient words stay in the
+    nonnegative cone, which the key well-orders, so the loop ends.  Where
+    leading words multiply, lead(nf(f * g)) = lead(f) + lead(g), the division
+    is complete and None means p is no multiple.  They do once every
+    generator pair's nf(x_i * x_j) leads with e_i + e_j (Kandri-Rody &
+    Weispfenning's algebras of solvable type, Plural's G-algebras): dq's and
+    oq's block weights meet that, and plain lex does not.
 
     No closing product certifies the quotient, because none is needed.  Each
     step cancels the remainder's leading word w and leaves only smaller ones,
@@ -858,15 +870,9 @@ def divide(spec: AlgebraSpec, factor: NcPoly, p: NcPoly, right: bool = False,
     nf(factor * x) as the product is linear in x (on the right likewise).
     """
     pbw = spec.pbw
-    if order is None:
-        key = pbw.exponents
-    else:
-        def key(w: Word) -> tuple[int, ...]:
-            e = pbw.exponents(w)
-            return tuple(e[k] for k in order)
 
     def lead(poly: NcPoly) -> Word:
-        return max(poly.terms, key=key)
+        return max(poly.terms, key=pbw.lead_key)
 
     flead = pbw.exponents(lead(factor))
     rem, quo = p, {}

@@ -188,6 +188,18 @@ def test_spherical_dimension_matches_series():
             assert spherical_dimension(m, n) == series.get((m, n), 0), (m, n)
 
 
+def test_hplus_words_are_the_pbw_words():
+    # T^eps Y1^a Y2^(M-a) X1^b X2^(N-b), the nonnegative cone's PBW basis
+    H = daha_spec()
+    for m in range(7):
+        for n in range(7):
+            want = [H.alphabet.word(*(["T"] * eps + ["Y1"] * a + ["Y2"] * (m - a)
+                                      + ["X1"] * b + ["X2"] * (n - b)))
+                    for eps in (0, 1) for a in range(m + 1) for b in range(n + 1)]
+            got = [w for p in hplus_words(m, n) for w in p.terms]
+            assert sorted(got) == sorted(want), (m, n)
+
+
 def test_phi_rank_matches_dimension():
     series = spherical_positive_series(3, 3)
     for m, n in [(1, 1), (2, 2), (3, 2), (2, 3)]:

@@ -1,5 +1,6 @@
 """PBW declarations: each spec's blocks against its rules, the enumeration
-order, and the letter ranks every WordOrder reads from the blocks."""
+order, the letter ranks every WordOrder reads from the blocks, and the
+block weights."""
 
 import itertools
 
@@ -80,6 +81,16 @@ def test_letter_in_no_block_is_rejected():
     alph = Alphabet("pair", [("x", (1, 0), None), ("y", (0, 1), None)])
     with pytest.raises(SpecError, match="y"):
         PowerBlocksPbw(alph, [("x", None, None)])
+
+
+@pytest.mark.parametrize("weights", [(1,), (1, 2, 3), (1, -1)])
+def test_weights_one_nonnegative_per_block(weights):
+    # a negative weight would not well-order the cone divide walks down
+    alph = Alphabet("pair", [("x", (1, 0), None), ("y", (0, 1), None)])
+    blocks = [("x", None, None), ("y", None, None)]
+    assert PowerBlocksPbw(alph, blocks).weights == (0, 0)
+    with pytest.raises(SpecError, match="weights"):
+        PowerBlocksPbw(alph, blocks, weights=weights)
 
 
 @pytest.mark.parametrize("build", SPECS, ids=_name)

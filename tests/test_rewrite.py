@@ -4,11 +4,13 @@ The toy algebra has y*x = q^2 x*y (oriented y x -> q^2 x y) together with an
 invertible central letter z.  Everything is checkable by hand, so the engine
 mechanics (normal forms, budgets, ambiguities, Hilbert counts, ranks,
 serialisation) are exercised independently of the production presentations.
-The last tests check AlgebraSpec.mul_normal against the free product, and
-divide against the q-determinants and mu(Z_t), on the production
-presentations themselves.
+The last tests check AlgebraSpec.mul_normal against the free product, the
+leading-word weights of dq and oq against their generator pairs, and divide
+against the q-determinants and mu(Z_t), on the production presentations
+themselves.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from qhc.coeffring import RAT, RatCoeff
 from qhc.daha import daha_spec, sdaha_spec
 from qhc.dqops import det_a_body, det_d_body, dq_spec, moment_zt
-from qhc.invham import ZT_LEAD_ORDER, ham_spec, inv_spec
+from qhc.invham import ham_spec, inv_spec
 from qhc.ncpoly import Alphabet, NcPoly
 from qhc.qgroup import oq_spec, qdet_oq, uq_spec
 from qhc.rewrite import (
@@ -288,48 +290,63 @@ def test_three_letter_lhs_is_refused():
 
 # -- divide on the q-determinants and on mu(Z_t) ------------------------------
 
+def _failing_pairs(spec, pbw):
+    """The generator pairs x_i x_j whose normal form does not lead, under
+    pbw.lead_key, with exponent e_i + e_j."""
+    bad = []
+    for i, j in itertools.product(range(len(spec.alphabet)), repeat=2):
+        want = tuple(a + b for a, b in zip(pbw.exponents((i,)), pbw.exponents((j,))))
+        if pbw.exponents(max(spec.nf_word((i, j)).terms, key=pbw.lead_key)) != want:
+            bad.append((i, j))
+    return bad
+
+
+@pytest.mark.parametrize("build, lex_failures", [(dq_spec, 6), (oq_spec, 1)], ids=["dq", "oq"])
+def test_weights_certify_leading_words_multiply(build, lex_failures):
+    # the solvable-type (G-algebra) condition: with the PBW property it gives
+    # lead(nf(f * g)) = lead(f) + lead(g) for every f and g, so divide is
+    # complete on dq and oq; zero weights, plain lex on the blocks, break it
+    spec = build()
+    assert _failing_pairs(spec, spec.pbw) == []
+    lex = PowerBlocksPbw(spec.alphabet, [(spec.alphabet.gens[p].name, inv, cap)
+                                         for p, inv, cap in spec.pbw.blocks])
+    assert len(_failing_pairs(spec, lex)) == lex_failures
+
+
 def _divisions():
     D, O = dq_spec(), oq_spec()
     dq_words = [w for m in range(3) for n in range(3) for w in D.pbw.enumerate(m, n)]
     oq_words = [w for m in range(5) for w in O.pbw.enumerate(m, 0)]
     return [
-        (D, det_a_body(), dq_words, False, None),
-        (D, det_d_body(), dq_words, False, None),
-        (O, qdet_oq(), oq_words, False, None),
-        (D, moment_zt().body, dq_words, True, ZT_LEAD_ORDER),
+        (D, det_a_body(), dq_words, False),
+        (D, det_d_body(), dq_words, False),
+        (O, qdet_oq(), oq_words, False),
+        (D, moment_zt().body, dq_words, True),
     ]
 
 
-def _leading_words_multiply(spec, den, img, w, order):
-    """lead(img) = lead(den) + w, leading words taken under lex order on the
-    PBW blocks in the given order (None: their own)."""
+def _leading_words_multiply(spec, den, img, w):
+    """lead(img) = lead(den) + w, leading words taken under the spec's
+    PBW lead_key."""
     pbw = spec.pbw
 
     def lead(poly):
-        def key(v):
-            e = pbw.exponents(v)
-            return e if order is None else tuple(e[k] for k in order)
-        return pbw.exponents(max(poly.terms, key=key))
+        return pbw.exponents(max(poly.terms, key=pbw.lead_key))
 
     return lead(img) == tuple(a + b for a, b in zip(lead(den), pbw.exponents(w)))
 
 
-@pytest.mark.parametrize("spec, den, words, right, order", _divisions(),
+@pytest.mark.parametrize("spec, den, words, right", _divisions(),
                          ids=["detA", "detD", "detL", "Zt-right"])
-def test_divide_round_trips_on_pbw_words(spec, den, words, right, order):
-    plain_lex_holds = []
+def test_divide_round_trips_on_pbw_words(spec, den, words, right):
     for w in words:
         x = NcPoly.from_word(spec.alphabet, w)
         img = spec.mul_normal(x, den) if right else spec.mul_normal(den, x)
         # leading words multiply, lead(nf(den * w)) = lead(den) + w (and so
         # does lead(nf(w * den)) on the right): every quotient is found
         # because of this
-        assert _leading_words_multiply(spec, den, img, w, order), spec.alphabet.word_str(w)
-        assert divide(spec, den, img, right=right, order=order) == x, spec.alphabet.word_str(w)
-        plain_lex_holds.append(_leading_words_multiply(spec, den, img, w, None))
-    if order is not None:
-        # the order is needed: under plain lex the law breaks on some word
-        assert not all(plain_lex_holds)
+        assert _leading_words_multiply(spec, den, img, w), spec.alphabet.word_str(w)
+        assert divide(spec, den, img, right=right) == x, spec.alphabet.word_str(w)
 
 
 def test_divide_one_word_quotient_makes_one_product(monkeypatch):
