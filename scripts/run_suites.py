@@ -28,7 +28,7 @@ def main() -> int:
         dt = time.perf_counter() - t0
         total = rep["passed"] + rep["failed"]
         mark = "ok  " if rep["pass"] else "FAIL"
-        print(f"{mark} {name:16s} {rep['passed']:3d}/{total:<3d} items   {dt:7.1f}s")
+        print(f"{mark} {name:16s} {rep['passed']:3d}/{total:<3d} items   {dt:7.3f}s")
         if not rep["pass"]:
             any_failed = True
             for it in rep["items"]:

@@ -14,10 +14,12 @@ printing uses.
 A Laurent product is one p_mul and a Laurent sum one p_add, with nothing to
 reduce.  A genuine fraction is reduced through p_gcd, except where one side
 is a single term c*q^a*t^b: then the monomial moves into the numerator and
-an integer gcd divides out.  Point evaluation clears the denominators of q0
-and t0 and the negative powers first, so a polynomial is evaluated as a sum
-of integers and a value costs one Fraction, or mod a prime one modular
-inverse.
+an integer gcd divides out.  p_gcd first tries to certify the pair coprime
+from one image mod a prime in each variable; only pairs it cannot certify
+reach the primitive PRS, whose coefficients swell on large coprime pairs.
+Point evaluation clears the denominators of q0 and t0 and the negative
+powers first, so a polynomial is evaluated as a sum of integers and a value
+costs one Fraction, or mod a prime one modular inverse.
 
 Polynomials are sparse maps (e_q, e_t) -> int.  p_add, p_neg, p_mul,
 p_scale and p_eval take exponents of either sign; the gcd and exact
@@ -268,8 +270,62 @@ def p_exact_div(f: Poly, g: Poly) -> Poly:
     return _from_rec(out)
 
 
+# the coprimality certificate works mod this prime, 2^61 - 1
+CERT_PRIME = (1 << 61) - 1
+
+
+def _gf_image(f: Poly, v: int, x0: int) -> list[int]:
+    """f with its other variable set to x0, as dense coefficients mod
+    CERT_PRIME in exponent slot v (0 for q, 1 for t), lowest degree first."""
+    p = CERT_PRIME
+    out = [0] * (max(m[v] for m in f) + 1)
+    for m, c in f.items():
+        out[m[v]] = (out[m[v]] + c * pow(x0, m[1 - v], p)) % p
+    return out
+
+
+def _gf_gcd_degree(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a, b) over GF(CERT_PRIME), for dense coefficient lists
+    whose top coefficients are nonzero."""
+    p = CERT_PRIME
+    while b:
+        inv = pow(b[-1], -1, p)
+        a = list(a)
+        nb = len(b)
+        while len(a) >= nb:
+            k = a[-1] * inv % p
+            off = len(a) - nb
+            for i in range(nb - 1):
+                a[off + i] = (a[off + i] - k * b[i]) % p
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _no_common_factor_in(f: Poly, g: Poly, v: int) -> bool:
+    """True when gcd(f, g) certainly has degree 0 in exponent slot v.
+
+    At the first x0 = 2, 3, ... where neither leading coefficient in v
+    vanishes mod CERT_PRIME, a common factor h keeps its degree in v in the
+    images there, since its leading coefficient divides both of theirs.  So
+    images with a gcd of degree 0 rule h out.  False means no certificate,
+    not a common factor."""
+    tries = max(m[1 - v] for m in f) + max(m[1 - v] for m in g) + 1
+    for x0 in range(2, 2 + tries):
+        a, b = _gf_image(f, v, x0), _gf_image(g, v, x0)
+        if a[-1] and b[-1]:
+            return _gf_gcd_degree(a, b) == 0
+    return False
+
+
 def p_gcd(f: Poly, g: Poly) -> Poly:
-    """gcd in Z[q,t], positive leading coefficient."""
+    """gcd in Z[q,t], positive leading coefficient.
+
+    Once the monomial and integer contents are out, a pair certified to
+    share no factor of positive degree in t and none in q has the gcd of
+    its contents; any other pair goes through the PRS."""
     if not f:
         return dict(g)
     if not g:
@@ -280,9 +336,16 @@ def p_gcd(f: Poly, g: Poly) -> Poly:
     g0 = _mono_shift(g, -mg[0], -mg[1])
     cf, cg = _int_content(f0), _int_content(g0)
     c = _igcd(cf, cg)
-    if _is_mono(f0) or _is_mono(g0):
+    if _is_mono(f0) or _is_mono(g0) or (
+        _no_common_factor_in(f0, g0, 1) and _no_common_factor_in(f0, g0, 0)
+    ):
         return _mono_shift({(0, 0): c}, mono[0], mono[1])
-    # primitive PRS in t over Z[q]
+    return _mono_shift(_prs_gcd(f0, g0, cf, cg), mono[0], mono[1])
+
+
+def _prs_gcd(f0: Poly, g0: Poly, cf: int, cg: int) -> Poly:
+    """gcd of f0 and g0, whose integer contents are cf and cg, by the
+    primitive PRS in t over Z[q]; positive leading coefficient."""
     rf, rg = _to_rec({m: v // cf for m, v in f0.items()}), _to_rec({m: v // cg for m, v in g0.items()})
     contf, contg = _rec_content(rf), _rec_content(rg)
     cont = _u_gcd(contf, contg)
@@ -323,8 +386,7 @@ def p_gcd(f: Poly, g: Poly) -> Poly:
         cr = _rec_content(r) if r else {}
         a, b = b, (rec_primitive(r, cr) if r else {})
     prim = _from_rec(a)
-    prim_scaled = p_mul(prim, _from_rec({0: cont}))
-    out = _mono_shift(p_scale(prim_scaled, c), mono[0], mono[1])
+    out = p_scale(p_mul(prim, _from_rec({0: cont})), _igcd(cf, cg))
     if p_lead_coeff(out) < 0:
         out = p_neg(out)
     return out

@@ -27,6 +27,11 @@ row is its row of bodies times a power of 1/(1 + t^2), a nonzero scalar, and
 scaling rows by nonzero scalars changes no rank, over Frac(Z[q,t]) or at a
 point.  At the points 1 + t0^2 is also nonzero mod the linalg prime P, since
 P = 3 (mod 4) leaves -1 without a square root.
+
+The body absorbs T up to a scalar: T^2 = (t - 1/t) T + 1 gives
+(1 + t T) T = t (1 + t T).  So spherical_dimension ranks only the T-free
+PBW words: the row of T w is t times the row of w, and t0 is a unit mod P,
+so every per-point rank is unchanged.
 """
 
 from __future__ import annotations
@@ -441,15 +446,30 @@ def hplus_words(M: int, N: int) -> list[NcPoly]:
     return [NcPoly.from_word(H.alphabet, w) for w in H.pbw.enumerate(M, N)]
 
 
+def _spherical_rows(M: int, N: int) -> list[NcPoly]:
+    """The rows spherical_dimension ranks: nf((1 + t T) w (1 + t T)) for the
+    T-free PBW words w of H^+[M,N], built right body first as
+    nf(body * nf(w * body)).  Only w T needs rewriting; the left body then
+    makes words T u that are normal or need one T*T rewrite."""
+    spec = daha_spec()
+    body = idempotent_body()
+    T = spec.alphabet.index("T")
+    return [spec.nf(body * spec.nf(NcPoly.from_word(spec.alphabet, w) * body))
+            for w in spec.pbw.enumerate(M, N) if w[:1] != (T,)]
+
+
 def spherical_dimension(M: int, N: int) -> int:
     """dim e H^+[M,N] e computed as the rank of the sandwiched PBW basis,
     taken mod P at DEFAULT_POINTS (agreed_rank): a lower bound on the
     generic dimension.  The rows are the bodies (1 + t T) w (1 + t T), each
     the exact sandwich times (1 + t^2)^2; that scalar is nonzero at every
-    point, and mod P too since P = 3 (mod 4), so the rank is the same."""
-    spec = daha_spec()
-    body = idempotent_body()
-    return agreed_rank(spec, [spec.mul(body, w, body) for w in hplus_words(M, N)])
+    point, and mod P too since P = 3 (mod 4), so the rank is the same.
+
+    Only the T-free words w are ranked.  T^2 = (t - 1/t) T + 1 gives
+    (1 + t T) T = t (1 + t T), so the row of T w is t times the row of w;
+    t0 is a unit mod P at every point, so the T-led rows change no
+    per-point rank."""
+    return agreed_rank(daha_spec(), _spherical_rows(M, N))
 
 
 def aplus_words(M: int, N: int) -> list[NcPoly]:

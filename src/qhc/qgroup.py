@@ -439,36 +439,39 @@ class AdjointAction:
         return (a, b)
 
     def act(self, gen: str, x: NcPoly) -> NcPoly:
+        """gen > x in normal form.  The terms of the unreduced result are
+        gathered in one dict and reduced by a single nf."""
         spec = self.spec
         if gen in ("K1", "K2", "K1i", "K2i"):
             m = 0 if gen.startswith("K1") else 1
             sgn = -1 if gen.endswith("i") else 1
-            out = spec.zero()
+            out = {w: c * _q(sgn * self._word_weight(w)[m]) for w, c in x.terms.items()}
+        elif gen in ("E", "F"):
+            images = self.e_images if gen == "E" else self.f_images
+            out = {}
             for w, c in x.terms.items():
-                out = out + NcPoly.from_word(spec.alphabet, w, c * _q(sgn * self._word_weight(w)[m]))
-            return spec.nf(out)
-        if gen == "E":
-            images, pre_scale = self.e_images, False
-        elif gen == "F":
-            images, pre_scale = self.f_images, True
+                for i in range(len(w)):
+                    img = images[w[i]]
+                    if not img:
+                        continue
+                    if gen == "F":
+                        w1, w2 = self._word_weight(w[:i])
+                        scal = c * _q(w2 - w1)
+                    else:
+                        w1, w2 = self._word_weight(w[i + 1:])
+                        scal = c * _q(w1 - w2)
+                    pre, post = w[:i], w[i + 1:]
+                    for iw, ic in img.terms.items():
+                        nw, nc = pre + iw + post, scal * ic
+                        s = out.get(nw)
+                        s = nc if s is None else s + nc
+                        if s:
+                            out[nw] = s
+                        else:
+                            out.pop(nw, None)
         else:
             raise EngineError(f"unknown action generator {gen!r}")
-        out = spec.zero()
-        for w, c in x.terms.items():
-            for i in range(len(w)):
-                img = images[w[i]]
-                if not img:
-                    continue
-                if pre_scale:
-                    w1, w2 = self._word_weight(w[:i])
-                    scal = _q(w2 - w1)
-                else:
-                    w1, w2 = self._word_weight(w[i + 1:])
-                    scal = _q(w1 - w2)
-                pre = NcPoly.from_word(spec.alphabet, w[:i], c * scal)
-                post = NcPoly.from_word(spec.alphabet, w[i + 1:])
-                out = out + pre * img * post
-        return spec.nf(out)
+        return spec.nf(NcPoly(spec.alphabet, out, spec.field, _clean=True))
 
     def is_invariant(self, x: NcPoly) -> bool:
         x = self.spec.nf(x)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qhc import exprparse, rewrite
+from qhc import coeffring, exprparse, rewrite
 from qhc.cli import Context, main
 from qhc.daha import sdaha_spec
 from qhc.exprparse import ParseError, Parser, WordAlgebraOps
@@ -123,6 +123,26 @@ def test_cli_normalize_json(capsys):
     assert rc == 0
     assert out["schema"] == 1
     assert out["normal_form"] == "Y2"
+
+
+def test_cli_coprime_fractions_skip_the_prs(capsys, monkeypatch):
+    # two fractions over the same denominator D: reducing their product
+    # meets one gcd of 24- and 15-term coprime polynomials, which the
+    # primitive PRS alone took minutes over
+    def boom(*args):
+        raise AssertionError("PRS reached")
+
+    monkeypatch.setattr(coeffring, "_prs_gcd", boom)
+    den = "(3*q^5*t^6 - q^2*t^8 + 2*q^3*t^2 + q + 1)"
+    expr = f"(q^4*t^5 + q*t^7 - 2*q^3 + t + 1)/{den} * (q^5*t^3 + 3*q^2*t^7 - t^4 + q + 2)/{den} * T"
+    rc = main(["normalize", "--algebra", "daha", expr])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    a = {(4, 5): 1, (1, 7): 1, (3, 0): -2, (0, 1): 1, (0, 0): 1}
+    b = {(5, 3): 1, (2, 7): 3, (0, 4): -1, (1, 0): 1, (0, 0): 2}
+    d = {(5, 6): 3, (2, 8): -1, (3, 2): 2, (1, 0): 1, (0, 0): 1}
+    num, den = coeffring.p_str(coeffring.p_mul(a, b)), coeffring.p_str(coeffring.p_mul(d, d))
+    assert out["normal_form"] == f"({num})/({den})*T"
 
 
 def test_cli_deterministic_output(capsys):

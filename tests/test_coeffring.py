@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import poly_eval
+from qhc import coeffring
 from qhc.coeffring import (
     CoeffError,
     RatCoeff,
@@ -14,8 +15,10 @@ from qhc.coeffring import (
     RC_Q,
     RC_T,
     RC_ZERO,
+    p_exact_div,
     p_gcd,
     p_mul,
+    p_scale,
 )
 
 Q = RC_Q
@@ -202,3 +205,38 @@ def test_eval_matches_term_by_term_oracle(a, b, q0, t0):
             c.eval(q0, t0)
     else:
         assert c.eval(q0, t0) == poly_eval(c.num, q0, t0) / d
+
+
+small_polys = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-4, 4)), max_size=4,
+).map(lambda ts: {(a, b): c for a, b, c in ts if c})
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_polys, small_polys, small_polys, st.sampled_from([1, 2, 6]))
+def test_coprime_certificate_agrees_with_the_prs(a, b, h, k):
+    # f = k*a*h and g = b*h share h; whenever p_gcd returns without the PRS,
+    # the PRS must find no common factor beyond a monomial and an integer
+    assume(a and b and h)
+    f, g = p_mul(a, p_scale(h, k)), p_mul(b, h)
+    calls = []
+    prs = coeffring._prs_gcd
+
+    def spy(*args):
+        calls.append(args)
+        return prs(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coeffring, "_prs_gcd", spy)
+        got = p_gcd(f, g)
+    p_exact_div(f, got)
+    p_exact_div(g, got)
+    mf = (min(m[0] for m in f), min(m[1] for m in f))
+    mg = (min(m[0] for m in g), min(m[1] for m in g))
+    f0 = {(x - mf[0], y - mf[1]): v for (x, y), v in f.items()}
+    g0 = {(x - mg[0], y - mg[1]): v for (x, y), v in g.items()}
+    if calls or len(f0) == 1 or len(g0) == 1:
+        return
+    full = prs(f0, g0, coeffring._int_content(f0), coeffring._int_content(g0))
+    assert list(full) == [(0, 0)], (f, g, full)
+    assert got == {(min(mf[0], mg[0]), min(mf[1], mg[1])): full[(0, 0)]}

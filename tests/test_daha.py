@@ -11,6 +11,7 @@ from qhc.daha import (
     BETA,
     T2P1,
     _phi_word_body,
+    _spherical_rows,
     aplus_words,
     daha_spec,
     defining_relation_residuals,
@@ -307,3 +308,40 @@ def test_phi_body_ranks_equal_exact_ranks_pointwise(H, A):
             assert len(bodies) == len(exact)
             assert (rank_of_family(H, bodies).per_point
                     == rank_of_family(H, exact).per_point), (m, n)
+
+
+# ---------------------------------------------------------------------------
+# spherical_dimension's rows: T-free words, right body first
+# ---------------------------------------------------------------------------
+
+def _t_free_words(H, m, n):
+    T = H.alphabet.index("T")
+    return [p for p in hplus_words(m, n) if next(iter(p.terms))[:1] != (T,)]
+
+
+def test_spherical_rows_equal_the_sandwiched_bodies(H):
+    body = idempotent_body()
+    for m, n in BIDEGREES_33:
+        words = _t_free_words(H, m, n)
+        assert 2 * len(words) == len(hplus_words(m, n)), (m, n)
+        want = [H.mul(body, w, body) for w in words]
+        assert _spherical_rows(m, n) == want, (m, n)
+
+
+def test_body_absorbs_t_on_the_right(H):
+    body = idempotent_body()
+    T = H.gen("T")
+    for m, n in BIDEGREES_33:
+        for w in _t_free_words(H, m, n):
+            assert H.mul(body, T * w, body) == H.mul(body, w, body).scale(RC_T), (m, n, w)
+
+
+def test_t_free_rows_keep_every_per_point_rank(H):
+    body = idempotent_body()
+    for m, n in BIDEGREES_33:
+        full = _nonzero(H.mul(body, w, body) for w in hplus_words(m, n))
+        t_free = _nonzero(_spherical_rows(m, n))
+        assert bool(full) == bool(t_free), (m, n)
+        if full:
+            assert (rank_of_family(H, t_free).per_point
+                    == rank_of_family(H, full).per_point), (m, n)

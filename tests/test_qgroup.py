@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qhc.coeffring import RAT, RC_ONE, RC_Q, RatCoeff
+from qhc.coeffring import RAT, RC_ONE, RC_Q, RC_T, RatCoeff
+from qhc.dqops import dq_action
 from qhc.linalg import dense_rank
 from qhc.ncpoly import NcPoly
 from qhc.qgroup import (
@@ -183,3 +186,56 @@ def test_module_algebra_coassociativity(O):
         lhs = act.act("E", act.act("F", x)) - act.act("F", act.act("E", x))
         k = act.act("K1", act.act("K2i", x)) - act.act("K1i", act.act("K2", x))
         assert not O.nf(lhs - k.scale(inv))
+
+
+def reference_act(action, gen, x):
+    """gen > x by the term-by-term NcPoly sum that AdjointAction.act
+    replaced, kept here as its oracle."""
+    spec = action.spec
+
+    def weight(w):
+        return (sum(action.weights[i][0] for i in w), sum(action.weights[i][1] for i in w))
+
+    out = spec.zero()
+    if gen in ("K1", "K2", "K1i", "K2i"):
+        m = 0 if gen.startswith("K1") else 1
+        sgn = -1 if gen.endswith("i") else 1
+        for w, c in x.terms.items():
+            out = out + NcPoly.from_word(spec.alphabet, w, c * RAT.q_power(sgn * weight(w)[m]))
+        return spec.nf(out)
+    images = action.e_images if gen == "E" else action.f_images
+    for w, c in x.terms.items():
+        for i in range(len(w)):
+            img = images[w[i]]
+            if not img:
+                continue
+            if gen == "F":
+                w1, w2 = weight(w[:i])
+                scal = RAT.q_power(w2 - w1)
+            else:
+                w1, w2 = weight(w[i + 1:])
+                scal = RAT.q_power(w1 - w2)
+            pre = NcPoly.from_word(spec.alphabet, w[:i], c * scal)
+            post = NcPoly.from_word(spec.alphabet, w[i + 1:])
+            out = out + pre * img * post
+    return spec.nf(out)
+
+
+ACT_COEFFS = (RC_ONE, RatCoeff.from_int(-2), RC_Q, RC_Q.inverse() * RC_T,
+              RC_ONE + RC_Q * RC_Q, (RC_ONE + RC_T * RC_T).inverse())
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_act_matches_term_by_term_reference(data):
+    action = data.draw(st.sampled_from([oq_action(), dq_action()]), label="action")
+    spec = action.spec
+    letters = range(len(spec.alphabet))
+    x = spec.zero()
+    for _ in range(data.draw(st.integers(1, 4), label="terms")):
+        w = tuple(data.draw(st.lists(st.sampled_from(letters), max_size=3), label="word"))
+        x = x + NcPoly.from_word(spec.alphabet, w, data.draw(st.sampled_from(ACT_COEFFS)))
+    if data.draw(st.booleans(), label="normal"):
+        x = spec.nf(x)
+    for g in ("E", "F", "K1", "K2", "K1i", "K2i"):
+        assert action.act(g, x) == reference_act(action, g, x), g
