@@ -14,9 +14,10 @@ printing uses.
 A Laurent product is one p_mul and a Laurent sum one p_add, with nothing to
 reduce.  A genuine fraction is reduced through p_gcd, except where one side
 is a single term c*q^a*t^b: then the monomial moves into the numerator and
-an integer gcd divides out.  p_gcd first tries to certify the pair coprime
-from one image mod a prime in each variable; only pairs it cannot certify
-reach the primitive PRS, whose coefficients swell on large coprime pairs.
+an integer gcd divides out.  p_gcd is the heuristic gcd GCDHEU: it reads a
+candidate off the integer gcd of the two polynomials' values at large
+integers, q first and then t, and keeps it once an exact division shows that
+it divides both, which makes it the gcd.
 Point evaluation clears the denominators of q0 and t0 and the negative
 powers first, so a polynomial is evaluated as a sum of integers and a value
 costs one Fraction, or mod a prime one modular inverse.
@@ -119,276 +120,129 @@ def _is_mono(f: Poly) -> bool:
     return len(f) == 1
 
 
-# dense recursive view: a poly in t whose coefficients are dicts {e_q: int}
-
-def _to_rec(f: Poly) -> dict[int, dict[int, int]]:
-    out: dict[int, dict[int, int]] = {}
-    for (a, b), c in f.items():
-        out.setdefault(b, {})[a] = c
-    return out
-
-
-def _from_rec(r: dict[int, dict[int, int]]) -> Poly:
-    out: Poly = {}
-    for b, qs in r.items():
-        for a, c in qs.items():
-            if c:
-                out[(a, b)] = c
-    return out
-
-
-def _u_gcd(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
-    """gcd in Z[q] by the primitive polynomial remainder sequence."""
-    def content(h):
-        c = 0
-        for v in h.values():
-            c = _igcd(c, abs(v))
-        return c
-
-    def primitive(h):
-        c = content(h)
-        return {k: v // c for k, v in h.items()} if c > 1 else dict(h)
-
-    def degree(h):
-        return max(h) if h else -1
-
-    def shift_mul(h, s, k):
-        return {e + s: v * k for e, v in h.items()}
-
-    def sub(x, y):
-        out = dict(x)
-        for e, v in y.items():
-            s = out.get(e, 0) - v
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return out
-
-    if not f:
-        return dict(g)
-    if not g:
-        return dict(f)
-    cf, cg = content(f), content(g)
-    a, b = primitive(f), primitive(g)
-    while b:
-        # pseudo-remainder of a by b
-        da, db = degree(a), degree(b)
-        if da < db:
-            a, b = b, a
-            continue
-        lb = b[degree(b)]
-        r = dict(a)
-        while r and degree(r) >= db:
-            dr = degree(r)
-            lr = r[dr]
-            r = sub(shift_mul(r, 0, lb), shift_mul(b, dr - db, lr))
-        a, b = b, primitive(r) if r else {}
-    c = _igcd(cf, cg)
-    out = {e: v * c for e, v in a.items()} if c != 1 else a
-    if out[degree(out)] < 0:
-        out = {e: -v for e, v in out.items()}
-    return out
-
-
-def _rec_content(r: dict[int, dict[int, int]]) -> dict[int, int]:
-    g: dict[int, int] = {}
-    for qs in r.values():
-        g = _u_gcd(g, qs)
-        if list(g) == [0] and abs(g.get(0, 0)) == 1:
-            break
-    return g
-
-
-def _u_mul(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for a, c in f.items():
-        for b, d in g.items():
-            s = out.get(a + b, 0) + c * d
-            if s:
-                out[a + b] = s
-            else:
-                del out[a + b]
-    return out
-
-
-def _u_exact_div(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
-    """Exact division in Z[q]; raises if not divisible."""
-    if not f:
-        return {}
-    out: dict[int, int] = {}
-    r = dict(f)
-    dg = max(g)
-    lg = g[dg]
-    while r:
-        dr = max(r)
-        if dr < dg or r[dr] % lg:
-            raise CoeffError("inexact univariate division")
-        k = r[dr] // lg
-        out[dr - dg] = k
-        for e, v in g.items():
-            s = r.get(e + dr - dg, 0) - v * k
-            if s:
-                r[e + dr - dg] = s
-            else:
-                r.pop(e + dr - dg, None)
-    return out
-
-
 def p_exact_div(f: Poly, g: Poly) -> Poly:
-    """Exact division f / g in Z[q,t]; raises CoeffError if not divisible."""
+    """Exact division f / g in Z[q,t] for nonnegative exponents; raises
+    CoeffError if g does not divide f.
+
+    Sparse division by graded-lex leading terms: the leading term of the
+    remainder must be a multiple of g's, and the quotient takes their ratio.
+    While g divides f the remainder stays a multiple of g, so a leading term
+    that is not a multiple proves the division inexact."""
     if not f:
         return {}
-    if _is_mono(g):
-        (eq, et), c = next(iter(g.items()))
-        out: Poly = {}
-        for (a, b), v in f.items():
-            if a < eq or b < et or v % c:
-                raise CoeffError("inexact division")
-            out[(a - eq, b - et)] = v // c
-        return out
-    rf, rg = _to_rec(f), _to_rec(g)
-    dg = max(rg)
-    lg = rg[dg]
-    out: dict[int, dict[int, int]] = {}
-    while rf:
-        df = max(rf)
-        if df < dg:
+    lead = _lead_mono(g)
+    lq, lt = lead
+    lc = g[lead]
+    tail = [(m, c) for m, c in g.items() if m != lead]
+    r = dict(f)
+    out: Poly = {}
+    while r:
+        m = _lead_mono(r)
+        c = r.pop(m)
+        a, b = m[0] - lq, m[1] - lt
+        if a < 0 or b < 0 or c % lc:
             raise CoeffError("inexact division")
-        piece = _u_exact_div(rf[df], lg)
-        out[df - dg] = piece
-        for b, qs in rg.items():
-            tgt = rf.setdefault(b + df - dg, {})
-            for a, c in _u_mul(qs, piece).items():
-                s = tgt.get(a, 0) - c
-                if s:
-                    tgt[a] = s
-                else:
-                    tgt.pop(a, None)
-            if not tgt:
-                del rf[b + df - dg]
-    return _from_rec(out)
-
-
-# the coprimality certificate works mod this prime, 2^61 - 1
-CERT_PRIME = (1 << 61) - 1
-
-
-def _gf_image(f: Poly, v: int, x0: int) -> list[int]:
-    """f with its other variable set to x0, as dense coefficients mod
-    CERT_PRIME in exponent slot v (0 for q, 1 for t), lowest degree first."""
-    p = CERT_PRIME
-    out = [0] * (max(m[v] for m in f) + 1)
-    for m, c in f.items():
-        out[m[v]] = (out[m[v]] + c * pow(x0, m[1 - v], p)) % p
+        k = c // lc
+        out[(a, b)] = k
+        for (x, y), v in tail:
+            key = (x + a, y + b)
+            s = r.get(key, 0) - v * k
+            if s:
+                r[key] = s
+            else:
+                del r[key]
     return out
-
-
-def _gf_gcd_degree(a: list[int], b: list[int]) -> int:
-    """Degree of gcd(a, b) over GF(CERT_PRIME), for dense coefficient lists
-    whose top coefficients are nonzero."""
-    p = CERT_PRIME
-    while b:
-        inv = pow(b[-1], -1, p)
-        a = list(a)
-        nb = len(b)
-        while len(a) >= nb:
-            k = a[-1] * inv % p
-            off = len(a) - nb
-            for i in range(nb - 1):
-                a[off + i] = (a[off + i] - k * b[i]) % p
-            a.pop()
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) - 1
-
-
-def _no_common_factor_in(f: Poly, g: Poly, v: int) -> bool:
-    """True when gcd(f, g) certainly has degree 0 in exponent slot v.
-
-    At the first x0 = 2, 3, ... where neither leading coefficient in v
-    vanishes mod CERT_PRIME, a common factor h keeps its degree in v in the
-    images there, since its leading coefficient divides both of theirs.  So
-    images with a gcd of degree 0 rule h out.  False means no certificate,
-    not a common factor."""
-    tries = max(m[1 - v] for m in f) + max(m[1 - v] for m in g) + 1
-    for x0 in range(2, 2 + tries):
-        a, b = _gf_image(f, v, x0), _gf_image(g, v, x0)
-        if a[-1] and b[-1]:
-            return _gf_gcd_degree(a, b) == 0
-    return False
 
 
 def p_gcd(f: Poly, g: Poly) -> Poly:
-    """gcd in Z[q,t], positive leading coefficient.
+    """gcd in Z[q,t] with a positive leading coefficient, for nonnegative
+    exponents: GCDHEU, the heuristic gcd of Char, Geddes & Gonnet (JSC 1989),
+    in q and then, for the images, in t.
 
-    Once the monomial and integer contents are out, a pair certified to
-    share no factor of positive degree in t and none in q has the gcd of
-    its contents; any other pair goes through the PRS."""
+    With the monomial and integer contents out, q is set to an integer
+    xi >= 2*min(|f|, |g|) + 2, |.| the largest absolute coefficient, and
+    gamma is the gcd in Z[t] of the two images, taken the same way.  The
+    symmetric xi-adic digits of gamma's coefficients are the q-coefficients
+    of a candidate h, made primitive.  The images keep the integer content of
+    each side, since their gcd may be the image of a factor in q: (q+1)(t+1)
+    and (q+1)(t+2) share q + 1.
+
+    A candidate that passes is the gcd: Char, Geddes & Gonnet prove that for
+    xi above this bound an h that divides f and g is gcd(f, g), and
+    p_exact_div checks that it does.
+
+    The retry loop ends: write f = G*a and g = G*b with G the gcd.  Then
+    gamma = G(xi)*gcd(a(xi), b(xi)), and since a and b are coprime, some
+    combination u*a + v*b is a nonzero s in Z[t] and another a nonzero r in
+    Z[q].  So gcd(a(xi), b(xi)) divides s and the integer r(xi): off the
+    finitely many roots of r it is an integer d that divides the content of
+    s.  The digits of gamma are then those of d*G once xi > 2*|d*G|, so only
+    finitely many xi fail, and each failure grows xi by a factor of about
+    2.73 (1 + sqrt(3)).
+    """
     if not f:
         return dict(g)
     if not g:
         return dict(f)
+    return _heu_gcd(f, g, 0)
+
+
+def _heu_gcd(f: Poly, g: Poly, v: int) -> Poly:
+    """p_gcd of nonzero f and g, in which the variables of the exponent
+    slots before v do not occur (0 for q, 1 for t)."""
     mf, mg = _mono_content(f), _mono_content(g)
-    mono = (min(mf[0], mg[0]), min(mf[1], mg[1]))
-    f0 = _mono_shift(f, -mf[0], -mf[1])
-    g0 = _mono_shift(g, -mg[0], -mg[1])
-    cf, cg = _int_content(f0), _int_content(g0)
-    c = _igcd(cf, cg)
-    if _is_mono(f0) or _is_mono(g0) or (
-        _no_common_factor_in(f0, g0, 1) and _no_common_factor_in(f0, g0, 0)
-    ):
-        return _mono_shift({(0, 0): c}, mono[0], mono[1])
-    return _mono_shift(_prs_gcd(f0, g0, cf, cg), mono[0], mono[1])
+    f = _mono_shift(f, -mf[0], -mf[1])
+    g = _mono_shift(g, -mg[0], -mg[1])
+    cf, cg = _int_content(f), _int_content(g)
+    h = P_ONE
+    # a one-term side leaves only the contents; the images in the last
+    # variable are integers, one term each, so the recursion ends there
+    if not (_is_mono(f) or _is_mono(g)):
+        f = {m: c // cf for m, c in f.items()}
+        g = {m: c // cg for m, c in g.items()}
+        xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+        while True:
+            fx, gx = _image(f, v, xi), _image(g, v, xi)
+            if fx and gx:
+                h = _lift(_heu_gcd(fx, gx, v + 1), v, xi)
+                k = _int_content(h)
+                if p_lead_coeff(h) < 0:
+                    k = -k
+                h = {m: c // k for m, c in h.items()}
+                try:
+                    p_exact_div(f, h)
+                    p_exact_div(g, h)
+                    break
+                except CoeffError:
+                    pass
+            xi = xi * 73794 // 27011
+    return _mono_shift(p_scale(h, _igcd(cf, cg)), min(mf[0], mg[0]), min(mf[1], mg[1]))
 
 
-def _prs_gcd(f0: Poly, g0: Poly, cf: int, cg: int) -> Poly:
-    """gcd of f0 and g0, whose integer contents are cf and cg, by the
-    primitive PRS in t over Z[q]; positive leading coefficient."""
-    rf, rg = _to_rec({m: v // cf for m, v in f0.items()}), _to_rec({m: v // cg for m, v in g0.items()})
-    contf, contg = _rec_content(rf), _rec_content(rg)
-    cont = _u_gcd(contf, contg)
+def _image(f: Poly, v: int, xi: int) -> Poly:
+    """f with the variable of exponent slot v set to xi."""
+    out: Poly = {}
+    for m, c in f.items():
+        key = (0, m[1]) if v == 0 else (m[0], 0)
+        out[key] = out.get(key, 0) + c * xi ** m[v]
+    return {m: c for m, c in out.items() if c}
 
-    def rec_primitive(r, ct):
-        if list(ct) == [0] and ct.get(0) == 1:
-            return r
-        return {b: _u_exact_div(qs, ct) for b, qs in r.items()}
 
-    a = rec_primitive(rf, contf)
-    b = rec_primitive(rg, contg)
-
-    def rec_degree(r):
-        return max(r) if r else -1
-
-    while b:
-        da, db = rec_degree(a), rec_degree(b)
-        if da < db:
-            a, b = b, a
-            continue
-        lb = b[rec_degree(b)]
-        r = a
-        while r and rec_degree(r) >= db:
-            dr = rec_degree(r)
-            lr = r[dr]
-            newr: dict[int, dict[int, int]] = {}
-            for bb, qs in r.items():
-                newr[bb] = _u_mul(qs, lb)
-            for bb, qs in b.items():
-                tgt = newr.setdefault(bb + dr - db, {})
-                for e, v in _u_mul(qs, lr).items():
-                    s = tgt.get(e, 0) - v
-                    if s:
-                        tgt[e] = s
-                    else:
-                        tgt.pop(e, None)
-            r = {bb: qs for bb, qs in newr.items() if qs}
-        cr = _rec_content(r) if r else {}
-        a, b = b, (rec_primitive(r, cr) if r else {})
-    prim = _from_rec(a)
-    out = p_scale(p_mul(prim, _from_rec({0: cont})), _igcd(cf, cg))
-    if p_lead_coeff(out) < 0:
-        out = p_neg(out)
+def _lift(f: Poly, v: int, xi: int) -> Poly:
+    """The polynomial whose coefficients in the variable of slot v are the
+    symmetric xi-adic digits, in (-xi/2, xi/2], of f's coefficients."""
+    out: Poly = {}
+    half = xi // 2
+    for (a, b), c in f.items():
+        e = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[(e, b) if v == 0 else (a, e)] = d
+            c = (c - d) // xi
+            e += 1
     return out
 
 

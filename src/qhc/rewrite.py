@@ -265,7 +265,8 @@ class QCentralGen(NamedTuple):
     kappa: tuple[int, int]
 
 
-DEFAULT_STEP_BUDGET = 10**6
+#: most rewrite steps one normal-form computation may take
+STEP_BUDGET = 10**6
 
 
 class AlgebraSpec:
@@ -279,7 +280,6 @@ class AlgebraSpec:
         pbw,
         q_central: Sequence[QCentralGen] = (),
         field=RAT,
-        step_budget: int = DEFAULT_STEP_BUDGET,
         validate_pbw: bool = True,
         aux_rules: Optional[Sequence[RewriteRule]] = None,
     ):
@@ -290,7 +290,6 @@ class AlgebraSpec:
         self.pbw = pbw
         self.q_central = list(q_central)
         self.field = field
-        self.step_budget = step_budget
         self.validate_pbw = validate_pbw
         if aux_rules is None:
             self.aux_rules = generate_aux_rules(self)
@@ -383,7 +382,7 @@ class AlgebraSpec:
         clean: dict[Word, int] = {}
         out: dict[Word, object] = {}
         steps = 0
-        budget = self.step_budget
+        budget = STEP_BUDGET
         while work:
             w = next(iter(work))
             c = work.pop(w)
@@ -528,7 +527,6 @@ class AlgebraSpec:
             self.pbw,
             self.q_central,
             field=fld,
-            step_budget=self.step_budget,
             validate_pbw=self.validate_pbw,
             aux_rules=[conv(r) for r in self.aux_rules],
         )
@@ -799,16 +797,12 @@ class RankResult(NamedTuple):
     per_point: tuple[int, ...]
 
 
-def rank_of_family(
-    spec: AlgebraSpec,
-    elems: Sequence[NcPoly],
-    points: Sequence[tuple[Fraction, Fraction]] = DEFAULT_POINTS,
-) -> RankResult:
-    """Maximum rank mod P of the coefficient matrix of elems over the given
-    points.  Each rank is a lower bound on the generic rank over
+def rank_of_family(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> RankResult:
+    """Maximum rank mod P of the coefficient matrix of elems over
+    DEFAULT_POINTS.  Each rank is a lower bound on the generic rank over
     Frac(Z[q,t]): rank mod P at a point <= rank over Q there <= generic."""
     if not elems:
-        return RankResult(0, len(points), tuple(0 for _ in points))
+        return RankResult(0, len(DEFAULT_POINTS), tuple(0 for _ in DEFAULT_POINTS))
     degs = set()
     for p in elems:
         if not spec.is_normal(p):
@@ -824,10 +818,9 @@ def rank_of_family(
             degs.add(d)
     if len(degs) > 1:
         raise EngineError(f"inputs span several bidegrees: {sorted(degs)}")
-    points = [specialisation_point(q0, t0) for q0, t0 in points]
     cols: dict[Word, int] = {}
     rows = [{cols.setdefault(w, len(cols)): c for w, c in p.terms.items()} for p in elems]
-    per_point = [frac_rank(eval_rows(rows, q0, t0)) for q0, t0 in points]
+    per_point = [frac_rank(eval_rows(rows, q0, t0)) for q0, t0 in DEFAULT_POINTS]
     rank = max(per_point)
     agreeing = sum(1 for r in per_point if r == rank)
     return RankResult(rank, agreeing, tuple(per_point))

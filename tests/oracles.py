@@ -1,14 +1,16 @@
 """Independent oracles for expected values used across the test suite.
 
 These are deliberately kept naive: truncated power series expansion for
-graded dimension tables, direct enumeration where a count is wanted, and
-term-by-term Fraction evaluation of coefficient polynomials.  They never
+graded dimension tables, direct enumeration where a count is wanted,
+term-by-term Fraction evaluation of coefficient polynomials, and the
+primitive polynomial remainder sequence for gcds in Z[q,t].  They never
 touch the rewriting engine.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd as igcd
 
 Series = dict[tuple[int, int], int]
 
@@ -69,3 +71,145 @@ def poly_eval(f: dict[tuple[int, int], int], q0: Fraction, t0: Fraction) -> Frac
     for (a, b), c in f.items():
         acc += c * q0**a * t0**b
     return acc
+
+
+# -- the primitive polynomial remainder sequence, the reference gcd in Z[q,t] --
+
+Poly = dict[tuple[int, int], int]
+UPoly = dict[int, int]
+RecPoly = dict[int, UPoly]
+
+
+def _to_rec(f: Poly) -> RecPoly:
+    """f as a polynomial in t whose coefficients are dicts {e_q: int}."""
+    out: RecPoly = {}
+    for (a, b), c in f.items():
+        out.setdefault(b, {})[a] = c
+    return out
+
+
+def _from_rec(r: RecPoly) -> Poly:
+    return {(a, b): c for b, qs in r.items() for a, c in qs.items() if c}
+
+
+def _u_content(h: UPoly) -> int:
+    c = 0
+    for v in h.values():
+        c = igcd(c, abs(v))
+    return c
+
+
+def _u_primitive(h: UPoly) -> UPoly:
+    c = _u_content(h)
+    return {k: v // c for k, v in h.items()} if c > 1 else dict(h)
+
+
+def _u_sub(x: UPoly, y: UPoly) -> UPoly:
+    out = dict(x)
+    for e, v in y.items():
+        s = out.get(e, 0) - v
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _u_gcd(f: UPoly, g: UPoly) -> UPoly:
+    """gcd in Z[q] by the primitive polynomial remainder sequence, positive
+    leading coefficient."""
+    if not f:
+        return dict(g)
+    if not g:
+        return dict(f)
+    a, b = _u_primitive(f), _u_primitive(g)
+    while b:
+        if max(a) < max(b):
+            a, b = b, a
+            continue
+        db, lb = max(b), b[max(b)]
+        r = dict(a)
+        while r and max(r) >= db:
+            dr = max(r)
+            lr = r[dr]
+            r = _u_sub({e: v * lb for e, v in r.items()}, {e + dr - db: v * lr for e, v in b.items()})
+        a, b = b, _u_primitive(r) if r else {}
+    c = igcd(_u_content(f), _u_content(g))
+    if a[max(a)] < 0:
+        c = -c
+    return {e: v * c for e, v in a.items()}
+
+
+def _u_mul(f: UPoly, g: UPoly) -> UPoly:
+    out: UPoly = {}
+    for a, c in f.items():
+        for b, d in g.items():
+            out[a + b] = out.get(a + b, 0) + c * d
+    return {e: v for e, v in out.items() if v}
+
+
+def _u_exact_div(f: UPoly, g: UPoly) -> UPoly:
+    out: UPoly = {}
+    r = dict(f)
+    dg, lg = max(g), g[max(g)]
+    while r:
+        dr = max(r)
+        assert dr >= dg and r[dr] % lg == 0, "inexact univariate division"
+        k = r[dr] // lg
+        out[dr - dg] = k
+        r = _u_sub(r, {e + dr - dg: v * k for e, v in g.items()})
+    return out
+
+
+def _rec_content(r: RecPoly) -> UPoly:
+    g: UPoly = {}
+    for qs in r.values():
+        g = _u_gcd(g, qs)
+    return g
+
+
+def _rec_primitive(r: RecPoly) -> RecPoly:
+    ct = _rec_content(r)
+    return {b: _u_exact_div(qs, ct) for b, qs in r.items()}
+
+
+def _unshifted(f: Poly) -> Poly:
+    """f divided by its monomial content."""
+    eq, et = min(m[0] for m in f), min(m[1] for m in f)
+    return {(a - eq, b - et): c for (a, b), c in f.items()}
+
+
+def prs_gcd(f: Poly, g: Poly) -> Poly:
+    """gcd in Z[q,t] of polynomials with nonnegative exponents, positive
+    leading coefficient under graded lex with q < t: the monomial content,
+    the content in Z[q] of f and g as polynomials in t, and the primitive
+    PRS in t over Z[q] on what is left.  Slow, since its coefficients swell,
+    but independent of qhc.coeffring."""
+    if not f or not g:
+        return dict(f or g)
+    mono = (min(m[0] for m in (*f, *g)), min(m[1] for m in (*f, *g)))
+    rf, rg = _to_rec(_unshifted(f)), _to_rec(_unshifted(g))
+    cont = _u_gcd(_rec_content(rf), _rec_content(rg))
+    a, b = _rec_primitive(rf), _rec_primitive(rg)
+    while b:
+        if max(a) < max(b):
+            a, b = b, a
+            continue
+        db, lb = max(b), b[max(b)]
+        r = a
+        while r and max(r) >= db:
+            dr = max(r)
+            lr = r[dr]
+            new = {bb: _u_mul(qs, lb) for bb, qs in r.items()}
+            for bb, qs in b.items():
+                new[bb + dr - db] = _u_sub(new.get(bb + dr - db, {}), _u_mul(qs, lr))
+            r = {bb: qs for bb, qs in new.items() if qs}
+        a, b = b, _rec_primitive(r) if r else {}
+    out: Poly = {}
+    for (x, y), v in _from_rec(a).items():
+        for e, c in cont.items():
+            m = (x + e + mono[0], y + mono[1])
+            out[m] = out.get(m, 0) + v * c
+    out = {m: v for m, v in out.items() if v}
+    lead = max(out, key=lambda m: (m[0] + m[1], m[1]))
+    return {m: -v for m, v in out.items()} if out[lead] < 0 else out

@@ -125,24 +125,43 @@ def test_cli_normalize_json(capsys):
     assert out["normal_form"] == "Y2"
 
 
-def test_cli_coprime_fractions_skip_the_prs(capsys, monkeypatch):
-    # two fractions over the same denominator D: reducing their product
-    # meets one gcd of 24- and 15-term coprime polynomials, which the
-    # primitive PRS alone took minutes over
-    def boom(*args):
-        raise AssertionError("PRS reached")
+# A, B and D: polynomials in q and t of five terms each, pairwise coprime
+A = {(4, 5): 1, (1, 7): 1, (3, 0): -2, (0, 1): 1, (0, 0): 1}
+B = {(5, 3): 1, (2, 7): 3, (0, 4): -1, (1, 0): 1, (0, 0): 2}
+D = {(5, 6): 3, (2, 8): -1, (3, 2): 2, (1, 0): 1, (0, 0): 1}
 
-    monkeypatch.setattr(coeffring, "_prs_gcd", boom)
-    den = "(3*q^5*t^6 - q^2*t^8 + 2*q^3*t^2 + q + 1)"
-    expr = f"(q^4*t^5 + q*t^7 - 2*q^3 + t + 1)/{den} * (q^5*t^3 + 3*q^2*t^7 - t^4 + q + 2)/{den} * T"
+
+def _normalize_daha(capsys, expr):
     rc = main(["normalize", "--algebra", "daha", expr])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
-    a = {(4, 5): 1, (1, 7): 1, (3, 0): -2, (0, 1): 1, (0, 0): 1}
-    b = {(5, 3): 1, (2, 7): 3, (0, 4): -1, (1, 0): 1, (0, 0): 2}
-    d = {(5, 6): 3, (2, 8): -1, (3, 2): 2, (1, 0): 1, (0, 0): 1}
-    num, den = coeffring.p_str(coeffring.p_mul(a, b)), coeffring.p_str(coeffring.p_mul(d, d))
-    assert out["normal_form"] == f"({num})/({den})*T"
+    return out["normal_form"]
+
+
+def _text(f):
+    return f"({coeffring.p_str(f)})"
+
+
+def test_cli_coprime_fractions_skip_the_prs(capsys):
+    # two fractions over the same denominator D: reducing their product
+    # meets one gcd of 24- and 15-term coprime polynomials, which a primitive
+    # PRS took minutes over
+    den = "(3*q^5*t^6 - q^2*t^8 + 2*q^3*t^2 + q + 1)"
+    expr = f"(q^4*t^5 + q*t^7 - 2*q^3 + t + 1)/{den} * (q^5*t^3 + 3*q^2*t^7 - t^4 + q + 2)/{den} * T"
+    p_mul = coeffring.p_mul
+    assert _normalize_daha(capsys, expr) == f"{_text(p_mul(A, B))}/{_text(p_mul(D, D))}*T"
+
+
+def test_cli_fractions_with_shared_factors_reduce(capsys):
+    # gcds of pairs that share B or D, over which a primitive PRS took from
+    # seconds to more than six minutes; the sum's reduced denominator is A*B*D
+    a, b, d = _text(A), _text(B), _text(D)
+    p_mul = coeffring.p_mul
+    got = _normalize_daha(capsys, f"({a}*{d})/({b}*{d}*{d}) * {b} * T")
+    assert got == f"{a}/{d}*T"
+    got = _normalize_daha(capsys, f"{a}/({b}*{d}) + {b}/({a}*{d}) + T")
+    num, den = coeffring.p_add(p_mul(A, A), p_mul(B, B)), p_mul(p_mul(A, B), D)
+    assert got == f"{_text(num)}/{_text(den)} + T"
 
 
 def test_cli_deterministic_output(capsys):

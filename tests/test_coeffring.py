@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import poly_eval
-from qhc import coeffring
+from oracles import poly_eval, prs_gcd
+from qhc.cli import Context
 from qhc.coeffring import (
     CoeffError,
     RatCoeff,
@@ -214,29 +214,37 @@ small_polys = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(small_polys, small_polys, small_polys, st.sampled_from([1, 2, 6]))
-def test_coprime_certificate_agrees_with_the_prs(a, b, h, k):
-    # f = k*a*h and g = b*h share h; whenever p_gcd returns without the PRS,
-    # the PRS must find no common factor beyond a monomial and an integer
+def test_gcd_matches_the_prs_oracle(a, b, h, k):
+    # f = k*a*h and g = b*h share h, and p_gcd must agree with the primitive
+    # PRS on every pair, coprime cofactors or not
     assume(a and b and h)
     f, g = p_mul(a, p_scale(h, k)), p_mul(b, h)
-    calls = []
-    prs = coeffring._prs_gcd
+    assert p_gcd(f, g) == prs_gcd(f, g), (f, g)
 
-    def spy(*args):
-        calls.append(args)
-        return prs(*args)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(coeffring, "_prs_gcd", spy)
-        got = p_gcd(f, g)
-    p_exact_div(f, got)
-    p_exact_div(g, got)
-    mf = (min(m[0] for m in f), min(m[1] for m in f))
-    mg = (min(m[0] for m in g), min(m[1] for m in g))
-    f0 = {(x - mf[0], y - mf[1]): v for (x, y), v in f.items()}
-    g0 = {(x - mg[0], y - mg[1]): v for (x, y), v in g.items()}
-    if calls or len(f0) == 1 or len(g0) == 1:
-        return
-    full = prs(f0, g0, coeffring._int_content(f0), coeffring._int_content(g0))
-    assert list(full) == [(0, 0)], (f, g, full)
-    assert got == {(min(mf[0], mg[0]), min(mf[1], mg[1])): full[(0, 0)]}
+def _poly(text):
+    """A polynomial in q and t with nonnegative exponents, from the parser."""
+    c = Context("daha").parse(text).scalar_coeff()
+    assert c.lden is None and min(min(m) for m in c.lnum) >= 0
+    return c.lnum
+
+
+@pytest.mark.parametrize("f, g, want", [
+    # the common factor is the content in q of both sides as polynomials in
+    # t, which the gcd in Z[t] of the images at q = xi has to keep
+    ("(q+1)*(t+1)", "(q+1)*(t+2)", "q + 1"),
+    # at an even q the images of q*t + q + 2 and q*t + q are both even, so
+    # the image gcd there is twice the image of h and the primitive part of
+    # the lift drops the 2
+    ("(q*t+q+2)*(q^2*t-3*t+1)", "(q*t+q)*(q^2*t-3*t+1)", "q^2*t - 3*t + 1"),
+    # a squared shared factor with coefficients near 10^9
+    ("(999999937*q^2*t - 999999929*t^2 + 1000000007)^2*(q - 2*t)",
+     "(999999937*q^2*t - 999999929*t^2 + 1000000007)^2*(q*t + 5)",
+     "(999999937*q^2*t - 999999929*t^2 + 1000000007)^2"),
+    # monomial and integer contents
+    ("6*q^2*t*(q + t)", "4*q*t^3*(q + t)*(q - t)", "2*q*t*(q + t)"),
+])
+def test_gcd_fixed_cases(f, g, want):
+    f, g, want = _poly(f), _poly(g), _poly(want)
+    assert p_gcd(f, g) == want == prs_gcd(f, g)
+    assert p_gcd(g, f) == want
