@@ -12,6 +12,12 @@ dq_denominators(), whose kappas are read off the inner grading
     detq(A) h = q^{2N} h detq(A)      detq(D) h = q^{-2M} h detq(D)
 
 for h of bidegree (M, N); dq_elem(body, la, ld) is detq(A)^-la detq(D)^-ld body.
+By that grading a determinant may multiply a body on either side, with the
+q-power fixed by the body's bidegree, and the element is the same.  LocElem
+multiplies and divides by detq(D) on the right, where its p-letters only
+sort among themselves, and by detq(A) on the left, where its a-letters do;
+detq(D) on the left would move its p-letters past every a-letter of the body
+through the sixteen cross relations.
 
 The quantum cofactor matrices are not transcribed: they are solved from the
 eight linear conditions A adj(A) = adj(A) A = detq(A) I (and the D analogue),

@@ -917,12 +917,27 @@ def _pair(kappa: tuple[int, int], d: tuple[int, int]) -> int:
     return kappa[0] * d[0] + kappa[1] * d[1]
 
 
+def _on_right(spec: AlgebraSpec, den: Denominator) -> bool:
+    """Whether den multiplies a body from the right: every letter of den
+    ranks after every letter outside it in spec.pbw.ranks, so w * den only
+    sorts letters inside den's own blocks where den * w would move them
+    past all of w."""
+    ranks = spec.pbw.ranks
+    own = {x for w in den.body.terms for x in w}
+    others = [r for i, r in enumerate(ranks) if i not in own]
+    return bool(others) and min(ranks[i] for i in own) > max(others)
+
+
 class LocElem:
     """den_1^-e_1 ... den_k^-e_k * body in the localisation of spec at the
     denominators dens, kept on the left in their declared order.
 
     Every q-power that moving a denominator costs follows from its kappa and
-    the bidegrees involved, so products, sums and equality are exact.
+    the bidegrees involved, so products, sums and equality are exact.  The
+    same holds for multiplying a body by a denominator: den * h equals
+    q^<kappa, deg h> h * den, so _at_loc and reduced put den on whichever
+    side _on_right picks from the spec, and the element does not change.
+    dq's detq(D) takes the right and detq(A) and oq's detq(L) the left.
     """
 
     __slots__ = ("spec", "dens", "exps", "body")
@@ -972,12 +987,17 @@ class LocElem:
         """Body of the same element written over den^-exps, exps >= self.exps:
         multiply on the left by den_k^d_k ... den_1^d_1 with d = exps - self.exps,
         with the q-power from moving each den_j^d_j past den_i^-e_i, i > j.
-        Each den_j acts on the normal body through spec.mul_normal."""
+        Each den_j multiplies the normal body through spec.mul_normal: as
+        den_j * out on the left, or, where _on_right holds, as
+        out' * den_j with out' = out with each word w scaled by
+        q^<kappa_j, deg w>, which is the same product by q-centrality."""
         delta = [g - e for g, e in zip(exps, self.exps)]
         out = self.body
         for den, d in zip(self.dens, delta):
+            right = d and _on_right(self.spec, den)
             for _ in range(d):
-                out = self.spec.mul_normal(den.body, out)
+                out = (self.spec.mul_normal(self._graded(out, den.kappa), den.body) if right
+                       else self.spec.mul_normal(den.body, out))
         return out.scale(self._q(self._cross(self.exps, delta)))
 
     def __eq__(self, other):
@@ -999,19 +1019,19 @@ class LocElem:
     def scale(self, c) -> "LocElem":
         return self._new(self.exps, self.body.scale(c))
 
+    def _graded(self, p: NcPoly, kappa, shift: int = 0) -> NcPoly:
+        """p with each word w scaled by q^(shift + <kappa, deg w>)."""
+        alph = self.spec.alphabet
+        return NcPoly(alph, {w: c * self._q(shift + _pair(kappa, alph.word_bidegree(w)))
+                             for w, c in p.terms.items()}, self.spec.field, _clean=True)
+
     def _moved(self, exps, sign: int = 1) -> NcPoly:
         """The body, each word scaled by the q-power that den^-exps costs
         moving left past it and then past self's denominators, so that
         self * den^-exps = den^-(self.exps + exps) * self._moved(exps);
         sign=-1 scales by the inverse powers and so undoes the move."""
-        alph = self.spec.alphabet
-        cross = self._cross(self.exps, exps)
-        moved = {}
-        for w, c in self.body.terms.items():
-            d = alph.word_bidegree(w)
-            e = sum(f * _pair(den.kappa, d) for f, den in zip(exps, self.dens))
-            moved[w] = c * self._q(sign * (cross + e))
-        return NcPoly(alph, moved, self.spec.field, _clean=True)
+        kappa = [sign * sum(f * den.kappa[k] for f, den in zip(exps, self.dens)) for k in (0, 1)]
+        return self._graded(self.body, kappa, sign * self._cross(self.exps, exps))
 
     def __mul__(self, other: "LocElem") -> "LocElem":
         """Product in the localisation: other's denominators move left past
@@ -1023,18 +1043,26 @@ class LocElem:
     def reduced(self) -> "LocElem":
         """Strip denominator factors from the body where divide finds
         an exact quotient, last denominator first, until none divides, so
-        den^k * den^-k renders as 1 for every k."""
+        den^k * den^-k renders as 1 for every k.
+
+        A denominator that _on_right puts on the right is divided off the
+        right: body = x * den = den * x' with x' = x with each word w scaled
+        by q^-<kappa, deg w>.  The algebras are domains, so x' is the one
+        left quotient, and divide finds it on either side or on neither."""
         exps, body = list(self.exps), self.body
         changed = True
         while changed and body:
             changed = False
             for i in reversed(range(len(exps))):
                 if exps[i] > 0:
-                    quo = divide(self.spec, self.dens[i].body, body)
+                    den = self.dens[i]
+                    right = _on_right(self.spec, den)
+                    quo = divide(self.spec, den.body, body, right=right)
                     if quo is not None:
                         # den_i moves left past den_l^-e_l for l > i
                         step = [int(j == i) for j in range(len(exps))]
-                        body = quo.scale(self._q(-self._cross(exps, step)))
+                        kappa = [-k for k in den.kappa] if right else (0, 0)
+                        body = self._graded(quo, kappa, -self._cross(exps, step))
                         exps[i] -= 1
                         changed = True
                         break

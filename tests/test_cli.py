@@ -352,6 +352,17 @@ def test_cli_dq_localized(capsys):
     assert out["normal_form"] == "1"
 
 
+def test_cli_dq_det_d_cancels_on_either_side(capsys):
+    # detq(D) multiplies and is divided off from the right, and the printed
+    # normal form must not depend on the order of detD and detDi
+    x = "(a11+p12+a21)^3"
+    outs = []
+    for expr in (x, f"detDi*detD*{x}", f"detD*detDi*{x}"):
+        assert main(["normalize", "--algebra", "dq", expr]) == 0
+        outs.append(json.loads(capsys.readouterr().out)["normal_form"])
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
 def test_cli_oq_localized(capsys):
     for expr in ("(l11*l22 - q^2*l12*l21)*detLi", "detLi*(l11*l22 - q^2*l12*l21)"):
         rc = main(["normalize", "--algebra", "oq", expr])

@@ -27,11 +27,12 @@ from qhc.dqops import (
     qtrace,
     trq_xt,
 )
+from qhc.invham import ham_spec, psibar_apply
 from qhc.linalg import dense_rank
 from qhc.qgroup import mat_mul
 from qhc.ncpoly import NcPoly
 from qhc.qgroup import oq_denominators, oq_spec
-from qhc.rewrite import LocElem, check_ambiguities, hilbert_table
+from qhc.rewrite import LocElem, _on_right, check_ambiguities, hilbert_table
 
 from oracles import diffops_positive_dims
 
@@ -182,27 +183,33 @@ def free_product_reference(x, y):
 
 
 def free_at_loc_reference(x, exps):
-    """x's body over den^-exps by d calls of nf(den.body * out) per denominator."""
+    """x's body over den^-exps by d calls of nf(den.body * out) per denominator,
+    last denominator first.  That order keeps dq's free products small, as
+    detq(D) then meets the body before detq(A) has raised its a-degree, and
+    den_k^d_k ... den_1^d_1 = q^_cross(d, d) den_1^d_1 ... den_k^d_k puts it
+    right."""
     delta = [g - e for g, e in zip(exps, x.exps)]
     out = x.body
-    for den, d in zip(x.dens, delta):
+    for den, d in reversed(list(zip(x.dens, delta))):
         for _ in range(d):
             out = x.spec.nf(den.body * out)
-    return out.scale(RAT.q_power(x._cross(x.exps, delta)))
+    return out.scale(RAT.q_power(x._cross(x.exps, delta) + x._cross(delta, delta)))
 
 
 laurent = st.builds(RatCoeff.monomial, st.integers(-3, 3).filter(bool), st.integers(-2, 2), st.integers(-2, 2))
 
 
 def loc_elems(name):
-    """Random localised elements with exponents 1 or 2 and short bodies."""
+    """Random localised elements with exponents 1 or 2 and bodies of up to
+    three words of up to four letters, which mix dq's a- and p-letters in
+    both orders."""
     if name == "dq":
         spec, ndens = dq_spec(), 2
         make = lambda body, exps: dq_elem(body, *exps)
     else:
         spec, ndens = oq_spec(), 1
         make = lambda body, exps: LocElem(spec, oq_denominators(), body, exps)
-    words = st.lists(st.integers(0, len(spec.alphabet) - 1), max_size=2).map(tuple)
+    words = st.lists(st.integers(0, len(spec.alphabet) - 1), max_size=4).map(tuple)
     bodies = st.dictionaries(words, laurent, min_size=1, max_size=3).map(lambda t: NcPoly(spec.alphabet, t))
     exps = st.lists(st.integers(1, 2), min_size=ndens, max_size=ndens)
     return st.builds(make, bodies, exps)
@@ -220,6 +227,25 @@ def test_loc_products_match_free_product_reference(name, data):
     shift = data.draw(st.lists(st.integers(0, 2), min_size=len(x.exps), max_size=len(x.exps)))
     target = tuple(e + s for e, s in zip(x.exps, shift))
     assert x._at_loc(target) == free_at_loc_reference(x, target)
+
+
+def test_denominator_sides():
+    # a denominator multiplies from the right only when its letters rank
+    # after every other letter: detq(D)'s p-letters follow the a-letters,
+    # detq(A)'s come first, and oq's detq(L) uses every letter
+    assert [_on_right(dq_spec(), den) for den in dq_denominators()] == [False, True]
+    assert [_on_right(oq_spec(), den) for den in oq_denominators()] == [False]
+
+
+@pytest.mark.parametrize("exps", [(1, 1), (2, 2)])
+def test_ham_square_residual_at_loc_matches_left_products(exps):
+    # find_ideal_multiplier writes the psibar image of the r*r residual over
+    # detA^-1 detD^-1, and over detA^-2 detD^-2 when that finds no multiplier
+    H = ham_spec()
+    (rule,) = [r for r in H.rules if r.tag == "r*r"]
+    img = psibar_apply(NcPoly.from_word(H.alphabet, rule.lhs) - rule.rhs)
+    assert img.exps == (0, 0) and len(img.body.terms) == 25
+    assert img._at_loc(exps) == free_at_loc_reference(img, exps)
 
 
 def test_qtrace_values(D):
