@@ -17,7 +17,6 @@ from .rewrite import (
     RankResult,
     RewriteRule,
     SpecError,
-    WordOrder,
     check_ambiguities,
     hilbert_table,
     normal_form,
@@ -30,7 +29,7 @@ __all__ = [
     "Alphabet", "GenSym", "NcPoly", "Word", "ANY_BIDEGREE",
     "AlgebraSpec", "AmbiguityReport", "EngineError", "HilbertTable",
     "NonTermination", "QCentralGen", "RankResult", "RewriteRule", "SpecError",
-    "WordOrder", "check_ambiguities", "hilbert_table", "normal_form",
+    "check_ambiguities", "hilbert_table", "normal_form",
     "rank_of_family", "straighten_trace",
 ]
 

@@ -46,7 +46,6 @@ from .rewrite import (
     PowerBlocksPbw,
     QCentralGen,
     RewriteRule,
-    WordOrder,
     agreed_rank,
 )
 
@@ -87,8 +86,6 @@ class _DahaBuilder:
             ("X1", "X1i", None),
             ("X2", "X2i", None),
         ])
-        self.order = WordOrder(ranks=self.pbw.ranks, tiebreak={self.alph.index("Ti"): 1})
-        self.rules: list[RewriteRule] = []
 
     # small helpers -----------------------------------------------------------
 
@@ -99,13 +96,10 @@ class _DahaBuilder:
         return NcPoly.from_word(self.alph, self.alph.word(*names))
 
     def rule(self, lhs_names: tuple[str, ...], rhs: NcPoly, tag: str) -> RewriteRule:
-        return RewriteRule(self.alph.word(*lhs_names), rhs, tag, self.order)
+        return RewriteRule(self.alph.word(*lhs_names), rhs, tag)
 
     def partial(self, rules) -> AlgebraSpec:
-        return AlgebraSpec(
-            self.alph, rules, self.order, self.pbw,
-            validate_pbw=False, aux_rules=[],
-        )
+        return AlgebraSpec(self.alph, rules, self.pbw, partial=True)
 
     def assert_zero(self, spec: AlgebraSpec, p: NcPoly, what: str):
         r = spec.nf(p)
@@ -239,7 +233,7 @@ class _DahaBuilder:
                 trusted.append(r)
                 rule_map[(xb + "i", y)] = r
 
-        return AlgebraSpec(self.alph, trusted, self.order, self.pbw, field=RAT)
+        return AlgebraSpec(self.alph, trusted, self.pbw, field=RAT)
 
 
 @cache
@@ -341,7 +335,6 @@ def sdaha_spec() -> AlgebraSpec:
         ("P1", None, None),
         ("P2", "P2i", None),
     ])
-    order = WordOrder(ranks=pbw.ranks, heavy=[alph.index("R")])
 
     def W(*names):
         return NcPoly.from_word(alph, alph.word(*names))
@@ -367,9 +360,9 @@ def sdaha_spec() -> AlgebraSpec:
          + W("Q1", "R", "P1").scale(qm2),
          "R*R"),
     ]
-    rules = [RewriteRule(alph.word(*lhs), rhs, tag, order) for lhs, rhs, tag in rules_src]
+    rules = [RewriteRule(alph.word(*lhs), rhs, tag) for lhs, rhs, tag in rules_src]
     return AlgebraSpec(
-        alph, rules, order, pbw,
+        alph, rules, pbw,
         q_central=[QCentralGen("P2", (-2, 0)), QCentralGen("Q2", (0, 2))],
     )
 

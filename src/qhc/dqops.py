@@ -48,7 +48,7 @@ from .qgroup import (
     rmatrix_vector,
     scalar_inverse_4x4,
 )
-from .rewrite import AlgebraSpec, Denominator, EngineError, LocElem, PowerBlocksPbw, WordOrder
+from .rewrite import AlgebraSpec, Denominator, EngineError, LocElem, PowerBlocksPbw, RewriteRule
 
 
 def _q(k: int) -> RatCoeff:
@@ -68,7 +68,6 @@ def dq_spec() -> AlgebraSpec:
     # divide's leading-word weights on a11, a12, a21, a22, p11, p12, p21, p22:
     # under them each nf(x_i * x_j) leads with e_i + e_j, as lex does not
     pbw = PowerBlocksPbw(alph, [(g.name, None, None) for g in alph.gens], weights=(8, 3, 7, 1, 5, 5, 2, 1))
-    order = WordOrder(ranks=pbw.ranks)
 
     def W(*names):
         return NcPoly.from_word(alph, alph.word(*names))
@@ -76,7 +75,7 @@ def dq_spec() -> AlgebraSpec:
     one = RC_ONE
     qm2, qm4, q2 = _q(-2), _q(-4), _q(2)
     qq2 = (RAT.q_power(1) - RAT.q_power(-1)) ** 2      # (q - 1/q)^2
-    rules = _re_rules(alph, *_A_NAMES, order) + _re_rules(alph, *_P_NAMES, order)
+    rules = _re_rules(alph, *_A_NAMES) + _re_rules(alph, *_P_NAMES)
     cross = [
         ("p11", "a11", -(one - qm2), ("p12", "a21"), [(qm2, ("a11", "p11")), (qm2 - qm4, ("a12", "p21"))]),
         ("p11", "a12", qm2 - one, ("p12", "a22"), [(qm2, ("a12", "p11"))]),
@@ -95,17 +94,15 @@ def dq_spec() -> AlgebraSpec:
         ("p22", "a21", None, None, [(qm2, ("a21", "p22")), (qm2 - one, ("a22", "p21"))]),
         ("p22", "a22", None, None, [(qm2, ("a22", "p22"))]),
     ]
-    from .rewrite import RewriteRule
-
     for lhs1, lhs2, pc, pw, sorted_terms in cross:
         rhs = NcPoly.zero(alph)
         if pw is not None:
             rhs = rhs + W(*pw).scale(pc)
         for c, wnames in sorted_terms:
             rhs = rhs + W(*wnames).scale(c)
-        rules.append(RewriteRule(alph.word(lhs1, lhs2), rhs, f"{lhs1}*{lhs2}", order))
+        rules.append(RewriteRule(alph.word(lhs1, lhs2), rhs, f"{lhs1}*{lhs2}"))
 
-    return AlgebraSpec(alph, rules, order, pbw)
+    return AlgebraSpec(alph, rules, pbw)
 
 
 # ---------------------------------------------------------------------------

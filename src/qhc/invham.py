@@ -45,7 +45,6 @@ from .rewrite import (
     PowerBlocksPbw,
     QCentralGen,
     RewriteRule,
-    WordOrder,
     agreed_rank,
     divide,
     eval_rows,
@@ -77,7 +76,7 @@ _INV_BLOCKS = [
 ]
 
 
-def _inv_rules_common(alph, order):
+def _inv_rules_common(alph):
     """The straightening rules shared by the invariant algebra and its
     Hamiltonian reduction (all except the r^2 relation and the w block)."""
 
@@ -87,23 +86,23 @@ def _inv_rules_common(alph, order):
     one = RC_ONE
     qm2 = _q(-2)
     rules = [
-        RewriteRule(alph.word("c2", "c1"), W("c1", "c2"), "c2*c1", order),
-        RewriteRule(alph.word("d2", "d1"), W("d1", "d2"), "d2*d1", order),
-        RewriteRule(alph.word("d2", "c2"), W("c2", "d2").scale(_q(-4)), "d2*c2", order),
-        RewriteRule(alph.word("d2", "c1"), W("c1", "d2").scale(qm2), "d2*c1", order),
-        RewriteRule(alph.word("d1", "c2"), W("c2", "d1").scale(qm2), "d1*c2", order),
-        RewriteRule(alph.word("d1", "c1"), W("c1", "d1") + W("r").scale(qm2 - one), "d1*c1", order),
-        RewriteRule(alph.word("d2", "r"), W("r", "d2").scale(qm2), "d2*r", order),
-        RewriteRule(alph.word("r", "c2"), W("c2", "r").scale(qm2), "r*c2", order),
+        RewriteRule(alph.word("c2", "c1"), W("c1", "c2"), "c2*c1"),
+        RewriteRule(alph.word("d2", "d1"), W("d1", "d2"), "d2*d1"),
+        RewriteRule(alph.word("d2", "c2"), W("c2", "d2").scale(_q(-4)), "d2*c2"),
+        RewriteRule(alph.word("d2", "c1"), W("c1", "d2").scale(qm2), "d2*c1"),
+        RewriteRule(alph.word("d1", "c2"), W("c2", "d1").scale(qm2), "d1*c2"),
+        RewriteRule(alph.word("d1", "c1"), W("c1", "d1") + W("r").scale(qm2 - one), "d1*c1"),
+        RewriteRule(alph.word("d2", "r"), W("r", "d2").scale(qm2), "d2*r"),
+        RewriteRule(alph.word("r", "c2"), W("c2", "r").scale(qm2), "r*c2"),
         RewriteRule(
             alph.word("d1", "r"),
             W("r", "d1").scale(qm2) + W("c1", "d2").scale((one - qm2) * qm2),
-            "d1*r", order,
+            "d1*r",
         ),
         RewriteRule(
             alph.word("r", "c1"),
             W("c1", "r").scale(qm2) + W("c2", "d1").scale((one - qm2) * qm2),
-            "r*c1", order,
+            "r*c1",
         ),
     ]
     return rules
@@ -114,13 +113,12 @@ def inv_spec() -> AlgebraSpec:
     """The sixteen-relation presentation of the invariant subalgebra."""
     alph = Alphabet("inv", _INV_GENS)
     pbw = PowerBlocksPbw(alph, _INV_BLOCKS + [("w", None, None)])
-    order = WordOrder(ranks=pbw.ranks, heavy=[alph.index("r")])
 
     def W(*names):
         return NcPoly.from_word(alph, alph.word(*names))
 
     qm2, qm4 = _q(-2), _q(-4)
-    rules = _inv_rules_common(alph, order)
+    rules = _inv_rules_common(alph)
     rules.append(RewriteRule(
         alph.word("r", "r"),
         W("w").scale(qm4)
@@ -128,17 +126,17 @@ def inv_spec() -> AlgebraSpec:
         - W("c2", "d1", "d1").scale(qm4)
         - W("c1", "c1", "d2").scale(qm4)
         + W("c1", "r", "d1").scale(qm2),
-        "r*r", order,
+        "r*r",
     ))
     rules += [
-        RewriteRule(alph.word("w", "r"), W("r", "w"), "w*r", order),
-        RewriteRule(alph.word("w", "c1"), W("c1", "w").scale(qm2), "w*c1", order),
-        RewriteRule(alph.word("w", "c2"), W("c2", "w").scale(qm4), "w*c2", order),
-        RewriteRule(alph.word("w", "d1"), W("d1", "w").scale(_q(2)), "w*d1", order),
-        RewriteRule(alph.word("w", "d2"), W("d2", "w").scale(_q(4)), "w*d2", order),
+        RewriteRule(alph.word("w", "r"), W("r", "w"), "w*r"),
+        RewriteRule(alph.word("w", "c1"), W("c1", "w").scale(qm2), "w*c1"),
+        RewriteRule(alph.word("w", "c2"), W("c2", "w").scale(qm4), "w*c2"),
+        RewriteRule(alph.word("w", "d1"), W("d1", "w").scale(_q(2)), "w*d1"),
+        RewriteRule(alph.word("w", "d2"), W("d2", "w").scale(_q(4)), "w*d2"),
     ]
     return AlgebraSpec(
-        alph, rules, order, pbw,
+        alph, rules, pbw,
         q_central=[QCentralGen("c2", (0, 2)), QCentralGen("d2", (-2, 0))],
     )
 
@@ -155,7 +153,6 @@ def ham_spec() -> AlgebraSpec:
     gens = [g for g in _INV_GENS if g[0] != "w"]
     alph = Alphabet("ham", gens)
     pbw = PowerBlocksPbw(alph, _INV_BLOCKS)
-    order = WordOrder(ranks=pbw.ranks, heavy=[alph.index("r")])
 
     def W(*names):
         return NcPoly.from_word(alph, alph.word(*names))
@@ -176,10 +173,10 @@ def ham_spec() -> AlgebraSpec:
             else:
                 names.append(nm)
         rhs = rhs + W(*names).scale(coeff)
-    rules = _inv_rules_common(alph, order)
-    rules.append(RewriteRule(alph.word("r", "r"), rhs, "r*r", order))
+    rules = _inv_rules_common(alph)
+    rules.append(RewriteRule(alph.word("r", "r"), rhs, "r*r"))
     return AlgebraSpec(
-        alph, rules, order, pbw,
+        alph, rules, pbw,
         q_central=[QCentralGen("c2", (0, 2)), QCentralGen("d2", (-2, 0))],
     )
 

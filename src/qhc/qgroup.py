@@ -32,7 +32,6 @@ from .rewrite import (
     PowerBlocksPbw,
     QCentralGen,
     RewriteRule,
-    WordOrder,
 )
 
 
@@ -66,16 +65,15 @@ def uq_spec() -> AlgebraSpec:
         ("K1", "K1i", None),
         ("K2", "K2i", None),
     ])
-    order = WordOrder(ranks=pbw.ranks)
     inv = QMQI.inverse()
     ef_rhs = (
         NcPoly.from_word(alph, alph.word("F", "E"))
         + NcPoly.from_word(alph, alph.word("K1", "K2i"), inv)
         - NcPoly.from_word(alph, alph.word("K1i", "K2"), inv)
     )
-    rules = [RewriteRule(alph.word("E", "F"), ef_rhs, "E*F", order)]
+    rules = [RewriteRule(alph.word("E", "F"), ef_rhs, "E*F")]
     return AlgebraSpec(
-        alph, rules, order, pbw,
+        alph, rules, pbw,
         q_central=[QCentralGen("K1", (1, 0)), QCentralGen("K2", (0, 1))],
     )
 
@@ -272,7 +270,7 @@ _OQ_GENS = [
 ]
 
 
-def _re_rules(alph: Alphabet, n11, n12, n21, n22, order) -> list[RewriteRule]:
+def _re_rules(alph: Alphabet, n11, n12, n21, n22) -> list[RewriteRule]:
     """The six reflection-equation straightening rules on a 2x2 matrix of
     generators named n11..n22 (shared by O_q and both matrix copies in D_q)."""
     one = RC_ONE
@@ -282,16 +280,16 @@ def _re_rules(alph: Alphabet, n11, n12, n21, n22, order) -> list[RewriteRule]:
         return NcPoly.from_word(alph, alph.word(*names))
 
     return [
-        RewriteRule(alph.word(n12, n11), W(n11, n12) + W(n12, n22).scale(c), f"{n12}*{n11}", order),
-        RewriteRule(alph.word(n22, n11), W(n11, n22), f"{n22}*{n11}", order),
-        RewriteRule(alph.word(n21, n11), W(n11, n21) - W(n22, n21).scale(c), f"{n21}*{n11}", order),
-        RewriteRule(alph.word(n22, n12), W(n12, n22).scale(_q(2)), f"{n22}*{n12}", order),
+        RewriteRule(alph.word(n12, n11), W(n11, n12) + W(n12, n22).scale(c), f"{n12}*{n11}"),
+        RewriteRule(alph.word(n22, n11), W(n11, n22), f"{n22}*{n11}"),
+        RewriteRule(alph.word(n21, n11), W(n11, n21) - W(n22, n21).scale(c), f"{n21}*{n11}"),
+        RewriteRule(alph.word(n22, n12), W(n12, n22).scale(_q(2)), f"{n22}*{n12}"),
         RewriteRule(
             alph.word(n21, n12),
             W(n12, n21) + (W(n11, n22) - W(n22, n22)).scale(c),
-            f"{n21}*{n12}", order,
+            f"{n21}*{n12}",
         ),
-        RewriteRule(alph.word(n22, n21), W(n21, n22).scale(_q(-2)), f"{n22}*{n21}", order),
+        RewriteRule(alph.word(n22, n21), W(n21, n22).scale(_q(-2)), f"{n22}*{n21}"),
     ]
 
 
@@ -300,9 +298,8 @@ def oq_spec() -> AlgebraSpec:
     alph = Alphabet("oq", _OQ_GENS)
     # divide's leading-word weights on l11, l12, l21, l22, as for dq_spec
     pbw = PowerBlocksPbw(alph, [(g.name, None, None) for g in alph.gens], weights=(1, 1, 2, 1))
-    order = WordOrder(ranks=pbw.ranks)
-    rules = _re_rules(alph, "l11", "l12", "l21", "l22", order)
-    return AlgebraSpec(alph, rules, order, pbw)
+    rules = _re_rules(alph, "l11", "l12", "l21", "l22")
+    return AlgebraSpec(alph, rules, pbw)
 
 
 def qtrace_oq() -> NcPoly:

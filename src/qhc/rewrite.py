@@ -21,15 +21,16 @@ Two layers of rules are kept:
   localisation of the positive cone and never enter the ambiguity count,
   mirroring how the localised algebra is obtained from the positive one.
 
-Termination is enforced two ways: every rule must strictly decrease a
-per-algebra lexicographic stack of word statistics (checked word by word at
-construction), and every normal-form computation carries a step budget.
+Termination is enforced two ways: every rule must strictly decrease the
+termination order PowerBlocksPbw.order_key, a lexicographic stack of word
+statistics read off the algebra's PBW blocks (checked word by word when the
+spec is built), and every normal-form computation carries a step budget.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .coeffring import RAT, QQField
 from .linalg import P, frac_rank
@@ -49,44 +50,6 @@ class SpecError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# word orders
-# ---------------------------------------------------------------------------
-
-class WordOrder:
-    """Lexicographic stack: weighted inversions, heavy-letter count, length,
-    letter tiebreak weights, then plain lex on generator indexes.
-
-    An inverted pair (x before y with rank x > rank y) weighs more when x has
-    a lower rank: straightening pushes inversions toward the top-ranked
-    letters before they disappear, so this weight strictly drops.
-    """
-
-    def __init__(
-        self,
-        ranks: Sequence[int],
-        heavy: Iterable[int] = (),
-        tiebreak: Optional[dict[int, int]] = None,
-    ):
-        self.ranks = tuple(ranks)
-        self.heavy = frozenset(heavy)
-        self.tiebreak = dict(tiebreak or {})
-        self.top = max(self.ranks) + 1
-
-    def key(self, w: Word):
-        ranks, top = self.ranks, self.top
-        inv = 0
-        n = len(w)
-        for i in range(n):
-            ri = ranks[w[i]]
-            for j in range(i + 1, n):
-                if ri > ranks[w[j]]:
-                    inv += top - ri
-        hv = sum(1 for x in w if x in self.heavy) if self.heavy else 0
-        tb = sum(self.tiebreak.get(x, 0) for x in w) if self.tiebreak else 0
-        return (inv, hv, n, tb, w)
-
-
-# ---------------------------------------------------------------------------
 # PBW descriptors
 # ---------------------------------------------------------------------------
 
@@ -99,7 +62,9 @@ class PowerBlocksPbw:
     descriptor covers the coordinate-style algebras too.
 
     ``ranks`` gives each letter the index of its block, or of its alphabet
-    inverse's block (daha's Ti); the algebra's WordOrder is built from it.
+    inverse's block (daha's Ti, which is in no block).  ``order_key``, the
+    termination order every rule must decrease, is read off the ranks, the
+    caps and the letters outside every block.
 
     ``weights`` gives each block a nonnegative weight (default 0) for
     ``lead_key``, the order in which ``divide`` takes leading words.
@@ -127,6 +92,31 @@ class PowerBlocksPbw:
                 raise SpecError(f"{alphabet.algebra_id}: letter {g.name} is in no PBW block")
             ranks.append(k)
         self.ranks = tuple(ranks)
+        self._top = max(ranks) + 1
+        self._capped = frozenset(g for g, k in enumerate(ranks) if self.blocks[k][2] is not None)
+        self._outside = frozenset(g for g in range(len(ranks)) if g not in self.block_of)
+
+    def order_key(self, w: Word):
+        """The termination order: weighted inversions, then the count of
+        letters whose block has a cap (r, R, T), the length, the count of
+        letters outside every block (daha's Ti), then lex on generator
+        indexes.
+
+        An inverted pair (x before y with rank x > rank y) weighs more when x
+        has a lower rank: straightening pushes inversions toward the
+        top-ranked letters before they disappear, so this weight strictly
+        drops."""
+        ranks, top = self.ranks, self._top
+        inv = 0
+        n = len(w)
+        for i in range(n):
+            ri = ranks[w[i]]
+            for j in range(i + 1, n):
+                if ri > ranks[w[j]]:
+                    inv += top - ri
+        capped = sum(1 for x in w if x in self._capped)
+        outside = sum(1 for x in w if x in self._outside)
+        return (inv, capped, n, outside, w)
 
     def accepts(self, w: Word) -> bool:
         cur = -1
@@ -232,7 +222,7 @@ class PowerBlocksPbw:
 class RewriteRule:
     __slots__ = ("lhs", "rhs", "tag")
 
-    def __init__(self, lhs: Word, rhs: NcPoly, tag: str, order: Optional[WordOrder] = None):
+    def __init__(self, lhs: Word, rhs: NcPoly, tag: str):
         if not lhs:
             raise SpecError(f"rule {tag}: empty left-hand side")
         self.lhs = lhs
@@ -245,14 +235,6 @@ class RewriteRule:
         for w in rhs.terms:
             if alph.word_bidegree(w) != d:
                 raise SpecError(f"rule {tag}: rhs word {alph.word_str(w)} is not homogeneous with lhs")
-        if order is not None:
-            kl = order.key(lhs)
-            for w in rhs.terms:
-                if not order.key(w) < kl:
-                    raise SpecError(
-                        f"rule {tag}: rhs word {alph.word_str(w)} does not decrease "
-                        f"the termination order"
-                    )
 
     def __repr__(self):
         return f"<rule {self.tag}>"
@@ -270,31 +252,35 @@ STEP_BUDGET = 10**6
 
 
 class AlgebraSpec:
-    """A presentation with oriented rules, a termination order and a PBW map."""
+    """A presentation with oriented rules and a PBW map.
+
+    Every core rule, then every auxiliary rule, must decrease
+    pbw.order_key.  A partial spec, one of the daha bootstrap's intermediate
+    rule sets, gets no auxiliary rules and neither that check nor the check
+    that irreducible words are PBW words: each of its rules is checked in the
+    final spec, which holds them all."""
 
     def __init__(
         self,
         alphabet: Alphabet,
         rules: Sequence[RewriteRule],
-        order: WordOrder,
-        pbw,
+        pbw: PowerBlocksPbw,
         q_central: Sequence[QCentralGen] = (),
         field=RAT,
-        validate_pbw: bool = True,
-        aux_rules: Optional[Sequence[RewriteRule]] = None,
+        partial: bool = False,
     ):
         self.alphabet = alphabet
         self.algebra_id = alphabet.algebra_id
         self.rules = list(rules)
-        self.order = order
         self.pbw = pbw
         self.q_central = list(q_central)
         self.field = field
-        self.validate_pbw = validate_pbw
-        if aux_rules is None:
+        self.partial = partial
+        self.aux_rules: list[RewriteRule] = []
+        if not partial:
+            self._check_decreasing(self.rules)
             self.aux_rules = generate_aux_rules(self)
-        else:
-            self.aux_rules = list(aux_rules)
+            self._check_decreasing(self.aux_rules)
         # _rule_at[x][y]: the rule the search applies at a position reading x
         # then y, column G standing for the end of the word (see _end).  A
         # one-letter rule sits in column G and, being tried first at its
@@ -322,6 +308,17 @@ class AlgebraSpec:
             r.lhs for r in self.rules + self.aux_rules
             if len(r.lhs) > 1 and len(set(r.lhs)) == 1
         )
+
+    def _check_decreasing(self, rules: Sequence[RewriteRule]) -> None:
+        key = self.pbw.order_key
+        for r in rules:
+            kl = key(r.lhs)
+            for w in r.rhs.terms:
+                if not key(w) < kl:
+                    raise SpecError(
+                        f"rule {r.tag}: rhs word {self.alphabet.word_str(w)} does not decrease "
+                        f"the termination order"
+                    )
 
     # -- element helpers ------------------------------------------------------
 
@@ -361,7 +358,6 @@ class AlgebraSpec:
         terms: dict[Word, object],
         direction: str,
         frozen_lhs: bool = False,
-        check_pbw: Optional[bool] = None,
     ) -> dict[Word, object]:
         """Reduce the sum of c * w over terms to normal form, rewriting in
         each word the redex _find_redex(w, direction) names.
@@ -372,9 +368,10 @@ class AlgebraSpec:
         none starts in its last len(post) letters.  clean[w] holds that
         count for a pending word, and the search in w starts past them.  The
         count is a fact about the word alone, so a word made twice keeps the
-        count stored first."""
-        if check_pbw is None:
-            check_pbw = self.validate_pbw
+        count stored first.  Irreducible words must be PBW words, except in a
+        partial spec and under frozen_lhs, whose frozen powers (R^2, r^2) lie
+        outside the PBW set by design."""
+        pbw_only = not (self.partial or frozen_lhs)
         cache = None if frozen_lhs else self._nf_cache[direction]
         leftmost = direction == "leftmost"
         table, end = self._rule_at, self._end
@@ -413,7 +410,7 @@ class AlgebraSpec:
                 if rule is not None:
                     break
             else:
-                if check_pbw and not self.pbw.accepts(w):
+                if pbw_only and not self.pbw.accepts(w):
                     raise EngineError(
                         f"{self.algebra_id}: irreducible word {self.alphabet.word_str(w)} "
                         f"is outside the normal-form set"
@@ -510,26 +507,14 @@ class AlgebraSpec:
     # -- specialisation ----------------------------------------------------------
 
     def specialize(self, q0, t0) -> "AlgebraSpec":
+        """This presentation over Q at (q0, t0); its auxiliary rules are
+        generated again over Q."""
         fld = QQField(*specialisation_point(q0, t0))
-
-        def conv(rule: RewriteRule) -> RewriteRule:
-            rhs = NcPoly(
-                self.alphabet,
-                {w: fld.eval(c) for w, c in rule.rhs.terms.items()},
-                fld,
-            )
-            return RewriteRule(rule.lhs, rhs, rule.tag, self.order)
-
-        return AlgebraSpec(
-            self.alphabet,
-            [conv(r) for r in self.rules],
-            self.order,
-            self.pbw,
-            self.q_central,
-            field=fld,
-            validate_pbw=self.validate_pbw,
-            aux_rules=[conv(r) for r in self.aux_rules],
-        )
+        rules = [
+            RewriteRule(r.lhs, NcPoly(self.alphabet, {w: fld.eval(c) for w, c in r.rhs.terms.items()}, fld), r.tag)
+            for r in self.rules
+        ]
+        return AlgebraSpec(self.alphabet, rules, self.pbw, self.q_central, field=fld, partial=self.partial)
 
 
 CACHE_MAX_LEN = 16
@@ -550,7 +535,7 @@ def generate_aux_rules(spec: AlgebraSpec) -> list[RewriteRule]:
     are emitted for the declared letters' inverse pairs.
     """
     alph = spec.alphabet
-    ranks = spec.order.ranks
+    ranks = spec.pbw.ranks
     kappa: dict[int, tuple[int, int]] = {}
     for qc in spec.q_central:
         i = alph.index(qc.name)
@@ -590,10 +575,10 @@ def generate_aux_rules(spec: AlgebraSpec) -> list[RewriteRule]:
                         f"{alph.gens[x].name}*{alph.gens[y].name}"
                     )
                 rhs = NcPoly(alph, {(y, x): spec.field.q_power(e)}, spec.field)
-                out.append(RewriteRule(pair, rhs, f"comm:{alph.gens[x].name}*{alph.gens[y].name}", spec.order))
+                out.append(RewriteRule(pair, rhs, f"comm:{alph.gens[x].name}*{alph.gens[y].name}"))
             elif ranks[x] == ranks[y] and alph.inverse_index.get(x) == y and (x in kappa or y in kappa):
                 rhs = NcPoly(alph, {EMPTY_WORD: spec.field.one}, spec.field)
-                out.append(RewriteRule(pair, rhs, f"cancel:{alph.gens[x].name}*{alph.gens[y].name}", spec.order))
+                out.append(RewriteRule(pair, rhs, f"cancel:{alph.gens[x].name}*{alph.gens[y].name}"))
     return out
 
 
@@ -682,7 +667,7 @@ def straighten_trace(spec: AlgebraSpec, w: Word, first: str = "leftmost") -> NcP
         return NcPoly.from_word(spec.alphabet, w, field=spec.field)
     i, _, rule = hit
     started = _apply_rule_at(spec, w, rule, i)
-    terms = spec._reduce_terms(dict(started.terms), "leftmost", frozen_lhs=True, check_pbw=False)
+    terms = spec._reduce_terms(dict(started.terms), "leftmost", frozen_lhs=True)
     return NcPoly(spec.alphabet, terms, spec.field, _clean=True)
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from qhc import coeffring
+from qhc import coeffring, daha
 from qhc.coeffring import RAT, RC_ONE, RC_T
 from qhc.daha import (
     BETA,
@@ -66,6 +66,25 @@ def test_conjugation_normal_forms(H):
     expected = (H.word_poly("Y1", "X1").scale(qm2 * (RC_ONE + BETA * BETA))
                 - H.word_poly("T", "Y1", "X1").scale(qm2 * BETA))
     assert H.nf(H.word_poly("X1", "Y1")) == expected
+
+
+def test_partial_specs_hold_only_rules_of_the_final_spec(monkeypatch):
+    # a partial spec skips the order and PBW checks; that is safe because
+    # every rule it holds is a rule of the final spec, checked there
+    built = []
+    real = daha.AlgebraSpec
+
+    def recording(*args, **kwargs):
+        spec = real(*args, **kwargs)
+        built.append(spec)
+        return spec
+
+    monkeypatch.setattr(daha, "AlgebraSpec", recording)
+    final = daha._DahaBuilder().build()
+    partial = [spec for spec in built if spec.partial]
+    assert partial and built == partial + [final] and not final.partial
+    held = {id(r) for r in final.rules}
+    assert all(id(r) in held for spec in partial for r in spec.rules)
 
 
 def test_all_daha_diamonds_resolve(H):

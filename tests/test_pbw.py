@@ -1,6 +1,6 @@
 """PBW declarations: each spec's blocks against its rules, the enumeration
-order, the letter ranks every WordOrder reads from the blocks, and the
-block weights."""
+order, the letter ranks and the termination order read off the blocks, and
+the block weights."""
 
 import itertools
 
@@ -73,8 +73,29 @@ def test_dq_enumeration_order():
 
 def test_ranks_read_from_blocks():
     # Ti is in no block and takes the block of its inverse T
-    assert daha_spec().order.ranks == (0, 0, 1, 1, 2, 2, 3, 3, 4, 4)
-    assert dq_spec().order.ranks == tuple(range(8))
+    assert daha_spec().pbw.ranks == (0, 0, 1, 1, 2, 2, 3, 3, 4, 4)
+    assert dq_spec().pbw.ranks == tuple(range(8))
+
+
+def test_order_key_counts_capped_letters_before_length():
+    pbw = inv_spec().pbw
+    rr = pbw.order_key(pbw.alphabet.word("r", "r"))
+    crd = pbw.order_key(pbw.alphabet.word("c1", "r", "d1"))
+    # neither has an inversion; r*r has two letters of the capped r block
+    # against one, which decides before the lengths 2 and 3 can
+    assert rr[0] == crd[0] == 0
+    assert rr[1:3] == (2, 2) and crd[1:3] == (1, 3)
+    assert crd < rr
+
+
+def test_order_key_counts_letters_outside_every_block():
+    pbw = daha_spec().pbw
+    ti, t, empty = (pbw.order_key(w) for w in (pbw.alphabet.word("Ti"), pbw.alphabet.word("T"), ()))
+    # Ti, in no block, ties with T (rank 0, capped, one letter) until the
+    # count of letters outside every block; both outrank the empty word
+    assert ti[:3] == t[:3] == (0, 1, 1)
+    assert (ti[3], t[3], empty[3]) == (1, 0, 0)
+    assert ti > t > empty
 
 
 def test_letter_in_no_block_is_rejected():

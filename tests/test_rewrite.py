@@ -32,7 +32,6 @@ from qhc.rewrite import (
     QCentralGen,
     RewriteRule,
     SpecError,
-    WordOrder,
     agreed_rank,
     check_ambiguities,
     divide,
@@ -50,16 +49,14 @@ def make_plane():
         ("z", (1, 1), None),
         ("zi", (-1, -1), "z"),
     ])
-    order = WordOrder(ranks=[0, 1, 2, 2])
     pbw = PowerBlocksPbw(alph, [("x", None, None), ("y", None, None), ("z", "zi", None)])
     q2 = RAT.q_power(2)
     rule = RewriteRule(
         alph.word("y", "x"),
         NcPoly(alph, {alph.word("x", "y"): q2}),
         "y*x",
-        order,
     )
-    return AlgebraSpec(alph, [rule], order, pbw, q_central=[QCentralGen("z", (2, -2))])
+    return AlgebraSpec(alph, [rule], pbw, q_central=[QCentralGen("z", (2, -2))])
 
 
 @pytest.fixture(scope="module")
@@ -148,24 +145,24 @@ def test_rank_guard_names_algebra_and_word():
 
 def test_rule_invariants_enforced():
     alph = Alphabet("bad", [("x", (1, 0), None), ("y", (0, 1), None)])
-    order = WordOrder(ranks=[0, 1])
-    with pytest.raises(SpecError):
+    pbw = PowerBlocksPbw(alph, [("x", None, None), ("y", None, None)])
+    wrong = RewriteRule(alph.word("x", "y"), NcPoly(alph, {alph.word("y", "x"): RAT.one}), "bad")
+    with pytest.raises(SpecError, match=r"^rule bad: rhs word y\*x does not decrease"):
         # wrong orientation: rhs does not decrease the order
-        RewriteRule(alph.word("x", "y"), NcPoly(alph, {alph.word("y", "x"): RAT.one}), "bad", order)
+        AlgebraSpec(alph, [wrong], pbw)
     with pytest.raises(SpecError):
         # inhomogeneous rhs
-        RewriteRule(alph.word("y", "x"), NcPoly(alph, {alph.word("x", "x"): RAT.one}), "bad", order)
+        RewriteRule(alph.word("y", "x"), NcPoly(alph, {alph.word("x", "x"): RAT.one}), "bad")
 
 
 def test_budget_guard(monkeypatch):
     monkeypatch.setattr(rewrite, "STEP_BUDGET", 3)
     alph = Alphabet("loop", [("a", (1, 0), None), ("b", (1, 0), None)])
-    order = WordOrder(ranks=[1, 0])
     pbw = PowerBlocksPbw(alph, [("b", None, None), ("a", None, None)])
     # a cycling pair: a b -> b a and b a -> a b would not pass the order check;
     # instead exceed the budget with a legitimate but long reduction
-    rule = RewriteRule(alph.word("a", "b"), NcPoly(alph, {alph.word("b", "a"): RAT.one}), "a*b", order)
-    spec = AlgebraSpec(alph, [rule], order, pbw)
+    rule = RewriteRule(alph.word("a", "b"), NcPoly(alph, {alph.word("b", "a"): RAT.one}), "a*b")
+    spec = AlgebraSpec(alph, [rule], pbw)
     long_word = alph.word(*(["a"] * 3 + ["b"] * 3))
     with pytest.raises(NonTermination):
         normal_form(spec, NcPoly.from_word(alph, long_word))
@@ -174,10 +171,9 @@ def test_budget_guard(monkeypatch):
 def test_budget_error_names_algebra_word_and_steps(monkeypatch):
     monkeypatch.setattr(rewrite, "STEP_BUDGET", 3)
     alph = Alphabet("loop", [("a", (1, 0), None), ("b", (1, 0), None)])
-    order = WordOrder(ranks=[1, 0])
     pbw = PowerBlocksPbw(alph, [("b", None, None), ("a", None, None)])
-    rule = RewriteRule(alph.word("a", "b"), NcPoly(alph, {alph.word("b", "a"): RAT.one}), "a*b", order)
-    spec = AlgebraSpec(alph, [rule], order, pbw)
+    rule = RewriteRule(alph.word("a", "b"), NcPoly(alph, {alph.word("b", "a"): RAT.one}), "a*b")
+    spec = AlgebraSpec(alph, [rule], pbw)
     long_word = alph.word(*(["a"] * 3 + ["b"] * 3))
     with pytest.raises(NonTermination, match=r"^loop: step budget of 3 exceeded while reducing a\^3\*b\^3$"):
         spec.nf_word(long_word)
@@ -230,6 +226,17 @@ def test_mul_normal_matches_nf_of_free_product(name, data):
 ALL_SPECS = dict(PRODUCT_SPECS, uq=uq_spec, inv=inv_spec)
 
 
+@pytest.mark.parametrize("name", sorted(ALL_SPECS))
+def test_specialize_regenerates_the_evaluated_aux_rules(name):
+    spec = ALL_SPECS[name]()
+    sp = spec.specialize(2, 3)
+
+    def table(s, value):
+        return {r.lhs: (r.tag, {w: value(c) for w, c in r.rhs.terms.items()}) for r in s.aux_rules}
+
+    assert table(sp, lambda c: c) == table(spec, sp.field.eval)
+
+
 def naive_redex(spec, w, direction):
     """Every position in the direction's order, every rule's lhs sliced
     against the word there, a shorter lhs first."""
@@ -268,8 +275,7 @@ def test_redex_table_and_resumed_reduction_match_naive(name, data):
         assert spec._find_redex(w, d) == naive_redex(spec, w, d)
     # a fresh spec has empty normal-form caches, so every intermediate word
     # goes through the resumed search
-    fresh = AlgebraSpec(spec.alphabet, spec.rules, spec.order, spec.pbw, spec.q_central,
-                        field=spec.field, aux_rules=spec.aux_rules)
+    fresh = AlgebraSpec(spec.alphabet, spec.rules, spec.pbw, spec.q_central, field=spec.field)
     v = w[:5]
     left = fresh.nf_word(v, "leftmost")
     assert left == fresh.nf_word(v, "rightmost") == naive_nf(spec, v, "leftmost")
@@ -277,16 +283,15 @@ def test_redex_table_and_resumed_reduction_match_naive(name, data):
 
 def test_three_letter_lhs_is_refused():
     alph = Alphabet("cubic", [("x", (1, 0), None), ("y", (0, 1), None)])
-    order = WordOrder(ranks=[0, 1])
     pbw = PowerBlocksPbw(alph, [("x", None, None), ("y", None, None)])
 
     def rule(lhs, rhs):
-        return RewriteRule(alph.word(*lhs), NcPoly(alph, {alph.word(*rhs): RAT.one}), "*".join(lhs), order)
+        return RewriteRule(alph.word(*lhs), NcPoly(alph, {alph.word(*rhs): RAT.one}), "*".join(lhs))
 
     pair = rule(("y", "x"), ("x", "y"))
-    AlgebraSpec(alph, [pair], order, pbw)
+    AlgebraSpec(alph, [pair], pbw)
     with pytest.raises(SpecError, match=r"^rule y\*y\*x: left-hand side y\^2\*x has 3 letters"):
-        AlgebraSpec(alph, [pair, rule(("y", "y", "x"), ("x", "y", "y"))], order, pbw)
+        AlgebraSpec(alph, [pair, rule(("y", "y", "x"), ("x", "y", "y"))], pbw)
 
 
 # -- divide on the q-determinants and on mu(Z_t) ------------------------------
