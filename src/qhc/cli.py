@@ -232,22 +232,7 @@ def cmd_verify(args) -> int:
 
 def cmd_hc_check(args) -> int:
     rep = hciso.hc_verify(_max_bidegree(args, (4, 4)))
-    doc = {
-        "schema": 1,
-        "command": "hc-check",
-        "relations": rep["relations"],
-        "bijection": [
-            {
-                "bidegree": list(b["bidegree"]),
-                "count": b["count"],
-                "bijective": b["bijective"],
-                "scalars": b["scalars"],
-            }
-            for b in rep["bijection"]
-        ],
-        "pass": rep["pass"],
-    }
-    _emit(doc, args.output)
+    _emit({"schema": 1, "command": "hc-check", **rep}, args.output)
     return 0 if rep["pass"] else 1
 
 

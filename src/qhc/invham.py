@@ -34,11 +34,9 @@ from .dqops import (
     qtrace,
     trq_xt,
 )
-from .linalg import frac_rank
 from .ncpoly import Alphabet, NcPoly
 from .qgroup import mat_mul
 from .rewrite import (
-    DEFAULT_POINTS,
     AlgebraSpec,
     EngineError,
     LocElem,
@@ -47,7 +45,7 @@ from .rewrite import (
     RewriteRule,
     agreed_rank,
     divide,
-    eval_rows,
+    point_ranks,
 )
 
 
@@ -266,26 +264,16 @@ def invariant_dimension(M: int, N: int) -> int:
     on the same dimension, so where the two meet it is certified."""
     D = dq_spec()
     act = dq_action()
-    words = list(D.pbw.enumerate(M, N))
-    zero_words = [w for w in words if act._word_weight(w) == (0, 0)]
-    if not zero_words:
-        return 0
-    img_polys = []
-    for w in zero_words:
-        p = NcPoly.from_word(D.alphabet, w)
-        img_polys.append((act.act("E", p), act.act("F", p)))
-    # row 2k (2k+1) holds the coefficient of the k-th word of the E (F) images
-    cols_e: dict = {}
-    cols_f: dict = {}
-    rows: list[dict] = []
-    for j, (pe, pf) in enumerate(img_polys):
-        for p, cols, off in ((pe, cols_e, 0), (pf, cols_f, 1)):
-            for word, c in p.terms.items():
-                key = cols.setdefault(word, len(cols))
-                while len(rows) <= 2 * key + off:
-                    rows.append({})
-                rows[2 * key + off][j] = c
-    dims = [len(zero_words) - frac_rank(eval_rows(rows, q0, t0)) for q0, t0 in DEFAULT_POINTS]
+    # one row per weight-zero word: its E image in columns (0, v), its F
+    # image in columns (1, v)
+    rows = []
+    for w in D.pbw.enumerate(M, N):
+        if act._word_weight(w) == (0, 0):
+            p = NcPoly.from_word(D.alphabet, w)
+            row = {(0, v): c for v, c in act.act("E", p).terms.items()}
+            row.update({(1, v): c for v, c in act.act("F", p).terms.items()})
+            rows.append(row)
+    dims = [len(rows) - r for r in point_ranks(rows)]
     if len(set(dims)) != 1:
         raise EngineError(f"invariant dimension disagrees across points: {dims}")
     return dims[0]

@@ -21,19 +21,17 @@ against the pivots found so far, always at its minimum column, and what is
 left becomes a new pivot row divided by its leading entry.
 
 ``frac_rank`` first chooses the order the kernel sees (Markowitz's rule of
-least fill, simplified to static counts).  It drops empty rows, eliminates the
-transpose of a matrix with more rows than columns, so that the kernel reduces
-min(rows, columns) rows rather than max(rows, columns), renumbers the columns
-by ascending count of nonzeros, and feeds the rows in sparsest first.  Rank is invariant
-under transposition and under permutations of rows and of columns, over GF(P)
-as over any field, so the ordered rank is the rank of the given rows and the
+least fill, simplified to static counts).  It drops empty rows, renumbers the
+columns by ascending count of nonzeros, and feeds the rows in sparsest first.
+Rank is invariant under permutations of rows and of columns, over GF(P) as
+over any field, so the ordered rank is the rank of the given rows and the
 chain of bounds above is untouched.  ``frac_solve`` and ``solve_dense`` keep
 the given order, since a solution is read off per column.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Hashable, Sequence
 
 #: the prime of every specialised rank and solve
 P = 2**61 - 45
@@ -117,25 +115,19 @@ def _sparse(row) -> dict[int, object]:
     return {j: v for j, v in enumerate(row) if v}
 
 
-def frac_rank(rows: Sequence[dict[int, int]]) -> int:
-    """Rank mod P of a sparse matrix given as rows {column: residue}.
+def frac_rank(rows: Sequence[dict[Hashable, int]]) -> int:
+    """Rank mod P of a sparse matrix given as rows {column: residue}, the
+    columns any hashable keys.
 
-    The rows are reordered first (see the module docstring): the transpose
-    of a tall matrix, columns by ascending nonzero count, rows sparsest
-    first.  None of this changes the rank, so it is still a lower bound on
-    the rank over Q at the point and on the generic rank."""
+    The rows are reordered first (see the module docstring): columns by
+    ascending nonzero count, rows sparsest first.  Neither changes the rank,
+    so it is still a lower bound on the rank over Q at the point and on the
+    generic rank."""
     rows = [r for r in rows if r]
-    counts: dict[int, int] = {}
+    counts: dict[Hashable, int] = {}
     for r in rows:
         for c in r:
             counts[c] = counts.get(c, 0) + 1
-    if len(rows) > len(counts):
-        cols: dict[int, dict[int, int]] = {}
-        for i, r in enumerate(rows):
-            for c, v in r.items():
-                cols.setdefault(c, {})[i] = v
-        counts = {i: len(r) for i, r in enumerate(rows)}
-        rows = list(cols.values())
     renumber = {c: k for k, c in enumerate(sorted(counts, key=counts.__getitem__))}
     rows = sorted(({renumber[c]: v for c, v in r.items()} for r in rows), key=len)
     return len(_echelon_mod(rows))

@@ -165,9 +165,8 @@ class PowerBlocksPbw:
         of positive degree give the words in lexicographic order of their
         letter indexes (for oq, the order of
         itertools.combinations_with_replacement).  dq's invariant_dimension
-        takes its column order from this, but frac_rank renumbers the columns
-        itself, so neither the rank nor the time of the elimination depends
-        on it.
+        takes its row order from this, and frac_rank keeps it only among
+        rows of equal length, so the rank does not depend on it.
         """
         alph = self.alphabet
         blocks = [(p, cap, alph.gens[p].bidegree) for p, _, cap in self.blocks]
@@ -250,6 +249,13 @@ class QCentralGen(NamedTuple):
 #: most rewrite steps one normal-form computation may take
 STEP_BUDGET = 10**6
 
+#: most terms one spec's cached normal forms may hold, both directions
+#: together; nf_word stops caching once they reach it.  A cached term holds
+#: about 515 bytes with its word and coefficient (tracemalloc: clearing the
+#: caches after the moment suite freed 3.7 MB for 7,198 terms), so a full
+#: cache holds about 0.5 GB.
+CACHE_MAX_TERMS = 1_000_000
+
 
 class AlgebraSpec:
     """A presentation with oriented rules and a PBW map.
@@ -302,12 +308,7 @@ class AlgebraSpec:
         )
         self._end = (G,)
         self._nf_cache: dict[str, dict[Word, NcPoly]] = {"leftmost": {}, "rightmost": {}}
-        # standalone powers of one generator (R^2 and the like) are kept
-        # symbolic by straighten_trace, matching by-hand diamond bookkeeping
-        self._lhs_words = frozenset(
-            r.lhs for r in self.rules + self.aux_rules
-            if len(r.lhs) > 1 and len(set(r.lhs)) == 1
-        )
+        self._nf_cached_terms = 0
 
     def _check_decreasing(self, rules: Sequence[RewriteRule]) -> None:
         key = self.pbw.order_key
@@ -353,12 +354,7 @@ class AlgebraSpec:
                 return i, len(rule.lhs), rule
         return None
 
-    def _reduce_terms(
-        self,
-        terms: dict[Word, object],
-        direction: str,
-        frozen_lhs: bool = False,
-    ) -> dict[Word, object]:
+    def _reduce_terms(self, terms: dict[Word, object], direction: str) -> dict[Word, object]:
         """Reduce the sum of c * w over terms to normal form, rewriting in
         each word the redex _find_redex(w, direction) names.
 
@@ -368,11 +364,10 @@ class AlgebraSpec:
         none starts in its last len(post) letters.  clean[w] holds that
         count for a pending word, and the search in w starts past them.  The
         count is a fact about the word alone, so a word made twice keeps the
-        count stored first.  Irreducible words must be PBW words, except in a
-        partial spec and under frozen_lhs, whose frozen powers (R^2, r^2) lie
-        outside the PBW set by design."""
-        pbw_only = not (self.partial or frozen_lhs)
-        cache = None if frozen_lhs else self._nf_cache[direction]
+        count stored first.  Irreducible words must be PBW words, except in
+        a partial spec."""
+        pbw_only = not self.partial
+        cache = self._nf_cache[direction]
         leftmost = direction == "leftmost"
         table, end = self._rule_at, self._end
         work = dict(terms)
@@ -385,24 +380,15 @@ class AlgebraSpec:
             c = work.pop(w)
             if not c:
                 continue
-            if cache is not None:
-                hit = cache.get(w)
-                if hit is not None:
-                    for hw, hc in hit.terms.items():
-                        s = out.get(hw)
-                        s = hc * c if s is None else s + hc * c
-                        if s:
-                            out[hw] = s
-                        else:
-                            out.pop(hw, None)
-                    continue
-            if frozen_lhs and w in self._lhs_words:
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
+            hit = cache.get(w)
+            if hit is not None:
+                for hw, hc in hit.terms.items():
+                    s = out.get(hw)
+                    s = hc * c if s is None else s + hc * c
+                    if s:
+                        out[hw] = s
+                    else:
+                        out.pop(hw, None)
                 continue
             n, v, k = len(w), w + end, clean.pop(w, 0)
             for i in range(k, n) if leftmost else range(n - 1 - k, -1, -1):
@@ -454,8 +440,9 @@ class AlgebraSpec:
             self.field,
             _clean=True,
         )
-        if len(w) <= CACHE_MAX_LEN and len(res.terms) <= CACHE_MAX_TERMS and len(cache) < CACHE_MAX_ENTRIES:
+        if self._nf_cached_terms < CACHE_MAX_TERMS:
             cache[w] = res
+            self._nf_cached_terms += len(res.terms)
         return res
 
     def _sum_scaled(self, pairs) -> NcPoly:
@@ -515,11 +502,6 @@ class AlgebraSpec:
             for r in self.rules
         ]
         return AlgebraSpec(self.alphabet, rules, self.pbw, self.q_central, field=fld, partial=self.partial)
-
-
-CACHE_MAX_LEN = 16
-CACHE_MAX_TERMS = 4000
-CACHE_MAX_ENTRIES = 400_000
 
 
 # ---------------------------------------------------------------------------
@@ -654,21 +636,43 @@ def check_ambiguities(spec: AlgebraSpec) -> list[AmbiguityReport]:
 def straighten_trace(spec: AlgebraSpec, w: Word, first: str = "leftmost") -> NcPoly:
     """Reduce w resolving its first ambiguity in the requested direction.
 
-    The reduction then runs to exhaustion except that a term whose whole word
-    is a standalone power lhs (such as R^2) is kept symbolic.  This is the
-    bookkeeping convention of a by-hand diamond computation: reordering steps
-    are applied freely, while a bare power is left alone because the branches
-    are compared before its expansion would be triggered.
+    The reduction then runs leftmost to exhaustion, except that a term whose
+    whole word is the lhs of a power rule (T^2, R^2, r^2) is kept symbolic.
+    This is the bookkeeping convention of a by-hand diamond computation:
+    reordering steps are applied freely, while a bare power is left alone
+    because the branches are compared before its expansion would be
+    triggered.  The kept powers are not normal words, so the trace does not
+    go through the normal-form cache; it keeps its own count of rewrites and
+    raises NonTermination past STEP_BUDGET of them.
     """
     if first not in ("leftmost", "rightmost"):
         raise ValueError("first must be 'leftmost' or 'rightmost'")
     hit = spec._find_redex(w, first)
     if hit is None:
         return NcPoly.from_word(spec.alphabet, w, field=spec.field)
+    powers = {r.lhs for r in spec.rules if len(r.lhs) > 1 and len(set(r.lhs)) == 1}
     i, _, rule = hit
-    started = _apply_rule_at(spec, w, rule, i)
-    terms = spec._reduce_terms(dict(started.terms), "leftmost", frozen_lhs=True)
-    return NcPoly(spec.alphabet, terms, spec.field, _clean=True)
+    pending = dict(_apply_rule_at(spec, w, rule, i).terms)
+    out: dict[Word, object] = {}
+    steps = 0
+    while pending:
+        u, c = pending.popitem()
+        if not c:
+            continue
+        hit = None if u in powers else spec._find_redex(u, "leftmost")
+        if hit is None:
+            out[u] = out[u] + c if u in out else c
+            continue
+        steps += 1
+        if steps > STEP_BUDGET:
+            raise NonTermination(
+                f"{spec.algebra_id}: step budget of {STEP_BUDGET} exceeded while tracing "
+                f"{spec.alphabet.word_str(w)}"
+            )
+        i, _, rule = hit
+        for v, rc in _apply_rule_at(spec, u, rule, i).terms.items():
+            pending[v] = pending[v] + c * rc if v in pending else c * rc
+    return NcPoly(spec.alphabet, out, spec.field)
 
 
 class HilbertTable(NamedTuple):
@@ -782,12 +786,16 @@ class RankResult(NamedTuple):
     per_point: tuple[int, ...]
 
 
-def rank_of_family(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> RankResult:
-    """Maximum rank mod P of the coefficient matrix of elems over
-    DEFAULT_POINTS.  Each rank is a lower bound on the generic rank over
+def point_ranks(rows: Sequence[dict]) -> tuple[int, ...]:
+    """Rank mod P of the sparse rows {column: RatCoeff} at each of
+    DEFAULT_POINTS, in order.  Each is a lower bound on the generic rank over
     Frac(Z[q,t]): rank mod P at a point <= rank over Q there <= generic."""
-    if not elems:
-        return RankResult(0, len(DEFAULT_POINTS), tuple(0 for _ in DEFAULT_POINTS))
+    return tuple(frac_rank(eval_rows(rows, q0, t0)) for q0, t0 in DEFAULT_POINTS)
+
+
+def rank_of_family(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> RankResult:
+    """Maximum over DEFAULT_POINTS of the point_ranks of elems' coefficient
+    rows, a lower bound on their generic rank."""
     degs = set()
     for p in elems:
         if not spec.is_normal(p):
@@ -803,12 +811,10 @@ def rank_of_family(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> RankResult:
             degs.add(d)
     if len(degs) > 1:
         raise EngineError(f"inputs span several bidegrees: {sorted(degs)}")
-    cols: dict[Word, int] = {}
-    rows = [{cols.setdefault(w, len(cols)): c for w, c in p.terms.items()} for p in elems]
-    per_point = [frac_rank(eval_rows(rows, q0, t0)) for q0, t0 in DEFAULT_POINTS]
+    per_point = point_ranks([p.terms for p in elems])
     rank = max(per_point)
     agreeing = sum(1 for r in per_point if r == rank)
-    return RankResult(rank, agreeing, tuple(per_point))
+    return RankResult(rank, agreeing, per_point)
 
 
 def agreed_rank(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> int:

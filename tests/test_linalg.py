@@ -102,8 +102,8 @@ def sparse_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(sparse_rows())
 def test_rank_ignores_elimination_order(rows):
-    # frac_rank transposes tall matrices and permutes rows and columns
-    # before eliminating; the kernel on the rows as given is the reference
+    # frac_rank drops empty rows and permutes rows and columns before
+    # eliminating; the kernel on the rows as given is the reference
     assert frac_rank(rows) == len(_echelon_mod(rows))
 
 

@@ -56,7 +56,7 @@ def test_oq_enumeration_order():
 
 
 def test_dq_enumeration_order():
-    # invariant_dimension takes its columns in this order
+    # invariant_dimension takes its rows in this order
     D = dq_spec()
     a = D.alphabet.word("a11", "a12", "a21", "a22")
     p = D.alphabet.word("p11", "p12", "p21", "p22")

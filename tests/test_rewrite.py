@@ -281,6 +281,52 @@ def test_redex_table_and_resumed_reduction_match_naive(name, data):
     assert left == fresh.nf_word(v, "rightmost") == naive_nf(spec, v, "leftmost")
 
 
+# straighten_trace on random words: every word it leaves is irreducible or
+# the lhs of a power rule, and it does not change the element
+
+TRACE_POWERS = {"daha": "T", "sdaha": "R", "inv": "r", "ham": "r", "uq": None, "dq": None}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_POWERS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_trace_leaves_irreducible_words_and_powers(name, data):
+    spec = ALL_SPECS[name]()
+    letter = TRACE_POWERS[name]
+    powers = {spec.alphabet.word(letter, letter)} if letter else set()
+    # runs of one letter, so that powers of every letter come up
+    runs = st.tuples(st.integers(0, len(spec.alphabet) - 1), st.integers(1, 3))
+    w = sum(((x,) * k for x, k in data.draw(st.lists(runs, min_size=1, max_size=3))), ())[:5]
+    for d in ("leftmost", "rightmost"):
+        trace = straighten_trace(spec, w, d)
+        for v in trace.terms:
+            assert v in powers or spec._find_redex(v, "leftmost") is None
+        assert spec.nf(trace) == spec.nf_word(w)
+
+
+def test_trace_budget_names_algebra_and_word(monkeypatch):
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 2)
+    A = sdaha_spec()
+    with pytest.raises(NonTermination, match=r"^sdaha: step budget of 2 exceeded while tracing P1\*R\*Q1$"):
+        straighten_trace(A, A.alphabet.word("P1", "R", "Q1"))
+
+
+def test_nf_cache_stops_at_its_term_bound(monkeypatch):
+    H = ham_spec()
+    words = list(itertools.product(range(len(H.alphabet)), repeat=3))
+    want = [H.nf_word(w) for w in words]
+    monkeypatch.setattr(rewrite, "CACHE_MAX_TERMS", 60)
+    fresh = AlgebraSpec(H.alphabet, H.rules, H.pbw, H.q_central)
+    held = []
+    for w, nf in zip(words, want):
+        assert fresh.nf_word(w) == nf
+        held.append(sum(len(p.terms) for c in fresh._nf_cache.values() for p in c.values()))
+    full = [k for k, n in enumerate(held) if n >= 60]
+    assert full, "the cache never reached its bound"
+    assert held[full[0]:] == [held[full[0]]] * (len(held) - full[0])
+    assert [fresh.nf_word(w) for w in words] == want
+
+
 def test_three_letter_lhs_is_refused():
     alph = Alphabet("cubic", [("x", (1, 0), None), ("y", (0, 1), None)])
     pbw = PowerBlocksPbw(alph, [("x", None, None), ("y", None, None)])
