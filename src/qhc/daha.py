@@ -174,11 +174,12 @@ class _DahaBuilder:
         tm2 = s0.nf(tm1 * tm1)
         y1x1, y2x1 = self.word("Y1", "X1"), self.word("Y2", "X1")
         y1x2 = self.word("Y1", "X2")
+        s2 = self.partial(trusted)
         xy_pos = {
-            ("X1", "Y1"): self.partial(trusted).nf(tm2 * y1x1).scale(_q(-2)),
-            ("X1", "Y2"): self.word("Y2", "X1") + self.partial(trusted).nf(tm1 * y1x1).scale(BETA),
-            ("X2", "Y1"): self.word("Y1", "X2") + self.partial(trusted).nf(tm1 * y1x1).scale(BETA * _q(-2)),
-            ("X2", "Y2"): self.partial(trusted).nf(self.word("Y2", "X2") * tm2).scale(_q(-2)),
+            ("X1", "Y1"): s2.nf(tm2 * y1x1).scale(_q(-2)),
+            ("X1", "Y2"): self.word("Y2", "X1") + s2.nf(tm1 * y1x1).scale(BETA),
+            ("X2", "Y1"): self.word("Y1", "X2") + s2.nf(tm1 * y1x1).scale(BETA * _q(-2)),
+            ("X2", "Y2"): s2.nf(self.word("Y2", "X2") * tm2).scale(_q(-2)),
         }
         xy_rules = [self.rule(k, v, f"{k[0]}*{k[1]}") for k, v in xy_pos.items()]
         trusted += xy_rules
@@ -212,23 +213,23 @@ class _DahaBuilder:
         partner = {"X1": "X2", "X2": "X1", "Y1": "Y2", "Y2": "Y1"}
 
         # x * Yi from x * Yother, multiplying by (Y1 Y2)^-1 on the right
+        check = self.partial(trusted)
         for x in ("X1", "X2"):
             for yb in ("Y1", "Y2"):
                 src = rule_map[(x, partner[yb])]
                 rhs = conj_terms(src.rhs, y_im, "ymap", n_factor_of_x)
                 r = self.rule((x, yb + "i"), rhs, f"{x}*{yb}i")
-                check = self.partial(trusted)
                 self.assert_zero(check, (self.word(x, yb + "i") - rhs) * self.gen(yb), f"{x}*{yb}i")
                 trusted.append(r)
                 rule_map[(x, yb + "i")] = r
 
         # Xi * y from Xother * y, multiplying by (X1 X2)^-1 on the left
+        check = self.partial(trusted)
         for xb in ("X1", "X2"):
             for y in ("Y1", "Y2", "Y1i", "Y2i"):
                 src = rule_map[(partner[xb], y)]
                 rhs = conj_terms(src.rhs, x_im, "last", m_factor)
                 r = self.rule((xb + "i", y), rhs, f"{xb}i*{y}")
-                check = self.partial(trusted)
                 self.assert_zero(check, self.gen(xb) * (self.word(xb + "i", y) - rhs), f"{xb}i*{y}")
                 trusted.append(r)
                 rule_map[(xb + "i", y)] = r

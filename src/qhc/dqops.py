@@ -65,9 +65,10 @@ _DQ_GENS = [(n, (1, 0), None) for n in _A_NAMES] + [(n, (0, 1), None) for n in _
 def dq_spec() -> AlgebraSpec:
     """The 28-relation presentation of D_q^+(GL2)."""
     alph = Alphabet("dq", _DQ_GENS)
-    # divide's leading-word weights on a11, a12, a21, a22, p11, p12, p21, p22:
-    # under them each nf(x_i * x_j) leads with e_i + e_j, as lex does not
-    pbw = PowerBlocksPbw(alph, [(g.name, None, None) for g in alph.gens], weights=(8, 3, 7, 1, 5, 5, 2, 1))
+    # order_key's letter weights: under them each nf(x_i * x_j) leads with
+    # e_i + e_j, so divide is complete, as under unit weights it is not
+    weights = dict(zip(_A_NAMES + _P_NAMES, (8, 3, 7, 1, 5, 5, 2, 1)))
+    pbw = PowerBlocksPbw(alph, [(g.name, None, None) for g in alph.gens], weights=weights)
 
     def W(*names):
         return NcPoly.from_word(alph, alph.word(*names))

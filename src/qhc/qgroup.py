@@ -296,8 +296,8 @@ def _re_rules(alph: Alphabet, n11, n12, n21, n22) -> list[RewriteRule]:
 @cache
 def oq_spec() -> AlgebraSpec:
     alph = Alphabet("oq", _OQ_GENS)
-    # divide's leading-word weights on l11, l12, l21, l22, as for dq_spec
-    pbw = PowerBlocksPbw(alph, [(g.name, None, None) for g in alph.gens], weights=(1, 1, 2, 1))
+    # the bidegree weights, all 1, already make divide complete (see dq_spec)
+    pbw = PowerBlocksPbw(alph, [(g.name, None, None) for g in alph.gens])
     rules = _re_rules(alph, "l11", "l12", "l21", "l22")
     return AlgebraSpec(alph, rules, pbw)
 

@@ -21,10 +21,11 @@ Two layers of rules are kept:
   localisation of the positive cone and never enter the ambiguity count,
   mirroring how the localised algebra is obtained from the positive one.
 
-Termination is enforced two ways: every rule must strictly decrease the
-termination order PowerBlocksPbw.order_key, a lexicographic stack of word
-statistics read off the algebra's PBW blocks (checked word by word when the
-spec is built), and every normal-form computation carries a step budget.
+Every rule must strictly decrease PowerBlocksPbw.order_key, a Knuth-Bendix
+order on words read off the letters' bidegrees and PBW blocks, and each is
+checked when its spec is built.  That order is well-founded and compatible
+with concatenation, so the check certifies that reduction terminates; the
+step budget every normal-form computation carries only bounds its cost.
 """
 
 from __future__ import annotations
@@ -62,20 +63,18 @@ class PowerBlocksPbw:
     descriptor covers the coordinate-style algebras too.
 
     ``ranks`` gives each letter the index of its block, or of its alphabet
-    inverse's block (daha's Ti, which is in no block).  ``order_key``, the
-    termination order every rule must decrease, is read off the ranks, the
-    caps and the letters outside every block.
+    inverse's block (daha's Ti, which is in no block).  The letter of least
+    (rank, index) is the top letter.
 
-    ``weights`` gives each block a nonnegative weight (default 0) for
-    ``lead_key``, the order in which ``divide`` takes leading words.
+    ``weights`` maps each letter name to its weight in ``order_key``.  By
+    default a letter of bidegree (a, b) weighs |a| + |b|, and one of degree
+    0 weighs 1, or 0 if it is the top letter (daha's T).  No weight may be
+    negative, and only the top letter may weigh 0.
     """
 
     def __init__(self, alphabet: Alphabet, blocks: Sequence[tuple[str, Optional[str], Optional[int]]],
-                 weights: Optional[Sequence[int]] = None):
+                 weights: Optional[dict[str, int]] = None):
         self.alphabet = alphabet
-        self.weights = (0,) * len(blocks) if weights is None else tuple(weights)
-        if len(self.weights) != len(blocks) or min(self.weights, default=0) < 0:
-            raise SpecError(f"{alphabet.algebra_id}: PBW weights must be nonnegative, one per block")
         self.blocks = []
         self.block_of: dict[int, int] = {}
         for k, (pos, inv, cap) in enumerate(blocks):
@@ -92,31 +91,31 @@ class PowerBlocksPbw:
                 raise SpecError(f"{alphabet.algebra_id}: letter {g.name} is in no PBW block")
             ranks.append(k)
         self.ranks = tuple(ranks)
-        self._top = max(ranks) + 1
-        self._capped = frozenset(g for g, k in enumerate(ranks) if self.blocks[k][2] is not None)
-        self._outside = frozenset(g for g in range(len(ranks)) if g not in self.block_of)
+        # a letter's precedence falls as its (rank, index) grows
+        self._prec = tuple(-(k * len(ranks) + g) for g, k in enumerate(ranks))
+        top = alphabet.gens[self._prec.index(max(self._prec))]
+        if weights is None:
+            weights = {g.name: abs(g.bidegree[0]) + abs(g.bidegree[1]) or int(g is not top)
+                       for g in alphabet.gens}
+        for g in alphabet.gens:
+            x = weights.get(g.name)
+            if x is None or x < 0 or (x == 0 and g is not top):
+                raise SpecError(f"{alphabet.algebra_id}: letter {g.name} has weight {x}; "
+                                f"each letter needs one, positive except the top letter {top.name}")
+        self._weight = tuple(weights[g.name] for g in alphabet.gens)
 
     def order_key(self, w: Word):
-        """The termination order: weighted inversions, then the count of
-        letters whose block has a cap (r, R, T), the length, the count of
-        letters outside every block (daha's Ti), then lex on generator
-        indexes.
+        """The one word order, which every rule must decrease and under which
+        divide takes leading words: the sum of the letter weights, then the
+        letters' precedence read from the right end of w, a lower (rank,
+        index) preceding.
 
-        An inverted pair (x before y with rank x > rank y) weighs more when x
-        has a lower rank: straightening pushes inversions toward the
-        top-ranked letters before they disappear, so this weight strictly
-        drops."""
-        ranks, top = self.ranks, self._top
-        inv = 0
-        n = len(w)
-        for i in range(n):
-            ri = ranks[w[i]]
-            for j in range(i + 1, n):
-                if ri > ranks[w[j]]:
-                    inv += top - ri
-        capped = sum(1 for x in w if x in self._capped)
-        outside = sum(1 for x in w if x in self._outside)
-        return (inv, capped, n, outside, w)
+        This is a Knuth-Bendix order on strings: weights are nonnegative and
+        only the top letter, which precedes every other, may weigh 0.  So it
+        is a well-order compatible with concatenation, u < v gives
+        a u b < a v b, and rules that decrease it terminate."""
+        weight, prec = self._weight, self._prec
+        return sum([weight[x] for x in w]), tuple([prec[x] for x in w[::-1]])
 
     def accepts(self, w: Word) -> bool:
         cur = -1
@@ -139,13 +138,6 @@ class PowerBlocksPbw:
     def exponents(self, w: Word) -> tuple[int, ...]:
         """The signed exponent of each block in the normal word w."""
         return tuple(w.count(p) - (0 if i is None else w.count(i)) for p, i, _ in self.blocks)
-
-    def lead_key(self, w: Word) -> tuple[int, tuple[int, ...]]:
-        """The leading-word order on normal words: the weighted degree
-        weights . e of the block exponents e, then lex on e.  Zero weights
-        leave lex on the blocks."""
-        e = self.exponents(w)
-        return sum(a * b for a, b in zip(self.weights, e)), e
 
     def word(self, exps: Sequence[int]) -> Optional[Word]:
         """The normal word with these block exponents, or None when a block
@@ -262,9 +254,9 @@ class AlgebraSpec:
 
     Every core rule, then every auxiliary rule, must decrease
     pbw.order_key.  A partial spec, one of the daha bootstrap's intermediate
-    rule sets, gets no auxiliary rules and neither that check nor the check
-    that irreducible words are PBW words: each of its rules is checked in the
-    final spec, which holds them all."""
+    rule sets, gets no auxiliary rules and no check that irreducible words
+    are PBW words, since the rules it lacks leave some other words
+    irreducible."""
 
     def __init__(
         self,
@@ -282,11 +274,9 @@ class AlgebraSpec:
         self.q_central = list(q_central)
         self.field = field
         self.partial = partial
-        self.aux_rules: list[RewriteRule] = []
-        if not partial:
-            self._check_decreasing(self.rules)
-            self.aux_rules = generate_aux_rules(self)
-            self._check_decreasing(self.aux_rules)
+        self._check_decreasing(self.rules)
+        self.aux_rules = [] if partial else generate_aux_rules(self)
+        self._check_decreasing(self.aux_rules)
         # _rule_at[x][y]: the rule the search applies at a position reading x
         # then y, column G standing for the end of the word (see _end).  A
         # one-letter rule sits in column G and, being tried first at its
@@ -836,15 +826,15 @@ def divide(spec: AlgebraSpec, factor: NcPoly, p: NcPoly, right: bool = False):
     """Exact division: the x with normal_form(factor * x) = p, or with
     normal_form(x * factor) = p if right is set; None if none is found.
 
-    Leading-word division under spec.pbw.lead_key: the remainder's leading
+    Leading-word division under spec.pbw.order_key: the remainder's leading
     word w, less lead(factor), is the next quotient word u, with the
-    coefficient that cancels w in nf(factor * u).  Quotient words stay in the
-    nonnegative cone, which the key well-orders, so the loop ends.  Where
-    leading words multiply, lead(nf(f * g)) = lead(f) + lead(g), the division
-    is complete and None means p is no multiple.  They do once every
-    generator pair's nf(x_i * x_j) leads with e_i + e_j (Kandri-Rody &
-    Weispfenning's algebras of solvable type, Plural's G-algebras): dq's and
-    oq's block weights meet that, and plain lex does not.
+    coefficient that cancels w in nf(factor * u).  Leading words fall in a
+    well-order, so the loop ends.  Where leading words multiply,
+    lead(nf(f * g)) = lead(f) + lead(g), the division is complete and None
+    means p is no multiple.  They do once every generator pair's
+    nf(x_i * x_j) leads with e_i + e_j (Kandri-Rody & Weispfenning's algebras
+    of solvable type, Plural's G-algebras): oq's bidegree weights and dq's
+    declared weights meet that, and unit weights on dq do not.
 
     No closing product certifies the quotient, because none is needed.  Each
     step cancels the remainder's leading word w and leaves only smaller ones,
@@ -856,7 +846,7 @@ def divide(spec: AlgebraSpec, factor: NcPoly, p: NcPoly, right: bool = False):
     pbw = spec.pbw
 
     def lead(poly: NcPoly) -> Word:
-        return max(poly.terms, key=pbw.lead_key)
+        return max(poly.terms, key=pbw.order_key)
 
     flead = pbw.exponents(lead(factor))
     rem, quo = p, {}

@@ -69,8 +69,9 @@ def test_conjugation_normal_forms(H):
 
 
 def test_partial_specs_hold_only_rules_of_the_final_spec(monkeypatch):
-    # a partial spec skips the order and PBW checks; that is safe because
-    # every rule it holds is a rule of the final spec, checked there
+    # a partial spec's rules must decrease the order like any others, but
+    # it gets no aux rules and skips the PBW check, which its missing rules
+    # would fail; every rule it holds is in the final spec, checked there
     built = []
     real = daha.AlgebraSpec
 

@@ -5,7 +5,7 @@ invertible central letter z.  Everything is checkable by hand, so the engine
 mechanics (normal forms, budgets, ambiguities, Hilbert counts, ranks,
 serialisation) are exercised independently of the production presentations.
 The last tests check AlgebraSpec.mul_normal against the free product, the
-leading-word weights of dq and oq against their generator pairs, and divide
+order's leading words on dq and oq against their generator pairs, and divide
 against the q-determinants and mu(Z_t), on the production presentations
 themselves.
 """
@@ -150,6 +150,9 @@ def test_rule_invariants_enforced():
     with pytest.raises(SpecError, match=r"^rule bad: rhs word y\*x does not decrease"):
         # wrong orientation: rhs does not decrease the order
         AlgebraSpec(alph, [wrong], pbw)
+    with pytest.raises(SpecError, match=r"^rule bad: rhs word y\*x does not decrease"):
+        # a partial spec's rules are checked too
+        AlgebraSpec(alph, [wrong], pbw, partial=True)
     with pytest.raises(SpecError):
         # inhomogeneous rhs
         RewriteRule(alph.word("y", "x"), NcPoly(alph, {alph.word("x", "x"): RAT.one}), "bad")
@@ -344,25 +347,26 @@ def test_three_letter_lhs_is_refused():
 
 def _failing_pairs(spec, pbw):
     """The generator pairs x_i x_j whose normal form does not lead, under
-    pbw.lead_key, with exponent e_i + e_j."""
+    pbw.order_key, with exponent e_i + e_j."""
     bad = []
     for i, j in itertools.product(range(len(spec.alphabet)), repeat=2):
         want = tuple(a + b for a, b in zip(pbw.exponents((i,)), pbw.exponents((j,))))
-        if pbw.exponents(max(spec.nf_word((i, j)).terms, key=pbw.lead_key)) != want:
+        if pbw.exponents(max(spec.nf_word((i, j)).terms, key=pbw.order_key)) != want:
             bad.append((i, j))
     return bad
 
 
-@pytest.mark.parametrize("build, lex_failures", [(dq_spec, 6), (oq_spec, 1)], ids=["dq", "oq"])
-def test_weights_certify_leading_words_multiply(build, lex_failures):
+@pytest.mark.parametrize("build, unit_failures", [(dq_spec, 4), (oq_spec, 0)], ids=["dq", "oq"])
+def test_weights_certify_leading_words_multiply(build, unit_failures):
     # the solvable-type (G-algebra) condition: with the PBW property it gives
     # lead(nf(f * g)) = lead(f) + lead(g) for every f and g, so divide is
-    # complete on dq and oq; zero weights, plain lex on the blocks, break it
+    # complete on dq and oq; unit weights, which are oq's own, break it on dq
     spec = build()
     assert _failing_pairs(spec, spec.pbw) == []
-    lex = PowerBlocksPbw(spec.alphabet, [(spec.alphabet.gens[p].name, inv, cap)
-                                         for p, inv, cap in spec.pbw.blocks])
-    assert len(_failing_pairs(spec, lex)) == lex_failures
+    unit = PowerBlocksPbw(spec.alphabet, [(spec.alphabet.gens[p].name, inv, cap)
+                                          for p, inv, cap in spec.pbw.blocks],
+                          weights={g.name: 1 for g in spec.alphabet.gens})
+    assert len(_failing_pairs(spec, unit)) == unit_failures
 
 
 def _divisions():
@@ -379,11 +383,11 @@ def _divisions():
 
 def _leading_words_multiply(spec, den, img, w):
     """lead(img) = lead(den) + w, leading words taken under the spec's
-    PBW lead_key."""
+    PBW order_key."""
     pbw = spec.pbw
 
     def lead(poly):
-        return pbw.exponents(max(poly.terms, key=pbw.lead_key))
+        return pbw.exponents(max(poly.terms, key=pbw.order_key))
 
     return lead(img) == tuple(a + b for a, b in zip(lead(den), pbw.exponents(w)))
 
