@@ -99,13 +99,9 @@ class Context:
         # leading-word division, for presentation
         return value.reduced()
 
-    def render(self, value) -> str:
-        return str(value)
-
     def terms_json(self, value):
         if isinstance(value, NcPoly):
-            return [[self.spec.alphabet.word_str(w), self.spec.field.to_str(c)]
-                    for w, c in value.sorted_terms()]
+            return [[self.spec.alphabet.word_str(w), str(c)] for w, c in value.sorted_terms()]
         return str(value)
 
 
@@ -126,7 +122,7 @@ def cmd_normalize(args) -> int:
         "command": "normalize",
         "algebra": args.algebra,
         "input": args.expr,
-        "normal_form": ctx.render(value),
+        "normal_form": str(value),
         "terms": ctx.terms_json(value),
     }, args.output)
     return 0
@@ -143,7 +139,7 @@ def cmd_mul(args) -> int:
         "command": "mul",
         "algebra": args.algebra,
         "inputs": list(args.exprs),
-        "normal_form": ctx.render(a),
+        "normal_form": str(a),
         "terms": ctx.terms_json(a),
     }, args.output)
     return 0

@@ -603,7 +603,6 @@ class DenomProfile(NamedTuple):
 class RatField:
     """Generic coefficients: the fraction field of Z[q,t]."""
 
-    name = "ratfunc"
     zero = RC_ZERO
     one = RC_ONE
 
@@ -619,19 +618,9 @@ class RatField:
     def from_int(n: int) -> RatCoeff:
         return RatCoeff.from_int(n)
 
-    @staticmethod
-    def invert(c: RatCoeff) -> RatCoeff:
-        return c.inverse()
-
-    @staticmethod
-    def to_str(c: RatCoeff) -> str:
-        return str(c)
-
 
 class QQField:
     """Coefficients specialised at a rational point (q0, t0)."""
-
-    name = "rational"
 
     def __init__(self, q0: Fraction, t0: Fraction):
         self.q0 = Fraction(q0)
@@ -648,14 +637,6 @@ class QQField:
     @staticmethod
     def from_int(n: int) -> Fraction:
         return Fraction(n)
-
-    @staticmethod
-    def invert(c: Fraction) -> Fraction:
-        return 1 / c
-
-    @staticmethod
-    def to_str(c: Fraction) -> str:
-        return str(c)
 
     def eval(self, c: RatCoeff) -> Fraction:
         return c.eval(self.q0, self.t0)

@@ -398,13 +398,9 @@ def _phi_images() -> dict[str, NcPoly]:
 def _phi_word_body(w) -> NcPoly:
     """body * (b1 body) * ... * (bk body) for the spherical word w = x1...xk,
     which is phi(w) / E_SCALE^(k+1) since e * e = e."""
-    spec = daha_spec()
     gens = sdaha_spec().alphabet.gens
     images = _phi_images()
-    acc = idempotent_body()
-    for i in w:
-        acc = spec.mul(acc, images[gens[i].name])
-    return acc
+    return daha_spec().mul(idempotent_body(), *[images[gens[i].name] for i in w])
 
 
 def phi_apply(x: NcPoly) -> NcPoly:
@@ -417,7 +413,7 @@ def phi_apply(x: NcPoly) -> NcPoly:
     out = spec.zero()
     for w, c in x.terms.items():
         out = out + _phi_word_body(w).scale(c * E_SCALE ** (len(w) + 1))
-    return spec.nf(out)
+    return out
 
 
 def phi_relation_residuals() -> list[tuple[str, NcPoly]]:
@@ -442,13 +438,11 @@ def hplus_words(M: int, N: int) -> list[NcPoly]:
 
 def _spherical_rows(M: int, N: int) -> list[NcPoly]:
     """The rows spherical_dimension ranks: nf((1 + t T) w (1 + t T)) for the
-    T-free PBW words w of H^+[M,N], built right body first as
-    nf(body * nf(w * body)).  Only w T needs rewriting; the left body then
-    makes words T u that are normal or need one T*T rewrite."""
+    T-free PBW words w of H^+[M,N]."""
     spec = daha_spec()
     body = idempotent_body()
     T = spec.alphabet.index("T")
-    return [spec.nf(body * spec.nf(NcPoly.from_word(spec.alphabet, w) * body))
+    return [spec.mul(body, NcPoly.from_word(spec.alphabet, w), body)
             for w in spec.pbw.enumerate(M, N) if w[:1] != (T,)]
 
 

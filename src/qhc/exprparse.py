@@ -15,7 +15,7 @@ parentheses and unary minus signs.  Errors carry line and column positions.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .ncpoly import NcPoly
 
@@ -58,9 +58,9 @@ def tokenize(src: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j].isdecimal():
                 j += 1
             out.append(Token("int", src[i:j], line, col))
             col += j - i
@@ -84,12 +84,23 @@ def tokenize(src: str) -> list[Token]:
     return out
 
 
+def _int_value(tok: Token) -> int:
+    """The value of an int token; int() refuses more digits than Python's
+    conversion limit, sys.get_int_max_str_digits()."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(tok.text)} digits is too long to convert",
+                         tok.line, tok.col) from None
+
+
 class ValueOps:
     """Adapter the parser evaluates against.
 
-    Implementations must provide: scalar(coeff), atom(name), the field used
-    for integer and q/t literals, and the value operations below.  Values are
-    NcPoly or rewrite.LocElem; both provide scalar_coeff().
+    Implementations must provide: scalar(coeff), atom(name) and the field
+    used for integer and q/t literals.  Values are NcPoly or rewrite.LocElem;
+    the parser adds, subtracts and negates them directly, and both provide
+    scalar_coeff(), the coefficient of a multiple of 1 or None.
     """
 
     field = None
@@ -100,49 +111,31 @@ class ValueOps:
     def atom(self, name: str):
         raise NotImplementedError
 
-    # -- default value algebra -------------------------------------------------
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
     def mul(self, a, b):
         return a * b
 
-    def scalar_of(self, v) -> Optional[object]:
-        """The coefficient if v is scalar (a multiple of the unit), else None."""
-        return v.scalar_coeff()
-
     def div(self, a, b, tok: Token):
-        c = self.scalar_of(b)
+        c = b.scalar_coeff()
         if c is None:
             raise ParseError("division only by scalar expressions", tok.line, tok.col)
         if not c:
             raise ParseError("division by zero", tok.line, tok.col)
-        return a.scale(self.field.invert(c))
+        return a.scale(self.field.one / c)
 
     def pow(self, a, n: int, tok: Token):
         if abs(n) > MAX_EXPONENT:
             raise ParseError(f"exponent {n} exceeds the limit of {MAX_EXPONENT}", tok.line, tok.col)
-        c = self.scalar_of(a)
+        c = a.scalar_coeff()
         if c is not None:
             if not c and n < 0:
                 raise ParseError("zero to a negative power", tok.line, tok.col)
             return self.scalar(c ** n)
         if n < 0:
             a, n = self.invert_value(a, tok), -n
-        out = self.unit()
+        out = self.scalar(self.field.one)
         for _ in range(n):
             out = self.mul(out, a)
         return out
-
-    def unit(self):
-        return self.scalar(self.field.from_int(1))
 
     def invert_value(self, a, tok: Token):
         raise ParseError("cannot invert this expression", tok.line, tok.col)
@@ -170,17 +163,11 @@ class WordAlgebraOps(ValueOps):
             if len(w) == 1:
                 j = self.spec.alphabet.inverse_index.get(w[0])
                 if j is not None:
-                    return NcPoly.from_word(
-                        self.spec.alphabet, (j,), self.field.invert(c), self.field
-                    )
+                    return NcPoly.from_word(self.spec.alphabet, (j,), self.field.one / c, self.field)
         raise ParseError("negative powers need an invertible generator", tok.line, tok.col)
 
     def mul(self, a, b):
-        # a free product of sums grows its words multiplicatively before its
-        # one reduction; normal forms are unique, so reducing after each
-        # factor changes no result, and a acts on nf(b) with the suffix work
-        # its words share done once
-        return self.spec.mul_normal(a, self.spec.nf(b))
+        return self.spec.mul(a, b)
 
 
 class Parser:
@@ -213,11 +200,11 @@ class Parser:
             neg = True
         v = self._term()
         if neg:
-            v = self.ops.neg(v)
+            v = -v
         while self._peek().kind in ("+", "-"):
             op = self._next()
             rhs = self._term()
-            v = self.ops.add(v, rhs) if op.kind == "+" else self.ops.sub(v, rhs)
+            v = v + rhs if op.kind == "+" else v - rhs
         return v
 
     def _term(self):
@@ -235,7 +222,7 @@ class Parser:
         self.depth += 1
         if tok.kind == "-":
             self._next()
-            v = self.ops.neg(self._factor())
+            v = -self._factor()
         else:
             v = self._atom()
             if self._peek().kind == "^":
@@ -252,12 +239,12 @@ class Parser:
             tok = self._next()
         if tok.kind != "int":
             raise ParseError("integer exponent expected", tok.line, tok.col)
-        return sign * int(tok.text)
+        return sign * _int_value(tok)
 
     def _atom(self):
         tok = self._next()
         if tok.kind == "int":
-            return self.ops.scalar(self.ops.field.from_int(int(tok.text)))
+            return self.ops.scalar(self.ops.field.from_int(_int_value(tok)))
         if tok.kind == "name":
             if tok.text == "q":
                 return self.ops.scalar(self.ops.field.q_power(1))

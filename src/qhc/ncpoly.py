@@ -229,7 +229,7 @@ class NcPoly:
             return "0"
         parts = []
         for w, c in self.sorted_terms():
-            cs = self.field.to_str(c)
+            cs = str(c)
             ws = self.alphabet.word_str(w)
             # pull the sign out only for single-monomial coefficients
             neg = cs.startswith("-") and " " not in cs

@@ -377,13 +377,12 @@ def embed_phi(x: NcPoly) -> NcPoly:
         raise EngineError("embed_phi expects an O_q element")
     U = uq_spec()
     img = phi_images()
+    gens = O.alphabet.gens
     out = U.zero()
     for w, c in x.terms.items():
-        acc = U.unit()
-        for i in w:
-            acc = U.mul(acc, img[O.alphabet.gens[i].name])
+        acc = U.mul(*[img[gens[i].name] for i in w]) if w else U.unit()
         out = out + acc.scale(c)
-    return U.nf(out)
+    return out
 
 
 def phi_matches_lmatrix_product() -> bool:

@@ -451,7 +451,18 @@ class AlgebraSpec:
     def nf(self, p: NcPoly, direction: str = "leftmost") -> NcPoly:
         return self._sum_scaled((self.nf_word(w, direction), c) for w, c in p.terms.items())
 
-    def mul_normal(self, a: NcPoly, b: NcPoly) -> NcPoly:
+    def mul(self, *factors: NcPoly) -> NcPoly:
+        """Normal form of the product of factors, none of them need be normal.
+
+        Computed right to left: the last factor's normal form, on which each
+        earlier factor acts in turn (_act).  Normal forms are unique, so the
+        order of evaluation changes no result."""
+        out = self.nf(factors[-1])
+        for a in reversed(factors[:-1]):
+            out = self._act(a, out)
+        return out
+
+    def _act(self, a: NcPoly, b: NcPoly) -> NcPoly:
         """nf(a * b), for b already in (leftmost) normal form.
 
         Each word of a acts on b one letter at a time, right to left:
@@ -470,13 +481,6 @@ class AlgebraSpec:
                     self.field, _clean=True,
                 ))
         return self._sum_scaled((acts[w], c) for w, c in a.terms.items())
-
-    def mul(self, *polys: NcPoly) -> NcPoly:
-        """Normal form of a product of (any) elements."""
-        acc = polys[0]
-        for p in polys[1:]:
-            acc = self.nf(acc * p)
-        return self.nf(acc)
 
     def is_normal(self, p: NcPoly) -> bool:
         return all(self._find_redex(w, "leftmost") is None for w in p.terms)
@@ -574,10 +578,9 @@ class AmbiguityReport(NamedTuple):
 
     def to_json(self, spec: AlgebraSpec) -> dict:
         alph = spec.alphabet
-        fld = spec.field
 
         def poly_json(p: NcPoly):
-            return [[alph.word_str(w), fld.to_str(c)] for w, c in p.sorted_terms()]
+            return [[alph.word_str(w), str(c)] for w, c in p.sorted_terms()]
 
         return {
             "algebra": spec.algebra_id,
@@ -825,6 +828,7 @@ def agreed_rank(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> int:
 def divide(spec: AlgebraSpec, factor: NcPoly, p: NcPoly, right: bool = False):
     """Exact division: the x with normal_form(factor * x) = p, or with
     normal_form(x * factor) = p if right is set; None if none is found.
+    factor and p are normal forms, so each product is one spec._act.
 
     Leading-word division under spec.pbw.order_key: the remainder's leading
     word w, less lead(factor), is the next quotient word u, with the
@@ -857,7 +861,7 @@ def divide(spec: AlgebraSpec, factor: NcPoly, p: NcPoly, right: bool = False):
         if u is None:
             return None
         up = NcPoly.from_word(spec.alphabet, u, field=spec.field)
-        img = spec.mul_normal(up, factor) if right else spec.mul_normal(factor, up)
+        img = spec._act(up, factor) if right else spec._act(factor, up)
         if not img or lead(img) != w:
             return None
         quo[u] = rem.terms[w] / img.terms[w]
@@ -919,6 +923,9 @@ class LocElem:
     q^<kappa, deg h> h * den, so _at_loc and reduced put den on whichever
     side _on_right picks from the spec, and the element does not change.
     dq's detq(D) takes the right and detq(A) and oq's detq(L) the left.
+
+    Every body is a normal form, so products here call spec._act directly
+    and skip the normal form of the right factor that spec.mul would take.
     """
 
     __slots__ = ("spec", "dens", "exps", "body")
@@ -968,7 +975,7 @@ class LocElem:
         """Body of the same element written over den^-exps, exps >= self.exps:
         multiply on the left by den_k^d_k ... den_1^d_1 with d = exps - self.exps,
         with the q-power from moving each den_j^d_j past den_i^-e_i, i > j.
-        Each den_j multiplies the normal body through spec.mul_normal: as
+        Each den_j acts on the normal body through spec._act: as
         den_j * out on the left, or, where _on_right holds, as
         out' * den_j with out' = out with each word w scaled by
         q^<kappa_j, deg w>, which is the same product by q-centrality."""
@@ -977,8 +984,8 @@ class LocElem:
         for den, d in zip(self.dens, delta):
             right = d and _on_right(self.spec, den)
             for _ in range(d):
-                out = (self.spec.mul_normal(self._graded(out, den.kappa), den.body) if right
-                       else self.spec.mul_normal(den.body, out))
+                out = (self.spec._act(self._graded(out, den.kappa), den.body) if right
+                       else self.spec._act(den.body, out))
         return out.scale(self._q(self._cross(self.exps, delta)))
 
     def __eq__(self, other):
@@ -1017,8 +1024,8 @@ class LocElem:
     def __mul__(self, other: "LocElem") -> "LocElem":
         """Product in the localisation: other's denominators move left past
         self's body and denominators, and the q-scaled body acts on other's
-        normal body through spec.mul_normal."""
-        body = self.spec.mul_normal(self._moved(other.exps), other.body)
+        normal body through spec._act."""
+        body = self.spec._act(self._moved(other.exps), other.body)
         return self._new([a + b for a, b in zip(self.exps, other.exps)], body)
 
     def reduced(self) -> "LocElem":

@@ -79,6 +79,9 @@ def test_parse_errors_carry_positions():
         ctx.parse("X3")
     with pytest.raises(ParseError, match="column 4"):
         ctx.parse("T* $")
+    # a superscript digit is no integer; int() once raised on it uncaught
+    with pytest.raises(ParseError, match="unexpected character '²' \\(line 1, column 3\\)"):
+        ctx.parse("T^²")
     with pytest.raises(ParseError):
         ctx.parse("T/(X1)")
 
@@ -385,6 +388,21 @@ def test_cli_oq_cancels_high_determinant_powers(capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert out["normal_form"] == "1"
+
+
+DIGITS = "1" * 5000
+
+
+@pytest.mark.parametrize("expr, col", [("T^" + DIGITS, 3), (DIGITS + "*T", 1)],
+                         ids=["exponent", "literal"])
+def test_cli_over_long_integer_exits_2(capsys, expr, col):
+    # int() refuses more digits than Python's conversion limit; the
+    # ValueError once escaped as a traceback with status 1
+    rc = main(["normalize", "--algebra", "daha", expr])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "integer literal of 5000 digits is too long to convert" in err
+    assert f"(line 1, column {col})" in err
 
 
 def test_cli_rejects_huge_exponent(capsys):

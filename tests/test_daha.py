@@ -344,7 +344,7 @@ def test_spherical_rows_equal_the_sandwiched_bodies(H):
     for m, n in BIDEGREES_33:
         words = _t_free_words(H, m, n)
         assert 2 * len(words) == len(hplus_words(m, n)), (m, n)
-        want = [H.mul(body, w, body) for w in words]
+        want = [H.nf(body * w * body) for w in words]
         assert _spherical_rows(m, n) == want, (m, n)
 
 

@@ -317,7 +317,7 @@ def test_reduced_keeps_the_element_and_lowers_exponents(name, data):
     body = x.body
     for den, k in reversed(list(zip(dens, ks))):
         for _ in range(k):
-            body = spec.mul_normal(den.body, body)
+            body = spec.mul(den.body, body)
     v = LocElem(spec, dens, body, es)
     r = v.reduced()
     assert r == v

@@ -1,4 +1,5 @@
-"""Smoke runs of the scripts in scripts/, each in its own interpreter."""
+"""Smoke runs of the scripts in scripts/ and of the perfbench tracer, each in
+its own interpreter."""
 
 import json
 import os
@@ -9,15 +10,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
-    env = dict(os.environ)
+def run_script(path, *args):
+    # -B and PYTHONDONTWRITEBYTECODE leave no __pycache__ in the checkout; a
+    # cached perfbench/tracer.pyc moves the benchmark's peak_rss_mb
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    return subprocess.run([sys.executable, "-B", str(ROOT / path), *args],
                           capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_run_suites_writes_reports(tmp_path):
-    res = run_script("run_suites.py", "--suite", "cofactor", "--suite", "lmatrix",
+    res = run_script("scripts/run_suites.py", "--suite", "cofactor", "--suite", "lmatrix",
                      "--json-dir", str(tmp_path))
     assert res.returncode == 0, res.stdout + res.stderr
     reports = sorted(tmp_path.glob("*.json"))
@@ -26,7 +29,16 @@ def test_run_suites_writes_reports(tmp_path):
 
 
 def test_hilbert_report_matches_series():
-    res = run_script("hilbert_report.py", "--max", "2")
+    res = run_script("scripts/hilbert_report.py", "--max", "2")
     assert res.returncode == 0, res.stderr
     assert res.stdout.count("all entries match the series") == 4
     assert "mismatches" not in res.stdout
+
+
+def test_perfbench_tracer_installs():
+    # Tracer.install raises on any public name it wraps that has gone
+    res = run_script("perfbench/child.py", "suites", "cofactor", "--trace")
+    assert res.returncode == 0, res.stdout + res.stderr
+    raw = json.loads(res.stdout.splitlines()[-1])["raw"]
+    assert raw["absent_spans"] == []
+    assert None not in raw.values()
