@@ -46,6 +46,7 @@ from .rewrite import (
     agreed_rank,
     divide,
     point_ranks,
+    tail_images,
 )
 
 
@@ -204,22 +205,30 @@ def psibar_images() -> dict[str, LocElem]:
     }
 
 
+def psibar_words(alphabet: Alphabet, words) -> list[LocElem]:
+    """[psibar(w) for w in words], the words over inv's or ham's alphabet.
+
+    psibar is an algebra map, so psibar(x u) = psibar(x) * psibar(u): each
+    word's image is its first letter's image times its tail's, a LocElem
+    product (rewrite.tail_images, so words that end alike share their
+    tails' images).  Normal forms are unique, so this right-to-left order
+    gives the images the left-to-right fold gave."""
+    img = psibar_images()
+    gens = alphabet.gens
+    return tail_images(words, lambda x, u, tail: img[gens[x].name] * tail, dq_elem(dq_spec().unit()))
+
+
 def psibar_apply(x: NcPoly) -> LocElem:
     """Image inside D_q (localised) of an element of the invariant algebra,
     or of the reduction, whose letters are a subset of the invariant ones;
     for the reduction the image is a coset representative modulo the left
-    ideal of mu(Z_t)."""
+    ideal of mu(Z_t).  It is the sum of c * psibar_words' image of w over
+    the terms c w of x."""
     if x.alphabet is not inv_spec().alphabet and x.alphabet is not ham_spec().alphabet:
         raise EngineError("psibar_apply expects an element of the invariant algebra or the reduction")
-    img = psibar_images()
-    gens = x.alphabet.gens
     out = None
-    for word, c in x.terms.items():
-        acc = dq_elem(dq_spec().unit())
-        for i in word:
-            acc = acc * img[gens[i].name]
-        acc = acc.scale(c)
-        out = acc if out is None else out + acc
+    for im, c in zip(psibar_words(x.alphabet, list(x.terms)), x.terms.values()):
+        out = im.scale(c) if out is None else out + im.scale(c)
     return out if out is not None else dq_elem(dq_spec().zero())
 
 
@@ -232,18 +241,15 @@ def psibar_relation_residuals() -> list[tuple[str, LocElem]]:
     return out
 
 
-def bplus_words(M: int, N: int) -> list[NcPoly]:
-    B = inv_spec()
-    return [NcPoly.from_word(B.alphabet, w) for w in B.pbw.enumerate(M, N)]
-
-
 def psibar_rank(M: int, N: int) -> int:
     """Rank of the psibar images of the positive-cone basis in bidegree (M,N),
     taken mod P at DEFAULT_POINTS (agreed_rank): a lower bound on the
-    generic rank."""
+    generic rank.  The images come from one psibar_words call over all the
+    bidegree's PBW words, so words that end alike share their tails'
+    products."""
+    B = inv_spec()
     bodies = []
-    for wp in bplus_words(M, N):
-        img = psibar_apply(wp)
+    for img in psibar_words(B.alphabet, list(B.pbw.enumerate(M, N))):
         if any(img.exps):
             raise EngineError("positive-cone image unexpectedly localised")
         bodies.append(img.body)
@@ -261,18 +267,22 @@ def invariant_dimension(M: int, N: int) -> int:
 
     The kernel is taken mod P, so its dimension is an upper bound on the
     generic one: rank mod P <= generic rank.  psibar_rank is a lower bound
-    on the same dimension, so where the two meet it is certified."""
+    on the same dimension, so where the two meet it is certified.
+
+    The rows are dq_action().images of the weight-zero words, each word's E
+    and F image built from its tail's by the coproduct rule, so words that
+    end alike share that work; normal forms are unique, so every image is
+    the one the sum over positions gives."""
     D = dq_spec()
     act = dq_action()
+    words = [w for w in D.pbw.enumerate(M, N) if act._word_weight(w) == (0, 0)]
     # one row per weight-zero word: its E image in columns (0, v), its F
     # image in columns (1, v)
     rows = []
-    for w in D.pbw.enumerate(M, N):
-        if act._word_weight(w) == (0, 0):
-            p = NcPoly.from_word(D.alphabet, w)
-            row = {(0, v): c for v, c in act.act("E", p).terms.items()}
-            row.update({(1, v): c for v, c in act.act("F", p).terms.items()})
-            rows.append(row)
+    for e, f in zip(act.images("E", words), act.images("F", words)):
+        row = {(0, v): c for v, c in e.terms.items()}
+        row.update({(1, v): c for v, c in f.terms.items()})
+        rows.append(row)
     dims = [len(rows) - r for r in point_ranks(rows)]
     if len(set(dims)) != 1:
         raise EngineError(f"invariant dimension disagrees across points: {dims}")

@@ -32,6 +32,7 @@ from .rewrite import (
     PowerBlocksPbw,
     QCentralGen,
     RewriteRule,
+    tail_images,
 )
 
 
@@ -423,8 +424,10 @@ class AdjointAction:
         self.e_images = {alph.index(n): p for n, p in e_images.items()}
         self.f_images = {alph.index(n): p for n, p in f_images.items()}
         for i in range(len(alph)):
-            if i not in self.weights:
-                raise EngineError(f"no action data for letter {alph.gens[i].name}")
+            for what, table in (("action data", self.weights), ("E image", self.e_images),
+                                ("F image", self.f_images)):
+                if i not in table:
+                    raise EngineError(f"no {what} for letter {alph.gens[i].name}")
 
     def _word_weight(self, w) -> tuple[int, int]:
         a = b = 0
@@ -434,40 +437,44 @@ class AdjointAction:
             b += wb
         return (a, b)
 
+    def images(self, gen: str, words) -> list[NcPoly]:
+        """[nf(gen > w) for w in words], gen E or F, each word's image built
+        from its tail's by the coproduct rule:
+
+            E > (x u) = q^(w1(u) - w2(u)) (E > x) u + x (E > u)
+            F > (x u) = (F > x) u + q^(w2(x) - w1(x)) x (F > u)
+
+        Every term is an image word of x in front of u, or x in front of a
+        normal word, and one nf per tail reduces them (rewrite.tail_images,
+        so words that end alike share their tails' images).  Normal forms are
+        unique, so each image is the nf of the sum over positions."""
+        if gen not in ("E", "F"):
+            raise EngineError(f"unknown action generator {gen!r}")
+        spec, weights = self.spec, self.weights
+        alph, field = spec.alphabet, spec.field
+        table = self.e_images if gen == "E" else self.f_images
+
+        def step(x, u, tail):
+            (a, b), img_u = tail
+            wa, wb = weights[x]
+            s_img, s_x = (_q(a - b), RC_ONE) if gen == "E" else (RC_ONE, _q(wb - wa))
+            terms = NcPoly(alph, {(x,) + v: c * s_x for v, c in img_u.terms.items()}, field, _clean=True)
+            terms += NcPoly(alph, {iw + u: c * s_img for iw, c in table[x].terms.items()}, field, _clean=True)
+            return (a + wa, b + wb), spec.nf(terms)
+
+        return [img for _, img in tail_images(words, step, ((0, 0), spec.zero()))]
+
     def act(self, gen: str, x: NcPoly) -> NcPoly:
-        """gen > x in normal form.  The terms of the unreduced result are
-        gathered in one dict and reduced by a single nf."""
+        """gen > x in normal form.  For E and F it is the sum of c times the
+        image of each term c w of x (images); for a K it scales each term by
+        the q-power of its word's weight."""
         spec = self.spec
         if gen in ("K1", "K2", "K1i", "K2i"):
             m = 0 if gen.startswith("K1") else 1
             sgn = -1 if gen.endswith("i") else 1
             out = {w: c * _q(sgn * self._word_weight(w)[m]) for w, c in x.terms.items()}
-        elif gen in ("E", "F"):
-            images = self.e_images if gen == "E" else self.f_images
-            out = {}
-            for w, c in x.terms.items():
-                for i in range(len(w)):
-                    img = images[w[i]]
-                    if not img:
-                        continue
-                    if gen == "F":
-                        w1, w2 = self._word_weight(w[:i])
-                        scal = c * _q(w2 - w1)
-                    else:
-                        w1, w2 = self._word_weight(w[i + 1:])
-                        scal = c * _q(w1 - w2)
-                    pre, post = w[:i], w[i + 1:]
-                    for iw, ic in img.terms.items():
-                        nw, nc = pre + iw + post, scal * ic
-                        s = out.get(nw)
-                        s = nc if s is None else s + nc
-                        if s:
-                            out[nw] = s
-                        else:
-                            out.pop(nw, None)
-        else:
-            raise EngineError(f"unknown action generator {gen!r}")
-        return spec.nf(NcPoly(spec.alphabet, out, spec.field, _clean=True))
+            return spec.nf(NcPoly(spec.alphabet, out, spec.field, _clean=True))
+        return spec._sum_scaled(zip(self.images(gen, list(x.terms)), x.terms.values()))
 
     def is_invariant(self, x: NcPoly) -> bool:
         x = self.spec.nf(x)

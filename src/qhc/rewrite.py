@@ -568,6 +568,27 @@ def normal_form(spec: AlgebraSpec, p: NcPoly, direction: str = "leftmost") -> Nc
     return spec.nf(p, direction)
 
 
+def tail_images(words: Sequence[Word], step, empty) -> list:
+    """[f(w) for w in words], where f(()) = empty and f(x u) = step(x, u, f(u)).
+
+    The words are visited in the order of their reversals, so words that end
+    alike are adjacent and step runs once per distinct nonempty tail.  Only
+    the images along the current word's tails are held, a stack of at most
+    len(w) + 1, so nothing is kept from one call to the next."""
+    out = [None] * len(words)
+    cur, stack = EMPTY_WORD, [empty]  # stack[j]: f of the last j letters of cur
+    for k in sorted(range(len(words)), key=lambda k: words[k][::-1]):
+        w = words[k]
+        n, j = len(w), 0
+        while j < n and j < len(cur) and w[n - 1 - j] == cur[-1 - j]:
+            j += 1
+        del stack[j + 1:]
+        for i in range(j, n):
+            stack.append(step(w[n - 1 - i], w[n - i:], stack[i]))
+        out[k], cur = stack[n], w
+    return out
+
+
 class AmbiguityReport(NamedTuple):
     monomial: Word
     left_tag: str
@@ -942,7 +963,12 @@ class LocElem:
             self.exps = (0,) * len(dens)
 
     def _new(self, exps, body: NcPoly) -> "LocElem":
-        return LocElem(self.spec, self.dens, body, exps)
+        """The element over the same denominators; body is already normal and
+        exps valid, so the constructor's checks and normal form are skipped."""
+        out = object.__new__(LocElem)
+        out.spec, out.dens, out.body = self.spec, self.dens, body
+        out.exps = tuple(exps) if body else (0,) * len(self.dens)
+        return out
 
     def _q(self, e: int):
         return self.spec.field.q_power(e)

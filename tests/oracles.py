@@ -3,8 +3,11 @@
 These are deliberately kept naive: truncated power series expansion for
 graded dimension tables, direct enumeration where a count is wanted,
 term-by-term Fraction evaluation of coefficient polynomials, and the
-primitive polynomial remainder sequence for gcds in Z[q,t].  They never
-touch the rewriting engine.
+primitive polynomial remainder sequence for gcds in Z[q,t].  Those never
+touch the rewriting engine.  The last two, the adjoint action summed over
+letter positions and psibar folded left to right word by word, are the
+direct formulas the package computed before its images came from shared
+tails; they reach the engine only for normal forms and LocElem products.
 """
 
 from __future__ import annotations
@@ -213,3 +216,54 @@ def prs_gcd(f: Poly, g: Poly) -> Poly:
     out = {m: v for m, v in out.items() if v}
     lead = max(out, key=lambda m: (m[0] + m[1], m[1]))
     return {m: -v for m, v in out.items()} if out[lead] < 0 else out
+
+
+# -- the adjoint action over letter positions, psibar as a left fold ---------
+
+def positional_act(action, gen, x):
+    """gen > x: for E or F, each letter of each word replaced by its image,
+    scaled by q^(w1 - w2) of the letters after it (E) or q^(w2 - w1) of the
+    letters before it (F), the terms gathered in one dict and reduced by one
+    nf; for a K, each term scaled by the q-power of its word's weight."""
+    from qhc.coeffring import RAT
+    from qhc.ncpoly import NcPoly
+
+    spec = action.spec
+    ww = action._word_weight
+    if gen in ("K1", "K2", "K1i", "K2i"):
+        m = 0 if gen.startswith("K1") else 1
+        sgn = -1 if gen.endswith("i") else 1
+        out = {w: c * RAT.q_power(sgn * ww(w)[m]) for w, c in x.terms.items()}
+        return spec.nf(NcPoly(spec.alphabet, out, spec.field))
+    images = action.e_images if gen == "E" else action.f_images
+    out = {}
+    for w, c in x.terms.items():
+        for i in range(len(w)):
+            img = images[w[i]]
+            if gen == "F":
+                w1, w2 = ww(w[:i])
+                scal = c * RAT.q_power(w2 - w1)
+            else:
+                w1, w2 = ww(w[i + 1:])
+                scal = c * RAT.q_power(w1 - w2)
+            for iw, ic in img.terms.items():
+                nw = w[:i] + iw + w[i + 1:]
+                out[nw] = out[nw] + scal * ic if nw in out else scal * ic
+    return spec.nf(NcPoly(spec.alphabet, out, spec.field))
+
+
+def left_fold_psibar(x):
+    """psibar(x) for x in the invariant algebra or the reduction: per term,
+    the unit times each letter's image, left to right, then scaled."""
+    from qhc.dqops import dq_elem, dq_spec
+    from qhc.invham import psibar_images
+
+    img = psibar_images()
+    gens = x.alphabet.gens
+    out = dq_elem(dq_spec().zero())
+    for word, c in x.terms.items():
+        acc = dq_elem(dq_spec().unit())
+        for i in word:
+            acc = acc * img[gens[i].name]
+        out = out + acc.scale(c)
+    return out

@@ -322,3 +322,23 @@ def test_reduced_keeps_the_element_and_lowers_exponents(name, data):
     r = v.reduced()
     assert r == v
     assert all(a <= b for a, b in zip(r.exps, v.exps))
+
+
+def test_new_matches_the_constructor_on_moment_products(monkeypatch):
+    # LocElem._new skips the constructor's normal form: every element the
+    # moment map's products, sums and scalings build equals the one the
+    # public constructor builds from the same body and exponents
+    new, seen = LocElem._new, []
+
+    def checked(self, exps, body):
+        out = new(self, exps, body)
+        ref = LocElem(self.spec, self.dens, body, exps)
+        assert (out.body, out.exps) == (ref.body, ref.exps)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(LocElem, "_new", checked)
+    for tag, r in moment_relation_residuals():
+        assert not r, tag
+    assert moment_det() == dq_elem(dq_spec().scalar(RAT.q_power(8)))
+    assert len(seen) > 40 and any(not x for x in seen)

@@ -8,7 +8,6 @@ import pytest
 from qhc.coeffring import RAT, RC_ONE, RC_T
 from qhc.dqops import dq_elem, dq_spec, moment_zt
 from qhc.invham import (
-    bplus_words,
     find_ideal_multiplier,
     ham_relation_congruences,
     ham_spec,
@@ -19,12 +18,13 @@ from qhc.invham import (
     psibar_apply,
     psibar_rank,
     psibar_relation_residuals,
+    psibar_words,
     quotient_w_image,
 )
 from qhc.ncpoly import NcPoly
 from qhc.rewrite import check_ambiguities, hilbert_table, q_central_residual, straighten_trace
 
-from oracles import invariants_positive_series, spherical_positive_series
+from oracles import invariants_positive_series, left_fold_psibar, spherical_positive_series
 
 
 @pytest.fixture(scope="module")
@@ -117,11 +117,11 @@ def test_psibar_examples(B):
     assert dq_elem_invariant(psibar_apply(B.gen("w")))
 
 
-def test_psibar_rank_small_bidegrees():
+def test_psibar_rank_small_bidegrees(B):
     series = invariants_positive_series(3, 3)
     for m, n in [(1, 1), (2, 2), (2, 1), (3, 3)]:
         want = series.get((m, n), 0)
-        assert len(bplus_words(m, n)) == want
+        assert len(list(B.pbw.enumerate(m, n))) == want
         assert psibar_rank(m, n) == want
 
 
@@ -241,3 +241,25 @@ def test_find_ideal_multiplier_recovers_the_multiplier(exps):
 def test_find_ideal_multiplier_refuses_a_nonmember_with_denominators():
     D = dq_spec()
     assert find_ideal_multiplier(dq_elem(D.word_poly("a11", "p12"), 1, 1)) is None
+
+
+def test_psibar_words_match_left_fold_up_to_3_3(B):
+    # one call over every PBW word up to (3,3), each image against the
+    # left-to-right product of its letters' images
+    words = [w for m in range(4) for n in range(4) for w in B.pbw.enumerate(m, n)]
+    for w, img in zip(words, psibar_words(B.alphabet, words)):
+        assert img == left_fold_psibar(NcPoly.from_word(B.alphabet, w)), w
+
+
+def test_psibar_apply_matches_left_fold_on_localised_ham_words(H):
+    # words with c2i and d2i, in and out of PBW order, and one sum of them
+    rng = random.Random(7)
+    names = [g.name for g in H.alphabet.gens]
+    words = [("c2i", "r", "d2i"), ("d2i", "c1", "c2i", "d1"), ("r", "c2i", "c2", "d2i", "r")]
+    words += [tuple(rng.choice(names) for _ in range(rng.randint(1, 4))) for _ in range(6)]
+    x = H.zero()
+    for k, w in enumerate(words):
+        p = H.word_poly(*w)
+        assert psibar_apply(p) == left_fold_psibar(p), w
+        x = x + p.scale(RAT.q_power(k) - RC_T)
+    assert psibar_apply(x) == left_fold_psibar(x)

@@ -1,5 +1,6 @@
 """U_q(gl2), the vector R-matrix, O_q(GL2), the embedding, and the action."""
 
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from qhc.linalg import dense_rank
 from qhc.ncpoly import NcPoly
 from qhc.qgroup import (
     QMQI,
+    AdjointAction,
     adjoint_in_uq,
     antipode_lminus,
     embed_phi,
@@ -30,7 +32,9 @@ from qhc.qgroup import (
     uq_spec,
     yang_baxter_residual,
 )
-from qhc.rewrite import check_ambiguities
+from qhc.rewrite import EngineError, check_ambiguities
+
+from oracles import positional_act
 
 
 @pytest.fixture(scope="module")
@@ -188,39 +192,6 @@ def test_module_algebra_coassociativity(O):
         assert not O.nf(lhs - k.scale(inv))
 
 
-def reference_act(action, gen, x):
-    """gen > x by the term-by-term NcPoly sum that AdjointAction.act
-    replaced, kept here as its oracle."""
-    spec = action.spec
-
-    def weight(w):
-        return (sum(action.weights[i][0] for i in w), sum(action.weights[i][1] for i in w))
-
-    out = spec.zero()
-    if gen in ("K1", "K2", "K1i", "K2i"):
-        m = 0 if gen.startswith("K1") else 1
-        sgn = -1 if gen.endswith("i") else 1
-        for w, c in x.terms.items():
-            out = out + NcPoly.from_word(spec.alphabet, w, c * RAT.q_power(sgn * weight(w)[m]))
-        return spec.nf(out)
-    images = action.e_images if gen == "E" else action.f_images
-    for w, c in x.terms.items():
-        for i in range(len(w)):
-            img = images[w[i]]
-            if not img:
-                continue
-            if gen == "F":
-                w1, w2 = weight(w[:i])
-                scal = RAT.q_power(w2 - w1)
-            else:
-                w1, w2 = weight(w[i + 1:])
-                scal = RAT.q_power(w1 - w2)
-            pre = NcPoly.from_word(spec.alphabet, w[:i], c * scal)
-            post = NcPoly.from_word(spec.alphabet, w[i + 1:])
-            out = out + pre * img * post
-    return spec.nf(out)
-
-
 ACT_COEFFS = (RC_ONE, RatCoeff.from_int(-2), RC_Q, RC_Q.inverse() * RC_T,
               RC_ONE + RC_Q * RC_Q, (RC_ONE + RC_T * RC_T).inverse())
 
@@ -238,4 +209,53 @@ def test_act_matches_term_by_term_reference(data):
     if data.draw(st.booleans(), label="normal"):
         x = spec.nf(x)
     for g in ("E", "F", "K1", "K2", "K1i", "K2i"):
-        assert action.act(g, x) == reference_act(action, g, x), g
+        assert action.act(g, x) == positional_act(action, g, x), g
+
+
+def _image_check(action, words):
+    # one images call over all the words, each image against the sum over
+    # positions of its word alone
+    spec = action.spec
+    for g in ("E", "F"):
+        got = action.images(g, words)
+        for w, img in zip(words, got):
+            assert img == positional_act(action, g, NcPoly.from_word(spec.alphabet, w)), (g, w)
+
+
+def test_images_match_positional_sum_on_dq_words_up_to_2_2():
+    D = dq_action().spec
+    words = [w for m in range(3) for n in range(3) for w in D.pbw.enumerate(m, n)]
+    assert len(words) == 225
+    _image_check(dq_action(), words)
+
+
+def test_images_match_positional_sum_on_all_oq_words_up_to_length_4():
+    # every word over the four letters, most of them not normal
+    words = [w for n in range(5) for w in itertools.product(range(4), repeat=n)]
+    assert len(words) == 341
+    _image_check(oq_action(), words)
+
+
+@pytest.mark.parametrize("which", ["oq", "dq"])
+def test_act_matches_positional_sum_on_rule_residuals(which):
+    action = oq_action() if which == "oq" else dq_action()
+    spec = action.spec
+    for rule in spec.rules + spec.aux_rules:
+        for x in (NcPoly.from_word(spec.alphabet, rule.lhs), rule.rhs,
+                  NcPoly.from_word(spec.alphabet, rule.lhs) - rule.rhs):
+            for g in ("E", "F"):
+                assert action.act(g, x) == positional_act(action, g, x), (rule.tag, g)
+
+
+def test_action_requires_every_letter_image():
+    O = oq_spec()
+    names = ("l11", "l12", "l21", "l22")
+    weights = {n: (0, 0) for n in names}
+    images = {n: O.gen(n) for n in names}
+    for drop in ("E", "F"):
+        partial = {n: p for n, p in images.items() if n != "l21"}
+        e, f = (partial, images) if drop == "E" else (images, partial)
+        with pytest.raises(EngineError, match=f"no {drop} image for letter l21"):
+            AdjointAction(O, weights, e, f)
+    with pytest.raises(EngineError, match="unknown action generator"):
+        oq_action().images("K1", [()])

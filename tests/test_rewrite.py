@@ -444,3 +444,40 @@ def test_divide_left_stays_in_the_nonnegative_cone(plane):
     assert divide(plane, one - z, one) is None
     xy = plane.word_poly("x", "y")
     assert divide(plane, one - z, plane.nf((one - z) * xy)) == xy
+
+
+word_lists = st.lists(st.lists(st.integers(0, 2), max_size=5).map(tuple), max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=word_lists, order=st.randoms(use_true_random=False))
+def test_tail_images_steps_once_per_distinct_tail(words, order):
+    calls = []
+
+    def step(x, u, tail):
+        # tail is f(u), and f(w) spells w back
+        assert tail == u
+        calls.append((x,) + u)
+        return (x,) + u
+
+    assert rewrite.tail_images(words, step, ()) == words
+    assert sorted(calls) == sorted({w[i:] for w in words for i in range(len(w))})
+    # the images do not depend on the order the words come in
+    perm = list(range(len(words)))
+    order.shuffle(perm)
+    weigh = lambda x, u, tail: 3 * tail + x + 1
+    got = rewrite.tail_images(words, weigh, 0)
+    assert rewrite.tail_images([words[k] for k in perm], weigh, 0) == [got[k] for k in perm]
+
+
+def test_tail_images_duplicate_and_empty_words():
+    calls = []
+
+    def step(x, u, tail):
+        calls.append((x,) + u)
+        return tail + [x]
+
+    words = [(), (1, 2), (), (1, 2), (2,), (0, 1, 2)]
+    assert rewrite.tail_images(words, step, []) == [[], [2, 1], [], [2, 1], [2], [2, 1, 0]]
+    assert sorted(calls) == [(0, 1, 2), (1, 2), (2,)]
+    assert rewrite.tail_images([], step, []) == []
