@@ -343,31 +343,57 @@ def moment_zt() -> LocElem:
     return qtrace([list(m[0]), list(m[1])]) - dq_elem(dq_spec().scalar(_q(4) * trq_xt()))
 
 
-def moment_relation_residuals() -> list[tuple[str, LocElem]]:
-    """The six coordinate-algebra relations on the entries of mu(L)."""
-    m = moment_matrix()
-    one = RC_ONE
-    c = one - _q(-2)
+_C = RC_ONE - _q(-2)  # 1 - q^-2
 
-    def e(i, j):
+# The six coordinate-algebra relations on the entries m_ij of mu(L), and
+# detq(mu(L)): each row is a sum of terms c * m_ij * m_kl, written
+# (c, ij, kl).
+MOMENT_TABLE = {
+    "m12*m11": [(RC_ONE, 12, 11), (-RC_ONE, 11, 12), (-_C, 12, 22)],
+    "m22*m11": [(RC_ONE, 22, 11), (-RC_ONE, 11, 22)],
+    "m21*m11": [(RC_ONE, 21, 11), (-RC_ONE, 11, 21), (_C, 22, 21)],
+    "m22*m12": [(RC_ONE, 22, 12), (-_q(2), 12, 22)],
+    "m21*m12": [(RC_ONE, 21, 12), (-RC_ONE, 12, 21), (-_C, 11, 22), (_C, 22, 22)],
+    "m22*m21": [(RC_ONE, 22, 21), (-_q(-2), 21, 22)],
+    "detq": [(RC_ONE, 11, 22), (-_q(2), 12, 21)],
+}
+
+
+def moment_sums(table) -> dict[str, LocElem]:
+    """{tag: sum of c * m_ij * m_kl over the row's (c, ij, kl) terms} for a
+    table of rows like MOMENT_TABLE's.
+
+    Each distinct product is made once.  The products that share a right
+    factor m_kl come in turn from one LocElem.products call, so they share
+    its suffix images; each is added into every sum that uses it and is
+    not kept."""
+    m = moment_matrix()
+
+    def entry(ij):
+        i, j = divmod(ij, 10)
         return m[i - 1][j - 1]
 
-    items = [
-        ("m12*m11", e(1, 2) * e(1, 1) - e(1, 1) * e(1, 2) - (e(1, 2) * e(2, 2)).scale(c)),
-        ("m22*m11", e(2, 2) * e(1, 1) - e(1, 1) * e(2, 2)),
-        ("m21*m11", e(2, 1) * e(1, 1) - e(1, 1) * e(2, 1) + (e(2, 2) * e(2, 1)).scale(c)),
-        ("m22*m12", e(2, 2) * e(1, 2) - (e(1, 2) * e(2, 2)).scale(_q(2))),
-        ("m21*m12", e(2, 1) * e(1, 2) - e(1, 2) * e(2, 1)
-         - (e(1, 1) * e(2, 2) - e(2, 2) * e(2, 2)).scale(c)),
-        ("m22*m21", e(2, 2) * e(2, 1) - (e(2, 1) * e(2, 2)).scale(_q(-2))),
-    ]
-    return items
+    uses: dict[int, dict[int, list]] = {}  # kl -> ij -> [(tag, c)]
+    for tag, row in table.items():
+        for c, ij, kl in row:
+            uses.setdefault(kl, {}).setdefault(ij, []).append((tag, c))
+    sums: dict[str, LocElem] = {}
+    for kl, lefts in uses.items():
+        for terms, prod in zip(lefts.values(), LocElem.products([entry(ij) for ij in lefts], entry(kl))):
+            for tag, c in terms:
+                term = prod.scale(c)
+                sums[tag] = sums[tag] + term if tag in sums else term
+    return {tag: sums[tag] for tag in table}
+
+
+def moment_relation_residuals() -> list[tuple[str, LocElem]]:
+    """The six coordinate-algebra relations on the entries of mu(L)."""
+    return list(moment_sums({tag: row for tag, row in MOMENT_TABLE.items() if tag != "detq"}).items())
 
 
 def moment_det() -> LocElem:
     """detq of mu(L); equals q^8 identically."""
-    m = moment_matrix()
-    return m[0][0] * m[1][1] - (m[0][1] * m[1][0]).scale(_q(2))
+    return moment_sums({"detq": MOMENT_TABLE["detq"]})["detq"]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ step budget every normal-form computation carries only bounds its cost.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .coeffring import RAT, QQField
 from .linalg import P, frac_rank
@@ -463,24 +464,34 @@ class AlgebraSpec:
         return out
 
     def _act(self, a: NcPoly, b: NcPoly) -> NcPoly:
-        """nf(a * b), for b already in (leftmost) normal form.
+        """nf(a * b), for b already in (leftmost) normal form."""
+        return self._acts(b)(a)
+
+    def _acts(self, b: NcPoly) -> Callable[[NcPoly], NcPoly]:
+        """The map a -> nf(a * b), for b already in (leftmost) normal form.
 
         Each word of a acts on b one letter at a time, right to left:
         act(()) = b and act(x u) = nf(x * act(u)).  Suffix results are kept
-        for this call only, so words of a that share a suffix share the work.
+        for as long as the map is, so words that share a suffix share the
+        work, within one left factor and across every left factor the map
+        is applied to.
         """
         acts: dict[Word, NcPoly] = {EMPTY_WORD: b}
-        for w in a.terms:
-            k = 0
-            while w[k:] not in acts:
-                k += 1
-            for j in range(k - 1, -1, -1):
-                x = w[j]
-                acts[w[j:]] = self.nf(NcPoly(
-                    self.alphabet, {(x,) + v: c for v, c in acts[w[j + 1:]].terms.items()},
-                    self.field, _clean=True,
-                ))
-        return self._sum_scaled((acts[w], c) for w, c in a.terms.items())
+
+        def act(a: NcPoly) -> NcPoly:
+            for w in a.terms:
+                k = 0
+                while w[k:] not in acts:
+                    k += 1
+                for j in range(k - 1, -1, -1):
+                    x = w[j]
+                    acts[w[j:]] = self.nf(NcPoly(
+                        self.alphabet, {(x,) + v: c for v, c in acts[w[j + 1:]].terms.items()},
+                        self.field, _clean=True,
+                    ))
+            return self._sum_scaled((acts[w], c) for w, c in a.terms.items())
+
+        return act
 
     def is_normal(self, p: NcPoly) -> bool:
         return all(self._find_redex(w, "leftmost") is None for w in p.terms)
@@ -849,7 +860,10 @@ def agreed_rank(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> int:
 def divide(spec: AlgebraSpec, factor: NcPoly, p: NcPoly, right: bool = False):
     """Exact division: the x with normal_form(factor * x) = p, or with
     normal_form(x * factor) = p if right is set; None if none is found.
-    factor and p are normal forms, so each product is one spec._act.
+    factor and p are normal forms, so each product is one spec._act.  On
+    the right every product ends in factor, so one spec._acts(factor) map
+    makes them all, and quotient words that end alike share its suffix
+    images.
 
     Leading-word division under spec.pbw.order_key: the remainder's leading
     word w, less lead(factor), is the next quotient word u, with the
@@ -874,6 +888,7 @@ def divide(spec: AlgebraSpec, factor: NcPoly, p: NcPoly, right: bool = False):
         return max(poly.terms, key=pbw.order_key)
 
     flead = pbw.exponents(lead(factor))
+    times = spec._acts(factor) if right else partial(spec._act, factor)
     rem, quo = p, {}
     while rem:
         w = lead(rem)
@@ -882,7 +897,7 @@ def divide(spec: AlgebraSpec, factor: NcPoly, p: NcPoly, right: bool = False):
         if u is None:
             return None
         up = NcPoly.from_word(spec.alphabet, u, field=spec.field)
-        img = spec._act(up, factor) if right else spec._act(factor, up)
+        img = times(up)
         if not img or lead(img) != w:
             return None
         quo[u] = rem.terms[w] / img.terms[w]
@@ -945,8 +960,9 @@ class LocElem:
     side _on_right picks from the spec, and the element does not change.
     dq's detq(D) takes the right and detq(A) and oq's detq(L) the left.
 
-    Every body is a normal form, so products here call spec._act directly
-    and skip the normal form of the right factor that spec.mul would take.
+    Every body is a normal form, so products here call spec._act and
+    spec._acts directly and skip the normal form of the right factor that
+    spec.mul would take.
     """
 
     __slots__ = ("spec", "dens", "exps", "body")
@@ -1048,11 +1064,18 @@ class LocElem:
         return self._graded(self.body, kappa, sign * self._cross(self.exps, exps))
 
     def __mul__(self, other: "LocElem") -> "LocElem":
-        """Product in the localisation: other's denominators move left past
-        self's body and denominators, and the q-scaled body acts on other's
-        normal body through spec._act."""
-        body = self.spec._act(self._moved(other.exps), other.body)
-        return self._new([a + b for a, b in zip(self.exps, other.exps)], body)
+        return next(LocElem.products([self], other))
+
+    @staticmethod
+    def products(lefts: Sequence["LocElem"], right: "LocElem") -> Iterator["LocElem"]:
+        """x * right for each x in lefts, in turn, so a caller may drop each
+        product before the next is made.  right's denominators move left
+        past x's body and denominators, and the q-scaled body acts on
+        right's normal body through one spec._acts map, so the lefts share
+        its suffix images."""
+        times_right = right.spec._acts(right.body)
+        for x in lefts:
+            yield x._new([a + b for a, b in zip(x.exps, right.exps)], times_right(x._moved(right.exps)))
 
     def reduced(self) -> "LocElem":
         """Strip denominator factors from the body where divide finds

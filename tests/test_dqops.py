@@ -1,7 +1,7 @@
 """D_q(GL2): the 28 relations, localisation, cofactors, q-traces, moment map."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qhc.coeffring import RAT, RC_ONE, RC_T, RatCoeff
@@ -20,7 +20,9 @@ from qhc.dqops import (
     dq_spec,
     matrix_relation_entries,
     moment_det,
+    moment_matrix,
     moment_relation_residuals,
+    moment_sums,
     moment_zt,
     qmat_a,
     qmat_d,
@@ -199,10 +201,10 @@ def free_at_loc_reference(x, exps):
 laurent = st.builds(RatCoeff.monomial, st.integers(-3, 3).filter(bool), st.integers(-2, 2), st.integers(-2, 2))
 
 
-def loc_elems(name):
-    """Random localised elements with exponents 1 or 2 and bodies of up to
-    three words of up to four letters, which mix dq's a- and p-letters in
-    both orders."""
+def loc_elems(name, least=1):
+    """Random localised elements with exponents from least to 2 and bodies
+    of up to three words of up to four letters, which mix dq's a- and
+    p-letters in both orders."""
     if name == "dq":
         spec, ndens = dq_spec(), 2
         make = lambda body, exps: dq_elem(body, *exps)
@@ -211,7 +213,7 @@ def loc_elems(name):
         make = lambda body, exps: LocElem(spec, oq_denominators(), body, exps)
     words = st.lists(st.integers(0, len(spec.alphabet) - 1), max_size=4).map(tuple)
     bodies = st.dictionaries(words, laurent, min_size=1, max_size=3).map(lambda t: NcPoly(spec.alphabet, t))
-    exps = st.lists(st.integers(1, 2), min_size=ndens, max_size=ndens)
+    exps = st.lists(st.integers(least, 2), min_size=ndens, max_size=ndens)
     return st.builds(make, bodies, exps)
 
 
@@ -227,6 +229,16 @@ def test_loc_products_match_free_product_reference(name, data):
     shift = data.draw(st.lists(st.integers(0, 2), min_size=len(x.exps), max_size=len(x.exps)))
     target = tuple(e + s for e, s in zip(x.exps, shift))
     assert x._at_loc(target) == free_at_loc_reference(x, target)
+
+
+@pytest.mark.parametrize("name", ["dq", "oq"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_products_match_one_product_at_a_time(name, data):
+    right = data.draw(loc_elems(name, least=0))
+    lefts = data.draw(st.lists(loc_elems(name, least=0), min_size=1, max_size=3))
+    got = [(p.body, p.exps) for p in LocElem.products(lefts, right)]
+    assert got == [((x * right).body, (x * right).exps) for x in lefts]
 
 
 def test_denominator_sides():
@@ -281,6 +293,37 @@ def test_trace_commutator_gives_r(D):
 def test_moment_map_entries_satisfy_coordinate_relations():
     for tag, r in moment_relation_residuals():
         assert not r, tag
+
+
+def _entry(ij):
+    i, j = divmod(ij, 10)
+    return moment_matrix()[i - 1][j - 1]
+
+
+ENTRIES = (11, 12, 21, 22)
+
+
+def test_moment_sums_match_each_single_product():
+    # every m_ij * m_kl, none of them zero, from one table
+    table = {f"m{ij}*m{kl}": [(RC_ONE, ij, kl)] for ij in ENTRIES for kl in ENTRIES}
+    sums = moment_sums(table)
+    assert list(sums) == list(table)
+    for tag, row in table.items():
+        (_, ij, kl), = row
+        prod = _entry(ij) * _entry(kl)
+        assert prod and sums[tag] == prod, tag
+
+
+@settings(max_examples=4, deadline=None)
+@given(terms=st.lists(st.tuples(laurent, st.sampled_from(ENTRIES), st.sampled_from(ENTRIES)),
+                      min_size=2, max_size=2))
+def test_moment_sums_match_a_two_term_combination(terms):
+    (c, ij, kl), (d, ij2, kl2) = terms
+    first = (_entry(ij) * _entry(kl)).scale(c)
+    mix = first + (_entry(ij2) * _entry(kl2)).scale(d)
+    assume(mix)
+    got = moment_sums({"mix": terms, "first": terms[:1]})
+    assert got == {"mix": mix, "first": first}
 
 
 def test_moment_det_is_q8(D):

@@ -224,6 +224,38 @@ def test_mul_matches_nf_of_free_product(name, data):
     assert spec.mul(a, spec.zero()) == spec.zero()
 
 
+def _suffixes(polys):
+    return {w[i:] for p in polys for w in p.terms for i in range(len(w))}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_SPECS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_acts_map_matches_nf_of_free_product_across_left_factors(name, data):
+    # one map serves several unreduced left factors in turn: zero, a scalar,
+    # random ones, and one whose words end in another factor's words, so
+    # later factors read suffix images the earlier ones left
+    spec = PRODUCT_SPECS[name]()
+    a, b = data.draw(short_polys(spec)), spec.nf(data.draw(short_polys(spec)))
+    x = data.draw(st.integers(0, len(spec.alphabet) - 1))
+    overlapping = NcPoly(spec.alphabet, {(x,) + w: c for w, c in a.terms.items()}, spec.field)
+    lefts = [a, spec.zero(), spec.scalar(data.draw(laurent)), overlapping,
+             data.draw(short_polys(spec)), a]
+    nf, calls = AlgebraSpec.nf, []
+
+    def counting(self, p, direction="leftmost"):
+        calls.append(p)
+        return nf(self, p, direction)
+
+    times_b = spec._acts(b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AlgebraSpec, "nf", counting)
+        got = [times_b(left) for left in lefts]
+    assert got == [spec.nf(left * b) for left in lefts]
+    # nf runs once per distinct nonempty suffix over all the left factors
+    assert len(calls) == len(_suffixes(lefts))
+
+
 # redex search and reduction against a naive reference, on all seven
 # presentations
 
@@ -423,6 +455,17 @@ def test_divide_one_word_quotient_makes_one_product(monkeypatch):
     monkeypatch.setattr(AlgebraSpec, "_act", counting)
     assert divide(D, det_a_body(), img) == x
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("den", [det_d_body, lambda: moment_zt().body], ids=["detD", "Zt"])
+def test_divide_right_non_homogeneous_multiple(den):
+    # the quotient's words share one map's suffix images on the right
+    D = dq_spec()
+    den = den()
+    x = D.nf(D.unit() + D.gen("a21") + D.word_poly("p12", "p11") + D.word_poly("a11", "p22").scale(RAT.q_power(3)))
+    assert len(x.terms) == 5 and x.bidegree() is None
+    assert divide(D, den, D.mul(x, den), right=True) == x
+    assert divide(D, den, D.zero(), right=True) == D.zero()
 
 
 def test_divide_left_refuses_a_non_multiple():
