@@ -47,6 +47,7 @@ from .rewrite import (
     QCentralGen,
     RewriteRule,
     agreed_rank,
+    tail_map,
 )
 
 BETA = RC_T - RC_T.inverse()          # t - 1/t
@@ -172,8 +173,7 @@ class _DahaBuilder:
         # eliminated through Ti = T - (t - 1/t)
         tm1 = ti_rhs
         tm2 = s0.nf(tm1 * tm1)
-        y1x1, y2x1 = self.word("Y1", "X1"), self.word("Y2", "X1")
-        y1x2 = self.word("Y1", "X2")
+        y1x1 = self.word("Y1", "X1")
         s2 = self.partial(trusted)
         xy_pos = {
             ("X1", "Y1"): s2.nf(tm2 * y1x1).scale(_q(-2)),
@@ -380,7 +380,7 @@ _PHI_WORDS = {
 
 @cache
 def _phi_images() -> dict[str, NcPoly]:
-    """nf(b * body) for each generator body b; phi of a generator is
+    """nf(body * b) for each generator body b; phi of a generator is
     e * b * e = E_SCALE^2 * body * b * body."""
     spec = daha_spec()
     body_e = idempotent_body()
@@ -389,31 +389,31 @@ def _phi_images() -> dict[str, NcPoly]:
         body = spec.zero()
         for wnames in words:
             body = body + spec.word_poly(*wnames)
-        out[name] = spec.mul(body, body_e)
+        out[name] = spec.mul(body_e, body)
     r_body = spec.word_poly("Y1", "X1").scale((RC_T * RC_T).inverse()) + spec.word_poly("Y2", "X2")
-    out["R"] = spec.mul(r_body, body_e)
+    out["R"] = spec.mul(body_e, r_body)
     return out
 
 
-def _phi_word_body(w) -> NcPoly:
-    """body * (b1 body) * ... * (bk body) for the spherical word w = x1...xk,
-    which is phi(w) / E_SCALE^(k+1) since e * e = e."""
+def _phi_bodies():
+    """The map w -> (body b1) ... (body bk) body on spherical words
+    w = x1...xk, which is phi(w) / E_SCALE^(k+1) since e * e = e: a
+    rewrite.tail_map from the body, each letter's image acting on its
+    tail's, so words that end alike share their tails' bodies."""
+    spec, images = daha_spec(), _phi_images()
     gens = sdaha_spec().alphabet.gens
-    images = _phi_images()
-    return daha_spec().mul(idempotent_body(), *[images[gens[i].name] for i in w])
+    return tail_map(lambda x, u, tail: spec._act(images[gens[x].name], tail), idempotent_body())
 
 
 def phi_apply(x: NcPoly) -> NcPoly:
     """The presentation map into e*H*e, extended multiplicatively; phi(1) = e.
-    Exact: each word's body is scaled once by E_SCALE^(k+1)."""
+    Exact: each word's body (one _phi_bodies map over x's words) is scaled
+    once by E_SCALE^(k+1)."""
     sd = sdaha_spec()
     if x.alphabet is not sd.alphabet:
         raise EngineError("phi_apply expects a spherical element")
-    spec = daha_spec()
-    out = spec.zero()
-    for w, c in x.terms.items():
-        out = out + _phi_word_body(w).scale(c * E_SCALE ** (len(w) + 1))
-    return out
+    body = _phi_bodies()
+    return daha_spec()._sum_scaled((body(w), c * E_SCALE ** (len(w) + 1)) for w, c in x.terms.items())
 
 
 def phi_relation_residuals() -> list[tuple[str, NcPoly]]:
@@ -470,5 +470,7 @@ def phi_rank(M: int, N: int) -> int:
     P at DEFAULT_POINTS (agreed_rank): a lower bound on the generic rank.
     The rows are the word bodies, each phi(w) times (1 + t^2)^(k+1) for a
     word of length k; that scalar is nonzero at every point, and mod P too
-    since P = 3 (mod 4), so the rank is the same."""
-    return agreed_rank(daha_spec(), [_phi_word_body(w) for w in sdaha_spec().pbw.enumerate(M, N)])
+    since P = 3 (mod 4), so the rank is the same.  One _phi_bodies map
+    makes them all, so words that end alike share their tails' bodies."""
+    body = _phi_bodies()
+    return agreed_rank(daha_spec(), [body(w) for w in sdaha_spec().pbw.enumerate(M, N)])

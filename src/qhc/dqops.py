@@ -187,40 +187,33 @@ def cofactor(which: str) -> tuple[tuple[NcPoly, ...], ...]:
         {w for k in range(4) for l in range(4) for w in D.nf(letters[k] * letters[l]).terms}
         | set(det.terms)
     )
-    col = {w: k for k, w in enumerate(basis)}
     zero = RatCoeff.from_int(0)
     nunk = 16  # adj[m][c] = sum_k x[m][c][k] * letter_k
 
     def unk(m, c, k):
         return 4 * (2 * m + c) + k
 
+    left = [[D.nf(M[r][m] * x) for x in letters] for r in range(2) for m in range(2)]
+    right = [[D.nf(x * M[m][c]) for x in letters] for m in range(2) for c in range(2)]
+    # entry (i, j) of M adj sums M[i][s] adj[s][j], and of adj M sums
+    # adj[i][s] M[s][j]: each term's product with letter k and its unknown
+    conditions = [lambda i, j, s, k: (left[2 * i + s][k], unk(s, j, k)),
+                  lambda i, j, s, k: (right[2 * s + j][k], unk(i, s, k))]
     rows, rhs = [], []
-    prods_left = [[D.nf(M[r][m] * letters[k]) for k in range(4)] for r in range(2) for m in range(2)]
-    prods_right = [[D.nf(letters[k] * M[m][c]) for k in range(4)] for m in range(2) for c in range(2)]
-    for r in range(2):
-        for c in range(2):
-            want = det if r == c else D.zero()
-            for w in basis:
-                row = [zero] * nunk
-                for m in range(2):
-                    for k in range(4):
-                        coeff = prods_left[2 * r + m][k].terms.get(w)
-                        if coeff:
-                            row[unk(m, c, k)] = row[unk(m, c, k)] + coeff
-                rows.append(row)
-                rhs.append(want.terms.get(w, zero))
-    for m in range(2):
-        for c in range(2):
-            want = det if m == c else D.zero()
-            for w in basis:
-                row = [zero] * nunk
-                for mm in range(2):
-                    for k in range(4):
-                        coeff = prods_right[2 * mm + c][k].terms.get(w)
-                        if coeff:
-                            row[unk(m, mm, k)] = row[unk(m, mm, k)] + coeff
-                rows.append(row)
-                rhs.append(want.terms.get(w, zero))
+    for term in conditions:
+        for i in range(2):
+            for j in range(2):
+                want = det if i == j else D.zero()
+                for w in basis:
+                    row = [zero] * nunk
+                    for s in range(2):
+                        for k in range(4):
+                            prod, u = term(i, j, s, k)
+                            coeff = prod.terms.get(w)
+                            if coeff:
+                                row[u] = row[u] + coeff
+                    rows.append(row)
+                    rhs.append(want.terms.get(w, zero))
     status, sol = solve_dense(rows, rhs, zero)
     if status != "unique":
         raise EngineError(f"cofactor conditions for {which} are {status}")
@@ -384,16 +377,6 @@ def moment_sums(table) -> dict[str, LocElem]:
                 term = prod.scale(c)
                 sums[tag] = sums[tag] + term if tag in sums else term
     return {tag: sums[tag] for tag in table}
-
-
-def moment_relation_residuals() -> list[tuple[str, LocElem]]:
-    """The six coordinate-algebra relations on the entries of mu(L)."""
-    return list(moment_sums({tag: row for tag, row in MOMENT_TABLE.items() if tag != "detq"}).items())
-
-
-def moment_det() -> LocElem:
-    """detq of mu(L); equals q^8 identically."""
-    return moment_sums({"detq": MOMENT_TABLE["detq"]})["detq"]
 
 
 # ---------------------------------------------------------------------------

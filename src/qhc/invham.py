@@ -46,7 +46,7 @@ from .rewrite import (
     agreed_rank,
     divide,
     point_ranks,
-    tail_images,
+    tail_map,
 )
 
 
@@ -158,7 +158,6 @@ def ham_spec() -> AlgebraSpec:
 
     B = inv_spec()
     (r2_rule,) = [r for r in B.rules if r.tag == "r*r"]
-    w_idx = B.alphabet.index("w")
     subs = trq_xt()
     rhs = NcPoly.zero(alph)
     for word, c in r2_rule.rhs.terms.items():
@@ -210,12 +209,13 @@ def psibar_words(alphabet: Alphabet, words) -> list[LocElem]:
 
     psibar is an algebra map, so psibar(x u) = psibar(x) * psibar(u): each
     word's image is its first letter's image times its tail's, a LocElem
-    product (rewrite.tail_images, so words that end alike share their
-    tails' images).  Normal forms are unique, so this right-to-left order
-    gives the images the left-to-right fold gave."""
+    product (one rewrite.tail_map over all the words, so words that end
+    alike share their tails' images).  Normal forms are unique, so this
+    right-to-left order gives the images the left-to-right fold gave."""
     img = psibar_images()
     gens = alphabet.gens
-    return tail_images(words, lambda x, u, tail: img[gens[x].name] * tail, dq_elem(dq_spec().unit()))
+    image = tail_map(lambda x, u, tail: img[gens[x].name] * tail, dq_elem(dq_spec().unit()))
+    return [image(w) for w in words]
 
 
 def psibar_apply(x: NcPoly) -> LocElem:

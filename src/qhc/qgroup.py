@@ -32,7 +32,7 @@ from .rewrite import (
     PowerBlocksPbw,
     QCentralGen,
     RewriteRule,
-    tail_images,
+    tail_map,
 )
 
 
@@ -207,7 +207,6 @@ def lmatrix_check() -> list[tuple[str, bool]]:
     """All printed relations of the L-matrix presentation, checked in U_q."""
     U = uq_spec()
     lp, lm = lmatrices()
-    g = U.gen
     q1 = _q(1)
     qm1 = _q(-1)
     results: list[tuple[str, bool]] = []
@@ -372,18 +371,20 @@ def phi_images() -> dict[str, NcPoly]:
 
 
 def embed_phi(x: NcPoly) -> NcPoly:
-    """Apply the embedding O_q -> U_q to a coordinate-algebra element."""
+    """Apply the embedding O_q -> U_q to a coordinate-algebra element.
+
+    The embedding is an algebra map, so each word's image is its first
+    letter's image acting on its tail's (one rewrite.tail_map over x's
+    words, so words that end alike share their tails' images), and x's
+    image is the sum of c times the image of each term c w."""
     O = oq_spec()
     if x.alphabet is not O.alphabet:
         raise EngineError("embed_phi expects an O_q element")
     U = uq_spec()
     img = phi_images()
     gens = O.alphabet.gens
-    out = U.zero()
-    for w, c in x.terms.items():
-        acc = U.mul(*[img[gens[i].name] for i in w]) if w else U.unit()
-        out = out + acc.scale(c)
-    return out
+    image = tail_map(lambda x, u, tail: U._act(img[gens[x].name], tail), U.unit())
+    return U._sum_scaled((image(w), c) for w, c in x.terms.items())
 
 
 def phi_matches_lmatrix_product() -> bool:
@@ -445,9 +446,10 @@ class AdjointAction:
             F > (x u) = (F > x) u + q^(w2(x) - w1(x)) x (F > u)
 
         Every term is an image word of x in front of u, or x in front of a
-        normal word, and one nf per tail reduces them (rewrite.tail_images,
-        so words that end alike share their tails' images).  Normal forms are
-        unique, so each image is the nf of the sum over positions."""
+        normal word, and one nf per tail reduces them (one rewrite.tail_map
+        over all the words, so words that end alike share their tails'
+        images).  Normal forms are unique, so each image is the nf of the
+        sum over positions."""
         if gen not in ("E", "F"):
             raise EngineError(f"unknown action generator {gen!r}")
         spec, weights = self.spec, self.weights
@@ -462,7 +464,8 @@ class AdjointAction:
             terms += NcPoly(alph, {iw + u: c * s_img for iw, c in table[x].terms.items()}, field, _clean=True)
             return (a + wa, b + wb), spec.nf(terms)
 
-        return [img for _, img in tail_images(words, step, ((0, 0), spec.zero()))]
+        image = tail_map(step, ((0, 0), spec.zero()))
+        return [image(w)[1] for w in words]
 
     def act(self, gen: str, x: NcPoly) -> NcPoly:
         """gen > x in normal form.  For E and F it is the sum of c times the

@@ -470,28 +470,17 @@ class AlgebraSpec:
     def _acts(self, b: NcPoly) -> Callable[[NcPoly], NcPoly]:
         """The map a -> nf(a * b), for b already in (leftmost) normal form.
 
-        Each word of a acts on b one letter at a time, right to left:
-        act(()) = b and act(x u) = nf(x * act(u)).  Suffix results are kept
-        for as long as the map is, so words that share a suffix share the
+        Each word of a acts on b one letter at a time, right to left: a
+        tail_map with image(()) = b and image(x u) = nf(x * image(u)), the
+        words' images then summed with a's coefficients.  The tail map lives
+        as long as this map does, so words that share a suffix share the
         work, within one left factor and across every left factor the map
         is applied to.
         """
-        acts: dict[Word, NcPoly] = {EMPTY_WORD: b}
-
-        def act(a: NcPoly) -> NcPoly:
-            for w in a.terms:
-                k = 0
-                while w[k:] not in acts:
-                    k += 1
-                for j in range(k - 1, -1, -1):
-                    x = w[j]
-                    acts[w[j:]] = self.nf(NcPoly(
-                        self.alphabet, {(x,) + v: c for v, c in acts[w[j + 1:]].terms.items()},
-                        self.field, _clean=True,
-                    ))
-            return self._sum_scaled((acts[w], c) for w, c in a.terms.items())
-
-        return act
+        alph, field = self.alphabet, self.field
+        image = tail_map(lambda x, u, img: self.nf(NcPoly(
+            alph, {(x,) + v: c for v, c in img.terms.items()}, field, _clean=True)), b)
+        return lambda a: self._sum_scaled((image(w), c) for w, c in a.terms.items())
 
     def is_normal(self, p: NcPoly) -> bool:
         return all(self._find_redex(w, "leftmost") is None for w in p.terms)
@@ -579,25 +568,24 @@ def normal_form(spec: AlgebraSpec, p: NcPoly, direction: str = "leftmost") -> Nc
     return spec.nf(p, direction)
 
 
-def tail_images(words: Sequence[Word], step, empty) -> list:
-    """[f(w) for w in words], where f(()) = empty and f(x u) = step(x, u, f(u)).
+def tail_map(step, empty) -> Callable[[Word], object]:
+    """The map f over words with f(()) = empty and f(x u) = step(x, u, f(u)).
 
-    The words are visited in the order of their reversals, so words that end
-    alike are adjacent and step runs once per distinct nonempty tail.  Only
-    the images along the current word's tails are held, a stack of at most
-    len(w) + 1, so nothing is kept from one call to the next."""
-    out = [None] * len(words)
-    cur, stack = EMPTY_WORD, [empty]  # stack[j]: f of the last j letters of cur
-    for k in sorted(range(len(words)), key=lambda k: words[k][::-1]):
-        w = words[k]
-        n, j = len(w), 0
-        while j < n and j < len(cur) and w[n - 1 - j] == cur[-1 - j]:
-            j += 1
-        del stack[j + 1:]
-        for i in range(j, n):
-            stack.append(step(w[n - 1 - i], w[n - i:], stack[i]))
-        out[k], cur = stack[n], w
-    return out
+    f keeps the image of every tail it has made for as long as f lives, so
+    step runs once per distinct nonempty tail over all the words f is
+    applied to; nothing outlives f."""
+    images = {EMPTY_WORD: empty}
+
+    def f(w: Word):
+        k = 0
+        while w[k:] not in images:
+            k += 1
+        for j in range(k - 1, -1, -1):
+            u = w[j + 1:]
+            images[w[j:]] = step(w[j], u, images[u])
+        return images[w]
+
+    return f
 
 
 class AmbiguityReport(NamedTuple):
@@ -862,8 +850,8 @@ def divide(spec: AlgebraSpec, factor: NcPoly, p: NcPoly, right: bool = False):
     normal_form(x * factor) = p if right is set; None if none is found.
     factor and p are normal forms, so each product is one spec._act.  On
     the right every product ends in factor, so one spec._acts(factor) map
-    makes them all, and quotient words that end alike share its suffix
-    images.
+    makes them all, and quotient words that end alike share its tail_map's
+    suffix images.
 
     Leading-word division under spec.pbw.order_key: the remainder's leading
     word w, less lead(factor), is the next quotient word u, with the

@@ -4,10 +4,11 @@ These are deliberately kept naive: truncated power series expansion for
 graded dimension tables, direct enumeration where a count is wanted,
 term-by-term Fraction evaluation of coefficient polynomials, and the
 primitive polynomial remainder sequence for gcds in Z[q,t].  Those never
-touch the rewriting engine.  The last two, the adjoint action summed over
-letter positions and psibar folded left to right word by word, are the
-direct formulas the package computed before its images came from shared
-tails; they reach the engine only for normal forms and LocElem products.
+touch the rewriting engine.  The last four, the adjoint action summed over
+letter positions, psibar folded left to right word by word, and the O_q
+embedding and phi's word bodies as one product per word, are the direct
+formulas the package computed before its images came from shared tails;
+they reach the engine only for normal forms, products and LocElem products.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def prs_gcd(f: Poly, g: Poly) -> Poly:
     return {m: -v for m, v in out.items()} if out[lead] < 0 else out
 
 
-# -- the adjoint action over letter positions, psibar as a left fold ---------
+# -- the adjoint action over letter positions, maps folded word by word -----
 
 def positional_act(action, gen, x):
     """gen > x: for E or F, each letter of each word replaced by its image,
@@ -267,3 +268,43 @@ def left_fold_psibar(x):
             acc = acc * img[gens[i].name]
         out = out + acc.scale(c)
     return out
+
+
+def fold_embed_phi(x):
+    """The O_q -> U_q embedding of x: per term, one U_q product of the
+    letters' images, then scaled."""
+    from qhc.qgroup import phi_images, uq_spec
+
+    U = uq_spec()
+    img = phi_images()
+    gens = x.alphabet.gens
+    out = U.zero()
+    for w, c in x.terms.items():
+        acc = U.mul(*[img[gens[i].name] for i in w]) if w else U.unit()
+        out = out + acc.scale(c)
+    return out
+
+
+def fold_phi_body(w):
+    """body * b1 * body * ... * bk * body for the spherical word w = x1...xk,
+    body = 1 + t T and b_i the generator bodies written out here: one daha
+    product per word."""
+    from qhc.coeffring import RC_T
+    from qhc.daha import daha_spec, idempotent_body, sdaha_spec
+
+    H = daha_spec()
+    bodies = {
+        "P1": H.word_poly("X1") + H.word_poly("X2"),
+        "Q1": H.word_poly("Y1") + H.word_poly("Y2"),
+        "P2": H.word_poly("X1", "X2"),
+        "Q2": H.word_poly("Y1", "Y2"),
+        "P2i": H.word_poly("X1i", "X2i"),
+        "Q2i": H.word_poly("Y1i", "Y2i"),
+        "R": H.word_poly("Y1", "X1").scale((RC_T * RC_T).inverse()) + H.word_poly("Y2", "X2"),
+    }
+    body = idempotent_body()
+    gens = sdaha_spec().alphabet.gens
+    factors = [body]
+    for i in w:
+        factors += [bodies[gens[i].name], body]
+    return H.mul(*factors)

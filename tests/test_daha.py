@@ -10,7 +10,7 @@ from qhc.coeffring import RAT, RC_ONE, RC_T
 from qhc.daha import (
     BETA,
     T2P1,
-    _phi_word_body,
+    _phi_bodies,
     _spherical_rows,
     aplus_words,
     daha_spec,
@@ -35,7 +35,7 @@ from qhc.rewrite import (
     straighten_trace,
 )
 
-from oracles import spherical_positive_series
+from oracles import fold_phi_body, spherical_positive_series
 
 
 @pytest.fixture(scope="module")
@@ -319,11 +319,21 @@ def test_body_ranks_equal_exact_ranks_pointwise(H):
                     == rank_of_family(H, exact).per_point), (m, n)
 
 
+def test_phi_bodies_match_the_word_fold_on_sdaha_words_up_to_3_3(A):
+    # one map over every word, so later words read the tails earlier ones left
+    body = _phi_bodies()
+    words = [w for m in range(4) for n in range(4) for w in A.pbw.enumerate(m, n)]
+    assert len(words) == 52
+    for w in words:
+        assert body(w) == fold_phi_body(w), w
+
+
 def test_phi_body_ranks_equal_exact_ranks_pointwise(H, A):
     for m in range(1, 4):
         for n in range(1, 4):
             words = list(A.pbw.enumerate(m, n))
-            bodies = _nonzero(_phi_word_body(w) for w in words)
+            body = _phi_bodies()
+            bodies = _nonzero(body(w) for w in words)
             exact = _nonzero(phi_apply(NcPoly.from_word(A.alphabet, w)) for w in words)
             assert len(bodies) == len(exact)
             assert (rank_of_family(H, bodies).per_point

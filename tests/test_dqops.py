@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from qhc.coeffring import RAT, RC_ONE, RC_T, RatCoeff
 from qhc.dqops import (
+    MOMENT_TABLE,
     claimed_cofactor_display,
     cofactor,
     cofactor_display_mismatches,
@@ -19,9 +20,7 @@ from qhc.dqops import (
     dq_elem_invariant,
     dq_spec,
     matrix_relation_entries,
-    moment_det,
     moment_matrix,
-    moment_relation_residuals,
     moment_sums,
     moment_zt,
     qmat_a,
@@ -291,7 +290,10 @@ def test_trace_commutator_gives_r(D):
 
 
 def test_moment_map_entries_satisfy_coordinate_relations():
-    for tag, r in moment_relation_residuals():
+    relations = {tag: row for tag, row in MOMENT_TABLE.items() if tag != "detq"}
+    sums = moment_sums(relations)
+    assert list(sums) == list(relations) and len(sums) == 6
+    for tag, r in sums.items():
         assert not r, tag
 
 
@@ -327,7 +329,7 @@ def test_moment_sums_match_a_two_term_combination(terms):
 
 
 def test_moment_det_is_q8(D):
-    assert moment_det() == dq_elem(D.scalar(RAT.q_power(8)))
+    assert moment_sums({"detq": MOMENT_TABLE["detq"]})["detq"] == dq_elem(D.scalar(RAT.q_power(8)))
 
 
 def test_moment_zt_invariant():
@@ -381,7 +383,8 @@ def test_new_matches_the_constructor_on_moment_products(monkeypatch):
         return out
 
     monkeypatch.setattr(LocElem, "_new", checked)
-    for tag, r in moment_relation_residuals():
+    sums = moment_sums(MOMENT_TABLE)
+    assert sums.pop("detq") == dq_elem(dq_spec().scalar(RAT.q_power(8)))
+    for tag, r in sums.items():
         assert not r, tag
-    assert moment_det() == dq_elem(dq_spec().scalar(RAT.q_power(8)))
     assert len(seen) > 40 and any(not x for x in seen)

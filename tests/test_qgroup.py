@@ -34,7 +34,7 @@ from qhc.qgroup import (
 )
 from qhc.rewrite import EngineError, check_ambiguities
 
-from oracles import positional_act
+from oracles import fold_embed_phi, positional_act
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +210,18 @@ def test_act_matches_term_by_term_reference(data):
         x = spec.nf(x)
     for g in ("E", "F", "K1", "K2", "K1i", "K2i"):
         assert action.act(g, x) == positional_act(action, g, x), g
+
+
+def test_embed_phi_matches_the_word_fold_on_all_oq_words_up_to_length_4(O):
+    # each word alone, then all of them in one element, whose words share
+    # tails in one map
+    words = [w for n in range(5) for w in itertools.product(range(4), repeat=n)]
+    assert len(words) == 341
+    for w in words:
+        x = NcPoly.from_word(O.alphabet, w)
+        assert embed_phi(x) == fold_embed_phi(x), w
+    x = NcPoly(O.alphabet, {w: RAT.q_power(k % 5 - 2) for k, w in enumerate(words)}, O.field)
+    assert embed_phi(x) == fold_embed_phi(x)
 
 
 def _image_check(action, words):

@@ -494,7 +494,7 @@ word_lists = st.lists(st.lists(st.integers(0, 2), max_size=5).map(tuple), max_si
 
 @settings(max_examples=60, deadline=None)
 @given(words=word_lists, order=st.randoms(use_true_random=False))
-def test_tail_images_steps_once_per_distinct_tail(words, order):
+def test_tail_map_steps_once_per_distinct_tail(words, order):
     calls = []
 
     def step(x, u, tail):
@@ -503,24 +503,46 @@ def test_tail_images_steps_once_per_distinct_tail(words, order):
         calls.append((x,) + u)
         return (x,) + u
 
-    assert rewrite.tail_images(words, step, ()) == words
+    f = rewrite.tail_map(step, ())
+    assert [f(w) for w in words] == words
     assert sorted(calls) == sorted({w[i:] for w in words for i in range(len(w))})
     # the images do not depend on the order the words come in
     perm = list(range(len(words)))
     order.shuffle(perm)
     weigh = lambda x, u, tail: 3 * tail + x + 1
-    got = rewrite.tail_images(words, weigh, 0)
-    assert rewrite.tail_images([words[k] for k in perm], weigh, 0) == [got[k] for k in perm]
+    got = [rewrite.tail_map(weigh, 0)(w) for w in words]
+    g = rewrite.tail_map(weigh, 0)
+    assert [g(words[k]) for k in perm] == [got[k] for k in perm]
 
 
-def test_tail_images_duplicate_and_empty_words():
+def test_tail_map_duplicate_and_empty_words():
     calls = []
 
     def step(x, u, tail):
         calls.append((x,) + u)
         return tail + [x]
 
+    f = rewrite.tail_map(step, [])
     words = [(), (1, 2), (), (1, 2), (2,), (0, 1, 2)]
-    assert rewrite.tail_images(words, step, []) == [[], [2, 1], [], [2, 1], [2], [2, 1, 0]]
+    assert [f(w) for w in words] == [[], [2, 1], [], [2, 1], [2], [2, 1, 0]]
     assert sorted(calls) == [(0, 1, 2), (1, 2), (2,)]
-    assert rewrite.tail_images([], step, []) == []
+    assert rewrite.tail_map(step, [])(()) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(first=word_lists, second=word_lists)
+def test_tail_map_second_call_steps_only_new_tails(first, second):
+    calls = []
+
+    def step(x, u, tail):
+        calls.append((x,) + u)
+        return (x,) + tail
+
+    f = rewrite.tail_map(step, ())
+    for w in first:
+        f(w)
+    seen = set(calls)
+    del calls[:]
+    assert [f(w) for w in second] == second
+    new = {w[i:] for w in second for i in range(len(w))} - seen
+    assert sorted(calls) == sorted(new)
