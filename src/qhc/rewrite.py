@@ -243,11 +243,26 @@ class QCentralGen(NamedTuple):
 STEP_BUDGET = 10**6
 
 #: most terms one spec's cached normal forms may hold, both directions
-#: together; nf_word stops caching once they reach it.  A cached term holds
-#: about 515 bytes with its word and coefficient (tracemalloc: clearing the
-#: caches after the moment suite freed 3.7 MB for 7,198 terms), so a full
-#: cache holds about 0.5 GB.
+#: together; nf_word and nf stop caching once they reach it.  A cached term
+#: holds about 220 bytes with its word and its share of the coefficients
+#: (tracemalloc: clearing the caches after the moment suite freed 1.57 MB for
+#: 7,161 terms), so a full cache holds about 0.22 GB.
 CACHE_MAX_TERMS = 1_000_000
+
+#: a cached normal form: its (word, coefficient) pairs
+NfTerms = tuple[tuple[Word, object], ...]
+
+
+def _add_scaled(out: dict[Word, object], terms, c) -> None:
+    """Add c * hc at hw into out for each (hw, hc) in terms, dropping the
+    words whose sums cancel to 0."""
+    for hw, hc in terms:
+        s = out.get(hw)
+        s = hc * c if s is None else s + hc * c
+        if s:
+            out[hw] = s
+        else:
+            out.pop(hw, None)
 
 
 class AlgebraSpec:
@@ -298,7 +313,9 @@ class AlgebraSpec:
             (row[G],) * (G + 1) if row[G] is not None else tuple(row) for row in rows
         )
         self._end = (G,)
-        self._nf_cache: dict[str, dict[Word, NcPoly]] = {"leftmost": {}, "rightmost": {}}
+        self._nf_cache: dict[str, dict[Word, NfTerms]] = {"leftmost": {}, "rightmost": {}}
+        # each cached coefficient's value -> the one object the cache holds
+        self._nf_coeffs: dict = {}
         self._nf_cached_terms = 0
 
     def _check_decreasing(self, rules: Sequence[RewriteRule]) -> None:
@@ -373,13 +390,7 @@ class AlgebraSpec:
                 continue
             hit = cache.get(w)
             if hit is not None:
-                for hw, hc in hit.terms.items():
-                    s = out.get(hw)
-                    s = hc * c if s is None else s + hc * c
-                    if s:
-                        out[hw] = s
-                    else:
-                        out.pop(hw, None)
+                _add_scaled(out, hit, c)
                 continue
             n, v, k = len(w), w + end, clean.pop(w, 0)
             for i in range(k, n) if leftmost else range(n - 1 - k, -1, -1):
@@ -420,37 +431,38 @@ class AlgebraSpec:
                     work.pop(nw, None)
         return out
 
-    def nf_word(self, w: Word, direction: str = "leftmost") -> NcPoly:
+    def _nf_terms(self, w: Word, direction: str) -> NfTerms:
+        """The normal form of w as (word, coefficient) pairs, from the cache,
+        or reduced and, while the cache is under CACHE_MAX_TERMS, stored
+        there with each coefficient replaced by the spec's one object of its
+        value."""
         cache = self._nf_cache[direction]
-        hit = cache.get(w)
-        if hit is not None:
-            return hit
-        res = NcPoly(
-            self.alphabet,
-            self._reduce_terms({w: self.field.one}, direction),
-            self.field,
-            _clean=True,
-        )
-        if self._nf_cached_terms < CACHE_MAX_TERMS:
-            cache[w] = res
-            self._nf_cached_terms += len(res.terms)
-        return res
+        terms = cache.get(w)
+        if terms is None:
+            out = self._reduce_terms({w: self.field.one}, direction)
+            if self._nf_cached_terms < CACHE_MAX_TERMS:
+                share = self._nf_coeffs.setdefault
+                terms = cache[w] = tuple([(v, share(c, c)) for v, c in out.items()])
+                self._nf_cached_terms += len(terms)
+            else:
+                terms = tuple(out.items())
+        return terms
+
+    def nf_word(self, w: Word, direction: str = "leftmost") -> NcPoly:
+        return NcPoly(self.alphabet, dict(self._nf_terms(w, direction)), self.field, _clean=True)
 
     def _sum_scaled(self, pairs) -> NcPoly:
         """sum of c * p over (p, c) pairs, accumulated in one dict."""
         out: dict[Word, object] = {}
         for p, c in pairs:
-            for hw, hc in p.terms.items():
-                s = out.get(hw)
-                s = hc * c if s is None else s + hc * c
-                if s:
-                    out[hw] = s
-                else:
-                    out.pop(hw, None)
+            _add_scaled(out, p.terms.items(), c)
         return NcPoly(self.alphabet, out, self.field, _clean=True)
 
     def nf(self, p: NcPoly, direction: str = "leftmost") -> NcPoly:
-        return self._sum_scaled((self.nf_word(w, direction), c) for w, c in p.terms.items())
+        out: dict[Word, object] = {}
+        for w, c in p.terms.items():
+            _add_scaled(out, self._nf_terms(w, direction), c)
+        return NcPoly(self.alphabet, out, self.field, _clean=True)
 
     def mul(self, *factors: NcPoly) -> NcPoly:
         """Normal form of the product of factors, none of them need be normal.

@@ -20,13 +20,14 @@ from hypothesis import strategies as st
 from qhc import rewrite
 from qhc.coeffring import RAT, RatCoeff
 from qhc.daha import daha_spec, sdaha_spec
-from qhc.dqops import det_a_body, det_d_body, dq_spec, moment_zt
+from qhc.dqops import MOMENT_TABLE, det_a_body, det_d_body, dq_denominators, dq_spec, moment_sums, moment_zt
 from qhc.invham import ham_spec, inv_spec
 from qhc.ncpoly import Alphabet, NcPoly
-from qhc.qgroup import oq_spec, qdet_oq, uq_spec
+from qhc.qgroup import oq_denominators, oq_spec, qdet_oq, uq_spec
 from qhc.rewrite import (
     AlgebraSpec,
     EngineError,
+    LocElem,
     NonTermination,
     PowerBlocksPbw,
     QCentralGen,
@@ -356,11 +357,67 @@ def test_nf_cache_stops_at_its_term_bound(monkeypatch):
     held = []
     for w, nf in zip(words, want):
         assert fresh.nf_word(w) == nf
-        held.append(sum(len(p.terms) for c in fresh._nf_cache.values() for p in c.values()))
+        held.append(sum(len(terms) for c in fresh._nf_cache.values() for terms in c.values()))
     full = [k for k, n in enumerate(held) if n >= 60]
     assert full, "the cache never reached its bound"
     assert held[full[0]:] == [held[full[0]]] * (len(held) - full[0])
     assert [fresh.nf_word(w) for w in words] == want
+
+
+def test_nf_cache_holds_one_coefficient_object_per_value():
+    D = dq_spec()
+    for n in range(4):
+        for w in itertools.product(range(len(D.alphabet)), repeat=n):
+            D.nf_word(w)
+    moment_sums(MOMENT_TABLE)
+    by_value = {}
+    for cache in D._nf_cache.values():
+        for terms in cache.values():
+            for _, c in terms:
+                by_value.setdefault(c, set()).add(id(c))
+    assert len(by_value) > 10
+    assert all(len(ids) == 1 for ids in by_value.values())
+    # a spec of its own, so no entry is checked against itself
+    fresh = AlgebraSpec(D.alphabet, D.rules, D.pbw, D.q_central)
+    for direction, cache in D._nf_cache.items():
+        for w, terms in cache.items():
+            assert NcPoly(D.alphabet, dict(terms)) == fresh.nf_word(w, direction)
+
+
+LOC_DENOMINATORS = {"dq": dq_denominators, "oq": oq_denominators}
+
+
+def _uncached_path_results(spec, dens):
+    """nf, mul and LocElem.products on fixed inputs, among them sums whose
+    terms cancel to 0."""
+    gens = [spec.gen(g.name) for g in spec.alphabet.gens]
+    a = gens[0] + gens[1] + gens[2]
+    b = gens[-1] * gens[0] + spec.unit()
+    rule = spec.rules[0]
+    rel = NcPoly.from_word(spec.alphabet, rule.lhs) - rule.rhs
+    exps = [(0,) * len(dens), (1,) * len(dens)]
+    lefts = [LocElem(spec, dens, a, exps[1]), LocElem(spec, dens, rel), LocElem(spec, dens, b * a)]
+    out = [spec.nf(a * a * a), spec.nf(a * b, "rightmost"), spec.nf(rel), spec.nf(a * rel * b),
+           spec.nf(rel + a, "rightmost"), spec.mul(a, b, a), spec.mul(b, rel), spec.mul(a * b - b * a, b)]
+    products = LocElem.products(lefts, LocElem(spec, dens, b + a, exps[1]))
+    return out, [(x.exps, x.body) for x in products]
+
+
+@pytest.mark.parametrize("name", sorted(ALL_SPECS))
+def test_uncached_normal_forms_match_cached_ones(name, monkeypatch):
+    spec = ALL_SPECS[name]()
+    dens = LOC_DENOMINATORS[name]() if name in LOC_DENOMINATORS else ()
+
+    def own_spec():
+        return AlgebraSpec(spec.alphabet, spec.rules, spec.pbw, spec.q_central, field=spec.field)
+
+    want = _uncached_path_results(own_spec(), dens)
+    assert not want[0][2] and not want[0][3]
+    monkeypatch.setattr(rewrite, "CACHE_MAX_TERMS", 0)
+    uncached = own_spec()
+    assert _uncached_path_results(uncached, dens) == want
+    assert uncached._nf_cached_terms == 0
+    assert not any(uncached._nf_cache.values())
 
 
 def test_three_letter_lhs_is_refused():
