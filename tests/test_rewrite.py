@@ -366,6 +366,7 @@ def test_nf_cache_stops_at_its_term_bound(monkeypatch):
 
 def test_nf_cache_holds_one_coefficient_object_per_value():
     D = dq_spec()
+    before = {d: set(cache) for d, cache in D._nf_cache.items()}
     for n in range(4):
         for w in itertools.product(range(len(D.alphabet)), repeat=n):
             D.nf_word(w)
@@ -377,11 +378,11 @@ def test_nf_cache_holds_one_coefficient_object_per_value():
                 by_value.setdefault(c, set()).add(id(c))
     assert len(by_value) > 10
     assert all(len(ids) == 1 for ids in by_value.values())
-    # a spec of its own, so no entry is checked against itself
+    # the entries this test made, each against a spec of its own
     fresh = AlgebraSpec(D.alphabet, D.rules, D.pbw, D.q_central)
-    for direction, cache in D._nf_cache.items():
-        for w, terms in cache.items():
-            assert NcPoly(D.alphabet, dict(terms)) == fresh.nf_word(w, direction)
+    made = [(d, w) for d, cache in D._nf_cache.items() for w in cache.keys() - before[d]]
+    for d, w in made:
+        assert NcPoly(D.alphabet, dict(D._nf_cache[d][w])) == fresh.nf_word(w, d)
 
 
 LOC_DENOMINATORS = {"dq": dq_denominators, "oq": oq_denominators}
@@ -395,18 +396,18 @@ def _uncached_path_results(spec, dens):
     b = gens[-1] * gens[0] + spec.unit()
     rule = spec.rules[0]
     rel = NcPoly.from_word(spec.alphabet, rule.lhs) - rule.rhs
-    exps = [(0,) * len(dens), (1,) * len(dens)]
-    lefts = [LocElem(spec, dens, a, exps[1]), LocElem(spec, dens, rel), LocElem(spec, dens, b * a)]
+    ones = (1,) * len(dens)
+    lefts = [LocElem(spec, dens, a, ones), LocElem(spec, dens, rel), LocElem(spec, dens, b * a)]
     out = [spec.nf(a * a * a), spec.nf(a * b, "rightmost"), spec.nf(rel), spec.nf(a * rel * b),
            spec.nf(rel + a, "rightmost"), spec.mul(a, b, a), spec.mul(b, rel), spec.mul(a * b - b * a, b)]
-    products = LocElem.products(lefts, LocElem(spec, dens, b + a, exps[1]))
+    products = LocElem.products(lefts, LocElem(spec, dens, b + a, ones))
     return out, [(x.exps, x.body) for x in products]
 
 
 @pytest.mark.parametrize("name", sorted(ALL_SPECS))
 def test_uncached_normal_forms_match_cached_ones(name, monkeypatch):
     spec = ALL_SPECS[name]()
-    dens = LOC_DENOMINATORS[name]() if name in LOC_DENOMINATORS else ()
+    dens = LOC_DENOMINATORS.get(name, tuple)()
 
     def own_spec():
         return AlgebraSpec(spec.alphabet, spec.rules, spec.pbw, spec.q_central, field=spec.field)
