@@ -242,15 +242,21 @@ class QCentralGen(NamedTuple):
 #: most rewrite steps one normal-form computation may take
 STEP_BUDGET = 10**6
 
-#: most terms one spec's cached normal forms may hold, both directions
-#: together; nf_word and nf stop caching once they reach it.  A cached term
-#: holds about 220 bytes with its word and its share of the coefficients
-#: (tracemalloc: clearing the caches after the moment suite freed 1.57 MB for
-#: 7,161 terms), so a full cache holds about 0.22 GB.
+#: most terms one spec's cached normal forms may hold; nf stops caching once
+#: they reach it.  A cached term holds about 220 bytes with its word and its
+#: share of the coefficients (tracemalloc: clearing the caches after the
+#: moment suite freed 1.57 MB for 7,161 terms), so a full cache holds about
+#: 0.22 GB.
 CACHE_MAX_TERMS = 1_000_000
 
 #: a cached normal form: its (word, coefficient) pairs
 NfTerms = tuple[tuple[Word, object], ...]
+
+
+def _over_budget(spec: AlgebraSpec, words) -> NonTermination:
+    """The error for a reduction of words that took more than STEP_BUDGET rewrites."""
+    return NonTermination(f"{spec.algebra_id}: step budget of {STEP_BUDGET} exceeded while reducing "
+                          + ", ".join(spec.alphabet.word_str(w) for w in words))
 
 
 def _add_scaled(out: dict[Word, object], terms, c) -> None:
@@ -313,7 +319,7 @@ class AlgebraSpec:
             (row[G],) * (G + 1) if row[G] is not None else tuple(row) for row in rows
         )
         self._end = (G,)
-        self._nf_cache: dict[str, dict[Word, NfTerms]] = {"leftmost": {}, "rightmost": {}}
+        self._nf_cache: dict[Word, NfTerms] = {}
         # each cached coefficient's value -> the one object the cache holds
         self._nf_coeffs: dict = {}
         self._nf_cached_terms = 0
@@ -362,27 +368,25 @@ class AlgebraSpec:
                 return i, len(rule.lhs), rule
         return None
 
-    def _reduce_terms(self, terms: dict[Word, object], direction: str) -> dict[Word, object]:
+    def _reduce_terms(self, terms: dict[Word, object]) -> dict[Word, object]:
         """Reduce the sum of c * w over terms to normal form, rewriting in
-        each word the redex _find_redex(w, direction) names.
+        each word its leftmost redex, the one _find_redex(w, "leftmost")
+        names.
 
-        A rewrite at position i leaves the letters away from it as they
-        were, and the search that found it had passed them: leftmost, no
-        redex of a word it makes starts before position i - 1; rightmost,
-        none starts in its last len(post) letters.  clean[w] holds that
-        count for a pending word, and the search in w starts past them.  The
-        count is a fact about the word alone, so a word made twice keeps the
-        count stored first.  Irreducible words must be PBW words, except in
-        a partial spec."""
+        A rewrite at position i leaves the letters before it as they were,
+        and the search that found it had passed them, so no redex of a word
+        it makes starts before position i - 1.  clean[w] holds that position
+        for a pending word, and the search in w starts there.  It is a fact
+        about the word alone, so a word made twice keeps the position stored
+        first.  Irreducible words must be PBW words, except in a partial
+        spec."""
         pbw_only = not self.partial
-        cache = self._nf_cache[direction]
-        leftmost = direction == "leftmost"
+        cache = self._nf_cache
         table, end = self._rule_at, self._end
         work = dict(terms)
         clean: dict[Word, int] = {}
         out: dict[Word, object] = {}
         steps = 0
-        budget = STEP_BUDGET
         while work:
             w = next(iter(work))
             c = work.pop(w)
@@ -393,7 +397,7 @@ class AlgebraSpec:
                 _add_scaled(out, hit, c)
                 continue
             n, v, k = len(w), w + end, clean.pop(w, 0)
-            for i in range(k, n) if leftmost else range(n - 1 - k, -1, -1):
+            for i in range(k, n):
                 rule = table[v[i]][v[i + 1]]
                 if rule is not None:
                     break
@@ -411,13 +415,10 @@ class AlgebraSpec:
                     out.pop(w, None)
                 continue
             steps += 1
-            if steps > budget:
-                raise NonTermination(
-                    f"{self.algebra_id}: step budget of {budget} exceeded while reducing "
-                    + ", ".join(self.alphabet.word_str(t) for t in terms)
-                )
+            if steps > STEP_BUDGET:
+                raise _over_budget(self, terms)
             pre, post = w[:i], w[i + len(rule.lhs) :]
-            k = (i - 1 if i else 0) if leftmost else len(post)
+            k = i - 1 if i else 0
             for rw, rc in rule.rhs.terms.items():
                 nw = pre + rw + post
                 nc = c * rc
@@ -431,25 +432,24 @@ class AlgebraSpec:
                     work.pop(nw, None)
         return out
 
-    def _nf_terms(self, w: Word, direction: str) -> NfTerms:
+    def _nf_terms(self, w: Word) -> NfTerms:
         """The normal form of w as (word, coefficient) pairs, from the cache,
         or reduced and, while the cache is under CACHE_MAX_TERMS, stored
         there with each coefficient replaced by the spec's one object of its
         value."""
-        cache = self._nf_cache[direction]
-        terms = cache.get(w)
+        terms = self._nf_cache.get(w)
         if terms is None:
-            out = self._reduce_terms({w: self.field.one}, direction)
+            out = self._reduce_terms({w: self.field.one})
             if self._nf_cached_terms < CACHE_MAX_TERMS:
                 share = self._nf_coeffs.setdefault
-                terms = cache[w] = tuple([(v, share(c, c)) for v, c in out.items()])
+                terms = self._nf_cache[w] = tuple([(v, share(c, c)) for v, c in out.items()])
                 self._nf_cached_terms += len(terms)
             else:
                 terms = tuple(out.items())
         return terms
 
     def nf_word(self, w: Word, direction: str = "leftmost") -> NcPoly:
-        return NcPoly(self.alphabet, dict(self._nf_terms(w, direction)), self.field, _clean=True)
+        return self.nf(NcPoly.from_word(self.alphabet, w, field=self.field), direction)
 
     def _sum_scaled(self, pairs) -> NcPoly:
         """sum of c * p over (p, c) pairs, accumulated in one dict."""
@@ -459,9 +459,13 @@ class AlgebraSpec:
         return NcPoly(self.alphabet, out, self.field, _clean=True)
 
     def nf(self, p: NcPoly, direction: str = "leftmost") -> NcPoly:
+        """The normal form of p from the cached leftmost engine; any other
+        direction goes to the uncached reduce_by."""
+        if direction != "leftmost":
+            return reduce_by(self, p, direction)
         out: dict[Word, object] = {}
         for w, c in p.terms.items():
-            _add_scaled(out, self._nf_terms(w, direction), c)
+            _add_scaled(out, self._nf_terms(w), c)
         return NcPoly(self.alphabet, out, self.field, _clean=True)
 
     def mul(self, *factors: NcPoly) -> NcPoly:
@@ -476,11 +480,11 @@ class AlgebraSpec:
         return out
 
     def _act(self, a: NcPoly, b: NcPoly) -> NcPoly:
-        """nf(a * b), for b already in (leftmost) normal form."""
+        """nf(a * b), for b already in normal form."""
         return self._acts(b)(a)
 
     def _acts(self, b: NcPoly) -> Callable[[NcPoly], NcPoly]:
-        """The map a -> nf(a * b), for b already in (leftmost) normal form.
+        """The map a -> nf(a * b), for b already in normal form.
 
         Each word of a acts on b one letter at a time, right to left: a
         tail_map with image(()) = b and image(x u) = nf(x * image(u)), the
@@ -658,6 +662,33 @@ def check_ambiguities(spec: AlgebraSpec) -> list[AmbiguityReport]:
     return reports
 
 
+def reduce_by(spec: AlgebraSpec, p: NcPoly, direction: str, keep=()) -> NcPoly:
+    """The reference reducer: rewrite in each word of p the redex
+    _find_redex(w, direction) names, "leftmost" or "rightmost", until no
+    word outside keep has one; the words in keep stay as they are.
+
+    It keeps no cache, resumes no search and checks no word against the
+    PBW set, so it shares nothing with the cached engine behind nf but the
+    rules; it raises NonTermination past STEP_BUDGET rewrites."""
+    if direction not in ("leftmost", "rightmost"):
+        raise ValueError(f"direction must be 'leftmost' or 'rightmost', not {direction!r}")
+    pending = dict(p.terms)
+    out: dict[Word, object] = {}
+    steps = 0
+    while pending:
+        u, c = pending.popitem()
+        hit = None if u in keep else spec._find_redex(u, direction)
+        if hit is None:
+            out[u] = out[u] + c if u in out else c
+            continue
+        steps += 1
+        if steps > STEP_BUDGET:
+            raise _over_budget(spec, p.terms)
+        i, _, rule = hit
+        _add_scaled(pending, _apply_rule_at(spec, u, rule, i).terms.items(), c)
+    return NcPoly(spec.alphabet, out, spec.field)
+
+
 def straighten_trace(spec: AlgebraSpec, w: Word, first: str = "leftmost") -> NcPoly:
     """Reduce w resolving its first ambiguity in the requested direction.
 
@@ -666,9 +697,9 @@ def straighten_trace(spec: AlgebraSpec, w: Word, first: str = "leftmost") -> NcP
     This is the bookkeeping convention of a by-hand diamond computation:
     reordering steps are applied freely, while a bare power is left alone
     because the branches are compared before its expansion would be
-    triggered.  The kept powers are not normal words, so the trace does not
-    go through the normal-form cache; it keeps its own count of rewrites and
-    raises NonTermination past STEP_BUDGET of them.
+    triggered.  The kept powers are not normal words, so the trace runs on
+    reduce_by, not on the cached engine; a breach of its step budget names
+    the traced word.
     """
     if first not in ("leftmost", "rightmost"):
         raise ValueError("first must be 'leftmost' or 'rightmost'")
@@ -677,27 +708,10 @@ def straighten_trace(spec: AlgebraSpec, w: Word, first: str = "leftmost") -> NcP
         return NcPoly.from_word(spec.alphabet, w, field=spec.field)
     powers = {r.lhs for r in spec.rules if len(r.lhs) > 1 and len(set(r.lhs)) == 1}
     i, _, rule = hit
-    pending = dict(_apply_rule_at(spec, w, rule, i).terms)
-    out: dict[Word, object] = {}
-    steps = 0
-    while pending:
-        u, c = pending.popitem()
-        if not c:
-            continue
-        hit = None if u in powers else spec._find_redex(u, "leftmost")
-        if hit is None:
-            out[u] = out[u] + c if u in out else c
-            continue
-        steps += 1
-        if steps > STEP_BUDGET:
-            raise NonTermination(
-                f"{spec.algebra_id}: step budget of {STEP_BUDGET} exceeded while tracing "
-                f"{spec.alphabet.word_str(w)}"
-            )
-        i, _, rule = hit
-        for v, rc in _apply_rule_at(spec, u, rule, i).terms.items():
-            pending[v] = pending[v] + c * rc if v in pending else c * rc
-    return NcPoly(spec.alphabet, out, spec.field)
+    try:
+        return reduce_by(spec, _apply_rule_at(spec, w, rule, i), "leftmost", powers)
+    except NonTermination as e:
+        raise NonTermination(f"{e}, tracing {spec.alphabet.word_str(w)}") from None
 
 
 class HilbertTable(NamedTuple):
@@ -823,8 +837,8 @@ def rank_of_family(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> RankResult:
     rows, a lower bound on their generic rank."""
     degs = set()
     for p in elems:
-        if not spec.is_normal(p):
-            bad = next(w for w in p.terms if spec._find_redex(w, "leftmost"))
+        bad = next((w for w in p.terms if spec._find_redex(w, "leftmost")), None)
+        if bad is not None:
             raise EngineError(
                 f"{spec.algebra_id}: rank_of_family requires normal-form inputs, "
                 f"and word {spec.alphabet.word_str(bad)} has a redex"

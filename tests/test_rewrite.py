@@ -11,6 +11,7 @@ themselves.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from qhc.daha import daha_spec, sdaha_spec
 from qhc.dqops import MOMENT_TABLE, det_a_body, det_d_body, dq_denominators, dq_spec, moment_sums, moment_zt
 from qhc.invham import ham_spec, inv_spec
 from qhc.ncpoly import Alphabet, NcPoly
+from qhc.properties import check_strategy_independence, random_word_poly
 from qhc.qgroup import oq_denominators, oq_spec, qdet_oq, uq_spec
 from qhc.rewrite import (
     AlgebraSpec,
@@ -92,6 +94,11 @@ def test_strategy_independence(plane):
         w = [rng.choice(letters) for _ in range(rng.randint(0, 6))]
         p = plane.word_poly(*w)
         assert normal_form(plane, p, "leftmost") == normal_form(plane, p, "rightmost")
+
+
+def test_unknown_direction_is_refused(plane):
+    with pytest.raises(ValueError, match=r"^direction must be 'leftmost' or 'rightmost', not 'rightmots'$"):
+        plane.nf(plane.word_poly("y", "x"), "rightmots")
 
 
 def test_no_ambiguities_in_plane(plane):
@@ -344,7 +351,7 @@ def test_trace_leaves_irreducible_words_and_powers(name, data):
 def test_trace_budget_names_algebra_and_word(monkeypatch):
     monkeypatch.setattr(rewrite, "STEP_BUDGET", 2)
     A = sdaha_spec()
-    with pytest.raises(NonTermination, match=r"^sdaha: step budget of 2 exceeded while tracing P1\*R\*Q1$"):
+    with pytest.raises(NonTermination, match=r"^sdaha: step budget of 2 exceeded while reducing .*, tracing P1\*R\*Q1$"):
         straighten_trace(A, A.alphabet.word("P1", "R", "Q1"))
 
 
@@ -357,7 +364,7 @@ def test_nf_cache_stops_at_its_term_bound(monkeypatch):
     held = []
     for w, nf in zip(words, want):
         assert fresh.nf_word(w) == nf
-        held.append(sum(len(terms) for c in fresh._nf_cache.values() for terms in c.values()))
+        held.append(sum(len(terms) for terms in fresh._nf_cache.values()))
     full = [k for k, n in enumerate(held) if n >= 60]
     assert full, "the cache never reached its bound"
     assert held[full[0]:] == [held[full[0]]] * (len(held) - full[0])
@@ -366,23 +373,21 @@ def test_nf_cache_stops_at_its_term_bound(monkeypatch):
 
 def test_nf_cache_holds_one_coefficient_object_per_value():
     D = dq_spec()
-    before = {d: set(cache) for d, cache in D._nf_cache.items()}
+    before = set(D._nf_cache)
     for n in range(4):
         for w in itertools.product(range(len(D.alphabet)), repeat=n):
             D.nf_word(w)
     moment_sums(MOMENT_TABLE)
     by_value = {}
-    for cache in D._nf_cache.values():
-        for terms in cache.values():
-            for _, c in terms:
-                by_value.setdefault(c, set()).add(id(c))
+    for terms in D._nf_cache.values():
+        for _, c in terms:
+            by_value.setdefault(c, set()).add(id(c))
     assert len(by_value) > 10
     assert all(len(ids) == 1 for ids in by_value.values())
     # the entries this test made, each against a spec of its own
     fresh = AlgebraSpec(D.alphabet, D.rules, D.pbw, D.q_central)
-    made = [(d, w) for d, cache in D._nf_cache.items() for w in cache.keys() - before[d]]
-    for d, w in made:
-        assert NcPoly(D.alphabet, dict(D._nf_cache[d][w])) == fresh.nf_word(w, d)
+    for w in D._nf_cache.keys() - before:
+        assert NcPoly(D.alphabet, dict(D._nf_cache[w])) == fresh.nf_word(w)
 
 
 LOC_DENOMINATORS = {"dq": dq_denominators, "oq": oq_denominators}
@@ -419,6 +424,27 @@ def test_uncached_normal_forms_match_cached_ones(name, monkeypatch):
     assert _uncached_path_results(uncached, dens) == want
     assert uncached._nf_cached_terms == 0
     assert not any(uncached._nf_cache.values())
+
+
+@pytest.mark.parametrize("name", sorted(ALL_SPECS))
+def test_strategy_check_catches_a_fault_in_the_cached_engine(name, monkeypatch):
+    # rightmost reduction runs on reduce_by, apart from the cache, so a
+    # fault in the cached engine makes the two strategies disagree
+    spec = ALL_SPECS[name]()
+    fresh = AlgebraSpec(spec.alphabet, spec.rules, spec.pbw, spec.q_central, field=spec.field)
+    rng = random.Random(0)
+    for _ in range(20):
+        fresh.nf(random_word_poly(fresh, rng, 5), "rightmost")
+    assert not fresh._nf_cache and fresh._nf_cached_terms == 0
+    assert check_strategy_independence(fresh, n=50) is None
+    nf_terms = AlgebraSpec._nf_terms
+
+    def doubled(self, w, *args):
+        terms = nf_terms(self, w, *args)
+        return tuple((v, c + c) for v, c in terms) if len(w) >= 2 else terms
+
+    monkeypatch.setattr(AlgebraSpec, "_nf_terms", doubled)
+    assert check_strategy_independence(fresh, n=50) is not None
 
 
 def test_three_letter_lhs_is_refused():
