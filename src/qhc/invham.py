@@ -261,28 +261,30 @@ def psibar_rank(M: int, N: int) -> int:
 # ---------------------------------------------------------------------------
 
 def invariant_dimension(M: int, N: int) -> int:
-    """dim of the U-invariants of D_q^+[M,N]: the joint kernel of the E and F
-    actions inside the K-weight-zero subspace, at DEFAULT_POINTS, which must
-    agree (the action carries no t, so only their q values matter).
+    """An upper bound on dim of the U-invariants of D_q^+[M,N]: the kernel of
+    E on the K-weight-zero words, mod P at DEFAULT_POINTS, which must agree
+    (the action carries no t, so only their q values matter).  The bound
+    chain is
 
-    The kernel is taken mod P, so its dimension is an upper bound on the
-    generic one: rank mod P <= generic rank.  psibar_rank is a lower bound
-    on the same dimension, so where the two meet it is certified.
+        dim ker(E|V00) mod P >= generic dim ker(E|V00) >= dim invariants,
 
-    The rows are dq_action().images of the weight-zero words, each word's E
-    and F image built from its tail's by the coproduct rule, so words that
-    end alike share that work; normal forms are unique, so every image is
-    the one the sum over positions gives."""
+    the first since rank mod P <= generic rank, the second since every
+    invariant lies in ker E inside V00.  For q not a root of unity the
+    finite-dimensional U_q(sl2)-modules are semisimple, so a weight-zero
+    vector that E kills is invariant and the second is an equality.
+    psibar_rank is a lower bound on the same dimension, so where the two
+    meet it is certified.  Wherever E maps the weight-zero words onto the
+    weight-(1,-1) words the kernel is the difference of their counts, so a
+    faulty action that keeps E onto goes unseen here; the moment suite's
+    invariance check on mu(Z_t), which applies E and F, tests the action.
+
+    There is one row per weight-zero word: its E image's terms, from
+    dq_action().images, each word's image built from its tail's by the
+    coproduct rule, so words that end alike share that work."""
     D = dq_spec()
     act = dq_action()
     words = [w for w in D.pbw.enumerate(M, N) if act._word_weight(w) == (0, 0)]
-    # one row per weight-zero word: its E image in columns (0, v), its F
-    # image in columns (1, v)
-    rows = []
-    for e, f in zip(act.images("E", words), act.images("F", words)):
-        row = {(0, v): c for v, c in e.terms.items()}
-        row.update({(1, v): c for v, c in f.terms.items()})
-        rows.append(row)
+    rows = [e.terms for e in act.images("E", words)]
     dims = [len(rows) - r for r in point_ranks(rows)]
     if len(set(dims)) != 1:
         raise EngineError(f"invariant dimension disagrees across points: {dims}")

@@ -9,6 +9,8 @@ letter positions, psibar folded left to right word by word, and the O_q
 embedding and phi's word bodies as one product per word, are the direct
 formulas the package computed before its images came from shared tails;
 they reach the engine only for normal forms, products and LocElem products.
+The joint kernel of E and F on dq's weight-zero words is the invariant
+dimension the package computed before it took the kernel of E alone.
 """
 
 from __future__ import annotations
@@ -308,3 +310,20 @@ def fold_phi_body(w):
     for i in w:
         factors += [bodies[gens[i].name], body]
     return H.mul(*factors)
+
+
+def joint_kernel_dims(M, N):
+    """Dimension of the joint kernel of E and F on dq's weight-zero words of
+    bidegree (M, N), mod P at each of DEFAULT_POINTS in order: one row per
+    word, its E image in columns (0, v) and its F image in columns (1, v)."""
+    from qhc.dqops import dq_action, dq_spec
+    from qhc.rewrite import point_ranks
+
+    act = dq_action()
+    words = [w for w in dq_spec().pbw.enumerate(M, N) if act._word_weight(w) == (0, 0)]
+    rows = []
+    for e, f in zip(act.images("E", words), act.images("F", words)):
+        row = {(0, v): c for v, c in e.terms.items()}
+        row.update({(1, v): c for v, c in f.terms.items()})
+        rows.append(row)
+    return tuple(len(rows) - r for r in point_ranks(rows))

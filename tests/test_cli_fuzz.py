@@ -77,17 +77,35 @@ def requests(draw):
     return [verb, "--algebra", alg, *opts, "--", *argv]
 
 
-@settings(max_examples=60, deadline=None)
-@given(requests())
-def test_cli_answers_json_or_one_error_line(argv):
+def run(argv):
+    """(exit status, parsed JSON or None) of one request, checked to end in
+    JSON (exit 0) or one error line (exit 2)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     if rc == 0:
-        assert json.loads(out.getvalue())["schema"] == 1
+        doc = json.loads(out.getvalue())
+        assert doc["schema"] == 1
         assert err.getvalue() == ""
-    else:
-        assert rc == 2, argv
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ")
-        assert err.getvalue().count("\n") == 1
+        return rc, doc
+    assert rc == 2, argv
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ")
+    assert err.getvalue().count("\n") == 1
+    return rc, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(requests())
+def test_cli_answers_json_or_one_error_line(argv):
+    rc, doc = run(argv)
+    if argv[0] != "mul":
+        return
+    # mul A B ... equals normalize "(A)*(B)*...": the same terms, or for a
+    # localised result (terms one string) the same normal form
+    split = argv.index("--")
+    product = "*".join(f"({x})" for x in argv[split + 1:])
+    rc2, doc2 = run(["normalize", *argv[1:split + 1], product])
+    if rc == rc2 == 0:
+        key = "terms" if isinstance(doc["terms"], list) else "normal_form"
+        assert doc[key] == doc2[key], argv

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from qhc import dqops, invham, suites
 from qhc.coeffring import RAT, RC_ONE, RC_T
-from qhc.dqops import dq_elem, dq_spec, moment_zt
+from qhc.dqops import dq_action, dq_elem, dq_spec, moment_zt
 from qhc.invham import (
     find_ideal_multiplier,
     ham_relation_congruences,
@@ -22,9 +23,21 @@ from qhc.invham import (
     quotient_w_image,
 )
 from qhc.ncpoly import NcPoly
-from qhc.rewrite import check_ambiguities, hilbert_table, q_central_residual, straighten_trace
+from qhc.qgroup import AdjointAction
+from qhc.rewrite import (
+    DEFAULT_POINTS,
+    check_ambiguities,
+    hilbert_table,
+    q_central_residual,
+    straighten_trace,
+)
 
-from oracles import invariants_positive_series, left_fold_psibar, spherical_positive_series
+from oracles import (
+    invariants_positive_series,
+    joint_kernel_dims,
+    left_fold_psibar,
+    spherical_positive_series,
+)
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +149,47 @@ def test_invariant_dimension_matches_hilbert(B):
     for m in range(4):
         for n in range(4):
             assert invariant_dimension(m, n) == series.get((m, n), 0), (m, n)
+
+
+def test_invariant_dimension_equals_the_joint_kernel_at_each_point():
+    # the kernel of E alone against the joint kernel of E and F;
+    # invariant_dimension raises unless its points agree, so one value equal
+    # to each of the oracle's means equal dims at every point
+    for m, n in [(m, n) for m in range(4) for n in range(4)] + [(4, 4)]:
+        assert joint_kernel_dims(m, n) == (invariant_dimension(m, n),) * len(DEFAULT_POINTS), (m, n)
+
+
+def _faulted_action(gen: str, letters) -> AdjointAction:
+    """A fresh copy of dq_action() in which gen > x is zero for each letter x
+    of letters, gen E or F."""
+    act = dq_action()
+    gens = act.spec.alphabet.gens
+    weights, e_images, f_images = ({gens[i].name: p for i, p in table.items()}
+                                   for table in (act.weights, act.e_images, act.f_images))
+    for name in letters:
+        (e_images if gen == "E" else f_images)[name] = act.spec.zero()
+    return AdjointAction(act.spec, weights, e_images, f_images)
+
+
+def test_invariant_dimension_sees_an_e_action_that_loses_rank(monkeypatch):
+    # with E > a11 = E > a22 = 0, E has rank 0 on the weight-zero words of
+    # bidegree (1,0), so the kernel of E overshoots the series.  A zero E
+    # image for one letter alone goes unseen here: E stays onto the weight
+    # (1,-1) words, so its kernel keeps its dimension
+    faulty = _faulted_action("E", ["a11", "a22"])
+    monkeypatch.setattr(invham, "dq_action", lambda: faulty)
+    series = suites.invariant_series(2, 2)
+    assert any(invariant_dimension(m, n) > series.get((m, n), 0) for m in range(3) for n in range(3))
+
+
+@pytest.mark.parametrize("gen", ["E", "F"])
+def test_moment_suite_sees_a_one_letter_action_fault(monkeypatch, gen):
+    # the invariance check on mu(Z_t) applies E and F, so it catches a fault
+    # in either, the F images that the kernel of E no longer reads included
+    faulty = _faulted_action(gen, ["a11"])
+    monkeypatch.setattr(dqops, "dq_action", lambda: faulty)
+    items = {item["name"]: item["pass"] for item in suites.suite_moment()}
+    assert items["mu(Z_t) invariant"] is False
 
 
 def test_triangular_basis_change(B):
