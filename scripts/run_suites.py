@@ -1,16 +1,30 @@
 #!/usr/bin/env python3
 """Run every verification suite and print a one-line summary per suite.
 
-Exit code is nonzero when any item fails.
+The last line is the process's own peak resident set size,
+`peak_rss_mb <MB>`: VmHWM from /proc/self/status, which counts only this
+process image (ru_maxrss, the fallback where /proc is absent, also counts
+the parent it was forked from).  Exit code is nonzero when any item fails.
 """
 
 import argparse
 import json
+import resource
 import sys
 import time
 from pathlib import Path
 
 from qhc.suites import SUITES, run_verify_suite
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size in MB."""
+    try:
+        with open("/proc/self/status") as f:
+            kb = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return kb / 1024
 
 
 def main() -> int:
@@ -37,6 +51,7 @@ def main() -> int:
         if args.json_dir:
             args.json_dir.mkdir(parents=True, exist_ok=True)
             (args.json_dir / f"{name}.json").write_text(json.dumps(rep, indent=2) + "\n")
+    print(f"peak_rss_mb {peak_rss_mb():.2f}")
     return 1 if any_failed else 0
 
 

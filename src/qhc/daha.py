@@ -22,14 +22,14 @@ The scalar 1/(1 + t^2) is the only non-Laurent coefficient in the picture, so it
 is kept out of the rewriting: products run on the body 1 + t T, whose rules and
 coefficients are all Laurent, and the scalar is applied once at the end where
 an exact value is asked for (idempotent, idempotent_sandwich, phi_apply).  The
-rank checks (spherical_dimension, phi_rank) skip it altogether: each exact
+rank checks (spherical_dimensions, phi_ranks) skip it altogether: each exact
 row is its row of bodies times a power of 1/(1 + t^2), a nonzero scalar, and
 scaling rows by nonzero scalars changes no rank, over Frac(Z[q,t]) or at a
 point.  At the points 1 + t0^2 is also nonzero mod the linalg prime P, since
 P = 3 (mod 4) leaves -1 without a square root.
 
 The body absorbs T up to a scalar: T^2 = (t - 1/t) T + 1 gives
-(1 + t T) T = t (1 + t T).  So spherical_dimension ranks only the T-free
+(1 + t T) T = t (1 + t T).  So spherical_dimensions ranks only the T-free
 PBW words: the row of T w is t times the row of w, and t0 is a unit mod P,
 so every per-point rank is unchanged.
 """
@@ -37,6 +37,7 @@ so every per-point rank is unchanged.
 from __future__ import annotations
 
 from functools import cache
+from typing import Iterator
 
 from .coeffring import RAT, RC_ONE, RC_T, RatCoeff
 from .ncpoly import Alphabet, NcPoly
@@ -417,12 +418,13 @@ def phi_apply(x: NcPoly) -> NcPoly:
 
 
 def phi_relation_residuals() -> list[tuple[str, NcPoly]]:
-    """phi(lhs) - phi(rhs) for the eleven spherical relations."""
+    """phi(lhs) - phi(rhs) for the eleven spherical relations; both images
+    are normal forms, so their difference is one too."""
     sd = sdaha_spec()
     out = []
     for rule in sd.rules:
         lhs = NcPoly.from_word(sd.alphabet, rule.lhs)
-        out.append((rule.tag, daha_spec().nf(phi_apply(lhs) - phi_apply(rule.rhs))))
+        out.append((rule.tag, phi_apply(lhs) - phi_apply(rule.rhs)))
     return out
 
 
@@ -436,28 +438,42 @@ def hplus_words(M: int, N: int) -> list[NcPoly]:
     return [NcPoly.from_word(H.alphabet, w) for w in H.pbw.enumerate(M, N)]
 
 
-def _spherical_rows(M: int, N: int) -> list[NcPoly]:
-    """The rows spherical_dimension ranks: nf((1 + t T) w (1 + t T)) for the
-    T-free PBW words w of H^+[M,N]."""
+def _spherical_rows(bidegrees) -> Iterator[tuple[tuple[int, int], list[NcPoly]]]:
+    """The rows spherical_dimensions ranks, yielded as ((M, N), rows) for
+    each requested bidegree once, in the order they first appear:
+    nf((1 + t T) w (1 + t T)) for the T-free PBW words w of H^+[M,N].  One
+    _acts map makes nf(w (1 + t T)) for the words of every bidegree, so
+    words that end alike share their tails' products across the bidegrees;
+    the map goes with the generator.  Yielding each bidegree's rows lets
+    the caller drop them before the next are made."""
     spec = daha_spec()
     body = idempotent_body()
     T = spec.alphabet.index("T")
-    return [spec.mul(body, NcPoly.from_word(spec.alphabet, w), body)
-            for w in spec.pbw.enumerate(M, N) if w[:1] != (T,)]
+    right = spec._acts(body)
+    for M, N in dict.fromkeys(bidegrees):
+        yield (M, N), [spec._act(body, right(NcPoly.from_word(spec.alphabet, w)))
+                       for w in spec.pbw.enumerate(M, N) if w[:1] != (T,)]
 
 
-def spherical_dimension(M: int, N: int) -> int:
-    """dim e H^+[M,N] e computed as the rank of the sandwiched PBW basis,
-    taken mod P at DEFAULT_POINTS (agreed_rank): a lower bound on the
-    generic dimension.  The rows are the bodies (1 + t T) w (1 + t T), each
-    the exact sandwich times (1 + t^2)^2; that scalar is nonzero at every
-    point, and mod P too since P = 3 (mod 4), so the rank is the same.
+def spherical_dimensions(bidegrees) -> dict[tuple[int, int], int]:
+    """{(M, N): dim e H^+[M,N] e} for the requested bidegrees, in the order
+    they first appear: the rank of the sandwiched PBW basis, taken mod P at
+    DEFAULT_POINTS (agreed_rank), a lower bound on the generic dimension.
+    The rows are the bodies (1 + t T) w (1 + t T), each the exact sandwich
+    times (1 + t^2)^2; that scalar is nonzero at every point, and mod P too
+    since P = 3 (mod 4), so the rank is the same.
 
     Only the T-free words w are ranked.  T^2 = (t - 1/t) T + 1 gives
     (1 + t T) T = t (1 + t T), so the row of T w is t times the row of w;
     t0 is a unit mod P at every point, so the T-led rows change no
     per-point rank."""
-    return agreed_rank(daha_spec(), _spherical_rows(M, N))
+    spec = daha_spec()
+    return {d: agreed_rank(spec, rows) for d, rows in _spherical_rows(bidegrees)}
+
+
+def spherical_dimension(M: int, N: int) -> int:
+    """dim e H^+[M,N] e, as spherical_dimensions computes it."""
+    return spherical_dimensions([(M, N)])[M, N]
 
 
 def aplus_words(M: int, N: int) -> list[NcPoly]:
@@ -465,12 +481,20 @@ def aplus_words(M: int, N: int) -> list[NcPoly]:
     return [NcPoly.from_word(sd.alphabet, w) for w in sd.pbw.enumerate(M, N)]
 
 
+def phi_ranks(bidegrees) -> dict[tuple[int, int], int]:
+    """{(M, N): rank of the phi images of the positive-cone spherical basis}
+    for the requested bidegrees, in the order they first appear, each taken
+    mod P at DEFAULT_POINTS (agreed_rank): a lower bound on the generic
+    rank.  The rows are the word bodies, each phi(w) times (1 + t^2)^(k+1)
+    for a word of length k; that scalar is nonzero at every point, and mod P
+    too since P = 3 (mod 4), so the rank is the same.  One _phi_bodies map
+    makes them all, so words that end alike share their tails' bodies
+    across the bidegrees; the map is dropped when the call returns."""
+    spec, sd, body = daha_spec(), sdaha_spec(), _phi_bodies()
+    return {(M, N): agreed_rank(spec, [body(w) for w in sd.pbw.enumerate(M, N)])
+            for M, N in dict.fromkeys(bidegrees)}
+
+
 def phi_rank(M: int, N: int) -> int:
-    """Rank of the phi images of the positive-cone spherical basis, taken mod
-    P at DEFAULT_POINTS (agreed_rank): a lower bound on the generic rank.
-    The rows are the word bodies, each phi(w) times (1 + t^2)^(k+1) for a
-    word of length k; that scalar is nonzero at every point, and mod P too
-    since P = 3 (mod 4), so the rank is the same.  One _phi_bodies map
-    makes them all, so words that end alike share their tails' bodies."""
-    body = _phi_bodies()
-    return agreed_rank(daha_spec(), [body(w) for w in sdaha_spec().pbw.enumerate(M, N)])
+    """The rank of phi on A^+[M,N], as phi_ranks computes it."""
+    return phi_ranks([(M, N)])[M, N]

@@ -19,6 +19,7 @@ confirmed by the diamond check and by the identification above.
 from __future__ import annotations
 
 from functools import cache, lru_cache
+from itertools import islice
 
 from .coeffring import RAT, RC_ONE, RatCoeff
 from .dqops import (
@@ -241,19 +242,30 @@ def psibar_relation_residuals() -> list[tuple[str, LocElem]]:
     return out
 
 
-def psibar_rank(M: int, N: int) -> int:
-    """Rank of the psibar images of the positive-cone basis in bidegree (M,N),
-    taken mod P at DEFAULT_POINTS (agreed_rank): a lower bound on the
-    generic rank.  The images come from one psibar_words call over all the
-    bidegree's PBW words, so words that end alike share their tails'
-    products."""
+def psibar_ranks(bidegrees) -> dict[tuple[int, int], int]:
+    """{(M, N): rank of the psibar images of the positive-cone basis} for the
+    requested bidegrees, in the order they first appear, each taken mod P at
+    DEFAULT_POINTS (agreed_rank): a lower bound on the generic rank.  One
+    psibar_words call makes the images of every requested bidegree's PBW
+    words, so words that end alike share their tails' products across the
+    bidegrees; its map is dropped when the call returns."""
     B = inv_spec()
-    bodies = []
-    for img in psibar_words(B.alphabet, list(B.pbw.enumerate(M, N))):
-        if any(img.exps):
-            raise EngineError("positive-cone image unexpectedly localised")
-        bodies.append(img.body)
-    return agreed_rank(dq_spec(), bodies)
+    words = {d: list(B.pbw.enumerate(*d)) for d in dict.fromkeys(bidegrees)}
+    images = iter(psibar_words(B.alphabet, [w for ws in words.values() for w in ws]))
+    out = {}
+    for d, ws in words.items():
+        bodies = []
+        for img in islice(images, len(ws)):
+            if any(img.exps):
+                raise EngineError("positive-cone image unexpectedly localised")
+            bodies.append(img.body)
+        out[d] = agreed_rank(dq_spec(), bodies)
+    return out
+
+
+def psibar_rank(M: int, N: int) -> int:
+    """The rank of psibar on B^+[M,N], as psibar_ranks computes it."""
+    return psibar_ranks([(M, N)])[M, N]
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +284,7 @@ def invariant_dimension(M: int, N: int) -> int:
     invariant lies in ker E inside V00.  For q not a root of unity the
     finite-dimensional U_q(sl2)-modules are semisimple, so a weight-zero
     vector that E kills is invariant and the second is an equality.
-    psibar_rank is a lower bound on the same dimension, so where the two
+    psibar_ranks is a lower bound on the same dimension, so where the two
     meet it is certified.  Wherever E maps the weight-zero words onto the
     weight-(1,-1) words the kernel is the difference of their counts, so a
     faulty action that keeps E onto goes unseen here; the moment suite's

@@ -21,10 +21,12 @@ from qhc.daha import (
     idempotent_sandwich,
     phi_apply,
     phi_rank,
+    phi_ranks,
     phi_relation_residuals,
     reordering_residuals,
     sdaha_spec,
     spherical_dimension,
+    spherical_dimensions,
 )
 from qhc.ncpoly import NcPoly
 from qhc.rewrite import (
@@ -229,6 +231,21 @@ def test_phi_rank_matches_dimension():
         assert phi_rank(m, n) == want
 
 
+def test_rank_families_equal_the_per_bidegree_calls():
+    # each family call shares one map over all its bidegrees, here shuffled
+    # with three repeated; the result lists each bidegree once, in the order
+    # it first appears
+    rng = random.Random(11)
+    for family, single, bidegrees in (
+            (spherical_dimensions, spherical_dimension, [(m, n) for m in range(4) for n in range(4)]),
+            (phi_ranks, phi_rank, [(1, 1), (2, 2), (3, 2), (2, 3), (0, 1), (1, 0)])):
+        request = bidegrees + rng.sample(bidegrees, 3)
+        rng.shuffle(request)
+        got = family(request)
+        assert list(got) == list(dict.fromkeys(request))
+        assert got == {(m, n): single(m, n) for m, n in bidegrees}, family.__name__
+
+
 # ---------------------------------------------------------------------------
 # the body 1 + t T against the exact idempotent
 # ---------------------------------------------------------------------------
@@ -350,12 +367,16 @@ def _t_free_words(H, m, n):
 
 
 def test_spherical_rows_equal_the_sandwiched_bodies(H):
+    # one call over every bidegree, so later bidegrees read the tails
+    # earlier ones left
     body = idempotent_body()
+    rows = dict(_spherical_rows(BIDEGREES_33))
+    assert list(rows) == BIDEGREES_33
     for m, n in BIDEGREES_33:
         words = _t_free_words(H, m, n)
         assert 2 * len(words) == len(hplus_words(m, n)), (m, n)
         want = [H.nf(body * w * body) for w in words]
-        assert _spherical_rows(m, n) == want, (m, n)
+        assert rows[m, n] == want, (m, n)
 
 
 def test_body_absorbs_t_on_the_right(H):
@@ -370,7 +391,8 @@ def test_t_free_rows_keep_every_per_point_rank(H):
     body = idempotent_body()
     for m, n in BIDEGREES_33:
         full = _nonzero(H.mul(body, w, body) for w in hplus_words(m, n))
-        t_free = _nonzero(_spherical_rows(m, n))
+        ((_, rows),) = _spherical_rows([(m, n)])
+        t_free = _nonzero(rows)
         assert bool(full) == bool(t_free), (m, n)
         if full:
             assert (rank_of_family(H, t_free).per_point

@@ -1,7 +1,9 @@
 """Invariant algebra, the psibar identification, invariant dimensions, and
 the Hamiltonian reduction with its moment ideal congruences."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,7 +19,9 @@ from qhc.invham import (
     moment_zt_in_invariant_coordinates,
     psi_congruent_zero,
     psibar_apply,
+    psibar_images,
     psibar_rank,
+    psibar_ranks,
     psibar_relation_residuals,
     psibar_words,
     quotient_w_image,
@@ -26,6 +30,7 @@ from qhc.ncpoly import NcPoly
 from qhc.qgroup import AdjointAction
 from qhc.rewrite import (
     DEFAULT_POINTS,
+    LocElem,
     check_ambiguities,
     hilbert_table,
     q_central_residual,
@@ -138,6 +143,44 @@ def test_psibar_rank_small_bidegrees(B):
         assert psibar_rank(m, n) == want
 
 
+def test_psibar_ranks_equal_the_per_bidegree_calls():
+    # one psibar_words map over all the bidegrees; the result lists each
+    # bidegree once, in the order it first appears
+    bidegrees = [(m, n) for m in range(4) for n in range(4)]
+    rng = random.Random(13)
+    request = bidegrees + rng.sample(bidegrees, 3)
+    rng.shuffle(request)
+    got = psibar_ranks(request)
+    assert list(got) == list(dict.fromkeys(request))
+    assert got == {(m, n): psibar_rank(m, n) for m, n in bidegrees}
+
+
+def _live_loc_elems():
+    gc.collect()
+    return sum(isinstance(o, LocElem) for o in gc.get_objects())
+
+
+def test_psibar_ranks_keep_no_image_map():
+    # once a first call has filled the normal-form caches, a second one
+    # allocates only what it frees again: no image map outlives the call.
+    # A process-wide memo of the images, filled by the first call, would
+    # allocate nothing in the second, so the first must leave no image alive
+    bidegrees = [(m, n) for m in range(4) for n in range(4)]
+    psibar_images()
+    live = _live_loc_elems()
+    first = psibar_ranks(bidegrees)
+    assert _live_loc_elems() == live
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert psibar_ranks(bidegrees) == first
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert abs(after - before) < 50_000, after - before
+
+
 def test_invariant_dimension_spot_values():
     assert invariant_dimension(1, 0) == 1
     assert invariant_dimension(1, 1) == 2
@@ -190,6 +233,25 @@ def test_moment_suite_sees_a_one_letter_action_fault(monkeypatch, gen):
     monkeypatch.setattr(dqops, "dq_action", lambda: faulty)
     items = {item["name"]: item["pass"] for item in suites.suite_moment()}
     assert items["mu(Z_t) invariant"] is False
+
+
+@pytest.mark.parametrize("name", sorted(psibar_images()))
+def test_psibar_generator_image_is_invariant(name):
+    # psibar lands in the invariants, so E and F kill each generator image
+    assert dqops.dq_elem_invariant(psibar_images()[name]), name
+
+
+@pytest.mark.parametrize("gen", ["E", "F"])
+def test_psibar_image_invariance_sees_a_one_letter_action_fault(monkeypatch, gen):
+    faulty = _faulted_action(gen, ["a11"])
+    monkeypatch.setattr(dqops, "dq_action", lambda: faulty)
+    failing = []
+    for name in sorted(psibar_images()):
+        try:
+            test_psibar_generator_image_is_invariant(name)
+        except AssertionError:
+            failing.append(name)
+    assert failing
 
 
 def test_triangular_basis_change(B):

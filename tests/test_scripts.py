@@ -26,6 +26,10 @@ def test_run_suites_writes_reports(tmp_path):
     reports = sorted(tmp_path.glob("*.json"))
     assert [p.name for p in reports] == ["cofactor.json", "lmatrix.json"]
     assert all(json.loads(p.read_text())["pass"] for p in reports)
+    # the last line is the process's own peak resident set size in MB
+    name, value = res.stdout.splitlines()[-1].split()
+    assert name == "peak_rss_mb"
+    assert 1 < float(value) < 1000
 
 
 def test_hilbert_report_matches_series():
