@@ -25,13 +25,14 @@ an exact value is asked for (idempotent, idempotent_sandwich, phi_apply).  The
 rank checks (spherical_dimensions, phi_ranks) skip it altogether: each exact
 row is its row of bodies times a power of 1/(1 + t^2), a nonzero scalar, and
 scaling rows by nonzero scalars changes no rank, over Frac(Z[q,t]) or at a
-point.  At the points 1 + t0^2 is also nonzero mod the linalg prime P, since
-P = 3 (mod 4) leaves -1 without a square root.
+point.  At each point 1 + t0^2 is also nonzero mod that point's prime in
+linalg.PRIMES, since each is 3 (mod 4), which leaves -1 without a square
+root.
 
 The body absorbs T up to a scalar: T^2 = (t - 1/t) T + 1 gives
 (1 + t T) T = t (1 + t T).  So spherical_dimensions ranks only the T-free
-PBW words: the row of T w is t times the row of w, and t0 is a unit mod P,
-so every per-point rank is unchanged.
+PBW words: the row of T w is t times the row of w, and t0 is a unit mod each
+point's prime, so every per-point rank is unchanged.
 """
 
 from __future__ import annotations
@@ -457,15 +458,16 @@ def _spherical_rows(bidegrees) -> Iterator[tuple[tuple[int, int], list[NcPoly]]]
 
 def spherical_dimensions(bidegrees) -> dict[tuple[int, int], int]:
     """{(M, N): dim e H^+[M,N] e} for the requested bidegrees, in the order
-    they first appear: the rank of the sandwiched PBW basis, taken mod P at
-    DEFAULT_POINTS (agreed_rank), a lower bound on the generic dimension.
-    The rows are the bodies (1 + t T) w (1 + t T), each the exact sandwich
-    times (1 + t^2)^2; that scalar is nonzero at every point, and mod P too
-    since P = 3 (mod 4), so the rank is the same.
+    they first appear: the rank of the sandwiched PBW basis at
+    DEFAULT_POINTS, each point mod its prime (agreed_rank), a lower bound on
+    the generic dimension.  The rows are the bodies (1 + t T) w (1 + t T),
+    each the exact sandwich times (1 + t^2)^2; that scalar is nonzero at
+    every point, and mod the point's prime too since the prime is 3 (mod 4),
+    so the rank is the same.
 
     Only the T-free words w are ranked.  T^2 = (t - 1/t) T + 1 gives
     (1 + t T) T = t (1 + t T), so the row of T w is t times the row of w;
-    t0 is a unit mod P at every point, so the T-led rows change no
+    t0 is a unit mod its point's prime, so the T-led rows change no
     per-point rank."""
     spec = daha_spec()
     return {d: agreed_rank(spec, rows) for d, rows in _spherical_rows(bidegrees)}
@@ -476,18 +478,14 @@ def spherical_dimension(M: int, N: int) -> int:
     return spherical_dimensions([(M, N)])[M, N]
 
 
-def aplus_words(M: int, N: int) -> list[NcPoly]:
-    sd = sdaha_spec()
-    return [NcPoly.from_word(sd.alphabet, w) for w in sd.pbw.enumerate(M, N)]
-
-
 def phi_ranks(bidegrees) -> dict[tuple[int, int], int]:
     """{(M, N): rank of the phi images of the positive-cone spherical basis}
     for the requested bidegrees, in the order they first appear, each taken
-    mod P at DEFAULT_POINTS (agreed_rank): a lower bound on the generic
-    rank.  The rows are the word bodies, each phi(w) times (1 + t^2)^(k+1)
-    for a word of length k; that scalar is nonzero at every point, and mod P
-    too since P = 3 (mod 4), so the rank is the same.  One _phi_bodies map
+    at DEFAULT_POINTS, each point mod its prime (agreed_rank): a lower bound
+    on the generic rank.  The rows are the word bodies, each phi(w) times
+    (1 + t^2)^(k+1) for a word of length k; that scalar is nonzero at every
+    point, and mod the point's prime too since the prime is 3 (mod 4), so
+    the rank is the same.  One _phi_bodies map
     makes them all, so words that end alike share their tails' bodies
     across the bidegrees; the map is dropped when the call returns."""
     spec, sd, body = daha_spec(), sdaha_spec(), _phi_bodies()

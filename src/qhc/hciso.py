@@ -44,28 +44,20 @@ def _letter_map() -> dict[int, tuple[int, int]]:
     return out
 
 
-def _transport(x: NcPoly, source, target, letter_map) -> NcPoly:
-    """Send each letter i of a source word to letter_map[i] = (j, e), scaling
-    the word's coefficient by q^(sum of e), and normalise in target."""
-    if x.alphabet is not source.alphabet:
-        raise EngineError(f"expected an element of {source.algebra_id}")
-    out = target.zero()
+def hc_apply(x: NcPoly) -> NcPoly:
+    """Transport a reduction element into the spherical presentation: each
+    letter i of a word goes to _letter_map()[i] = (j, e), the word's
+    coefficient is scaled by q^(sum of e), and the sum is normalised."""
+    H, A = ham_spec(), sdaha_spec()
+    if x.alphabet is not H.alphabet:
+        raise EngineError(f"expected an element of {H.algebra_id}")
+    letter_map = _letter_map()
+    out = A.zero()
     for word, c in x.terms.items():
         letters = tuple(letter_map[i][0] for i in word)
         e = sum(letter_map[i][1] for i in word)
-        out = out + NcPoly.from_word(target.alphabet, letters, c * RAT.q_power(e))
-    return target.nf(out)
-
-
-def hc_apply(x: NcPoly) -> NcPoly:
-    """Transport a reduction element into the spherical presentation."""
-    return _transport(x, ham_spec(), sdaha_spec(), _letter_map())
-
-
-def hc_inverse_apply(x: NcPoly) -> NcPoly:
-    """The inverse transport, with reciprocal q powers."""
-    rev = {j: (i, -k) for i, (j, k) in _letter_map().items()}
-    return _transport(x, sdaha_spec(), ham_spec(), rev)
+        out = out + NcPoly.from_word(A.alphabet, letters, c * RAT.q_power(e))
+    return A.nf(out)
 
 
 def hc_relation_residuals() -> list[tuple[str, NcPoly]]:

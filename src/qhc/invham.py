@@ -244,8 +244,9 @@ def psibar_relation_residuals() -> list[tuple[str, LocElem]]:
 
 def psibar_ranks(bidegrees) -> dict[tuple[int, int], int]:
     """{(M, N): rank of the psibar images of the positive-cone basis} for the
-    requested bidegrees, in the order they first appear, each taken mod P at
-    DEFAULT_POINTS (agreed_rank): a lower bound on the generic rank.  One
+    requested bidegrees, in the order they first appear, each taken at
+    DEFAULT_POINTS, each point mod its prime (agreed_rank): a lower bound on
+    the generic rank.  One
     psibar_words call makes the images of every requested bidegree's PBW
     words, so words that end alike share their tails' products across the
     bidegrees; its map is dropped when the call returns."""
@@ -269,18 +270,18 @@ def psibar_rank(M: int, N: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# invariant dimensions by linear algebra mod P at rational points
+# invariant dimensions by linear algebra mod primes at rational points
 # ---------------------------------------------------------------------------
 
 def invariant_dimension(M: int, N: int) -> int:
     """An upper bound on dim of the U-invariants of D_q^+[M,N]: the kernel of
-    E on the K-weight-zero words, mod P at DEFAULT_POINTS, which must agree
-    (the action carries no t, so only their q values matter).  The bound
-    chain is
+    E on the K-weight-zero words at DEFAULT_POINTS, point i mod its prime
+    p_i (point_ranks), which must agree (the action carries no t, so only
+    their q values matter).  For each point the bound chain is
 
-        dim ker(E|V00) mod P >= generic dim ker(E|V00) >= dim invariants,
+        dim ker(E|V00) mod p_i >= generic dim ker(E|V00) >= dim invariants,
 
-    the first since rank mod P <= generic rank, the second since every
+    the first since rank mod p_i <= generic rank, the second since every
     invariant lies in ker E inside V00.  For q not a root of unity the
     finite-dimensional U_q(sl2)-modules are semisimple, so a weight-zero
     vector that E kills is invariant and the second is an equality.

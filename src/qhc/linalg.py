@@ -1,16 +1,31 @@
-"""Exact linear algebra: over GF(P) for systems specialised at a point,
+"""Exact linear algebra: modulo primes for systems specialised at points,
 over any field for symbolic ones.
 
-Ranks and kernel dimensions take symbolic rows evaluated at a rational
-point and reduced mod the prime P = 2^61 - 45 (``RatCoeff.eval_mod``).
-Their entries are ints in [0, P), and ``frac_rank`` eliminates them mod P;
-``frac_solve`` solves such a system mod P and has no caller in the package.
-A rank mod P at a point is at most the rank over Q at that point, which is
-at most the generic rank over Frac(Z[q,t]): a rank taken mod P is a lower
-bound, and a kernel dimension taken mod P an upper bound.  P = 3 mod 4, so
-t^2 + 1 has no root mod P, and q0 = 2, 3, 5 each have multiplicative order
-above 10^4 mod P, so no q^k - 1 with 0 < k <= 10^4 vanishes at them.  Any other
-denominator vanishes mod P only by chance, and then raises CoeffError.
+Ranks and kernel dimensions take symbolic rows evaluated at the rational
+points ``rewrite.DEFAULT_POINTS``, point i mod the prime ``PRIMES[i]``
+(``RatCoeff.eval_mod``).  For each pair the bound chain is
+
+    rank mod p_i at point i <= rank over Q at point i <= generic rank,
+
+the generic rank being taken over Frac(Z[q,t]).  So a rank taken mod p_i is
+a lower bound, and a kernel dimension taken mod p_i an upper bound.  Every
+p_i is 3 mod 4, so t^2 + 1 has no root mod p_i, and q0 = 2, 3, 5 each have
+multiplicative order above 10^4 mod every p_i, so no q^k - 1 with
+0 < k <= 10^4 vanishes at them.  Any other denominator vanishes mod p_i only
+by chance, and then raises CoeffError naming p_i.
+
+The three ranks come from one elimination.  ``rewrite.point_ranks`` joins
+each entry's three residues into one residue mod N = p_1 p_2 p_3 (the
+Chinese remainder theorem), and ``frac_rank`` eliminates mod N.  Z/N is
+GF(p_1) x GF(p_2) x GF(p_3), and reduction mod p_i is a ring map, so the
+elimination mod N is the three eliminations mod p_i done side by side.
+While every leading entry is a unit mod N it is nonzero mod each p_i, so
+every step is the same step in all three fields, a row that vanishes mod N
+vanishes mod each p_i, and the pivot count is exactly the rank mod p_i at
+point i, for each i.  A leading entry that is not a unit is zero mod some
+p_i and not mod another: the points differ at that step.  Then
+``frac_rank`` returns None, and ``point_ranks`` eliminates the residues mod
+each p_i apart, so per-point ranks stay exact and a disagreement surfaces.
 
 ``solve_dense`` and ``dense_rank`` take dense rows over any field whose
 elements support + - * / and truth testing (RatCoeff for symbolic systems),
@@ -23,18 +38,21 @@ left becomes a new pivot row divided by its leading entry.
 ``frac_rank`` first chooses the order the kernel sees (Markowitz's rule of
 least fill, simplified to static counts).  It drops empty rows, renumbers the
 columns by ascending count of nonzeros, and feeds the rows in sparsest first.
-Rank is invariant under permutations of rows and of columns, over GF(P) as
+Rank is invariant under permutations of rows and of columns, over GF(p) as
 over any field, so the ordered rank is the rank of the given rows and the
-chain of bounds above is untouched.  ``frac_solve`` and ``solve_dense`` keep
-the given order, since a solution is read off per column.
+chain of bounds above is untouched.  It stops once it holds a pivot in every
+column, since no further row can add one.  ``frac_solve`` and
+``solve_dense`` keep the given order, since a solution is read off per
+column.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Hashable, Optional, Sequence
 
-#: the prime of every specialised rank and solve
-P = 2**61 - 45
+#: the prime of each of rewrite.DEFAULT_POINTS, in order: the three largest
+#: primes below 2^61 that are 3 mod 4, after the Mersenne prime 2^61 - 1
+PRIMES = (2**61 - 45, 2**61 - 229, 2**61 - 465)
 
 
 def _echelon(rows, zero) -> dict[int, dict]:
@@ -60,21 +78,29 @@ def _echelon(rows, zero) -> dict[int, dict]:
     return pivots
 
 
-def _echelon_mod(rows: Sequence[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """_echelon over GF(P): entries are nonzero residues mod P."""
+def _echelon_mod(rows: Sequence[dict[int, int]], m: int,
+                 ncols: Optional[int] = None) -> Optional[dict[int, dict[int, int]]]:
+    """_echelon over Z/m: entries are nonzero residues mod m.  It stops once
+    it holds ncols pivots, if ncols is given.  None if a leading entry is
+    not a unit mod m, which only a composite m allows."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
+        if len(pivots) == ncols:
+            break
         cur = dict(row)
         while cur:
             c = min(cur)
             f = cur[c]
             piv = pivots.get(c)
             if piv is None:
-                inv = pow(f, -1, P)
-                pivots[c] = {cc: vv * inv % P for cc, vv in cur.items()}
+                try:
+                    inv = pow(f, -1, m)
+                except ValueError:
+                    return None
+                pivots[c] = {cc: vv * inv % m for cc, vv in cur.items()}
                 break
             for cc, vv in piv.items():
-                s = (cur.get(cc, 0) - f * vv) % P
+                s = (cur.get(cc, 0) - f * vv) % m
                 if s:
                     cur[cc] = s
                 else:
@@ -115,14 +141,15 @@ def _sparse(row) -> dict[int, object]:
     return {j: v for j, v in enumerate(row) if v}
 
 
-def frac_rank(rows: Sequence[dict[Hashable, int]]) -> int:
-    """Rank mod P of a sparse matrix given as rows {column: residue}, the
-    columns any hashable keys.
+def frac_rank(rows: Sequence[dict[Hashable, int]], m: int) -> Optional[int]:
+    """Rank mod m of a sparse matrix given as rows {column: residue mod m},
+    the columns any hashable keys; None if a leading entry is not a unit
+    mod m, which only a composite m allows (see the module docstring).
 
-    The rows are reordered first (see the module docstring): columns by
-    ascending nonzero count, rows sparsest first.  Neither changes the rank,
-    so it is still a lower bound on the rank over Q at the point and on the
-    generic rank."""
+    The rows are reordered first: columns by ascending nonzero count, rows
+    sparsest first.  Neither changes the rank, so a rank mod a prime is
+    still a lower bound on the rank over Q at the point and on the generic
+    rank."""
     rows = [r for r in rows if r]
     counts: dict[Hashable, int] = {}
     for r in rows:
@@ -130,18 +157,20 @@ def frac_rank(rows: Sequence[dict[Hashable, int]]) -> int:
             counts[c] = counts.get(c, 0) + 1
     renumber = {c: k for k, c in enumerate(sorted(counts, key=counts.__getitem__))}
     rows = sorted(({renumber[c]: v for c, v in r.items()} for r in rows), key=len)
-    return len(_echelon_mod(rows))
+    pivots = _echelon_mod(rows, m, len(counts))
+    return None if pivots is None else len(pivots)
 
 
-def frac_solve(rows: Sequence[dict[int, int]], rhs: Sequence[int], ncols: int):
-    """Solve a sparse system mod P; returns (status, particular solution).
+def frac_solve(rows: Sequence[dict[int, int]], rhs: Sequence[int], ncols: int, p: int):
+    """Solve a sparse system mod the prime p; returns (status, particular
+    solution).
 
-    Entries and right-hand sides are residues in [0, P).  status is 'none'
+    Entries and right-hand sides are residues in [0, p).  status is 'none'
     for inconsistent systems, else 'unique' or 'underdetermined' (free
     variables set to zero).
     """
-    pivots = _echelon_mod(_augment(rows, rhs, ncols))
-    return _back_substitute(pivots, ncols, 0, lambda v: v % P)
+    pivots = _echelon_mod(_augment(rows, rhs, ncols), p)
+    return _back_substitute(pivots, ncols, 0, lambda v: v % p)
 
 
 def solve_dense(rows, rhs, zero):

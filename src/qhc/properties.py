@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .linalg import P
+from . import linalg
 from .ncpoly import NcPoly
 from .rewrite import DEFAULT_POINTS, AlgebraSpec, eval_rows, q_central_residual
 
@@ -75,11 +75,11 @@ def check_q_centrality(spec: AlgebraSpec, n: int = 50, seed: int = 3,
 def check_specialization_consistency(spec: AlgebraSpec, n: int = 40, seed: int = 4,
                                      max_len: int = 4) -> Optional[str]:
     """Evaluating coefficients commutes with reduction: eval . nf = nf . eval,
-    over Q at each of DEFAULT_POINTS and, through eval_rows, mod the linalg
-    prime P."""
+    over Q at each of DEFAULT_POINTS and, through eval_rows, mod that
+    point's prime in linalg.PRIMES."""
     rng = random.Random(seed)
     samples = [random_word_poly(spec, rng, max_len) for _ in range(n)]
-    for q0, t0 in DEFAULT_POINTS:
+    for (q0, t0), prime in zip(DEFAULT_POINTS, linalg.PRIMES, strict=True):
         sp = spec.specialize(q0, t0)
         for p in samples:
             nf_p = spec.nf(p).terms
@@ -87,7 +87,8 @@ def check_specialization_consistency(spec: AlgebraSpec, n: int = 40, seed: int =
             eval_then_nf = dict(sp.nf(p_at).terms)
             if {w: v for w, c in nf_p.items() if (v := c.eval(q0, t0))} != eval_then_nf:
                 return f"specialisation at ({q0},{t0}) disagrees on {p}"
-            residues = {w: v.numerator * pow(v.denominator, -1, P) % P for w, v in eval_then_nf.items()}
-            if eval_rows([nf_p], q0, t0) != [{w: r for w, r in residues.items() if r}]:
-                return f"specialisation mod P at ({q0},{t0}) disagrees on {p}"
+            residues = {w: v.numerator * pow(v.denominator, -1, prime) % prime
+                        for w, v in eval_then_nf.items()}
+            if eval_rows([nf_p], [(q0, t0)], [prime]) != [{w: r for w, r in residues.items() if r}]:
+                return f"specialisation mod {prime} at ({q0},{t0}) disagrees on {p}"
     return None

@@ -32,10 +32,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from math import prod
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .coeffring import RAT, QQField
-from .linalg import P, frac_rank
+from . import linalg
 from .ncpoly import EMPTY_WORD, Alphabet, NcPoly, Word
 
 
@@ -498,9 +499,6 @@ class AlgebraSpec:
             alph, {(x,) + v: c for v, c in img.terms.items()}, field, _clean=True)), b)
         return lambda a: self._sum_scaled((image(w), c) for w, c in a.terms.items())
 
-    def is_normal(self, p: NcPoly) -> bool:
-        return all(self._find_redex(w, "leftmost") is None for w in p.terms)
-
     # -- specialisation ----------------------------------------------------------
 
     def specialize(self, q0, t0) -> "AlgebraSpec":
@@ -794,16 +792,24 @@ def specialisation_point(q0, t0) -> tuple[Fraction, Fraction]:
     return q0, t0
 
 
-def eval_rows(rows: Sequence[dict], q0: Fraction, t0: Fraction) -> list[dict]:
-    """Sparse rows {key: RatCoeff} evaluated at (q0, t0) and reduced mod the
-    linalg prime P, zero residues dropped.  A denominator that vanishes mod P
-    raises CoeffError, even where it has a value over Q.
+def eval_rows(rows: Sequence[dict], points: Sequence[tuple[Fraction, Fraction]],
+              primes: Sequence[int]) -> list[dict]:
+    """Sparse rows {key: RatCoeff} with each coefficient evaluated at
+    points[i] mod primes[i], for every i, and its residues joined by the
+    Chinese remainder theorem into one residue mod N, the product of the
+    primes; residues zero mod N are dropped.  With one point and one prime
+    this is the residue mod that prime.  A denominator that vanishes mod
+    primes[i] at points[i] raises CoeffError naming primes[i], even where it
+    has a value over Q.
 
     Each distinct coefficient is evaluated once per call: residues are
     memoised by the items of its stored form, lnum and lden, so equal
     coefficients that are distinct objects share one evaluation.  Equal
     coefficients whose dicts list their terms in another order miss the
     memo, which only costs a second evaluation."""
+    n = prod(primes)
+    # e_i is 1 mod primes[i] and 0 mod the others
+    pairs = [(pt, p, n // p * pow(n // p, -1, p)) for pt, p in zip(points, primes, strict=True)]
     memo: dict[tuple, int] = {}
     out = []
     for row in rows:
@@ -812,7 +818,7 @@ def eval_rows(rows: Sequence[dict], q0: Fraction, t0: Fraction) -> list[dict]:
             key = (tuple(c.lnum.items()), c.lden and tuple(c.lden.items()))
             v = memo.get(key)
             if v is None:
-                v = memo[key] = c.eval_mod(q0, t0, P)
+                v = memo[key] = sum(e * c.eval_mod(q0, t0, p) for (q0, t0), p, e in pairs) % n
             if v:
                 ev[k] = v
         out.append(ev)
@@ -826,15 +832,27 @@ class RankResult(NamedTuple):
 
 
 def point_ranks(rows: Sequence[dict]) -> tuple[int, ...]:
-    """Rank mod P of the sparse rows {column: RatCoeff} at each of
-    DEFAULT_POINTS, in order.  Each is a lower bound on the generic rank over
-    Frac(Z[q,t]): rank mod P at a point <= rank over Q there <= generic."""
-    return tuple(frac_rank(eval_rows(rows, q0, t0)) for q0, t0 in DEFAULT_POINTS)
+    """Rank of the sparse rows {column: RatCoeff} at each of DEFAULT_POINTS,
+    in order, point i taken mod linalg.PRIMES[i].  Each is a lower bound on
+    the generic rank over Frac(Z[q,t]): rank mod p_i at point i <= rank over
+    Q there <= generic.
+
+    One elimination mod the product of the primes gives all of them while
+    every leading entry is a unit; otherwise the residues are eliminated
+    mod each prime apart (see the linalg module docstring)."""
+    primes = linalg.PRIMES
+    rows = eval_rows(rows, DEFAULT_POINTS, primes)
+    rank = linalg.frac_rank(rows, prod(primes))
+    if rank is not None:
+        return (rank,) * len(primes)
+    return tuple(linalg.frac_rank([{k: r for k, v in row.items() if (r := v % p)} for row in rows], p)
+                 for p in primes)
 
 
 def rank_of_family(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> RankResult:
     """Maximum over DEFAULT_POINTS of the point_ranks of elems' coefficient
-    rows, a lower bound on their generic rank."""
+    rows, each a rank mod the point's prime: a lower bound on their generic
+    rank."""
     degs = set()
     for p in elems:
         bad = next((w for w in p.terms if spec._find_redex(w, "leftmost")), None)
@@ -857,8 +875,8 @@ def rank_of_family(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> RankResult:
 
 
 def agreed_rank(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> int:
-    """Rank mod P of the nonzero elems at DEFAULT_POINTS, a lower bound on
-    their generic rank; raises when the points disagree, since a rank drop
+    """Rank of the nonzero elems at DEFAULT_POINTS, each point mod its prime
+    (point_ranks), a lower bound on their generic rank; raises when the points disagree, since a rank drop
     at one point would otherwise be hidden."""
     elems = [p for p in elems if p]
     if not elems:

@@ -10,7 +10,10 @@ embedding and phi's word bodies as one product per word, are the direct
 formulas the package computed before its images came from shared tails;
 they reach the engine only for normal forms, products and LocElem products.
 The joint kernel of E and F on dq's weight-zero words is the invariant
-dimension the package computed before it took the kernel of E alone.
+dimension the package computed before it took the kernel of E alone.  The
+last three stand in for package helpers that only tests used: the spherical
+PBW words as elements, the inverse of the reduction-to-spherical transport
+read off its generator dictionary, and the test that no word holds a redex.
 """
 
 from __future__ import annotations
@@ -314,8 +317,9 @@ def fold_phi_body(w):
 
 def joint_kernel_dims(M, N):
     """Dimension of the joint kernel of E and F on dq's weight-zero words of
-    bidegree (M, N), mod P at each of DEFAULT_POINTS in order: one row per
-    word, its E image in columns (0, v) and its F image in columns (1, v)."""
+    bidegree (M, N) at each of DEFAULT_POINTS in order, each mod its prime
+    (point_ranks): one row per word, its E image in columns (0, v) and its
+    F image in columns (1, v)."""
     from qhc.dqops import dq_action, dq_spec
     from qhc.rewrite import point_ranks
 
@@ -327,3 +331,37 @@ def joint_kernel_dims(M, N):
         row.update({(1, v): c for v, c in f.terms.items()})
         rows.append(row)
     return tuple(len(rows) - r for r in point_ranks(rows))
+
+
+def aplus_words(M, N):
+    """The PBW words of the spherical algebra's A^+[M,N], each as an element."""
+    from qhc.daha import sdaha_spec
+    from qhc.ncpoly import NcPoly
+
+    sd = sdaha_spec()
+    return [NcPoly.from_word(sd.alphabet, w) for w in sd.pbw.enumerate(M, N)]
+
+
+def hc_inverse_apply(x):
+    """hc_apply undone: each spherical letter sent to the reduction letter
+    that hciso's dictionary maps onto it, each word's coefficient times the
+    reciprocal q powers, then normalised."""
+    from qhc.coeffring import RAT
+    from qhc.hciso import _DICT
+    from qhc.invham import ham_spec
+    from qhc.ncpoly import NcPoly
+
+    H = ham_spec()
+    back = {img: (H.alphabet.index(name), e) for name, (img, e) in _DICT.items()}
+    gens = x.alphabet.gens
+    out = H.zero()
+    for w, c in x.terms.items():
+        letters = [back[gens[i].name] for i in w]
+        scale = c * RAT.q_power(-sum(e for _, e in letters))
+        out = out + NcPoly.from_word(H.alphabet, tuple(i for i, _ in letters), scale)
+    return H.nf(out)
+
+
+def is_normal(spec, p):
+    """No word of p holds a redex of spec's rules."""
+    return all(spec._find_redex(w, "leftmost") is None for w in p.terms)

@@ -14,6 +14,8 @@ from qhc.cli import Context, main
 from qhc.daha import sdaha_spec
 from qhc.exprparse import ParseError, Parser, WordAlgebraOps
 
+from oracles import is_normal
+
 
 def test_parse_simple_word():
     # products reduce per factor, so T*T parses to its normal form
@@ -46,7 +48,7 @@ def test_parse_power_is_reduced():
     spec = sdaha_spec()
     v = Parser(WordAlgebraOps(spec)).parse("(Q1+P1)^3")
     x = spec.gen("Q1") + spec.gen("P1")
-    assert spec.is_normal(v)
+    assert is_normal(spec, v)
     assert v == spec.nf(x * x * x)
 
 
@@ -68,7 +70,7 @@ def test_product_chain_matches_power():
     ctx = Context("daha")
     chain = ctx.parse("*".join(["(T+X1+Y1)"] * 6))
     power = ctx.parse("(T+X1+Y1)^6")
-    assert ctx.spec.is_normal(chain)
+    assert is_normal(ctx.spec, chain)
     assert chain == power
     assert str(chain) == str(power)
 
@@ -220,6 +222,18 @@ def test_cli_rank(capsys):
     assert rc == 0
     assert out["rank"] == 2
     assert out["agreeing_points"] == 3
+
+
+def test_cli_rank_where_the_points_disagree(capsys):
+    # (q-2) vanishes at the first point and (t-7) at the third, so the one
+    # elimination mod the product of the primes falls back to one per point;
+    # the output is the one each point's own elimination gave
+    rc = main(["rank", "--algebra", "sdaha", "(q-2)*R", "(t-7)*Q1*P1"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert out == {"schema": 1, "command": "rank", "algebra": "sdaha",
+                   "inputs": ["(q-2)*R", "(t-7)*Q1*P1"],
+                   "rank": 2, "agreeing_points": 1, "per_point": [1, 2, 1]}
 
 
 def test_cli_act(capsys):

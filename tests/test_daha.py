@@ -12,7 +12,6 @@ from qhc.daha import (
     T2P1,
     _phi_bodies,
     _spherical_rows,
-    aplus_words,
     daha_spec,
     defining_relation_residuals,
     hplus_words,
@@ -37,7 +36,7 @@ from qhc.rewrite import (
     straighten_trace,
 )
 
-from oracles import fold_phi_body, spherical_positive_series
+from oracles import aplus_words, fold_phi_body, spherical_positive_series
 
 
 @pytest.fixture(scope="module")

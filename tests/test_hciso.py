@@ -9,14 +9,13 @@ from qhc.daha import phi_apply, sdaha_spec
 from qhc.hciso import (
     hc_apply,
     hc_basis_bijection,
-    hc_inverse_apply,
     hc_relation_residuals,
     hc_verify,
 )
 from qhc.invham import ham_spec, psi_congruent_zero
 from qhc.ncpoly import NcPoly
 
-from oracles import spherical_positive_series
+from oracles import hc_inverse_apply, spherical_positive_series
 
 
 @pytest.fixture(scope="module")

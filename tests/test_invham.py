@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from qhc import dqops, invham, suites
+from qhc import dqops, invham, linalg, suites
 from qhc.coeffring import RAT, RC_ONE, RC_T
 from qhc.dqops import dq_action, dq_elem, dq_spec, moment_zt
 from qhc.invham import (
@@ -30,6 +30,7 @@ from qhc.ncpoly import NcPoly
 from qhc.qgroup import AdjointAction
 from qhc.rewrite import (
     DEFAULT_POINTS,
+    EngineError,
     LocElem,
     check_ambiguities,
     hilbert_table,
@@ -223,6 +224,16 @@ def test_invariant_dimension_sees_an_e_action_that_loses_rank(monkeypatch):
     monkeypatch.setattr(invham, "dq_action", lambda: faulty)
     series = suites.invariant_series(2, 2)
     assert any(invariant_dimension(m, n) > series.get((m, n), 0) for m in range(3) for n in range(3))
+
+
+def test_invariant_dimension_raises_where_one_prime_makes_q_a_root_of_unity(monkeypatch):
+    # q0 = 3 at the second point has order 3 mod 13, so the kernel of E
+    # grows there from total degree 3 on; the points must not be reconciled
+    P1, _, P3 = linalg.PRIMES
+    monkeypatch.setattr(linalg, "PRIMES", (P1, 13, P3))
+    assert invariant_dimension(1, 1) == 2
+    with pytest.raises(EngineError, match=r"disagrees across points: \[6, 9, 6\]$"):
+        invariant_dimension(2, 2)
 
 
 @pytest.mark.parametrize("gen", ["E", "F"])

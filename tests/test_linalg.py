@@ -1,4 +1,4 @@
-"""The two elimination kernels of qhc.linalg: the one mod P behind every
+"""The two elimination kernels of qhc.linalg: the one mod m behind every
 specialised rank and solve, and the one over any field behind symbolic
 solves."""
 
@@ -8,9 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qhc.coeffring import RC_ZERO, CoeffError, RatCoeff
-from qhc.linalg import P, _echelon_mod, dense_rank, frac_rank, frac_solve, solve_dense
-from qhc.rewrite import DEFAULT_POINTS, eval_rows
+from qhc import invham, linalg, rewrite
+from qhc.coeffring import RC_ONE, RC_Q, RC_T, RC_ZERO, CoeffError, RatCoeff
+from qhc.daha import phi_ranks, spherical_dimensions
+from qhc.linalg import PRIMES, _echelon_mod, dense_rank, frac_rank, frac_solve, solve_dense
+from qhc.rewrite import DEFAULT_POINTS, eval_rows, point_ranks
+
+P = PRIMES[0]
 
 
 def entries(bound):
@@ -37,7 +41,7 @@ def times(rows, x):
 def pivot_columns(rows):
     """Columns j where the rank of the first j+1 columns exceeds that of the
     first j: the leading columns of the row space."""
-    ranks = [frac_rank(sparse([r[:j] for r in rows])) for j in range(len(rows[0]) + 1)]
+    ranks = [frac_rank(sparse([r[:j] for r in rows]), P) for j in range(len(rows[0]) + 1)]
     return {j for j in range(len(rows[0])) if ranks[j + 1] > ranks[j]}
 
 
@@ -64,17 +68,21 @@ def is_prime(n):
 
 
 def test_prime_suits_the_default_points():
-    assert is_prime(P)
+    assert PRIMES == (2**61 - 45, 2**61 - 229, 2**61 - 465)
+    assert len(PRIMES) == len(DEFAULT_POINTS)
     assert not is_prime(561) and not is_prime((2**31 - 1) * (2**29 - 3))  # Carmichael, product
-    # -1 is no square mod P, so t0^2 + 1 vanishes at no point
-    assert P % 4 == 3
-    # q0 is no root of unity of order up to 10^4 mod P; 2 has order 61 mod 2^61 - 1
-    for q0, _ in DEFAULT_POINTS:
-        r = q0.numerator * pow(q0.denominator, -1, P) % P
-        x = 1
-        for _ in range(10**4):
-            x = x * r % P
-            assert x != 1
+    for p in PRIMES:
+        assert is_prime(p)
+        # -1 is no square mod p, so t0^2 + 1 vanishes at no point
+        assert p % 4 == 3
+        # no q0 is a root of unity of order up to 10^4 mod p, at any point
+        for q0, _ in DEFAULT_POINTS:
+            r = q0.numerator * pow(q0.denominator, -1, p) % p
+            x = 1
+            for _ in range(10**4):
+                x = x * r % p
+                assert x != 1, (p, q0)
+    # 2 has order 61 mod 2^61 - 1, which is why that prime is passed over
     assert pow(2, 61, 2**61 - 1) == 1
 
 
@@ -82,7 +90,7 @@ def test_prime_suits_the_default_points():
 @given(matrices())
 def test_rank_of_transpose(a):
     at = [list(col) for col in zip(*a)]
-    assert frac_rank(sparse(a)) == frac_rank(sparse(at))
+    assert frac_rank(sparse(a), P) == frac_rank(sparse(at), P)
 
 
 @st.composite
@@ -104,7 +112,7 @@ def sparse_rows(draw):
 def test_rank_ignores_elimination_order(rows):
     # frac_rank drops empty rows and permutes rows and columns before
     # eliminating; the kernel on the rows as given is the reference
-    assert frac_rank(rows) == len(_echelon_mod(rows))
+    assert frac_rank(rows, P) == len(_echelon_mod(rows, P))
 
 
 @settings(max_examples=200, deadline=None)
@@ -113,7 +121,7 @@ def test_solve_consistent(a, data):
     n = len(a[0])
     x0 = [data.draw(entries(3)) for _ in range(n)]
     b = times(a, x0)
-    status, x = frac_solve(sparse(a), b, n)
+    status, x = frac_solve(sparse(a), b, n, P)
     assert all(0 <= v < P for v in x)
     assert times(a, x) == b
     pivots = pivot_columns(a)
@@ -127,7 +135,7 @@ def test_solve_inconsistent(a, data):
     n = len(a[0])
     b = times(a, [data.draw(entries(3)) for _ in range(n)])
     # repeat the first equation with another right-hand side
-    assert frac_solve(sparse(a + [a[0]]), b + [(b[0] + 1) % P], n) == ("none", None)
+    assert frac_solve(sparse(a + [a[0]]), b + [(b[0] + 1) % P], n, P) == ("none", None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -135,7 +143,7 @@ def test_solve_inconsistent(a, data):
 def test_dense_rank_matches_sparse(a):
     # every minor is at most (9 * sqrt(6))^6 < 1.2 * 10^8 < P in absolute
     # value (Hadamard), so the rank mod P is the rank over Q
-    assert dense_rank([[Fraction(v) for v in r] for r in a], Fraction(0)) == frac_rank(sparse(a))
+    assert dense_rank([[Fraction(v) for v in r] for r in a], Fraction(0)) == frac_rank(sparse(a), P)
 
 
 def test_denominator_vanishing_mod_p_raises():
@@ -144,8 +152,8 @@ def test_denominator_vanishing_mod_p_raises():
     q0, t0 = DEFAULT_POINTS[0]
     assert q0 == 2 and c.eval(q0, t0) == Fraction(1, P)
     with pytest.raises(CoeffError, match=rf"q \+ {P - 2} vanishes .* mod {P}"):
-        eval_rows([{0: RatCoeff.from_int(1), 1: c}], q0, t0)
-    assert eval_rows([{0: c}], *DEFAULT_POINTS[1]) == [{0: pow(3 + P - 2, -1, P)}]
+        eval_rows([{0: RatCoeff.from_int(1), 1: c}], [(q0, t0)], [P])
+    assert eval_rows([{0: c}], DEFAULT_POINTS[1:2], [P]) == [{0: pow(3 + P - 2, -1, P)}]
 
 
 def test_eval_rows_evaluates_each_distinct_coefficient_once(monkeypatch):
@@ -161,7 +169,7 @@ def test_eval_rows_evaluates_each_distinct_coefficient_once(monkeypatch):
     b = RatCoeff.monomial(1, 1, 0) + RatCoeff.from_int(1)
     assert a is not b and a == b
     q0, t0 = DEFAULT_POINTS[0]
-    rows = eval_rows([{0: a, 1: b}, {2: b}, {0: RatCoeff.from_int(-3)}], q0, t0)
+    rows = eval_rows([{0: a, 1: b}, {2: b}, {0: RatCoeff.from_int(-3)}], [(q0, t0)], [P])
     assert rows == [{0: 3, 1: 3}, {2: 3}, {0: P - 3}]
     assert len(calls) == 2
 
@@ -174,7 +182,7 @@ def test_vanishing_denominator_raises_through_the_memo():
     d = RatCoeff({(0, 0): 1}, {(1, 0): 1, (0, 0): P - 2})
     for rows in ([{0: c, 1: c}], [{0: RatCoeff.from_int(1)}, {0: c}, {1: d, 2: c}]):
         with pytest.raises(CoeffError, match=rf"q \+ {P - 2} vanishes .* mod {P}"):
-            eval_rows(rows, q0, t0)
+            eval_rows(rows, [(q0, t0)], [P])
 
 
 monos = st.tuples(st.integers(-2, 2), st.integers(-1, 2), st.integers(0, 2))
@@ -199,7 +207,89 @@ def test_symbolic_solve_specialises(system, point):
     status, x = solve_dense(a, b, RC_ZERO)
     assume(status == "unique")
     q0, t0 = point
-    *rows_at, b_at = eval_rows([dict(enumerate(r)) for r in a] + [dict(enumerate(b))], q0, t0)
-    status_at, x_at = frac_solve(rows_at, [b_at.get(i, 0) for i in range(n)], n)
+    *rows_at, b_at = eval_rows([dict(enumerate(r)) for r in a] + [dict(enumerate(b))], [point], [P])
+    status_at, x_at = frac_solve(rows_at, [b_at.get(i, 0) for i in range(n)], n, P)
     assume(status_at == "unique")
     assert [c.eval_mod(q0, t0, P) for c in x] == x_at
+
+
+def separate_point_ranks(rows):
+    """The rank at each default point by its own elimination mod its prime."""
+    return tuple(frac_rank(eval_rows(rows, [pt], [p]), p) for pt, p in zip(DEFAULT_POINTS, PRIMES))
+
+
+def n(k):
+    return RatCoeff.from_int(k)
+
+
+# each of the first six vanishes at exactly one default point: (2, 3), (3, 2)
+# or (5, 7); the rest vanish at none
+ENTRIES = [RC_Q - n(2), RC_Q - n(3), RC_Q - n(5), RC_T - n(3), RC_T - n(2), RC_T - n(7),
+           RC_ONE, n(-2), RC_Q, RC_T, RC_Q * RC_T - n(1), (RC_Q - n(2)) * (RC_T - n(7)),
+           RC_ONE / (RC_Q + RC_T), RC_Q - RC_T + n(1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 4), st.sampled_from(ENTRIES), max_size=4),
+                max_size=7))
+def test_point_ranks_equal_separate_eliminations(rows):
+    assert point_ranks(rows) == separate_point_ranks(rows)
+
+
+def test_point_ranks_eliminate_once_unless_a_leading_entry_is_no_unit(monkeypatch):
+    calls = []
+
+    def counted(rows, m):
+        calls.append(m)
+        return frac_rank(rows, m)
+
+    monkeypatch.setattr(linalg, "frac_rank", counted)
+    N = PRIMES[0] * PRIMES[1] * PRIMES[2]
+    assert point_ranks([{0: RC_Q, 1: RC_T}, {1: RC_Q - RC_T}]) == (2, 2, 2)
+    assert calls == [N]
+    # (q - 5) leads its row and is zero mod the third prime only: one try
+    # mod N, then one elimination per point
+    calls.clear()
+    assert point_ranks([{0: RC_Q - n(5)}, {1: RC_Q}]) == (2, 2, 1)
+    assert calls == [N, *PRIMES]
+
+
+def test_point_ranks_read_the_primes_at_call_time(monkeypatch):
+    rows = [{0: n(103)}, {0: n(1), 1: n(1)}]
+    assert point_ranks(rows) == (2, 2, 2)
+    monkeypatch.setattr(linalg, "PRIMES", (101, 103, 107))
+    assert point_ranks(rows) == (2, 1, 2)
+    # 1/(q + 99) has no value mod 101 at q = 2
+    with pytest.raises(CoeffError, match=r"q \+ 99 vanishes at \(q, t\) = \(2, 3\) mod 101$"):
+        point_ranks([{0: RC_ONE / (RC_Q + n(99))}])
+
+
+def test_vanishing_denominator_names_its_points_prime():
+    # q + (p_2 - 3) vanishes at the second point mod its prime p_2 only
+    p = PRIMES[1]
+    c = RC_ONE / (RC_Q + n(p - 3))
+    with pytest.raises(CoeffError, match=rf"q \+ {p - 3} vanishes at \(q, t\) = \(3, 2\) mod {p}$"):
+        point_ranks([{0: RC_ONE}, {0: c}])
+    # at the other two points it has a nonzero value mod their primes
+    assert eval_rows([{0: c}], DEFAULT_POINTS[::2], PRIMES[::2])[0][0] != 0
+
+
+def test_point_ranks_equal_separate_eliminations_on_the_suite_families(monkeypatch):
+    checked = []
+
+    def checking(rows):
+        got = point_ranks(rows)
+        assert got == separate_point_ranks(rows)
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(rewrite, "point_ranks", checking)
+    monkeypatch.setattr(invham, "point_ranks", checking)
+    bidegrees = [(m, n) for m in range(4) for n in range(4)]
+    spherical_dimensions(bidegrees)
+    phi_ranks(bidegrees)
+    invham.psibar_ranks(bidegrees)
+    for d in bidegrees:
+        invham.invariant_dimension(*d)
+    # one family per bidegree for each of the four
+    assert len(checked) == 4 * len(bidegrees)

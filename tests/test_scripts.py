@@ -39,6 +39,21 @@ def test_hilbert_report_matches_series():
     assert "mismatches" not in res.stdout
 
 
+def test_scale_report_matches_series():
+    res = run_script("scripts/scale_report.py", "--max", "2")
+    assert res.returncode == 0, res.stdout + res.stderr
+    lines = res.stdout.splitlines()
+    assert [line.split()[0] for line in lines[:4]] == [
+        "spherical_dimensions", "phi_ranks", "psibar_ranks", "invariant_dimension"]
+    # one line per bidegree to (2, 2); at (2, 2) the series are 5 and 6
+    rows = [line for line in lines if line.startswith("(")][1:]
+    assert len(rows) == 9 and "MISMATCH" not in res.stdout
+    assert rows[-1].split() == ["(2,", "2)", "5:", "5", "5", "6:", "6", "6"]
+    assert lines[-2] == "all 9 bidegrees match the series"
+    name, value = lines[-1].split()
+    assert name == "peak_rss_mb" and 1 < float(value) < 1000
+
+
 def test_perfbench_tracer_installs():
     # Tracer.install raises on any public name it wraps that has gone
     res = run_script("perfbench/child.py", "suites", "cofactor", "--trace")
