@@ -37,8 +37,7 @@ point's prime, so every per-point rank is unchanged.
 
 from __future__ import annotations
 
-from functools import cache
-from typing import Iterator
+from functools import cache, partial
 
 from .coeffring import RAT, RC_ONE, RC_T, RatCoeff
 from .ncpoly import Alphabet, NcPoly
@@ -47,8 +46,8 @@ from .rewrite import (
     EngineError,
     PowerBlocksPbw,
     QCentralGen,
+    Residues,
     RewriteRule,
-    agreed_rank,
     tail_map,
 )
 
@@ -397,14 +396,16 @@ def _phi_images() -> dict[str, NcPoly]:
     return out
 
 
-def _phi_bodies():
+def _phi_bodies(acts, body):
     """The map w -> (body b1) ... (body bk) body on spherical words
     w = x1...xk, which is phi(w) / E_SCALE^(k+1) since e * e = e: a
-    rewrite.tail_map from the body, each letter's image acting on its
-    tail's, so words that end alike share their tails' bodies."""
-    spec, images = daha_spec(), _phi_images()
-    gens = sdaha_spec().alphabet.gens
-    return tail_map(lambda x, u, tail: spec._act(images[gens[x].name], tail), idempotent_body())
+    rewrite.tail_map from body, each letter's image acting on its tail's
+    through acts(tail), the map a -> nf(a * tail), so words that end alike
+    share their tails' bodies.  phi_apply passes daha_spec()._acts and the
+    body 1 + t T, phi_ranks a Residues product map and that body's
+    residues."""
+    images, gens = _phi_images(), sdaha_spec().alphabet.gens
+    return tail_map(lambda x, u, tail: acts(tail)(images[gens[x].name]), body)
 
 
 def phi_apply(x: NcPoly) -> NcPoly:
@@ -414,8 +415,9 @@ def phi_apply(x: NcPoly) -> NcPoly:
     sd = sdaha_spec()
     if x.alphabet is not sd.alphabet:
         raise EngineError("phi_apply expects a spherical element")
-    body = _phi_bodies()
-    return daha_spec()._sum_scaled((body(w), c * E_SCALE ** (len(w) + 1)) for w, c in x.terms.items())
+    spec = daha_spec()
+    body = _phi_bodies(spec._acts, idempotent_body())
+    return spec._sum_scaled((body(w), c * E_SCALE ** (len(w) + 1)) for w, c in x.terms.items())
 
 
 def phi_relation_residuals() -> list[tuple[str, NcPoly]]:
@@ -439,38 +441,37 @@ def hplus_words(M: int, N: int) -> list[NcPoly]:
     return [NcPoly.from_word(H.alphabet, w) for w in H.pbw.enumerate(M, N)]
 
 
-def _spherical_rows(bidegrees) -> Iterator[tuple[tuple[int, int], list[NcPoly]]]:
-    """The rows spherical_dimensions ranks, yielded as ((M, N), rows) for
-    each requested bidegree once, in the order they first appear:
-    nf((1 + t T) w (1 + t T)) for the T-free PBW words w of H^+[M,N].  One
-    _acts map makes nf(w (1 + t T)) for the words of every bidegree, so
-    words that end alike share their tails' products across the bidegrees;
-    the map goes with the generator.  Yielding each bidegree's rows lets
-    the caller drop them before the next are made."""
-    spec = daha_spec()
-    body = idempotent_body()
-    T = spec.alphabet.index("T")
-    right = spec._acts(body)
-    for M, N in dict.fromkeys(bidegrees):
-        yield (M, N), [spec._act(body, right(NcPoly.from_word(spec.alphabet, w)))
-                       for w in spec.pbw.enumerate(M, N) if w[:1] != (T,)]
-
-
 def spherical_dimensions(bidegrees) -> dict[tuple[int, int], int]:
     """{(M, N): dim e H^+[M,N] e} for the requested bidegrees, in the order
     they first appear: the rank of the sandwiched PBW basis at
-    DEFAULT_POINTS, each point mod its prime (agreed_rank), a lower bound on
-    the generic dimension.  The rows are the bodies (1 + t T) w (1 + t T),
-    each the exact sandwich times (1 + t^2)^2; that scalar is nonzero at
-    every point, and mod the point's prime too since the prime is 3 (mod 4),
-    so the rank is the same.
+    DEFAULT_POINTS, each point mod its prime, which must agree
+    (Residues.rank), a lower bound on the generic dimension.  The rows are
+    the bodies (1 + t T) w (1 + t T), each the exact sandwich times
+    (1 + t^2)^2; that scalar is nonzero at every point, and mod the point's
+    prime too since the prime is 3 (mod 4), so the rank is the same.
 
     Only the T-free words w are ranked.  T^2 = (t - 1/t) T + 1 gives
     (1 + t T) T = t (1 + t T), so the row of T w is t times the row of w;
     t0 is a unit mod its point's prime, so the T-led rows change no
-    per-point rank."""
-    spec = daha_spec()
-    return {d: agreed_rank(spec, rows) for d, rows in _spherical_rows(bidegrees)}
+    per-point rank.
+
+    Each row is built as residues mod N from the one normal-form cache
+    (Residues.acts), which equals the exact row evaluated, since evaluation
+    is a ring map and nf is linear; the bound chain is unchanged.  One
+    product map makes the residues of nf(w (1 + t T)) for the words of
+    every bidegree, so words that end alike share their tails' products
+    across the bidegrees; it is dropped when the call returns.  Each
+    bidegree's rows are ranked and dropped before the next are made."""
+    spec, res = daha_spec(), Residues()
+    body = idempotent_body()
+    T = spec.alphabet.index("T")
+    right = res.acts(spec, res.row(body.terms))
+    out = {}
+    for M, N in dict.fromkeys(bidegrees):
+        rows = [res.acts(spec, right(NcPoly.from_word(spec.alphabet, w)))(body)
+                for w in spec.pbw.enumerate(M, N) if w[:1] != (T,)]
+        out[M, N] = res.rank(rows, f"{spec.algebra_id}: sandwich rank at ({M}, {N})")
+    return out
 
 
 def spherical_dimension(M: int, N: int) -> int:
@@ -481,15 +482,22 @@ def spherical_dimension(M: int, N: int) -> int:
 def phi_ranks(bidegrees) -> dict[tuple[int, int], int]:
     """{(M, N): rank of the phi images of the positive-cone spherical basis}
     for the requested bidegrees, in the order they first appear, each taken
-    at DEFAULT_POINTS, each point mod its prime (agreed_rank): a lower bound
-    on the generic rank.  The rows are the word bodies, each phi(w) times
-    (1 + t^2)^(k+1) for a word of length k; that scalar is nonzero at every
-    point, and mod the point's prime too since the prime is 3 (mod 4), so
-    the rank is the same.  One _phi_bodies map
-    makes them all, so words that end alike share their tails' bodies
-    across the bidegrees; the map is dropped when the call returns."""
-    spec, sd, body = daha_spec(), sdaha_spec(), _phi_bodies()
-    return {(M, N): agreed_rank(spec, [body(w) for w in sd.pbw.enumerate(M, N)])
+    at DEFAULT_POINTS, each point mod its prime, which must agree
+    (Residues.rank): a lower bound on the generic rank.  The rows are the
+    word bodies, each phi(w) times (1 + t^2)^(k+1) for a word of length k;
+    that scalar is nonzero at every point, and mod the point's prime too
+    since the prime is 3 (mod 4), so the rank is the same.
+
+    The bodies are built as residues mod N from the one normal-form cache
+    (Residues.acts), which equals the exact bodies evaluated, since
+    evaluation is a ring map and nf is linear; the bound chain is
+    unchanged.  One _phi_bodies map makes them all, so words that end alike
+    share their tails' bodies across the bidegrees; the map is dropped when
+    the call returns."""
+    spec, sd, res = daha_spec(), sdaha_spec(), Residues()
+    body = _phi_bodies(partial(res.acts, spec), res.row(idempotent_body().terms))
+    return {(M, N): res.rank([body(w) for w in sd.pbw.enumerate(M, N)],
+                             f"{spec.algebra_id}: phi rank at ({M}, {N})")
             for M, N in dict.fromkeys(bidegrees)}
 
 

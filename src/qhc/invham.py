@@ -19,7 +19,6 @@ confirmed by the diamond check and by the identification above.
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from itertools import islice
 
 from .coeffring import RAT, RC_ONE, RatCoeff
 from .dqops import (
@@ -43,10 +42,9 @@ from .rewrite import (
     LocElem,
     PowerBlocksPbw,
     QCentralGen,
+    Residues,
     RewriteRule,
-    agreed_rank,
     divide,
-    point_ranks,
     tail_map,
 )
 
@@ -245,23 +243,32 @@ def psibar_relation_residuals() -> list[tuple[str, LocElem]]:
 def psibar_ranks(bidegrees) -> dict[tuple[int, int], int]:
     """{(M, N): rank of the psibar images of the positive-cone basis} for the
     requested bidegrees, in the order they first appear, each taken at
-    DEFAULT_POINTS, each point mod its prime (agreed_rank): a lower bound on
-    the generic rank.  One
-    psibar_words call makes the images of every requested bidegree's PBW
-    words, so words that end alike share their tails' products across the
-    bidegrees; its map is dropped when the call returns."""
-    B = inv_spec()
-    words = {d: list(B.pbw.enumerate(*d)) for d in dict.fromkeys(bidegrees)}
-    images = iter(psibar_words(B.alphabet, [w for ws in words.values() for w in ws]))
-    out = {}
-    for d, ws in words.items():
-        bodies = []
-        for img in islice(images, len(ws)):
-            if any(img.exps):
-                raise EngineError("positive-cone image unexpectedly localised")
-            bodies.append(img.body)
-        out[d] = agreed_rank(dq_spec(), bodies)
-    return out
+    DEFAULT_POINTS, each point mod its prime, which must agree
+    (Residues.rank): a lower bound on the generic rank.
+
+    Each image is built as residues mod N from dq's one normal-form cache,
+    its first letter's image acting on its tail's (Residues.acts), as
+    psibar_words builds it from LocElem products.  That equals the exact
+    image evaluated, since evaluation is a ring map and nf is linear; the
+    bound chain is unchanged.  Every positive-cone letter's image has no
+    denominator, so the product of two such images is the normal form of
+    the product of their bodies.  One tail_map makes the images of every
+    requested bidegree's PBW words, so words that end alike share their
+    tails' products across the bidegrees; it is dropped when the call
+    returns."""
+    B, D, res = inv_spec(), dq_spec(), Residues()
+    img, gens = psibar_images(), B.alphabet.gens
+
+    def step(x, u, tail):
+        im = img[gens[x].name]
+        if any(im.exps):
+            raise EngineError("positive-cone image unexpectedly localised")
+        return res.acts(D, tail)(im.body)
+
+    image = tail_map(step, res.row(D.unit().terms))
+    return {(M, N): res.rank([image(w) for w in B.pbw.enumerate(M, N)],
+                             f"{D.algebra_id}: psibar rank at ({M}, {N})")
+            for M, N in dict.fromkeys(bidegrees)}
 
 
 def psibar_rank(M: int, N: int) -> int:
@@ -276,8 +283,8 @@ def psibar_rank(M: int, N: int) -> int:
 def invariant_dimension(M: int, N: int) -> int:
     """An upper bound on dim of the U-invariants of D_q^+[M,N]: the kernel of
     E on the K-weight-zero words at DEFAULT_POINTS, point i mod its prime
-    p_i (point_ranks), which must agree (the action carries no t, so only
-    their q values matter).  For each point the bound chain is
+    p_i (Residues.ranks), which must agree (the action carries no t, so
+    only their q values matter).  For each point the bound chain is
 
         dim ker(E|V00) mod p_i >= generic dim ker(E|V00) >= dim invariants,
 
@@ -293,15 +300,14 @@ def invariant_dimension(M: int, N: int) -> int:
 
     There is one row per weight-zero word: its E image's terms, from
     dq_action().images, each word's image built from its tail's by the
-    coproduct rule, so words that end alike share that work."""
-    D = dq_spec()
+    coproduct rule, so words that end alike share that work.  The images
+    stay exact; only their coefficients' residues are ranked."""
+    D, res = dq_spec(), Residues()
     act = dq_action()
     words = [w for w in D.pbw.enumerate(M, N) if act._word_weight(w) == (0, 0)]
-    rows = [e.terms for e in act.images("E", words)]
-    dims = [len(rows) - r for r in point_ranks(rows)]
-    if len(set(dims)) != 1:
-        raise EngineError(f"invariant dimension disagrees across points: {dims}")
-    return dims[0]
+    ranks = res.ranks([res.row(e.terms) for e in act.images("E", words)])
+    return res.agreed(f"{D.algebra_id}: invariant dimension at ({M}, {N})",
+                      [len(words) - r for r in ranks], ranks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Exact linear algebra: modulo primes for systems specialised at points,
 over any field for symbolic ones.
 
-Ranks and kernel dimensions take symbolic rows evaluated at the rational
-points ``rewrite.DEFAULT_POINTS``, point i mod the prime ``PRIMES[i]``
-(``RatCoeff.eval_mod``).  For each pair the bound chain is
+Ranks and kernel dimensions take rows at the rational points
+``rewrite.DEFAULT_POINTS``, point i mod the prime ``PRIMES[i]``
+(``RatCoeff.eval_mod``).  The rank families build their rows as residues
+from the symbolic normal-form cache (``rewrite.Residues.acts``): evaluation
+at a point mod p_i is a ring map and nf is linear, so those rows equal the
+exact rows evaluated, and the bounds below hold for them unchanged.  For
+each pair the bound chain is
 
     rank mod p_i at point i <= rank over Q at point i <= generic rank,
 
@@ -14,7 +18,7 @@ multiplicative order above 10^4 mod every p_i, so no q^k - 1 with
 0 < k <= 10^4 vanishes at them.  Any other denominator vanishes mod p_i only
 by chance, and then raises CoeffError naming p_i.
 
-The three ranks come from one elimination.  ``rewrite.point_ranks`` joins
+The three ranks come from one elimination.  ``rewrite.Residues`` joins
 each entry's three residues into one residue mod N = p_1 p_2 p_3 (the
 Chinese remainder theorem), and ``frac_rank`` eliminates mod N.  Z/N is
 GF(p_1) x GF(p_2) x GF(p_3), and reduction mod p_i is a ring map, so the
@@ -24,8 +28,9 @@ every step is the same step in all three fields, a row that vanishes mod N
 vanishes mod each p_i, and the pivot count is exactly the rank mod p_i at
 point i, for each i.  A leading entry that is not a unit is zero mod some
 p_i and not mod another: the points differ at that step.  Then
-``frac_rank`` returns None, and ``point_ranks`` eliminates the residues mod
-each p_i apart, so per-point ranks stay exact and a disagreement surfaces.
+``frac_rank`` returns None, and ``Residues.ranks`` eliminates the residues
+mod each p_i apart, so per-point ranks stay exact and a disagreement
+surfaces.
 
 ``solve_dense`` and ``dense_rank`` take dense rows over any field whose
 elements support + - * / and truth testing (RatCoeff for symbolic systems),

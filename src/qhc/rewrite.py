@@ -792,37 +792,125 @@ def specialisation_point(q0, t0) -> tuple[Fraction, Fraction]:
     return q0, t0
 
 
+class Residues:
+    """Coefficients as residues mod N, the product of linalg.PRIMES: the
+    residue of c is the one x mod N with x = c(q_i, t_i) mod p_i for each
+    point (q_i, t_i) of DEFAULT_POINTS (the Chinese remainder theorem).
+    Both are read when the object is made, so rebinding either moves every
+    object made after it; eval_rows passes its own.  An object serves one
+    call, and its memo and maps go with it.
+
+    Evaluation at a point mod p_i is a ring map on the coefficients that
+    have a value there, and nf is linear, so the residues of nf(a * b) are
+    integer sums of products of the residues of a's coefficients, of b's and
+    of the coefficients of the cached normal forms of words: acts builds
+    them so, and its rows equal the exact rows evaluated.  A denominator
+    that vanishes mod p_i at point i raises CoeffError naming p_i, even
+    where it has a value over Q.
+    """
+
+    def __init__(self, points: Optional[Sequence[tuple[Fraction, Fraction]]] = None,
+                 primes: Optional[Sequence[int]] = None):
+        self.points = tuple(DEFAULT_POINTS if points is None else points)
+        self.primes = tuple(linalg.PRIMES if primes is None else primes)
+        n = self.n = prod(self.primes)
+        # e_i is 1 mod primes[i] and 0 mod the others
+        self._crt = [(pt, p, n // p * pow(n // p, -1, p))
+                     for pt, p in zip(self.points, self.primes, strict=True)]
+        self._by_id: dict[int, tuple[object, int]] = {}
+        self._by_value: dict[tuple, int] = {}
+
+    def of(self, c) -> int:
+        """The residue of the coefficient c, evaluated once per object: the
+        memo is keyed by identity and holds c, so no id is reused while it
+        lives, and then by the items of c's stored form, lnum and lden, so
+        equal coefficients that are distinct objects share one evaluation.
+        Equal coefficients whose dicts list their terms in another order
+        miss it, which only costs a second evaluation."""
+        hit = self._by_id.get(id(c))
+        if hit is not None:
+            return hit[1]
+        key = (tuple(c.lnum.items()), c.lden and tuple(c.lden.items()))
+        v = self._by_value.get(key)
+        if v is None:
+            v = self._by_value[key] = sum(e * c.eval_mod(q0, t0, p) for (q0, t0), p, e in self._crt) % self.n
+        self._by_id[id(c)] = (c, v)
+        return v
+
+    def row(self, terms: dict) -> dict:
+        """{key: residue} for {key: coefficient}, zero residues dropped."""
+        return {k: v for k, c in terms.items() if (v := self.of(c))}
+
+    def acts(self, spec: AlgebraSpec, b: dict[Word, int]) -> Callable[[NcPoly], dict[Word, int]]:
+        """The map a -> the residues of nf(a * b), for b the residues of a
+        normal form: spec._acts in integers mod N.  Each word of a acts on b
+        one letter at a time through a tail_map whose step sums the cached
+        normal forms spec._nf_terms(x v) over the words v of its tail's
+        image, so a word missing from the spec's one normal-form cache is
+        reduced and stored there as nf stores it.  The tail map lives as
+        long as this map does."""
+        n, of, nf_terms = self.n, self.of, spec._nf_terms
+
+        def step(x, u, img: dict[Word, int]) -> dict[Word, int]:
+            out: dict[Word, int] = {}
+            for v, r in img.items():
+                for hw, hc in nf_terms((x,) + v):
+                    out[hw] = out.get(hw, 0) + r * of(hc)
+            return {w: s for w, r in out.items() if (s := r % n)}
+
+        image = tail_map(step, b)
+
+        def apply(a: NcPoly) -> dict[Word, int]:
+            out: dict[Word, int] = {}
+            for w, c in a.terms.items():
+                rc = of(c)
+                for v, r in image(w).items():
+                    out[v] = out.get(v, 0) + rc * r
+            return {v: s for v, r in out.items() if (s := r % n)}
+
+        return apply
+
+    def ranks(self, rows: Sequence[dict]) -> tuple[int, ...]:
+        """The rank of the residue rows {column: residue mod N} at each
+        point, in order, point i mod p_i.  Each is a lower bound on the
+        generic rank over Frac(Z[q,t]): rank mod p_i at point i <= rank over
+        Q there <= generic.
+
+        One elimination mod N gives all of them while every leading entry is
+        a unit; otherwise the residues are eliminated mod each prime apart
+        (see the linalg module docstring)."""
+        rank = linalg.frac_rank(rows, self.n)
+        if rank is not None:
+            return (rank,) * len(self.primes)
+        return tuple(linalg.frac_rank([{k: r for k, v in row.items() if (r := v % p)} for row in rows], p)
+                     for p in self.primes)
+
+    def rank(self, rows: Sequence[dict], what: str) -> int:
+        """The rank of the residue rows, which must be the same at every
+        point (ranks), a lower bound on their generic rank; see agreed."""
+        ranks = self.ranks(rows)
+        return self.agreed(what, ranks, ranks)
+
+    def agreed(self, what: str, values: Sequence[int], ranks: Sequence[int]) -> int:
+        """The one value of values, one per point and each read off that
+        point's rank; raises EngineError naming what, each point with its
+        prime and its rank, when they differ, since a drop at one point
+        would otherwise be hidden."""
+        if len(set(values)) != 1:
+            raise EngineError(f"{what} disagrees across points: {list(values)}, from " + ", ".join(
+                f"rank {r} at (q, t) = ({q0}, {t0}) mod {p}"
+                for (q0, t0), p, r in zip(self.points, self.primes, ranks)))
+        return values[0]
+
+
 def eval_rows(rows: Sequence[dict], points: Sequence[tuple[Fraction, Fraction]],
               primes: Sequence[int]) -> list[dict]:
-    """Sparse rows {key: RatCoeff} with each coefficient evaluated at
-    points[i] mod primes[i], for every i, and its residues joined by the
-    Chinese remainder theorem into one residue mod N, the product of the
-    primes; residues zero mod N are dropped.  With one point and one prime
-    this is the residue mod that prime.  A denominator that vanishes mod
-    primes[i] at points[i] raises CoeffError naming primes[i], even where it
-    has a value over Q.
-
-    Each distinct coefficient is evaluated once per call: residues are
-    memoised by the items of its stored form, lnum and lden, so equal
-    coefficients that are distinct objects share one evaluation.  Equal
-    coefficients whose dicts list their terms in another order miss the
-    memo, which only costs a second evaluation."""
-    n = prod(primes)
-    # e_i is 1 mod primes[i] and 0 mod the others
-    pairs = [(pt, p, n // p * pow(n // p, -1, p)) for pt, p in zip(points, primes, strict=True)]
-    memo: dict[tuple, int] = {}
-    out = []
-    for row in rows:
-        ev = {}
-        for k, c in row.items():
-            key = (tuple(c.lnum.items()), c.lden and tuple(c.lden.items()))
-            v = memo.get(key)
-            if v is None:
-                v = memo[key] = sum(e * c.eval_mod(q0, t0, p) for (q0, t0), p, e in pairs) % n
-            if v:
-                ev[k] = v
-        out.append(ev)
-    return out
+    """Sparse rows {key: RatCoeff} with each coefficient's residue mod the
+    product of the primes, evaluated at points[i] mod primes[i] (Residues);
+    residues zero mod N are dropped.  With one point and one prime this is
+    the residue mod that prime."""
+    res = Residues(points, primes)
+    return [res.row(r) for r in rows]
 
 
 class RankResult(NamedTuple):
@@ -833,20 +921,10 @@ class RankResult(NamedTuple):
 
 def point_ranks(rows: Sequence[dict]) -> tuple[int, ...]:
     """Rank of the sparse rows {column: RatCoeff} at each of DEFAULT_POINTS,
-    in order, point i taken mod linalg.PRIMES[i].  Each is a lower bound on
-    the generic rank over Frac(Z[q,t]): rank mod p_i at point i <= rank over
-    Q there <= generic.
-
-    One elimination mod the product of the primes gives all of them while
-    every leading entry is a unit; otherwise the residues are eliminated
-    mod each prime apart (see the linalg module docstring)."""
-    primes = linalg.PRIMES
-    rows = eval_rows(rows, DEFAULT_POINTS, primes)
-    rank = linalg.frac_rank(rows, prod(primes))
-    if rank is not None:
-        return (rank,) * len(primes)
-    return tuple(linalg.frac_rank([{k: r for k, v in row.items() if (r := v % p)} for row in rows], p)
-                 for p in primes)
+    in order, point i taken mod linalg.PRIMES[i]: Residues.ranks of the
+    rows' residues."""
+    res = Residues()
+    return res.ranks([res.row(r) for r in rows])
 
 
 def rank_of_family(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> RankResult:
@@ -872,21 +950,6 @@ def rank_of_family(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> RankResult:
     rank = max(per_point)
     agreeing = sum(1 for r in per_point if r == rank)
     return RankResult(rank, agreeing, per_point)
-
-
-def agreed_rank(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> int:
-    """Rank of the nonzero elems at DEFAULT_POINTS, each point mod its prime
-    (point_ranks), a lower bound on their generic rank; raises when the points disagree, since a rank drop
-    at one point would otherwise be hidden."""
-    elems = [p for p in elems if p]
-    if not elems:
-        return 0
-    res = rank_of_family(spec, elems)
-    if res.agreeing != len(res.per_point):
-        raise EngineError(
-            f"{spec.algebra_id}: rank disagrees across points: per_point {list(res.per_point)}"
-        )
-    return res.rank
 
 
 def divide(spec: AlgebraSpec, factor: NcPoly, p: NcPoly, right: bool = False):

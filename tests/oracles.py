@@ -11,9 +11,11 @@ formulas the package computed before its images came from shared tails;
 they reach the engine only for normal forms, products and LocElem products.
 The joint kernel of E and F on dq's weight-zero words is the invariant
 dimension the package computed before it took the kernel of E alone.  The
-last three stand in for package helpers that only tests used: the spherical
+last four stand in for package helpers that only tests used: the spherical
 PBW words as elements, the inverse of the reduction-to-spherical transport
-read off its generator dictionary, and the test that no word holds a redex.
+read off its generator dictionary, the test that no word holds a redex, and
+the exact sandwich rows, which the package ranked before it built its rows
+as residues.
 """
 
 from __future__ import annotations
@@ -365,3 +367,20 @@ def hc_inverse_apply(x):
 def is_normal(spec, p):
     """No word of p holds a redex of spec's rules."""
     return all(spec._find_redex(w, "leftmost") is None for w in p.terms)
+
+
+def spherical_rows(bidegrees):
+    """((M, N), rows) for each requested bidegree once, in the order they
+    first appear: the exact rows nf((1 + t T) w (1 + t T)) for the T-free
+    PBW words w of H^+[M,N], the right products from one _acts map."""
+    from qhc.daha import daha_spec, idempotent_body
+    from qhc.ncpoly import NcPoly
+
+    spec = daha_spec()
+    body = idempotent_body()
+    T = spec.alphabet.index("T")
+    right = spec._acts(body)
+    for M, N in dict.fromkeys(bidegrees):
+        yield (M, N), [spec._act(body, right(NcPoly.from_word(spec.alphabet, w)))
+                       for w in spec.pbw.enumerate(M, N) if w[:1] != (T,)]
+

@@ -2,16 +2,16 @@
 spherical diamonds, and graded dimensions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from qhc import coeffring, daha
+from qhc import coeffring, daha, linalg, rewrite
 from qhc.coeffring import RAT, RC_ONE, RC_T
 from qhc.daha import (
     BETA,
     T2P1,
     _phi_bodies,
-    _spherical_rows,
     daha_spec,
     defining_relation_residuals,
     hplus_words,
@@ -29,6 +29,7 @@ from qhc.daha import (
 )
 from qhc.ncpoly import NcPoly
 from qhc.rewrite import (
+    EngineError,
     check_ambiguities,
     hilbert_table,
     q_central_residual,
@@ -36,7 +37,7 @@ from qhc.rewrite import (
     straighten_trace,
 )
 
-from oracles import aplus_words, fold_phi_body, spherical_positive_series
+from oracles import aplus_words, fold_phi_body, spherical_positive_series, spherical_rows
 
 
 @pytest.fixture(scope="module")
@@ -335,9 +336,9 @@ def test_body_ranks_equal_exact_ranks_pointwise(H):
                     == rank_of_family(H, exact).per_point), (m, n)
 
 
-def test_phi_bodies_match_the_word_fold_on_sdaha_words_up_to_3_3(A):
+def test_phi_bodies_match_the_word_fold_on_sdaha_words_up_to_3_3(H, A):
     # one map over every word, so later words read the tails earlier ones left
-    body = _phi_bodies()
+    body = _phi_bodies(H._acts, idempotent_body())
     words = [w for m in range(4) for n in range(4) for w in A.pbw.enumerate(m, n)]
     assert len(words) == 52
     for w in words:
@@ -348,7 +349,7 @@ def test_phi_body_ranks_equal_exact_ranks_pointwise(H, A):
     for m in range(1, 4):
         for n in range(1, 4):
             words = list(A.pbw.enumerate(m, n))
-            body = _phi_bodies()
+            body = _phi_bodies(H._acts, idempotent_body())
             bodies = _nonzero(body(w) for w in words)
             exact = _nonzero(phi_apply(NcPoly.from_word(A.alphabet, w)) for w in words)
             assert len(bodies) == len(exact)
@@ -369,13 +370,30 @@ def test_spherical_rows_equal_the_sandwiched_bodies(H):
     # one call over every bidegree, so later bidegrees read the tails
     # earlier ones left
     body = idempotent_body()
-    rows = dict(_spherical_rows(BIDEGREES_33))
+    rows = dict(spherical_rows(BIDEGREES_33))
     assert list(rows) == BIDEGREES_33
     for m, n in BIDEGREES_33:
         words = _t_free_words(H, m, n)
         assert 2 * len(words) == len(hplus_words(m, n)), (m, n)
         want = [H.nf(body * w * body) for w in words]
         assert rows[m, n] == want, (m, n)
+
+
+def test_family_ranks_name_the_point_where_t_squares_to_minus_one(monkeypatch):
+    # the paper's other excluded case: 5^2 + 1 = 26 is 0 mod 13, so at
+    # t0 = 5 mod 13 the body 1 + t T squares to zero and the sandwich of 1
+    # and the phi images vanish there; the error names that point
+    P1, _, P3 = linalg.PRIMES
+    monkeypatch.setattr(linalg, "PRIMES", (P1, 13, P3))
+    monkeypatch.setattr(rewrite, "DEFAULT_POINTS",
+                        ((Fraction(2), Fraction(3)), (Fraction(3), Fraction(5)), (Fraction(5), Fraction(7))))
+    with pytest.raises(EngineError, match=(
+            rf"^daha: sandwich rank at \(0, 0\) disagrees across points: \[1, 0, 1\], "
+            rf"from rank 1 at \(q, t\) = \(2, 3\) mod {P1}, rank 0 at \(q, t\) = \(3, 5\) mod 13, "
+            rf"rank 1 at \(q, t\) = \(5, 7\) mod {P3}$")):
+        spherical_dimensions([(1, 1), (0, 0)])
+    with pytest.raises(EngineError, match=r"^daha: phi rank at \(1, 1\) disagrees across points: \[2, 0, 2\], "):
+        phi_ranks([(1, 1)])
 
 
 def test_body_absorbs_t_on_the_right(H):
@@ -390,7 +408,7 @@ def test_t_free_rows_keep_every_per_point_rank(H):
     body = idempotent_body()
     for m, n in BIDEGREES_33:
         full = _nonzero(H.mul(body, w, body) for w in hplus_words(m, n))
-        ((_, rows),) = _spherical_rows([(m, n)])
+        ((_, rows),) = spherical_rows([(m, n)])
         t_free = _nonzero(rows)
         assert bool(full) == bool(t_free), (m, n)
         if full:

@@ -4,10 +4,11 @@ the Hamiltonian reduction with its moment ideal congruences."""
 import gc
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from qhc import dqops, invham, linalg, suites
+from qhc import dqops, invham, linalg, rewrite, suites
 from qhc.coeffring import RAT, RC_ONE, RC_T
 from qhc.dqops import dq_action, dq_elem, dq_spec, moment_zt
 from qhc.invham import (
@@ -232,8 +233,47 @@ def test_invariant_dimension_raises_where_one_prime_makes_q_a_root_of_unity(monk
     P1, _, P3 = linalg.PRIMES
     monkeypatch.setattr(linalg, "PRIMES", (P1, 13, P3))
     assert invariant_dimension(1, 1) == 2
-    with pytest.raises(EngineError, match=r"disagrees across points: \[6, 9, 6\]$"):
+    # the message names the algebra, the bidegree, and each point with its
+    # prime and its rank: 26 weight-zero words, so kernels 6, 9, 6
+    want = (rf"^dq: invariant dimension at \(2, 2\) disagrees across points: \[6, 9, 6\], "
+            rf"from rank 20 at \(q, t\) = \(2, 3\) mod {P1}, "
+            rf"rank 17 at \(q, t\) = \(3, 2\) mod 13, "
+            rf"rank 20 at \(q, t\) = \(5, 7\) mod {P3}$")
+    with pytest.raises(EngineError, match=want):
         invariant_dimension(2, 2)
+
+
+#: the Mersenne prime 2^61 - 1; P61 - 1 = 2 * 3^2 * 5^2 * 7 * 11 * 13 * ...,
+#: so it has primitive roots of unity of orders 3 and 5
+P61 = 2**61 - 1
+
+
+def _root_of_unity(order):
+    """A primitive root of unity of the prime order mod P61."""
+    return next(r for x in range(2, 50) if (r := pow(x, (P61 - 1) // order, P61)) != 1)
+
+
+@pytest.mark.parametrize("order, at_order", [
+    (3, {(0, 3): 3, (1, 2): 4, (2, 1): 4, (3, 0): 3}),
+    (5, {(0, 5): 4, (1, 4): 6, (2, 3): 8, (3, 2): 8, (4, 1): 6, (5, 0): 4}),
+])
+def test_at_a_root_of_unity_only_the_kernel_of_e_leaves_the_series(monkeypatch, order, at_order):
+    # the paper's excluded case: q0 a primitive root of unity mod P61, at
+    # t0 = 3.  The psibar ranks, lower bounds, stay at the invariant series.
+    # The kernel of E, an upper bound, equals the invariants only while
+    # U_q(sl2)-modules are semisimple, and it leaves the series at total
+    # degree `order`, where the certificate's one generic-q step fails
+    monkeypatch.setattr(rewrite, "DEFAULT_POINTS", ((Fraction(_root_of_unity(order)), Fraction(3)),))
+    monkeypatch.setattr(linalg, "PRIMES", (P61,))
+    bidegrees = [(m, n) for m in range(6) for n in range(6 - m)]
+    series = invariants_positive_series(5, 5)
+    assert psibar_ranks(bidegrees) == {d: series.get(d, 0) for d in bidegrees}
+    for m, n in bidegrees:
+        dim, want = invariant_dimension(m, n), series.get((m, n), 0)
+        if m + n < order:
+            assert dim == want, (m, n)
+        elif m + n == order:
+            assert dim == at_order[m, n] > want, (m, n)
 
 
 @pytest.mark.parametrize("gen", ["E", "F"])

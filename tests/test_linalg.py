@@ -3,6 +3,7 @@ specialised rank and solve, and the one over any field behind symbolic
 solves."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,9 +11,13 @@ from hypothesis import strategies as st
 
 from qhc import invham, linalg, rewrite
 from qhc.coeffring import RC_ONE, RC_Q, RC_T, RC_ZERO, CoeffError, RatCoeff
-from qhc.daha import phi_ranks, spherical_dimensions
+from qhc.daha import _phi_bodies, daha_spec, idempotent_body, phi_ranks, sdaha_spec, spherical_dimensions
+from qhc.dqops import dq_spec
 from qhc.linalg import PRIMES, _echelon_mod, dense_rank, frac_rank, frac_solve, solve_dense
-from qhc.rewrite import DEFAULT_POINTS, eval_rows, point_ranks
+from qhc.ncpoly import NcPoly
+from qhc.rewrite import DEFAULT_POINTS, Residues, eval_rows, point_ranks
+
+from oracles import spherical_rows
 
 P = PRIMES[0]
 
@@ -275,16 +280,19 @@ def test_vanishing_denominator_names_its_points_prime():
 
 
 def test_point_ranks_equal_separate_eliminations_on_the_suite_families(monkeypatch):
+    # every family ranks its residue rows through Residues.ranks: each
+    # result must equal one elimination mod each point's prime apart
     checked = []
+    ranks = Residues.ranks
 
-    def checking(rows):
-        got = point_ranks(rows)
-        assert got == separate_point_ranks(rows)
+    def checking(self, rows):
+        got = ranks(self, rows)
+        assert got == tuple(frac_rank([{k: r for k, v in row.items() if (r := v % p)} for row in rows], p)
+                            for p in self.primes)
         checked.append(got)
         return got
 
-    monkeypatch.setattr(rewrite, "point_ranks", checking)
-    monkeypatch.setattr(invham, "point_ranks", checking)
+    monkeypatch.setattr(Residues, "ranks", checking)
     bidegrees = [(m, n) for m in range(4) for n in range(4)]
     spherical_dimensions(bidegrees)
     phi_ranks(bidegrees)
@@ -293,3 +301,105 @@ def test_point_ranks_equal_separate_eliminations_on_the_suite_families(monkeypat
         invham.invariant_dimension(*d)
     # one family per bidegree for each of the four
     assert len(checked) == 4 * len(bidegrees)
+
+
+# ---------------------------------------------------------------------------
+# the residue path: rows built mod N from the symbolic normal-form cache
+# ---------------------------------------------------------------------------
+
+def _residue_rows(monkeypatch, family, bidegrees):
+    """{(M, N): the residue rows family ranks there}, read off Residues.rank."""
+    seen = []
+    rank = Residues.rank
+
+    def recording(self, rows, what):
+        seen.append(rows)
+        return rank(self, rows, what)
+
+    with monkeypatch.context() as m:
+        m.setattr(Residues, "rank", recording)
+        family(bidegrees)
+    return dict(zip(dict.fromkeys(bidegrees), seen, strict=True))
+
+
+def _evaluated(polys):
+    return eval_rows([p.terms for p in polys], DEFAULT_POINTS, PRIMES)
+
+
+BIDEGREES_33 = [(m, n) for m in range(4) for n in range(4)]
+BIDEGREES_44 = [(m, n) for m in range(5) for n in range(5)]
+
+
+def test_sandwich_residue_rows_equal_the_exact_rows_evaluated(monkeypatch):
+    got = _residue_rows(monkeypatch, spherical_dimensions, BIDEGREES_33)
+    assert got == {d: _evaluated(rows) for d, rows in spherical_rows(BIDEGREES_33)}
+
+
+def test_phi_residue_rows_equal_the_exact_bodies_evaluated(monkeypatch):
+    got = _residue_rows(monkeypatch, phi_ranks, BIDEGREES_33)
+    body = _phi_bodies(daha_spec()._acts, idempotent_body())
+    enumerate_words = sdaha_spec().pbw.enumerate
+    assert got == {d: _evaluated([body(w) for w in enumerate_words(*d)]) for d in BIDEGREES_33}
+
+
+def test_psibar_residue_rows_equal_the_exact_images_evaluated(monkeypatch):
+    got = _residue_rows(monkeypatch, invham.psibar_ranks, BIDEGREES_44)
+    B = invham.inv_spec()
+    want = {}
+    for d in BIDEGREES_44:
+        images = invham.psibar_words(B.alphabet, list(B.pbw.enumerate(*d)))
+        assert not any(any(img.exps) for img in images)
+        want[d] = _evaluated([img.body for img in images])
+    assert got == want
+
+
+SCALARS = [RC_ONE, n(-2), RC_Q, RC_T, RC_Q - RC_T, RC_ONE / (RC_ONE + RC_T * RC_T), RC_ONE / RC_Q]
+
+
+@st.composite
+def elements(draw, spec):
+    """Sums of up to three words of up to three letters of spec, with small
+    coefficients, some of them not Laurent."""
+    letters = st.integers(0, len(spec.alphabet) - 1)
+    terms = draw(st.lists(st.tuples(st.lists(letters, max_size=3), st.sampled_from(SCALARS)),
+                          min_size=1, max_size=3))
+    out = spec.zero()
+    for w, c in terms:
+        out = out + NcPoly.from_word(spec.alphabet, tuple(w), c)
+    return out
+
+
+@pytest.mark.parametrize("spec", [daha_spec(), dq_spec()], ids=lambda s: s.algebra_id)
+def test_residue_product_equals_the_residues_of_mul(spec):
+    @settings(max_examples=25, deadline=None)
+    @given(elements(spec), elements(spec))
+    def check(a, b):
+        res = Residues()
+        assert res.acts(spec, res.row(spec.nf(b).terms))(a) == res.row(spec.mul(a, b).terms)
+
+    check()
+
+
+def test_residues_follow_primes_bound_between_two_calls(monkeypatch):
+    H = daha_spec()
+    a, b = H.gen("T") + H.scalar(RC_Q), H.nf(H.word_poly("Y1", "X1"))
+    exact = H.mul(a, b).terms
+    for primes in (PRIMES, (101, 103, 107)):
+        monkeypatch.setattr(linalg, "PRIMES", primes)
+        res = Residues()
+        assert res.primes == primes and res.n == prod(primes)
+        got = res.acts(H, res.row(b.terms))(a)
+        assert set(got) == set(exact)
+        for w, c in exact.items():
+            assert [got[w] % p for p in primes] == [c.eval_mod(q0, t0, p)
+                                                    for (q0, t0), p in zip(DEFAULT_POINTS, primes)], w
+
+
+def test_residue_product_names_the_prime_a_denominator_vanishes_mod():
+    # q + (p_2 - 3) vanishes at the second point mod its prime p_2 only
+    p = PRIMES[1]
+    H = daha_spec()
+    res = Residues()
+    times_x1 = res.acts(H, res.row(H.gen("X1").terms))
+    with pytest.raises(CoeffError, match=rf"q \+ {p - 3} vanishes at \(q, t\) = \(3, 2\) mod {p}$"):
+        times_x1(H.gen("Y1").scale(RC_ONE / (RC_Q + n(p - 3))))

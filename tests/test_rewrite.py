@@ -35,7 +35,6 @@ from qhc.rewrite import (
     QCentralGen,
     RewriteRule,
     SpecError,
-    agreed_rank,
     check_ambiguities,
     divide,
     hilbert_table,
@@ -131,13 +130,19 @@ def test_rank_of_family(plane):
 
 
 def test_agreed_rank_surfaces_disagreement(plane):
+    # the rank entry of the families, Residues.rank, must not reconcile
+    # points that disagree
     x, y, z = plane.gen("x"), plane.gen("y"), plane.gen("z")
-    assert agreed_rank(plane, [plane.mul(x, y), z, plane.zero()]) == 2
+    res = rewrite.Residues()
+    assert res.rank([res.row(p.terms) for p in (plane.mul(x, y), z, plane.zero())], "plane") == 2
     # (q - 2) z vanishes at the first default point, q = 2
     drop = z.scale(RAT.q_power(1) - RAT.from_int(2))
     assert rank_of_family(plane, [drop]).per_point == (0, 1, 1)
-    with pytest.raises(EngineError, match=r"per_point \[0, 1, 1\]"):
-        agreed_rank(plane, [drop])
+    P1, P2, P3 = rewrite.linalg.PRIMES
+    with pytest.raises(EngineError, match=(
+            rf"^plane: drop disagrees across points: \[0, 1, 1\], from rank 0 at \(q, t\) = \(2, 3\) mod {P1}, "
+            rf"rank 1 at \(q, t\) = \(3, 2\) mod {P2}, rank 1 at \(q, t\) = \(5, 7\) mod {P3}$")):
+        res.rank([res.row(drop.terms)], "plane: drop")
 
 
 def test_rank_guards(plane):
