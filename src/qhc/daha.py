@@ -26,7 +26,7 @@ rank checks (spherical_dimensions, phi_ranks) skip it altogether: each exact
 row is its row of bodies times a power of 1/(1 + t^2), a nonzero scalar, and
 scaling rows by nonzero scalars changes no rank, over Frac(Z[q,t]) or at a
 point.  At each point 1 + t0^2 is also nonzero mod that point's prime in
-linalg.PRIMES, since each is 3 (mod 4), which leaves -1 without a square
+rewrite.POINTS, since each is 3 (mod 4), which leaves -1 without a square
 root.
 
 The body absorbs T up to a scalar: T^2 = (t - 1/t) T + 1 gives
@@ -444,24 +444,23 @@ def hplus_words(M: int, N: int) -> list[NcPoly]:
 def spherical_dimensions(bidegrees) -> dict[tuple[int, int], int]:
     """{(M, N): dim e H^+[M,N] e} for the requested bidegrees, in the order
     they first appear: the rank of the sandwiched PBW basis at
-    DEFAULT_POINTS, each point mod its prime, which must agree
-    (Residues.rank), a lower bound on the generic dimension.  The rows are
-    the bodies (1 + t T) w (1 + t T), each the exact sandwich times
-    (1 + t^2)^2; that scalar is nonzero at every point, and mod the point's
-    prime too since the prime is 3 (mod 4), so the rank is the same.
+    rewrite.POINTS, which must agree (Residues.rank), a lower bound on the
+    generic dimension.  The rows are the bodies (1 + t T) w (1 + t T), each
+    the exact sandwich times (1 + t^2)^2, a nonzero scalar at every point
+    mod its prime (see the module docstring), so the rank is the same.
 
     Only the T-free words w are ranked.  T^2 = (t - 1/t) T + 1 gives
     (1 + t T) T = t (1 + t T), so the row of T w is t times the row of w;
     t0 is a unit mod its point's prime, so the T-led rows change no
     per-point rank.
 
-    Each row is built as residues mod N from the one normal-form cache
-    (Residues.acts), which equals the exact row evaluated, since evaluation
-    is a ring map and nf is linear; the bound chain is unchanged.  One
-    product map makes the residues of nf(w (1 + t T)) for the words of
-    every bidegree, so words that end alike share their tails' products
-    across the bidegrees; it is dropped when the call returns.  Each
-    bidegree's rows are ranked and dropped before the next are made."""
+    Each row is built as residues from the one normal-form cache
+    (Residues.acts), which equals the exact row evaluated (see
+    rewrite.POINTS).  One product map makes the residues of
+    nf(w (1 + t T)) for the words of every bidegree, so words that end
+    alike share their tails' products across the bidegrees; it is dropped
+    when the call returns.  Each bidegree's rows are ranked and dropped
+    before the next are made."""
     spec, res = daha_spec(), Residues()
     body = idempotent_body()
     T = spec.alphabet.index("T")
@@ -482,18 +481,16 @@ def spherical_dimension(M: int, N: int) -> int:
 def phi_ranks(bidegrees) -> dict[tuple[int, int], int]:
     """{(M, N): rank of the phi images of the positive-cone spherical basis}
     for the requested bidegrees, in the order they first appear, each taken
-    at DEFAULT_POINTS, each point mod its prime, which must agree
-    (Residues.rank): a lower bound on the generic rank.  The rows are the
-    word bodies, each phi(w) times (1 + t^2)^(k+1) for a word of length k;
-    that scalar is nonzero at every point, and mod the point's prime too
-    since the prime is 3 (mod 4), so the rank is the same.
+    at rewrite.POINTS, which must agree (Residues.rank): a lower bound on
+    the generic rank.  The rows are the word bodies, each phi(w) times
+    (1 + t^2)^(k+1) for a word of length k, a nonzero scalar at every point
+    mod its prime, so the rank is the same.
 
-    The bodies are built as residues mod N from the one normal-form cache
-    (Residues.acts), which equals the exact bodies evaluated, since
-    evaluation is a ring map and nf is linear; the bound chain is
-    unchanged.  One _phi_bodies map makes them all, so words that end alike
-    share their tails' bodies across the bidegrees; the map is dropped when
-    the call returns."""
+    The bodies are built as residues from the one normal-form cache
+    (Residues.acts), which equals the exact bodies evaluated (see
+    rewrite.POINTS).  One _phi_bodies map makes them all, so words that
+    end alike share their tails' bodies across the bidegrees; the map is
+    dropped when the call returns."""
     spec, sd, res = daha_spec(), sdaha_spec(), Residues()
     body = _phi_bodies(partial(res.acts, spec), res.row(idempotent_body().terms))
     return {(M, N): res.rank([body(w) for w in sd.pbw.enumerate(M, N)],

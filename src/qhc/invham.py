@@ -243,19 +243,18 @@ def psibar_relation_residuals() -> list[tuple[str, LocElem]]:
 def psibar_ranks(bidegrees) -> dict[tuple[int, int], int]:
     """{(M, N): rank of the psibar images of the positive-cone basis} for the
     requested bidegrees, in the order they first appear, each taken at
-    DEFAULT_POINTS, each point mod its prime, which must agree
-    (Residues.rank): a lower bound on the generic rank.
+    rewrite.POINTS, which must agree (Residues.rank): a lower bound on the
+    generic rank.
 
-    Each image is built as residues mod N from dq's one normal-form cache,
-    its first letter's image acting on its tail's (Residues.acts), as
+    Each image is built as residues from dq's one normal-form cache, its
+    first letter's image acting on its tail's (Residues.acts), as
     psibar_words builds it from LocElem products.  That equals the exact
-    image evaluated, since evaluation is a ring map and nf is linear; the
-    bound chain is unchanged.  Every positive-cone letter's image has no
-    denominator, so the product of two such images is the normal form of
-    the product of their bodies.  One tail_map makes the images of every
-    requested bidegree's PBW words, so words that end alike share their
-    tails' products across the bidegrees; it is dropped when the call
-    returns."""
+    image evaluated (see rewrite.POINTS).  Every positive-cone letter's
+    image has no denominator, so the product of two such images is the
+    normal form of the product of their bodies.  One tail_map makes the
+    images of every requested bidegree's PBW words, so words that end alike
+    share their tails' products across the bidegrees; it is dropped when
+    the call returns."""
     B, D, res = inv_spec(), dq_spec(), Residues()
     img, gens = psibar_images(), B.alphabet.gens
 
@@ -282,13 +281,13 @@ def psibar_rank(M: int, N: int) -> int:
 
 def invariant_dimension(M: int, N: int) -> int:
     """An upper bound on dim of the U-invariants of D_q^+[M,N]: the kernel of
-    E on the K-weight-zero words at DEFAULT_POINTS, point i mod its prime
-    p_i (Residues.ranks), which must agree (the action carries no t, so
-    only their q values matter).  For each point the bound chain is
+    E on the K-weight-zero words at rewrite.POINTS (Residues.ranks), which
+    must agree (the action carries no t, so only their q values matter).
+    For each point, with p its prime,
 
-        dim ker(E|V00) mod p_i >= generic dim ker(E|V00) >= dim invariants,
+        dim ker(E|V00) mod p >= generic dim ker(E|V00) >= dim invariants,
 
-    the first since rank mod p_i <= generic rank, the second since every
+    the first by the rank bound at rewrite.POINTS, the second since every
     invariant lies in ker E inside V00.  For q not a root of unity the
     finite-dimensional U_q(sl2)-modules are semisimple, so a weight-zero
     vector that E kills is invariant and the second is an equality.

@@ -1,36 +1,12 @@
-"""Exact linear algebra: modulo primes for systems specialised at points,
-over any field for symbolic ones.
+"""Exact linear algebra: modulo m for specialised systems, over any field
+for symbolic ones.
 
-Ranks and kernel dimensions take rows at the rational points
-``rewrite.DEFAULT_POINTS``, point i mod the prime ``PRIMES[i]``
-(``RatCoeff.eval_mod``).  The rank families build their rows as residues
-from the symbolic normal-form cache (``rewrite.Residues.acts``): evaluation
-at a point mod p_i is a ring map and nf is linear, so those rows equal the
-exact rows evaluated, and the bounds below hold for them unchanged.  For
-each pair the bound chain is
-
-    rank mod p_i at point i <= rank over Q at point i <= generic rank,
-
-the generic rank being taken over Frac(Z[q,t]).  So a rank taken mod p_i is
-a lower bound, and a kernel dimension taken mod p_i an upper bound.  Every
-p_i is 3 mod 4, so t^2 + 1 has no root mod p_i, and q0 = 2, 3, 5 each have
-multiplicative order above 10^4 mod every p_i, so no q^k - 1 with
-0 < k <= 10^4 vanishes at them.  Any other denominator vanishes mod p_i only
-by chance, and then raises CoeffError naming p_i.
-
-The three ranks come from one elimination.  ``rewrite.Residues`` joins
-each entry's three residues into one residue mod N = p_1 p_2 p_3 (the
-Chinese remainder theorem), and ``frac_rank`` eliminates mod N.  Z/N is
-GF(p_1) x GF(p_2) x GF(p_3), and reduction mod p_i is a ring map, so the
-elimination mod N is the three eliminations mod p_i done side by side.
-While every leading entry is a unit mod N it is nonzero mod each p_i, so
-every step is the same step in all three fields, a row that vanishes mod N
-vanishes mod each p_i, and the pivot count is exactly the rank mod p_i at
-point i, for each i.  A leading entry that is not a unit is zero mod some
-p_i and not mod another: the points differ at that step.  Then
-``frac_rank`` returns None, and ``Residues.ranks`` eliminates the residues
-mod each p_i apart, so per-point ranks stay exact and a disagreement
-surfaces.
+``frac_rank`` and ``frac_solve`` take sparse rows of residues mod m.  Mod a
+prime m this is elimination over GF(m).  Mod a product m of distinct primes
+it is the eliminations mod each of them done side by side, while every
+leading entry is a unit mod m.  A leading entry that is not a unit is zero
+mod some of the primes and not mod others; it stops the elimination, and
+``frac_rank`` then returns None.
 
 ``solve_dense`` and ``dense_rank`` take dense rows over any field whose
 elements support + - * / and truth testing (RatCoeff for symbolic systems),
@@ -43,9 +19,8 @@ left becomes a new pivot row divided by its leading entry.
 ``frac_rank`` first chooses the order the kernel sees (Markowitz's rule of
 least fill, simplified to static counts).  It drops empty rows, renumbers the
 columns by ascending count of nonzeros, and feeds the rows in sparsest first.
-Rank is invariant under permutations of rows and of columns, over GF(p) as
-over any field, so the ordered rank is the rank of the given rows and the
-chain of bounds above is untouched.  It stops once it holds a pivot in every
+Rank is invariant under permutations of rows and of columns, so the ordered
+rank is the rank of the given rows.  It stops once it holds a pivot in every
 column, since no further row can add one.  ``frac_solve`` and
 ``solve_dense`` keep the given order, since a solution is read off per
 column.
@@ -54,10 +29,6 @@ column.
 from __future__ import annotations
 
 from typing import Hashable, Optional, Sequence
-
-#: the prime of each of rewrite.DEFAULT_POINTS, in order: the three largest
-#: primes below 2^61 that are 3 mod 4, after the Mersenne prime 2^61 - 1
-PRIMES = (2**61 - 45, 2**61 - 229, 2**61 - 465)
 
 
 def _echelon(rows, zero) -> dict[int, dict]:
@@ -149,12 +120,10 @@ def _sparse(row) -> dict[int, object]:
 def frac_rank(rows: Sequence[dict[Hashable, int]], m: int) -> Optional[int]:
     """Rank mod m of a sparse matrix given as rows {column: residue mod m},
     the columns any hashable keys; None if a leading entry is not a unit
-    mod m, which only a composite m allows (see the module docstring).
+    mod m, which only a composite m allows.
 
     The rows are reordered first: columns by ascending nonzero count, rows
-    sparsest first.  Neither changes the rank, so a rank mod a prime is
-    still a lower bound on the rank over Q at the point and on the generic
-    rank."""
+    sparsest first.  Neither changes the rank."""
     rows = [r for r in rows if r]
     counts: dict[Hashable, int] = {}
     for r in rows:

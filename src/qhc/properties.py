@@ -11,9 +11,8 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from . import linalg
 from .ncpoly import NcPoly
-from .rewrite import DEFAULT_POINTS, AlgebraSpec, eval_rows, q_central_residual
+from .rewrite import POINTS, AlgebraSpec, Residues, q_central_residual
 
 
 def random_word_poly(spec: AlgebraSpec, rng: random.Random, max_len: int = 4) -> NcPoly:
@@ -75,12 +74,12 @@ def check_q_centrality(spec: AlgebraSpec, n: int = 50, seed: int = 3,
 def check_specialization_consistency(spec: AlgebraSpec, n: int = 40, seed: int = 4,
                                      max_len: int = 4) -> Optional[str]:
     """Evaluating coefficients commutes with reduction: eval . nf = nf . eval,
-    over Q at each of DEFAULT_POINTS and, through eval_rows, mod that
-    point's prime in linalg.PRIMES."""
+    over Q at each of POINTS and, through Residues, mod that point's
+    prime."""
     rng = random.Random(seed)
     samples = [random_word_poly(spec, rng, max_len) for _ in range(n)]
-    for (q0, t0), prime in zip(DEFAULT_POINTS, linalg.PRIMES, strict=True):
-        sp = spec.specialize(q0, t0)
+    for q0, t0, prime in POINTS:
+        sp, res = spec.specialize(q0, t0), Residues([(q0, t0, prime)])
         for p in samples:
             nf_p = spec.nf(p).terms
             p_at = NcPoly(sp.alphabet, {w: c.eval(q0, t0) for w, c in p.terms.items()}, sp.field)
@@ -89,6 +88,6 @@ def check_specialization_consistency(spec: AlgebraSpec, n: int = 40, seed: int =
                 return f"specialisation at ({q0},{t0}) disagrees on {p}"
             residues = {w: v.numerator * pow(v.denominator, -1, prime) % prime
                         for w, v in eval_then_nf.items()}
-            if eval_rows([nf_p], [(q0, t0)], [prime]) != [{w: r for w, r in residues.items() if r}]:
+            if res.row(nf_p) != {w: r for w, r in residues.items() if r}:
                 return f"specialisation mod {prime} at ({q0},{t0}) disagrees on {p}"
     return None

@@ -772,10 +772,47 @@ def hilbert_table(spec: AlgebraSpec, max_bidegree: tuple[int, int]) -> HilbertTa
     return HilbertTable(spec.algebra_id, (M, N), dims)
 
 
-DEFAULT_POINTS = (
-    (Fraction(2), Fraction(3)),
-    (Fraction(3), Fraction(2)),
-    (Fraction(5), Fraction(7)),
+# The specialisation points (q0, t0), each with the prime p it is taken mod.
+# Every rank and kernel dimension at the points is read through Residues,
+# which evaluates each coefficient at point i mod p_i (RatCoeff.eval_mod).
+# For each point the bound chain is
+#
+#     rank mod p_i at point i <= rank over Q at point i <= generic rank,
+#
+# the generic rank being taken over Frac(Z[q,t]).  So a rank taken mod p_i
+# is a lower bound, and a kernel dimension taken mod p_i an upper bound.
+# The rank families build their rows as residues from the symbolic
+# normal-form cache (Residues.acts).  Evaluation at a point mod p_i is a
+# ring map on the coefficients that have a value there, and nf is linear,
+# so the residues of nf(a * b) are integer sums of products of the residues
+# of a's coefficients, of b's and of the cached normal forms' coefficients:
+# those rows equal the exact rows evaluated, and the chain holds for them.
+#
+# The primes keep out the cases the paper excludes, q a root of unity and
+# t = +-i.  They are the three largest primes below 2^61 that are 3 mod 4,
+# after the Mersenne prime 2^61 - 1, mod which 2 has order 61.  As each is
+# 3 mod 4, t^2 + 1 has no root mod it, and q0 = 2, 3, 5 each have
+# multiplicative order above 10^4 mod every one, so no q^k - 1 with
+# 0 < k <= 10^4 vanishes at them.  Any other denominator vanishes mod p_i
+# only by chance, and then raises CoeffError naming p_i.
+#
+# The ranks at all points come from one elimination.  Residues joins each
+# entry's residues into one residue mod N = p_1 p_2 p_3 (the Chinese
+# remainder theorem, so the primes must be distinct), and linalg.frac_rank
+# eliminates mod N.  Z/N is GF(p_1) x GF(p_2) x GF(p_3), and reduction mod
+# p_i is a ring map, so the elimination mod N is the three eliminations
+# mod p_i done side by side.  While every leading entry is a unit mod N it
+# is nonzero mod each p_i, so every step is the same step in all three
+# fields, a row that vanishes mod N vanishes mod each p_i, and the pivot
+# count is exactly the rank mod p_i at point i, for each i.  A leading entry
+# that is not a unit is zero mod some p_i and not mod another: the points
+# differ at that step.  Then frac_rank returns None, and Residues.ranks
+# eliminates the residues mod each p_i apart, so per-point ranks stay exact
+# and a disagreement surfaces.
+POINTS = (
+    (Fraction(2), Fraction(3), 2**61 - 45),
+    (Fraction(3), Fraction(2), 2**61 - 229),
+    (Fraction(5), Fraction(7), 2**61 - 465),
 )
 
 
@@ -793,30 +830,24 @@ def specialisation_point(q0, t0) -> tuple[Fraction, Fraction]:
 
 
 class Residues:
-    """Coefficients as residues mod N, the product of linalg.PRIMES: the
-    residue of c is the one x mod N with x = c(q_i, t_i) mod p_i for each
-    point (q_i, t_i) of DEFAULT_POINTS (the Chinese remainder theorem).
-    Both are read when the object is made, so rebinding either moves every
-    object made after it; eval_rows passes its own.  An object serves one
-    call, and its memo and maps go with it.
-
-    Evaluation at a point mod p_i is a ring map on the coefficients that
-    have a value there, and nf is linear, so the residues of nf(a * b) are
-    integer sums of products of the residues of a's coefficients, of b's and
-    of the coefficients of the cached normal forms of words: acts builds
-    them so, and its rows equal the exact rows evaluated.  A denominator
-    that vanishes mod p_i at point i raises CoeffError naming p_i, even
-    where it has a value over Q.
+    """Coefficients as residues mod N at a table of points (q0, t0, p),
+    POINTS unless points is given, N being the product of the table's
+    primes, which must be distinct: the residue of c is the one x mod N with
+    x = c(q0, t0) mod p for each (q0, t0, p) (the Chinese remainder
+    theorem).  POINTS is read when the object is made, so rebinding it moves
+    every object made after it.  An object serves one call, and its memo and
+    maps go with it.  A denominator that vanishes mod p at its point raises
+    CoeffError naming p, even where it has a value over Q.
     """
 
-    def __init__(self, points: Optional[Sequence[tuple[Fraction, Fraction]]] = None,
-                 primes: Optional[Sequence[int]] = None):
-        self.points = tuple(DEFAULT_POINTS if points is None else points)
-        self.primes = tuple(linalg.PRIMES if primes is None else primes)
+    def __init__(self, points: Optional[Sequence[tuple[Fraction, Fraction, int]]] = None):
+        self.points = tuple(POINTS if points is None else points)
+        self.primes = tuple(p for _, _, p in self.points)
+        if len(set(self.primes)) != len(self.primes):
+            raise EngineError(f"the specialisation points' primes repeat: {list(self.primes)}")
         n = self.n = prod(self.primes)
         # e_i is 1 mod primes[i] and 0 mod the others
-        self._crt = [(pt, p, n // p * pow(n // p, -1, p))
-                     for pt, p in zip(self.points, self.primes, strict=True)]
+        self._crt = [(q0, t0, p, n // p * pow(n // p, -1, p)) for q0, t0, p in self.points]
         self._by_id: dict[int, tuple[object, int]] = {}
         self._by_value: dict[tuple, int] = {}
 
@@ -833,7 +864,7 @@ class Residues:
         key = (tuple(c.lnum.items()), c.lden and tuple(c.lden.items()))
         v = self._by_value.get(key)
         if v is None:
-            v = self._by_value[key] = sum(e * c.eval_mod(q0, t0, p) for (q0, t0), p, e in self._crt) % self.n
+            v = self._by_value[key] = sum(e * c.eval_mod(q0, t0, p) for q0, t0, p, e in self._crt) % self.n
         self._by_id[id(c)] = (c, v)
         return v
 
@@ -872,13 +903,10 @@ class Residues:
 
     def ranks(self, rows: Sequence[dict]) -> tuple[int, ...]:
         """The rank of the residue rows {column: residue mod N} at each
-        point, in order, point i mod p_i.  Each is a lower bound on the
-        generic rank over Frac(Z[q,t]): rank mod p_i at point i <= rank over
-        Q there <= generic.
-
-        One elimination mod N gives all of them while every leading entry is
-        a unit; otherwise the residues are eliminated mod each prime apart
-        (see the linalg module docstring)."""
+        point, in order, each mod its prime: lower bounds on the generic
+        rank.  One elimination mod N gives all of them while every leading
+        entry is a unit; otherwise the residues are eliminated mod each
+        prime apart (see POINTS)."""
         rank = linalg.frac_rank(rows, self.n)
         if rank is not None:
             return (rank,) * len(self.primes)
@@ -899,18 +927,8 @@ class Residues:
         if len(set(values)) != 1:
             raise EngineError(f"{what} disagrees across points: {list(values)}, from " + ", ".join(
                 f"rank {r} at (q, t) = ({q0}, {t0}) mod {p}"
-                for (q0, t0), p, r in zip(self.points, self.primes, ranks)))
+                for (q0, t0, p), r in zip(self.points, ranks)))
         return values[0]
-
-
-def eval_rows(rows: Sequence[dict], points: Sequence[tuple[Fraction, Fraction]],
-              primes: Sequence[int]) -> list[dict]:
-    """Sparse rows {key: RatCoeff} with each coefficient's residue mod the
-    product of the primes, evaluated at points[i] mod primes[i] (Residues);
-    residues zero mod N are dropped.  With one point and one prime this is
-    the residue mod that prime."""
-    res = Residues(points, primes)
-    return [res.row(r) for r in rows]
 
 
 class RankResult(NamedTuple):
@@ -919,18 +937,10 @@ class RankResult(NamedTuple):
     per_point: tuple[int, ...]
 
 
-def point_ranks(rows: Sequence[dict]) -> tuple[int, ...]:
-    """Rank of the sparse rows {column: RatCoeff} at each of DEFAULT_POINTS,
-    in order, point i taken mod linalg.PRIMES[i]: Residues.ranks of the
-    rows' residues."""
-    res = Residues()
-    return res.ranks([res.row(r) for r in rows])
-
-
 def rank_of_family(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> RankResult:
-    """Maximum over DEFAULT_POINTS of the point_ranks of elems' coefficient
-    rows, each a rank mod the point's prime: a lower bound on their generic
-    rank."""
+    """Maximum over POINTS of the ranks of elems' coefficient rows, each a
+    rank mod the point's prime (Residues.ranks): a lower bound on their
+    generic rank."""
     degs = set()
     for p in elems:
         bad = next((w for w in p.terms if spec._find_redex(w, "leftmost")), None)
@@ -946,7 +956,8 @@ def rank_of_family(spec: AlgebraSpec, elems: Sequence[NcPoly]) -> RankResult:
             degs.add(d)
     if len(degs) > 1:
         raise EngineError(f"inputs span several bidegrees: {sorted(degs)}")
-    per_point = point_ranks([p.terms for p in elems])
+    res = Residues()
+    per_point = res.ranks([res.row(p.terms) for p in elems])
     rank = max(per_point)
     agreeing = sum(1 for r in per_point if r == rank)
     return RankResult(rank, agreeing, per_point)

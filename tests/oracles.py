@@ -317,13 +317,22 @@ def fold_phi_body(w):
     return H.mul(*factors)
 
 
+def ranks_at_points(rows):
+    """The rank of the sparse rows {column: RatCoeff} at each of
+    rewrite.POINTS in order, each mod its prime: Residues.ranks of the
+    rows' residues."""
+    from qhc.rewrite import Residues
+
+    res = Residues()
+    return res.ranks([res.row(r) for r in rows])
+
+
 def joint_kernel_dims(M, N):
     """Dimension of the joint kernel of E and F on dq's weight-zero words of
-    bidegree (M, N) at each of DEFAULT_POINTS in order, each mod its prime
-    (point_ranks): one row per word, its E image in columns (0, v) and its
-    F image in columns (1, v)."""
+    bidegree (M, N) at each of rewrite.POINTS in order, each mod its prime
+    (ranks_at_points): one row per word, its E image in columns (0, v) and
+    its F image in columns (1, v)."""
     from qhc.dqops import dq_action, dq_spec
-    from qhc.rewrite import point_ranks
 
     act = dq_action()
     words = [w for w in dq_spec().pbw.enumerate(M, N) if act._word_weight(w) == (0, 0)]
@@ -332,7 +341,7 @@ def joint_kernel_dims(M, N):
         row = {(0, v): c for v, c in e.terms.items()}
         row.update({(1, v): c for v, c in f.terms.items()})
         rows.append(row)
-    return tuple(len(rows) - r for r in point_ranks(rows))
+    return tuple(len(rows) - r for r in ranks_at_points(rows))
 
 
 def aplus_words(M, N):

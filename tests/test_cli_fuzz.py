@@ -5,11 +5,14 @@ a traceback."""
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhc.cli import ALGEBRAS, Context, main
+from qhc.coeffring import CoeffError
+from qhc.ncpoly import NcPoly
 
 #: generator names, their inverse letters and the localised atoms
 ATOMS = {alg: sorted(Context(alg).spec.alphabet.by_name) for alg in ALGEBRAS}
@@ -95,10 +98,35 @@ def run(argv):
     return rc, None
 
 
+def evaluated_normal_form(alg, expr, q0, t0):
+    """{word: value} of the symbolic normal form of expr with each
+    coefficient evaluated at (q0, t0) by RatCoeff.eval, zero values dropped;
+    None for a localised value (one that keeps a denominator power) or a
+    coefficient with no value there."""
+    ctx = Context(alg)
+    value = ctx.normalize(ctx.parse(expr))
+    if not isinstance(value, NcPoly):
+        if any(value.exps):
+            return None
+        value = value.body
+    try:
+        at = {w: c.eval(Fraction(q0), Fraction(t0)) for w, c in value.terms.items()}
+    except CoeffError:
+        return None
+    return {ctx.spec.alphabet.word_str(w): v for w, v in at.items() if v}
+
+
 @settings(max_examples=60, deadline=None)
 @given(requests())
 def test_cli_answers_json_or_one_error_line(argv):
     rc, doc = run(argv)
+    if argv[0] == "normalize" and "--q" in argv and rc == 0:
+        # specialisation commutes with normalisation: the terms at the
+        # point equal the symbolic normal form evaluated there
+        alg, q0, t0, expr = (argv[argv.index(opt) + 1] for opt in ("--algebra", "--q", "--t", "--"))
+        want = evaluated_normal_form(alg, expr, q0, t0)
+        if want is not None:
+            assert {w: Fraction(c) for w, c in doc["terms"]} == want, argv
     if argv[0] != "mul":
         return
     # mul A B ... equals normalize "(A)*(B)*...": the same terms, or for a

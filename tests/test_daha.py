@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhc import coeffring, daha, linalg, rewrite
+from qhc import coeffring, daha, rewrite
 from qhc.coeffring import RAT, RC_ONE, RC_T
 from qhc.daha import (
     BETA,
@@ -383,10 +383,9 @@ def test_family_ranks_name_the_point_where_t_squares_to_minus_one(monkeypatch):
     # the paper's other excluded case: 5^2 + 1 = 26 is 0 mod 13, so at
     # t0 = 5 mod 13 the body 1 + t T squares to zero and the sandwich of 1
     # and the phi images vanish there; the error names that point
-    P1, _, P3 = linalg.PRIMES
-    monkeypatch.setattr(linalg, "PRIMES", (P1, 13, P3))
-    monkeypatch.setattr(rewrite, "DEFAULT_POINTS",
-                        ((Fraction(2), Fraction(3)), (Fraction(3), Fraction(5)), (Fraction(5), Fraction(7))))
+    (_, _, P1), _, (_, _, P3) = rewrite.POINTS
+    monkeypatch.setattr(rewrite, "POINTS",
+                        ((Fraction(2), Fraction(3), P1), (Fraction(3), Fraction(5), 13), (Fraction(5), Fraction(7), P3)))
     with pytest.raises(EngineError, match=(
             rf"^daha: sandwich rank at \(0, 0\) disagrees across points: \[1, 0, 1\], "
             rf"from rank 1 at \(q, t\) = \(2, 3\) mod {P1}, rank 0 at \(q, t\) = \(3, 5\) mod 13, "

@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from qhc import dqops, invham, linalg, rewrite, suites
+from qhc import dqops, invham, rewrite, suites
 from qhc.coeffring import RAT, RC_ONE, RC_T
+from qhc.daha import phi_ranks, spherical_dimensions
 from qhc.dqops import dq_action, dq_elem, dq_spec, moment_zt
 from qhc.invham import (
     find_ideal_multiplier,
@@ -30,7 +31,7 @@ from qhc.invham import (
 from qhc.ncpoly import NcPoly
 from qhc.qgroup import AdjointAction
 from qhc.rewrite import (
-    DEFAULT_POINTS,
+    POINTS,
     EngineError,
     LocElem,
     check_ambiguities,
@@ -201,7 +202,7 @@ def test_invariant_dimension_equals_the_joint_kernel_at_each_point():
     # invariant_dimension raises unless its points agree, so one value equal
     # to each of the oracle's means equal dims at every point
     for m, n in [(m, n) for m in range(4) for n in range(4)] + [(4, 4)]:
-        assert joint_kernel_dims(m, n) == (invariant_dimension(m, n),) * len(DEFAULT_POINTS), (m, n)
+        assert joint_kernel_dims(m, n) == (invariant_dimension(m, n),) * len(POINTS), (m, n)
 
 
 def _faulted_action(gen: str, letters) -> AdjointAction:
@@ -230,8 +231,8 @@ def test_invariant_dimension_sees_an_e_action_that_loses_rank(monkeypatch):
 def test_invariant_dimension_raises_where_one_prime_makes_q_a_root_of_unity(monkeypatch):
     # q0 = 3 at the second point has order 3 mod 13, so the kernel of E
     # grows there from total degree 3 on; the points must not be reconciled
-    P1, _, P3 = linalg.PRIMES
-    monkeypatch.setattr(linalg, "PRIMES", (P1, 13, P3))
+    (q1, t1, P1), (q2, t2, _), (q3, t3, P3) = POINTS
+    monkeypatch.setattr(rewrite, "POINTS", ((q1, t1, P1), (q2, t2, 13), (q3, t3, P3)))
     assert invariant_dimension(1, 1) == 2
     # the message names the algebra, the bidegree, and each point with its
     # prime and its rank: 26 weight-zero words, so kernels 6, 9, 6
@@ -259,15 +260,19 @@ def _root_of_unity(order):
 ])
 def test_at_a_root_of_unity_only_the_kernel_of_e_leaves_the_series(monkeypatch, order, at_order):
     # the paper's excluded case: q0 a primitive root of unity mod P61, at
-    # t0 = 3.  The psibar ranks, lower bounds, stay at the invariant series.
-    # The kernel of E, an upper bound, equals the invariants only while
-    # U_q(sl2)-modules are semisimple, and it leaves the series at total
-    # degree `order`, where the certificate's one generic-q step fails
-    monkeypatch.setattr(rewrite, "DEFAULT_POINTS", ((Fraction(_root_of_unity(order)), Fraction(3)),))
-    monkeypatch.setattr(linalg, "PRIMES", (P61,))
+    # t0 = 3.  The psibar, sandwich and phi ranks, lower bounds, stay at
+    # their series.  The kernel of E, an upper bound, equals the invariants
+    # only while U_q(sl2)-modules are semisimple, and it leaves the series
+    # at total degree `order`, where the certificate's one generic-q step
+    # fails
+    monkeypatch.setattr(rewrite, "POINTS", ((Fraction(_root_of_unity(order)), Fraction(3), P61),))
     bidegrees = [(m, n) for m in range(6) for n in range(6 - m)]
     series = invariants_positive_series(5, 5)
     assert psibar_ranks(bidegrees) == {d: series.get(d, 0) for d in bidegrees}
+    to_33 = [(m, n) for m in range(4) for n in range(4)]
+    spherical = spherical_positive_series(3, 3)
+    assert spherical_dimensions(to_33) == {d: spherical.get(d, 0) for d in to_33}
+    assert phi_ranks(to_33) == {d: spherical.get(d, 0) for d in to_33}
     for m, n in bidegrees:
         dim, want = invariant_dimension(m, n), series.get((m, n), 0)
         if m + n < order:

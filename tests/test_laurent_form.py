@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from oracles import poly_eval
 from qhc import coeffring
 from qhc.coeffring import CoeffError, RatCoeff, RC_ONE, RC_Q, RC_T, RC_ZERO, p_mul
-from qhc.linalg import PRIMES
+from qhc.rewrite import POINTS
 
 Q, T, one = RC_Q, RC_T, RC_ONE
-P = PRIMES[0]
+P = POINTS[0][2]
 T2P1 = one + T * T
 
 monos = st.tuples(st.integers(-3, 3), st.integers(-2, 2), st.integers(-2, 2))

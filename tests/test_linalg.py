@@ -1,6 +1,9 @@
 """The two elimination kernels of qhc.linalg: the one mod m behind every
 specialised rank and solve, and the one over any field behind symbolic
-solves."""
+solves.  Also the table of specialisation points rewrite.POINTS, each with
+its prime, and rewrite.Residues, its one reader: the evaluation at the
+points, the join into residues mod the product of the primes, and the one
+elimination that ranks at every point."""
 
 from fractions import Fraction
 from math import prod
@@ -13,13 +16,13 @@ from qhc import invham, linalg, rewrite
 from qhc.coeffring import RC_ONE, RC_Q, RC_T, RC_ZERO, CoeffError, RatCoeff
 from qhc.daha import _phi_bodies, daha_spec, idempotent_body, phi_ranks, sdaha_spec, spherical_dimensions
 from qhc.dqops import dq_spec
-from qhc.linalg import PRIMES, _echelon_mod, dense_rank, frac_rank, frac_solve, solve_dense
+from qhc.linalg import _echelon_mod, dense_rank, frac_rank, frac_solve, solve_dense
 from qhc.ncpoly import NcPoly
-from qhc.rewrite import DEFAULT_POINTS, Residues, eval_rows, point_ranks
+from qhc.rewrite import POINTS, EngineError, Residues
 
-from oracles import spherical_rows
+from oracles import ranks_at_points, spherical_rows
 
-P = PRIMES[0]
+P = POINTS[0][2]
 
 
 def entries(bound):
@@ -73,15 +76,14 @@ def is_prime(n):
 
 
 def test_prime_suits_the_default_points():
-    assert PRIMES == (2**61 - 45, 2**61 - 229, 2**61 - 465)
-    assert len(PRIMES) == len(DEFAULT_POINTS)
+    assert tuple(p for _, _, p in POINTS) == (2**61 - 45, 2**61 - 229, 2**61 - 465)
     assert not is_prime(561) and not is_prime((2**31 - 1) * (2**29 - 3))  # Carmichael, product
-    for p in PRIMES:
+    for _, _, p in POINTS:
         assert is_prime(p)
         # -1 is no square mod p, so t0^2 + 1 vanishes at no point
         assert p % 4 == 3
         # no q0 is a root of unity of order up to 10^4 mod p, at any point
-        for q0, _ in DEFAULT_POINTS:
+        for q0, _, _ in POINTS:
             r = q0.numerator * pow(q0.denominator, -1, p) % p
             x = 1
             for _ in range(10**4):
@@ -154,11 +156,12 @@ def test_dense_rank_matches_sparse(a):
 def test_denominator_vanishing_mod_p_raises():
     # q + (P - 2) is P at q0 = 2: nonzero over Q, zero mod P
     c = RatCoeff({(0, 0): 1}, {(1, 0): 1, (0, 0): P - 2})
-    q0, t0 = DEFAULT_POINTS[0]
+    q0, t0, _ = POINTS[0]
     assert q0 == 2 and c.eval(q0, t0) == Fraction(1, P)
     with pytest.raises(CoeffError, match=rf"q \+ {P - 2} vanishes .* mod {P}"):
-        eval_rows([{0: RatCoeff.from_int(1), 1: c}], [(q0, t0)], [P])
-    assert eval_rows([{0: c}], DEFAULT_POINTS[1:2], [P]) == [{0: pow(3 + P - 2, -1, P)}]
+        Residues([(q0, t0, P)]).row({0: RatCoeff.from_int(1), 1: c})
+    q1, t1, _ = POINTS[1]
+    assert Residues([(q1, t1, P)]).row({0: c}) == {0: pow(3 + P - 2, -1, P)}
 
 
 def test_eval_rows_evaluates_each_distinct_coefficient_once(monkeypatch):
@@ -173,8 +176,8 @@ def test_eval_rows_evaluates_each_distinct_coefficient_once(monkeypatch):
     a = RatCoeff.monomial(1, 1, 0) + RatCoeff.from_int(1)
     b = RatCoeff.monomial(1, 1, 0) + RatCoeff.from_int(1)
     assert a is not b and a == b
-    q0, t0 = DEFAULT_POINTS[0]
-    rows = eval_rows([{0: a, 1: b}, {2: b}, {0: RatCoeff.from_int(-3)}], [(q0, t0)], [P])
+    res = Residues([POINTS[0]])
+    rows = [res.row(r) for r in ({0: a, 1: b}, {2: b}, {0: RatCoeff.from_int(-3)})]
     assert rows == [{0: 3, 1: 3}, {2: 3}, {0: P - 3}]
     assert len(calls) == 2
 
@@ -182,12 +185,12 @@ def test_eval_rows_evaluates_each_distinct_coefficient_once(monkeypatch):
 def test_vanishing_denominator_raises_through_the_memo():
     # a residue is memoised only once it is computed, so a vanishing
     # coefficient raises whichever of its entries (or equal copies) comes first
-    q0, t0 = DEFAULT_POINTS[0]
     c = RatCoeff({(0, 0): 1}, {(1, 0): 1, (0, 0): P - 2})
     d = RatCoeff({(0, 0): 1}, {(1, 0): 1, (0, 0): P - 2})
     for rows in ([{0: c, 1: c}], [{0: RatCoeff.from_int(1)}, {0: c}, {1: d, 2: c}]):
+        res = Residues([POINTS[0]])
         with pytest.raises(CoeffError, match=rf"q \+ {P - 2} vanishes .* mod {P}"):
-            eval_rows(rows, [(q0, t0)], [P])
+            [res.row(r) for r in rows]
 
 
 monos = st.tuples(st.integers(-2, 2), st.integers(-1, 2), st.integers(0, 2))
@@ -205,14 +208,15 @@ def coeffs(draw):
 @given(st.integers(1, 3).flatmap(
     lambda n: st.tuples(st.lists(st.lists(coeffs(), min_size=n, max_size=n), min_size=n, max_size=n),
                         st.lists(coeffs(), min_size=n, max_size=n))),
-       st.sampled_from(DEFAULT_POINTS))
+       st.sampled_from(POINTS))
 def test_symbolic_solve_specialises(system, point):
     a, b = system
     n = len(a)
     status, x = solve_dense(a, b, RC_ZERO)
     assume(status == "unique")
-    q0, t0 = point
-    *rows_at, b_at = eval_rows([dict(enumerate(r)) for r in a] + [dict(enumerate(b))], [point], [P])
+    q0, t0, _ = point
+    res = Residues([(q0, t0, P)])
+    *rows_at, b_at = [res.row(dict(enumerate(r))) for r in a + [b]]
     status_at, x_at = frac_solve(rows_at, [b_at.get(i, 0) for i in range(n)], n, P)
     assume(status_at == "unique")
     assert [c.eval_mod(q0, t0, P) for c in x] == x_at
@@ -220,7 +224,7 @@ def test_symbolic_solve_specialises(system, point):
 
 def separate_point_ranks(rows):
     """The rank at each default point by its own elimination mod its prime."""
-    return tuple(frac_rank(eval_rows(rows, [pt], [p]), p) for pt, p in zip(DEFAULT_POINTS, PRIMES))
+    return tuple(frac_rank([res.row(r) for r in rows], res.n) for res in (Residues([pt]) for pt in POINTS))
 
 
 def n(k):
@@ -238,7 +242,7 @@ ENTRIES = [RC_Q - n(2), RC_Q - n(3), RC_Q - n(5), RC_T - n(3), RC_T - n(2), RC_T
 @given(st.lists(st.dictionaries(st.integers(0, 4), st.sampled_from(ENTRIES), max_size=4),
                 max_size=7))
 def test_point_ranks_equal_separate_eliminations(rows):
-    assert point_ranks(rows) == separate_point_ranks(rows)
+    assert ranks_at_points(rows) == separate_point_ranks(rows)
 
 
 def test_point_ranks_eliminate_once_unless_a_leading_entry_is_no_unit(monkeypatch):
@@ -249,34 +253,50 @@ def test_point_ranks_eliminate_once_unless_a_leading_entry_is_no_unit(monkeypatc
         return frac_rank(rows, m)
 
     monkeypatch.setattr(linalg, "frac_rank", counted)
-    N = PRIMES[0] * PRIMES[1] * PRIMES[2]
-    assert point_ranks([{0: RC_Q, 1: RC_T}, {1: RC_Q - RC_T}]) == (2, 2, 2)
+    primes = [p for _, _, p in POINTS]
+    N = prod(primes)
+    assert ranks_at_points([{0: RC_Q, 1: RC_T}, {1: RC_Q - RC_T}]) == (2, 2, 2)
     assert calls == [N]
     # (q - 5) leads its row and is zero mod the third prime only: one try
     # mod N, then one elimination per point
     calls.clear()
-    assert point_ranks([{0: RC_Q - n(5)}, {1: RC_Q}]) == (2, 2, 1)
-    assert calls == [N, *PRIMES]
+    assert ranks_at_points([{0: RC_Q - n(5)}, {1: RC_Q}]) == (2, 2, 1)
+    assert calls == [N, *primes]
+
+
+def with_primes(primes):
+    """POINTS with each point's prime replaced, in order, by one of primes."""
+    return tuple((q0, t0, p) for (q0, t0, _), p in zip(POINTS, primes, strict=True))
 
 
 def test_point_ranks_read_the_primes_at_call_time(monkeypatch):
     rows = [{0: n(103)}, {0: n(1), 1: n(1)}]
-    assert point_ranks(rows) == (2, 2, 2)
-    monkeypatch.setattr(linalg, "PRIMES", (101, 103, 107))
-    assert point_ranks(rows) == (2, 1, 2)
+    assert ranks_at_points(rows) == (2, 2, 2)
+    monkeypatch.setattr(rewrite, "POINTS", with_primes((101, 103, 107)))
+    assert ranks_at_points(rows) == (2, 1, 2)
     # 1/(q + 99) has no value mod 101 at q = 2
     with pytest.raises(CoeffError, match=r"q \+ 99 vanishes at \(q, t\) = \(2, 3\) mod 101$"):
-        point_ranks([{0: RC_ONE / (RC_Q + n(99))}])
+        ranks_at_points([{0: RC_ONE / (RC_Q + n(99))}])
+
+
+def test_residues_refuse_a_table_whose_primes_repeat(monkeypatch):
+    # the residues mod N join the points' residues by the Chinese remainder
+    # theorem, which needs distinct primes
+    monkeypatch.setattr(rewrite, "POINTS", with_primes((P, P, 11)))
+    with pytest.raises(EngineError, match=rf"^the specialisation points' primes repeat: \[{P}, {P}, 11\]$"):
+        ranks_at_points([{0: RC_ONE}])
+    with pytest.raises(EngineError, match="primes repeat"):
+        Residues(POINTS[:1] * 2)
 
 
 def test_vanishing_denominator_names_its_points_prime():
     # q + (p_2 - 3) vanishes at the second point mod its prime p_2 only
-    p = PRIMES[1]
+    p = POINTS[1][2]
     c = RC_ONE / (RC_Q + n(p - 3))
     with pytest.raises(CoeffError, match=rf"q \+ {p - 3} vanishes at \(q, t\) = \(3, 2\) mod {p}$"):
-        point_ranks([{0: RC_ONE}, {0: c}])
+        ranks_at_points([{0: RC_ONE}, {0: c}])
     # at the other two points it has a nonzero value mod their primes
-    assert eval_rows([{0: c}], DEFAULT_POINTS[::2], PRIMES[::2])[0][0] != 0
+    assert Residues(POINTS[::2]).row({0: c})[0] != 0
 
 
 def test_point_ranks_equal_separate_eliminations_on_the_suite_families(monkeypatch):
@@ -323,7 +343,8 @@ def _residue_rows(monkeypatch, family, bidegrees):
 
 
 def _evaluated(polys):
-    return eval_rows([p.terms for p in polys], DEFAULT_POINTS, PRIMES)
+    res = Residues()
+    return [res.row(p.terms) for p in polys]
 
 
 BIDEGREES_33 = [(m, n) for m in range(4) for n in range(4)]
@@ -384,20 +405,20 @@ def test_residues_follow_primes_bound_between_two_calls(monkeypatch):
     H = daha_spec()
     a, b = H.gen("T") + H.scalar(RC_Q), H.nf(H.word_poly("Y1", "X1"))
     exact = H.mul(a, b).terms
-    for primes in (PRIMES, (101, 103, 107)):
-        monkeypatch.setattr(linalg, "PRIMES", primes)
+    for primes in (tuple(p for _, _, p in POINTS), (101, 103, 107)):
+        points = with_primes(primes)
+        monkeypatch.setattr(rewrite, "POINTS", points)
         res = Residues()
         assert res.primes == primes and res.n == prod(primes)
         got = res.acts(H, res.row(b.terms))(a)
         assert set(got) == set(exact)
         for w, c in exact.items():
-            assert [got[w] % p for p in primes] == [c.eval_mod(q0, t0, p)
-                                                    for (q0, t0), p in zip(DEFAULT_POINTS, primes)], w
+            assert [got[w] % p for p in primes] == [c.eval_mod(q0, t0, p) for q0, t0, p in points], w
 
 
 def test_residue_product_names_the_prime_a_denominator_vanishes_mod():
     # q + (p_2 - 3) vanishes at the second point mod its prime p_2 only
-    p = PRIMES[1]
+    p = POINTS[1][2]
     H = daha_spec()
     res = Residues()
     times_x1 = res.acts(H, res.row(H.gen("X1").terms))

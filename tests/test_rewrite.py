@@ -138,7 +138,7 @@ def test_agreed_rank_surfaces_disagreement(plane):
     # (q - 2) z vanishes at the first default point, q = 2
     drop = z.scale(RAT.q_power(1) - RAT.from_int(2))
     assert rank_of_family(plane, [drop]).per_point == (0, 1, 1)
-    P1, P2, P3 = rewrite.linalg.PRIMES
+    P1, P2, P3 = (p for _, _, p in rewrite.POINTS)
     with pytest.raises(EngineError, match=(
             rf"^plane: drop disagrees across points: \[0, 1, 1\], from rank 0 at \(q, t\) = \(2, 3\) mod {P1}, "
             rf"rank 1 at \(q, t\) = \(3, 2\) mod {P2}, rank 1 at \(q, t\) = \(5, 7\) mod {P3}$")):
