@@ -23,7 +23,7 @@ import re
 import sys
 
 from . import daha, dqops, hciso, invham, qgroup, suites
-from .coeffring import CoeffError
+from .coeffring import CoeffError, coeff_str
 from .exprparse import ParseError, Parser, ValueOps, WordAlgebraOps
 from .ncpoly import NcPoly
 from .rewrite import EngineError, LocElem, check_ambiguities, hilbert_table, rank_of_family
@@ -101,15 +101,18 @@ class Context:
 
     def terms_json(self, value):
         if isinstance(value, NcPoly):
-            return [[self.spec.alphabet.word_str(w), str(c)] for w, c in value.sorted_terms()]
+            return [[self.spec.alphabet.word_str(w), coeff_str(c)] for w, c in value.sorted_terms()]
         return str(value)
 
 
 def _emit(doc: dict, path: str | None) -> None:
     text = json.dumps(doc, indent=2)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise EngineError(f"cannot write --output {path}: {exc.strerror}") from None
     else:
         print(text)
 

@@ -29,6 +29,7 @@ division routines expect nonnegative ones.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd as _igcd
 from typing import NamedTuple
@@ -42,6 +43,18 @@ P_ONE: Poly = {(0, 0): 1}
 
 class CoeffError(ArithmeticError):
     pass
+
+
+def coeff_str(c) -> str:
+    """str(c) for a coefficient (RatCoeff, Fraction or int).  Refuses one
+    with an integer of more digits than CPython converts to text,
+    sys.get_int_max_str_digits(): the conversion is quadratic, and the
+    ValueError it raises is the only one str raises on these types."""
+    try:
+        return str(c)
+    except ValueError:
+        raise CoeffError(f"a coefficient has an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits, too long to print") from None
 
 
 # ---------------------------------------------------------------------------

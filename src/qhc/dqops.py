@@ -19,12 +19,14 @@ sort among themselves, and by detq(A) on the left, where its a-letters do;
 detq(D) on the left would move its p-letters past every a-letter of the body
 through the sixteen cross relations.
 
-The quantum cofactor matrices are not transcribed: they are solved from the
-eight linear conditions A adj(A) = adj(A) A = detq(A) I (and the D analogue),
-then compared against the conventional display entries, where the bottom
-right entries are known to disagree with the solved value (the display has
-q^2 a22 + (1 - q^2) a22 where the cofactor identity forces
-q^2 a11 + (1 - q^2) a22).
+Both matrix copies are the one quantum 2x2 matrix qgroup states: their
+relations are qgroup._re_rules, their q-determinants qgroup.qdet and their
+adjugates qgroup.qadjugate, in closed form.  The cofactor suite certifies
+each adjugate exactly (M adj = adj M = detq(M) I), then compares it against
+the conventional display entries, where the bottom right entries are known
+to disagree (the display has q^2 a22 + (1 - q^2) a22 where the cofactor
+identity forces q^2 a11 + (1 - q^2) a22).  The relations of the moment map's
+entries, MOMENT_TABLE, are read off the same rules and qdet.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from __future__ import annotations
 from functools import cache
 
 from .coeffring import RAT, RC_ONE, RC_T, RatCoeff
-from .linalg import solve_dense
 from .ncpoly import Alphabet, NcPoly
 from .qgroup import (
     AdjointAction,
@@ -42,13 +43,17 @@ from .qgroup import (
     _re_rules,
     _scalar_mat_for,
     _swap_legs,
+    letter_matrix,
     mat_mul,
     mat_sub,
+    qadjugate,
+    qdet,
+    qtrace,
     reflection_equation_entries,
     rmatrix_vector,
     scalar_inverse_4x4,
 )
-from .rewrite import AlgebraSpec, Denominator, EngineError, LocElem, PowerBlocksPbw, RewriteRule
+from .rewrite import AlgebraSpec, Denominator, LocElem, PowerBlocksPbw, RewriteRule
 
 
 def _q(k: int) -> RatCoeff:
@@ -110,20 +115,14 @@ def dq_spec() -> AlgebraSpec:
 # q-determinants and localisation
 # ---------------------------------------------------------------------------
 
-def _det_body(names) -> NcPoly:
-    D = dq_spec()
-    n11, n12, n21, n22 = names
-    return D.word_poly(n11, n22) - D.word_poly(n12, n21).scale(_q(2))
-
-
 @cache
 def det_a_body() -> NcPoly:
-    return _det_body(_A_NAMES)
+    return qdet(dq_spec().alphabet, _A_NAMES)
 
 
 @cache
 def det_d_body() -> NcPoly:
-    return _det_body(_P_NAMES)
+    return qdet(dq_spec().alphabet, _P_NAMES)
 
 
 @cache
@@ -147,16 +146,11 @@ def dq_elem(body: NcPoly, la: int = 0, ld: int = 0) -> LocElem:
 # ---------------------------------------------------------------------------
 
 def qmat_a() -> list[list[LocElem]]:
-    return [[dq_elem(x) for x in row] for row in _letter_matrix(_A_NAMES)]
+    return [[dq_elem(x) for x in row] for row in letter_matrix(dq_spec(), _A_NAMES)]
 
 
 def qmat_d() -> list[list[LocElem]]:
-    return [[dq_elem(x) for x in row] for row in _letter_matrix(_P_NAMES)]
-
-
-def qtrace(m) -> LocElem:
-    """tr_q = (1,1) entry + q^-2 (2,2) entry."""
-    return m[0][0] + m[1][1].scale(_q(-2))
+    return [[dq_elem(x) for x in row] for row in letter_matrix(dq_spec(), _P_NAMES)]
 
 
 def trq_xt() -> RatCoeff:
@@ -166,74 +160,30 @@ def trq_xt() -> RatCoeff:
 
 
 # ---------------------------------------------------------------------------
-# cofactors by solving the adjugate conditions
+# cofactors in closed form, certified by the cofactor suite
 # ---------------------------------------------------------------------------
 
-def _letter_matrix(names):
-    D = dq_spec()
-    return [[D.gen(names[2 * i + j]) for j in range(2)] for i in range(2)]
+def _names(which: str):
+    return _A_NAMES if which == "A" else _P_NAMES
 
 
 @cache
 def cofactor(which: str) -> tuple[tuple[NcPoly, ...], ...]:
-    """Solve M * adj = adj * M = detq(M) * I for adj, entrywise linear in the
-    degree-one span.  Raises if the system were inconsistent or ambiguous."""
-    D = dq_spec()
-    names = _A_NAMES if which == "A" else _P_NAMES
-    M = _letter_matrix(names)
-    det = _det_body(names)
-    letters = [D.gen(n) for n in names]
-    basis = sorted(
-        {w for k in range(4) for l in range(4) for w in D.nf(letters[k] * letters[l]).terms}
-        | set(det.terms)
-    )
-    zero = RatCoeff.from_int(0)
-    nunk = 16  # adj[m][c] = sum_k x[m][c][k] * letter_k
+    """adj(M) for M = A or D, the closed form qgroup.qadjugate.
 
-    def unk(m, c, k):
-        return 4 * (2 * m + c) + k
-
-    left = [[D.nf(M[r][m] * x) for x in letters] for r in range(2) for m in range(2)]
-    right = [[D.nf(x * M[m][c]) for x in letters] for m in range(2) for c in range(2)]
-    # entry (i, j) of M adj sums M[i][s] adj[s][j], and of adj M sums
-    # adj[i][s] M[s][j]: each term's product with letter k and its unknown
-    conditions = [lambda i, j, s, k: (left[2 * i + s][k], unk(s, j, k)),
-                  lambda i, j, s, k: (right[2 * s + j][k], unk(i, s, k))]
-    rows, rhs = [], []
-    for term in conditions:
-        for i in range(2):
-            for j in range(2):
-                want = det if i == j else D.zero()
-                for w in basis:
-                    row = [zero] * nunk
-                    for s in range(2):
-                        for k in range(4):
-                            prod, u = term(i, j, s, k)
-                            coeff = prod.terms.get(w)
-                            if coeff:
-                                row[u] = row[u] + coeff
-                    rows.append(row)
-                    rhs.append(want.terms.get(w, zero))
-    status, sol = solve_dense(rows, rhs, zero)
-    if status != "unique":
-        raise EngineError(f"cofactor conditions for {which} are {status}")
-    out = []
-    for m in range(2):
-        outrow = []
-        for c in range(2):
-            p = D.zero()
-            for k in range(4):
-                p = p + letters[k].scale(sol[unk(m, c, k)])
-            outrow.append(p)
-        out.append(tuple(outrow))
-    return tuple(out)
+    The certificate is the cofactor suite's M*adj and adj*M items
+    (cofactor_identity_residuals), checked exactly: M adj = adj M =
+    detq(M) I.  They also make adj the only such matrix: detq(M) is
+    invertible in the localisation, so M is, and M X = detq(M) I forces
+    X = M^-1 detq(M)."""
+    return qadjugate(letter_matrix(dq_spec(), _names(which)))
 
 
 def claimed_cofactor_display(which: str) -> tuple[tuple[NcPoly, ...], ...]:
     """Conventional display of the adjugates; the (2,2) entries are a known
     erratum (they repeat the 22 letter where the solved value needs the 11)."""
     D = dq_spec()
-    n11, n12, n21, n22 = _A_NAMES if which == "A" else _P_NAMES
+    n11, n12, n21, n22 = _names(which)
     q2 = _q(2)
     return (
         (D.gen(n22), D.gen(n12).scale(-q2)),
@@ -242,7 +192,7 @@ def claimed_cofactor_display(which: str) -> tuple[tuple[NcPoly, ...], ...]:
 
 
 def cofactor_display_mismatches(which: str):
-    """Entries where the solved adjugate differs from the claimed display."""
+    """Entries where the certified adjugate differs from the claimed display."""
     D = dq_spec()
     solved = cofactor(which)
     claimed = claimed_cofactor_display(which)
@@ -257,10 +207,9 @@ def cofactor_display_mismatches(which: str):
 def cofactor_identity_residuals(which: str) -> list[tuple[str, NcPoly]]:
     """M adj - det I and adj M - det I entrywise; all must be zero."""
     D = dq_spec()
-    names = _A_NAMES if which == "A" else _P_NAMES
-    M = _letter_matrix(names)
+    M = letter_matrix(D, _names(which))
     adj = cofactor(which)
-    det = _det_body(names)
+    det = qdet(D.alphabet, _names(which))
     out = []
     for tag, prod in (("M*adj", (M, adj)), ("adj*M", (adj, M))):
         L, R = prod
@@ -307,8 +256,8 @@ def matrix_relation_entries() -> dict[str, list[NcPoly]]:
     R21 = _swap_legs(rmatrix_vector())
     R21m = _scalar_mat_for(R21, D)
     R21i = _scalar_mat_for(scalar_inverse_4x4(R21), D)
-    D1 = _leg1(_letter_matrix(_P_NAMES), D)
-    A2 = _leg2(_letter_matrix(_A_NAMES), D)
+    D1 = _leg1(letter_matrix(D, _P_NAMES), D)
+    A2 = _leg2(letter_matrix(D, _A_NAMES), D)
     lhs = mat_mul(mat_mul(mat_mul(R21m, D1), R), A2)
     rhs = mat_mul(mat_mul(mat_mul(A2, R21m), D1), R21i)
     return {
@@ -332,24 +281,22 @@ def moment_matrix() -> tuple[tuple[LocElem, ...], ...]:
 @cache
 def moment_zt() -> LocElem:
     """mu(Z_t) = tr_q(mu(L)) - q^4 (1/t^2 + q^-2 t^2)."""
-    m = moment_matrix()
-    return qtrace([list(m[0]), list(m[1])]) - dq_elem(dq_spec().scalar(_q(4) * trq_xt()))
+    return qtrace(moment_matrix()) - dq_elem(dq_spec().scalar(_q(4) * trq_xt()))
 
 
-_C = RC_ONE - _q(-2)  # 1 - q^-2
+def _moment_table() -> dict[str, list[tuple[RatCoeff, int, int]]]:
+    """The six coordinate-algebra relations on the entries m_ij of mu(L),
+    lhs - rhs of qgroup._re_rules, and detq(mu(L)), qgroup.qdet: each row a
+    sum of terms c * m_ij * m_kl, written (c, ij, kl)."""
+    names = ("m11", "m12", "m21", "m22")
+    alph = Alphabet("mu", [(n, (1, 0), None) for n in names])
+    rows = [(r.tag, NcPoly.from_word(alph, r.lhs) - r.rhs) for r in _re_rules(alph, *names)]
+    rows.append(("detq", qdet(alph, names)))
+    return {tag: [(c, int(names[i][1:]), int(names[j][1:])) for (i, j), c in p.terms.items()]
+            for tag, p in rows}
 
-# The six coordinate-algebra relations on the entries m_ij of mu(L), and
-# detq(mu(L)): each row is a sum of terms c * m_ij * m_kl, written
-# (c, ij, kl).
-MOMENT_TABLE = {
-    "m12*m11": [(RC_ONE, 12, 11), (-RC_ONE, 11, 12), (-_C, 12, 22)],
-    "m22*m11": [(RC_ONE, 22, 11), (-RC_ONE, 11, 22)],
-    "m21*m11": [(RC_ONE, 21, 11), (-RC_ONE, 11, 21), (_C, 22, 21)],
-    "m22*m12": [(RC_ONE, 22, 12), (-_q(2), 12, 22)],
-    "m21*m12": [(RC_ONE, 21, 12), (-RC_ONE, 12, 21), (-_C, 11, 22), (_C, 22, 22)],
-    "m22*m21": [(RC_ONE, 22, 21), (-_q(-2), 21, 22)],
-    "detq": [(RC_ONE, 11, 22), (-_q(2), 12, 21)],
-}
+
+MOMENT_TABLE = _moment_table()
 
 
 def moment_sums(table) -> dict[str, LocElem]:
@@ -386,10 +333,8 @@ def moment_sums(table) -> dict[str, LocElem]:
 @cache
 def dq_action() -> AdjointAction:
     D = dq_spec()
-    a_names = {(1, 1): "a11", (1, 2): "a12", (2, 1): "a21", (2, 2): "a22"}
-    p_names = {(1, 1): "p11", (1, 2): "p12", (2, 1): "p21", (2, 2): "p22"}
-    w1, e1, f1 = _oq_like_action_tables(D, a_names)
-    w2, e2, f2 = _oq_like_action_tables(D, p_names)
+    w1, e1, f1 = _oq_like_action_tables(D, _A_NAMES)
+    w2, e2, f2 = _oq_like_action_tables(D, _P_NAMES)
     return AdjointAction(D, {**w1, **w2}, {**e1, **e2}, {**f1, **f2})
 
 

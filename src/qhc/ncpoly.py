@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .coeffring import RAT
+from .coeffring import RAT, coeff_str
 
 Word = tuple[int, ...]
 EMPTY_WORD: Word = ()
@@ -229,7 +229,7 @@ class NcPoly:
             return "0"
         parts = []
         for w, c in self.sorted_terms():
-            cs = str(c)
+            cs = coeff_str(c)
             ws = self.alphabet.word_str(w)
             # pull the sign out only for single-monomial coefficients
             neg = cs.startswith("-") and " " not in cs

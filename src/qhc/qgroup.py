@@ -16,6 +16,12 @@ O_q(GL2) is generated by the entries of a 2x2 matrix L subject to the
 reflection equation R21 L1 R L2 = L2 R21 L1 R; its q-trace and q-determinant
 generate the center and the subalgebra of invariants for the adjoint action.
 Its localisation at det_q(L) is rewrite.LocElem over oq_denominators().
+
+This module states that quantum 2x2 matrix once, for any four letters named
+n11, n12, n21, n22 (row-major): its six reflection-equation rules
+(_re_rules), letter_matrix, qtrace, qdet and the closed-form adjugate
+qadjugate.  O_q, both matrix copies in D_q (dqops) and the moment-map
+relations (dqops.MOMENT_TABLE) all read them.
 """
 
 from __future__ import annotations
@@ -262,17 +268,14 @@ def antipode_lminus() -> list[list[NcPoly]]:
 # O_q(GL2)
 # ---------------------------------------------------------------------------
 
-_OQ_GENS = [
-    ("l11", (1, 0), None),
-    ("l12", (1, 0), None),
-    ("l21", (1, 0), None),
-    ("l22", (1, 0), None),
-]
+_L_NAMES = ("l11", "l12", "l21", "l22")
+_OQ_GENS = [(n, (1, 0), None) for n in _L_NAMES]
 
 
 def _re_rules(alph: Alphabet, n11, n12, n21, n22) -> list[RewriteRule]:
     """The six reflection-equation straightening rules on a 2x2 matrix of
-    generators named n11..n22 (shared by O_q and both matrix copies in D_q)."""
+    generators named n11..n22 (shared by O_q, both matrix copies in D_q and
+    the moment-map relations of dqops.MOMENT_TABLE)."""
     one = RC_ONE
     c = one - _q(-2)
 
@@ -293,25 +296,47 @@ def _re_rules(alph: Alphabet, n11, n12, n21, n22) -> list[RewriteRule]:
     ]
 
 
+def letter_matrix(spec: AlgebraSpec, names) -> list[list[NcPoly]]:
+    """The 2x2 matrix of the generators named n11, n12, n21, n22."""
+    return [[spec.gen(names[2 * i + j]) for j in range(2)] for i in range(2)]
+
+
+def qtrace(m):
+    """tr_q = (1,1) entry + q^-2 (2,2) entry, for entries that scale."""
+    return m[0][0] + m[1][1].scale(_q(-2))
+
+
+def qdet(alph: Alphabet, names) -> NcPoly:
+    """det_q = n11 n22 - q^2 n12 n21, a free polynomial over alph."""
+    n11, n12, n21, n22 = names
+    return NcPoly.from_word(alph, alph.word(n11, n22)) - NcPoly.from_word(alph, alph.word(n12, n21), _q(2))
+
+
+def qadjugate(m):
+    """((m22, -q^2 m12), (-q^2 m21, q^2 m11 + (1 - q^2) m22)), the adjugate of
+    a matrix m whose entries satisfy _re_rules: m adj = adj m = det_q(m) I
+    (checked exactly by the cofactor suite)."""
+    q2 = _q(2)
+    return ((m[1][1], m[0][1].scale(-q2)),
+            (m[1][0].scale(-q2), m[0][0].scale(q2) + m[1][1].scale(RC_ONE - q2)))
+
+
 @cache
 def oq_spec() -> AlgebraSpec:
     alph = Alphabet("oq", _OQ_GENS)
     # the bidegree weights, all 1, already make divide complete (see dq_spec)
     pbw = PowerBlocksPbw(alph, [(g.name, None, None) for g in alph.gens])
-    rules = _re_rules(alph, "l11", "l12", "l21", "l22")
-    return AlgebraSpec(alph, rules, pbw)
+    return AlgebraSpec(alph, _re_rules(alph, *_L_NAMES), pbw)
 
 
 def qtrace_oq() -> NcPoly:
     """tr_q(L) = l11 + q^-2 l22."""
-    O = oq_spec()
-    return O.gen("l11") + O.gen("l22").scale(_q(-2))
+    return qtrace(letter_matrix(oq_spec(), _L_NAMES))
 
 
 def qdet_oq() -> NcPoly:
     """det_q(L) = l11 l22 - q^2 l12 l21."""
-    O = oq_spec()
-    return O.word_poly("l11", "l22") - O.word_poly("l12", "l21").scale(_q(2))
+    return qdet(oq_spec().alphabet, _L_NAMES)
 
 
 @cache
@@ -322,8 +347,7 @@ def oq_denominators() -> tuple[Denominator]:
 
 def reflection_equation_entries(spec: AlgebraSpec, names: tuple[str, str, str, str]):
     """Entry residuals of R21 L1 R L2 - L2 R21 L1 R as free polynomials."""
-    n11, n12, n21, n22 = names
-    L = [[spec.gen(n11), spec.gen(n12)], [spec.gen(n21), spec.gen(n22)]]
+    L = letter_matrix(spec, names)
     R = _scalar_mat_for(rmatrix_vector(), spec)
     R21 = _swap_legs(R)
     L1, L2 = _leg1(L, spec), _leg2(L, spec)
@@ -394,10 +418,9 @@ def phi_matches_lmatrix_product() -> bool:
     sl = antipode_lminus()
     prod = mat_mul(lp, sl)
     img = phi_images()
-    names = (("l11", "l12"), ("l21", "l22"))
     for i in range(2):
         for j in range(2):
-            if U.nf(prod[i][j] - img[names[i][j]]):
+            if U.nf(prod[i][j] - img[_L_NAMES[2 * i + j]]):
                 return False
     return True
 
@@ -495,37 +518,37 @@ class AdjointAction:
         return out
 
 
-def _oq_like_action_tables(spec: AlgebraSpec, names: dict[tuple[int, int], str]):
-    """Weight and E, F image tables for a 2x2 matrix of coordinate letters."""
+def _oq_like_action_tables(spec: AlgebraSpec, names):
+    """Weight and E, F image tables for a 2x2 matrix of coordinate letters
+    named n11, n12, n21, n22."""
+    m = letter_matrix(spec, names)
     weights = {}
     e_im = {}
     f_im = {}
     z = spec.zero()
-    for (i, j), n in names.items():
-        weights[n] = (
-            (1 if i == 1 else 0) - (1 if j == 1 else 0),
-            (1 if i == 2 else 0) - (1 if j == 2 else 0),
-        )
-        e = z
-        if j == 1:
-            e = e + spec.gen(names[(i, 2)])
-        if i == 2:
-            e = e - spec.gen(names[(1, j)]).scale(_q(2 if j == 2 else 0))
-        e_im[n] = e
-        f = z
-        if j == 2:
-            f = f + spec.gen(names[(i, 1)]).scale(_q((2 if i == 2 else 0) - 1))
-        if i == 1:
-            f = f - spec.gen(names[(2, j)]).scale(_q(-1))
-        f_im[n] = f
+    for i in range(2):
+        for j in range(2):
+            n = names[2 * i + j]
+            weights[n] = (int(i == 0) - int(j == 0), int(i == 1) - int(j == 1))
+            e = z
+            if j == 0:
+                e = e + m[i][1]
+            if i == 1:
+                e = e - m[0][j].scale(_q(2 * j))
+            e_im[n] = e
+            f = z
+            if j == 1:
+                f = f + m[i][0].scale(_q(2 * i - 1))
+            if i == 0:
+                f = f - m[1][j].scale(_q(-1))
+            f_im[n] = f
     return weights, e_im, f_im
 
 
 @cache
 def oq_action() -> AdjointAction:
     O = oq_spec()
-    names = {(1, 1): "l11", (1, 2): "l12", (2, 1): "l21", (2, 2): "l22"}
-    return AdjointAction(O, *_oq_like_action_tables(O, names))
+    return AdjointAction(O, *_oq_like_action_tables(O, _L_NAMES))
 
 
 def adjoint_in_uq(gen: str, y: NcPoly) -> NcPoly:

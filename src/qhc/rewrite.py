@@ -35,7 +35,7 @@ from functools import partial
 from math import prod
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .coeffring import RAT, QQField
+from .coeffring import RAT, QQField, coeff_str
 from . import linalg
 from .ncpoly import EMPTY_WORD, Alphabet, NcPoly, Word
 
@@ -614,7 +614,7 @@ class AmbiguityReport(NamedTuple):
         alph = spec.alphabet
 
         def poly_json(p: NcPoly):
-            return [[alph.word_str(w), str(c)] for w, c in p.sorted_terms()]
+            return [[alph.word_str(w), coeff_str(c)] for w, c in p.sorted_terms()]
 
         return {
             "algebra": spec.algebra_id,

@@ -419,6 +419,36 @@ def test_cli_over_long_integer_exits_2(capsys, expr, col):
     assert f"(line 1, column {col})" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--algebra", "sdaha", "(9^1000)^5"],
+    ["normalize", "--algebra", "sdaha", "--q", "2", "--t", "1e5000", "R*R"],
+    ["diamonds", "--algebra", "sdaha", "--q", "2", "--t", "1e5000"],
+    ["act", "--gen", "E", "--algebra", "oq", "(9^1000)^5*l11"],
+], ids=["symbolic", "specialised", "diamonds", "act"])
+def test_cli_over_long_coefficient_exits_2(capsys, argv):
+    # 9^5000 and 10^10000 have more digits than CPython converts to text;
+    # printing them once escaped as a ValueError with status 1, though rank
+    # on the same values works, since it only takes residues
+    rc = main(argv)
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.out == ""
+    limit = sys.get_int_max_str_digits()
+    assert cap.err == f"error: a coefficient has an integer of more than {limit} digits, too long to print\n"
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_cli_unwritable_output_exits_2(capsys, tmp_path, where):
+    # the OSError of an --output that cannot be opened once escaped as a
+    # traceback with status 1
+    path = tmp_path / "missing" / "x.json" if where == "missing" else tmp_path
+    rc = main(["normalize", "--algebra", "sdaha", "R", "--output", str(path)])
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.out == ""
+    assert cap.err.startswith(f"error: cannot write --output {path}: ") and cap.err.count("\n") == 1
+
+
 def test_cli_rejects_huge_exponent(capsys):
     # a scalar power once multiplied in a loop (hang) and, specialised,
     # overflowed the int-to-str limit when printed (uncaught ValueError)

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 from fractions import Fraction
+from functools import cache
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from qhc.cli import ALGEBRAS, Context, main
 from qhc.coeffring import CoeffError
 from qhc.ncpoly import NcPoly
+from qhc.qgroup import qdet_oq
 
 #: generator names, their inverse letters and the localised atoms
 ATOMS = {alg: sorted(Context(alg).spec.alphabet.by_name) for alg in ALGEBRAS}
@@ -29,6 +31,18 @@ POINTS = (None, ("2", "3"), ("5/3", "2"), ("1", "2"))
 
 #: most generator degree one drawn expression may reach; keeps each run short
 MAX_DEGREE = 6
+
+#: localised round trips: each determinant's inverse times the determinant,
+#: on either side of an expression X, normalises to X's normal form; oq's
+#: det_q(L) is written out as its word polynomial.  Products associate to
+#: the left, so a left-hand trip brackets the determinant with X, and the
+#: inverse cancels it out of a product with X, not alone.  A trip on the
+#: side where a denominator does not sit (detA's right, detD's left) moves
+#: it across X, so it checks the denominator's q-grading
+ROUND_TRIPS = {
+    "dq": ("detAi*(detA*({}))", "({})*detAi*detA", "detDi*(detD*({}))", "({})*detDi*detD"),
+    "oq": (f"detLi*(({qdet_oq()})*({{}}))", f"({{}})*detLi*({qdet_oq()})"),
+}
 
 
 def expressions(alg: str, depth: int = 3):
@@ -58,10 +72,17 @@ def expressions(alg: str, depth: int = 3):
     ).filter(lambda p: p[1] <= MAX_DEGREE)
 
 
+@cache
+def expression_texts(alg: str):
+    """The text of expressions(alg), built once per algebra so that
+    hypothesis validates each strategy once and not on every draw."""
+    return expressions(alg).map(lambda p: p[0])
+
+
 @st.composite
 def requests(draw):
     alg = draw(st.sampled_from(ALGEBRAS))
-    expr = expressions(alg).map(lambda p: p[0])
+    expr = expression_texts(alg)
     verb = draw(st.sampled_from(("normalize", "mul", "rank")))
     if verb == "normalize":
         argv = [draw(expr)]
@@ -116,24 +137,40 @@ def evaluated_normal_form(alg, expr, q0, t0):
     return {ctx.spec.alphabet.word_str(w): v for w, v in at.items() if v}
 
 
+def check_round_trips(alg, expr):
+    """Each of alg's ROUND_TRIPS around expr normalises to expr's own
+    symbolic normal form, when expr has one."""
+    rc, doc = run(["normalize", "--algebra", alg, "--", expr])
+    if rc:
+        return
+    for wrap in ROUND_TRIPS[alg]:
+        rc2, doc2 = run(["normalize", "--algebra", alg, "--", wrap.format(expr)])
+        assert rc2 == 0 and doc2["normal_form"] == doc["normal_form"], (alg, wrap, expr)
+
+
 @settings(max_examples=60, deadline=None)
 @given(requests())
 def test_cli_answers_json_or_one_error_line(argv):
     rc, doc = run(argv)
-    if argv[0] == "normalize" and "--q" in argv and rc == 0:
+    # options are read before "--" only: an expression such as --q is -(-q)
+    split = argv.index("--")
+    opts, exprs = argv[:split], argv[split + 1:]
+    alg = opts[opts.index("--algebra") + 1]
+    if alg in ROUND_TRIPS:
+        check_round_trips(alg, exprs[0])
+    if argv[0] == "normalize" and "--q" in opts and rc == 0:
         # specialisation commutes with normalisation: the terms at the
         # point equal the symbolic normal form evaluated there
-        alg, q0, t0, expr = (argv[argv.index(opt) + 1] for opt in ("--algebra", "--q", "--t", "--"))
-        want = evaluated_normal_form(alg, expr, q0, t0)
+        q0, t0 = (opts[opts.index(opt) + 1] for opt in ("--q", "--t"))
+        want = evaluated_normal_form(alg, exprs[0], q0, t0)
         if want is not None:
             assert {w: Fraction(c) for w, c in doc["terms"]} == want, argv
     if argv[0] != "mul":
         return
     # mul A B ... equals normalize "(A)*(B)*...": the same terms, or for a
     # localised result (terms one string) the same normal form
-    split = argv.index("--")
-    product = "*".join(f"({x})" for x in argv[split + 1:])
-    rc2, doc2 = run(["normalize", *argv[1:split + 1], product])
+    product = "*".join(f"({x})" for x in exprs)
+    rc2, doc2 = run(["normalize", *opts[1:], "--", product])
     if rc == rc2 == 0:
         key = "terms" if isinstance(doc["terms"], list) else "normal_form"
         assert doc[key] == doc2[key], argv

@@ -1,9 +1,13 @@
 """D_q(GL2): the 28 relations, localisation, cofactors, q-traces, moment map."""
 
+import json
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qhc import dqops
+from qhc.cli import main
 from qhc.coeffring import RAT, RC_ONE, RC_T, RatCoeff
 from qhc.dqops import (
     MOMENT_TABLE,
@@ -34,6 +38,7 @@ from qhc.qgroup import mat_mul
 from qhc.ncpoly import NcPoly
 from qhc.qgroup import oq_denominators, oq_spec
 from qhc.rewrite import LocElem, _on_right, check_ambiguities, hilbert_table
+from qhc.suites import run_verify_suite
 
 from oracles import diffops_positive_dims
 
@@ -122,6 +127,20 @@ def test_cofactor_display_erratum(D):
         claimed = claimed_cofactor_display(which)
         # the claimed bottom-right entry collapses to a single letter
         assert len(claimed[1][1].terms) == 1
+
+
+def test_cofactor_suite_catches_a_wrong_adjugate(monkeypatch, capsys):
+    # the suite's exact checks are the adjugate's certificate: the displayed
+    # matrix, with its erratum in the (2,2) entry, fails M*adj and adj*M in
+    # the second column or row, and matches the display it should not
+    monkeypatch.setattr(dqops, "cofactor", claimed_cofactor_display)
+    report = run_verify_suite("cofactor")
+    failed = [item["name"] for item in report["items"] if not item["pass"]]
+    assert failed == [f"{m}:{tag}" for m in "AD" for tag in
+                      ("M*adj[12]", "M*adj[22]", "adj*M[21]", "adj*M[22]",
+                       " display matches except the known erratum")]
+    assert main(["verify", "--suite", "cofactor"]) == 1
+    assert json.loads(capsys.readouterr().out)["failed"] == 10
 
 
 @pytest.mark.parametrize("spec, dens", [(dq_spec, dq_denominators), (oq_spec, oq_denominators)])
