@@ -5,7 +5,7 @@ value next to its closed series, with the time of each piece.
 For every bidegree (m, n) with m, n <= K one line gives the spherical
 series, the sandwich rank (spherical_dimensions) and the phi rank
 (phi_ranks), then the invariant series, the psibar rank (psibar_ranks) and
-the kernel of E (invariant_dimension).  The ranks are lower bounds and the
+the kernel of E (invariant_dimensions).  The ranks are lower bounds and the
 kernel an upper bound, so where all three of the second group meet the
 series the invariant dimension is certified.  The last line is the process's
 own peak resident set size, as scripts/run_suites.py prints it.  Exit code
@@ -20,7 +20,7 @@ import sys
 import time
 
 from qhc.daha import phi_ranks, spherical_dimensions
-from qhc.invham import invariant_dimension, psibar_ranks
+from qhc.invham import invariant_dimensions, psibar_ranks
 from qhc.suites import invariant_series, spherical_series
 from run_suites import peak_rss_mb
 
@@ -34,7 +34,7 @@ def main() -> int:
         "spherical_dimensions": lambda: spherical_dimensions(bidegrees),
         "phi_ranks": lambda: phi_ranks(bidegrees),
         "psibar_ranks": lambda: psibar_ranks(bidegrees),
-        "invariant_dimension": lambda: {d: invariant_dimension(*d) for d in bidegrees},
+        "invariant_dimension": lambda: invariant_dimensions(bidegrees),
     }
     values = {}
     for name, run in pieces.items():

@@ -10,18 +10,28 @@ Grammar (one pass covers both coefficient and algebra expressions):
 '/' requires a scalar divisor; '^' takes integer exponents up to
 MAX_EXPONENT in absolute value, negative ones only on scalars and on
 invertible single generators.  A factor may sit inside at most MAX_DEPTH
-parentheses and unary minus signs.  Errors carry line and column positions.
+parentheses and unary minus signs.  A power or a '*' chain stops with an
+error when what it has multiplied so far has coefficients of more than
+MAX_COEFF_MONOMIALS monomials.  Errors carry line and column positions.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
+from .coeffring import RatCoeff
 from .ncpoly import NcPoly
 
 
 #: largest |n| accepted in x^n; bounds the work and the size of a coefficient
 MAX_EXPONENT = 1000
+
+#: most monomials a value's coefficients may hold, summed over its terms and
+#: counting numerators and denominators, before it is multiplied by another
+#: factor of a power or of a '*' chain: the coefficients of a product chain
+#: grow much faster than its terms ((Q1+P1)^16 in sdaha has 473 terms and
+#: about 58,000 monomials, ^17 about 81,000), and so does the work
+MAX_COEFF_MONOMIALS = 65_536
 
 #: most parentheses and unary minus signs around one factor; each level costs
 #: the recursive-descent parser up to four Python frames, so this keeps it
@@ -97,12 +107,14 @@ def _int_value(tok: Token) -> int:
 class ValueOps:
     """Adapter the parser evaluates against.
 
-    Implementations must provide: scalar(coeff), atom(name) and the field
-    used for integer and q/t literals.  Values are NcPoly or rewrite.LocElem;
-    the parser adds, subtracts and negates them directly, and both provide
-    scalar_coeff(), the coefficient of a multiple of 1 or None.
+    Implementations must provide: scalar(coeff), atom(name), the spec and
+    the field used for integer and q/t literals.  Values are NcPoly or
+    rewrite.LocElem; the parser adds, subtracts and negates them directly,
+    and both provide scalar_coeff(), the coefficient of a multiple of 1 or
+    None.
     """
 
+    spec = None
     field = None
 
     def scalar(self, c):
@@ -113,6 +125,18 @@ class ValueOps:
 
     def mul(self, a, b):
         return a * b
+
+    def bounded(self, a, tok: Token):
+        """a, or ParseError naming the algebra when a's coefficients hold more
+        than MAX_COEFF_MONOMIALS monomials, a specialised coefficient counting
+        one; a power and a '*' chain pass each product so far through here
+        before they multiply it by the next factor."""
+        terms = a.terms if isinstance(a, NcPoly) else a.body.terms
+        size = sum(len(c.lnum) + len(c.lden or ()) if isinstance(c, RatCoeff) else 1 for c in terms.values())
+        if size > MAX_COEFF_MONOMIALS:
+            raise ParseError(f"{self.spec.algebra_id}: a product's coefficients exceed the limit of "
+                             f"{MAX_COEFF_MONOMIALS} monomials", tok.line, tok.col)
+        return a
 
     def div(self, a, b, tok: Token):
         c = b.scalar_coeff()
@@ -134,7 +158,7 @@ class ValueOps:
             a, n = self.invert_value(a, tok), -n
         out = self.scalar(self.field.one)
         for _ in range(n):
-            out = self.mul(out, a)
+            out = self.mul(self.bounded(out, tok), a)
         return out
 
     def invert_value(self, a, tok: Token):
@@ -212,7 +236,7 @@ class Parser:
         while self._peek().kind in ("*", "/"):
             op = self._next()
             rhs = self._factor()
-            v = self.ops.mul(v, rhs) if op.kind == "*" else self.ops.div(v, rhs, op)
+            v = self.ops.mul(self.ops.bounded(v, op), rhs) if op.kind == "*" else self.ops.div(v, rhs, op)
         return v
 
     def _factor(self):

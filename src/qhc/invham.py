@@ -34,7 +34,7 @@ from .dqops import (
     qtrace,
     trq_xt,
 )
-from .ncpoly import Alphabet, NcPoly
+from .ncpoly import Alphabet, NcPoly, Word
 from .qgroup import mat_mul
 from .rewrite import (
     AlgebraSpec,
@@ -279,8 +279,24 @@ def psibar_rank(M: int, N: int) -> int:
 # invariant dimensions by linear algebra mod primes at rational points
 # ---------------------------------------------------------------------------
 
-def invariant_dimension(M: int, N: int) -> int:
-    """An upper bound on dim of the U-invariants of D_q^+[M,N]: the kernel of
+def weight_zero_words(M: int, N: int) -> list[Word]:
+    """The normal words of dq of bidegree (M, N) and K-weight (0, 0).
+
+    dq's PBW blocks are single letters, every a (bidegree (1, 0)) before
+    every p (0, 1), so each normal word of (M, N) is a normal (M, 0)-word
+    followed by a normal (0, N)-word, and the K-weight adds: each A-word is
+    paired with the P-words of the opposite weight."""
+    pbw, act = dq_spec().pbw, dq_action()
+    p_words: dict[tuple[int, int], list[Word]] = {}
+    for v in pbw.enumerate(0, N):
+        p_words.setdefault(act._word_weight(v), []).append(v)
+    return [u + v for u in pbw.enumerate(M, 0)
+            for v in p_words.get(tuple(-x for x in act._word_weight(u)), ())]
+
+
+def invariant_dimensions(bidegrees) -> dict[tuple[int, int], int]:
+    """{(M, N): an upper bound on dim of the U-invariants of D_q^+[M,N]} for
+    the requested bidegrees, in the order they first appear: the kernel of
     E on the K-weight-zero words at rewrite.POINTS (Residues.ranks), which
     must agree (the action carries no t, so only their q values matter).
     For each point, with p its prime,
@@ -297,16 +313,48 @@ def invariant_dimension(M: int, N: int) -> int:
     faulty action that keeps E onto goes unseen here; the moment suite's
     invariance check on mu(Z_t), which applies E and F, tests the action.
 
-    There is one row per weight-zero word: its E image's terms, from
-    dq_action().images, each word's image built from its tail's by the
-    coproduct rule, so words that end alike share that work.  The images
-    stay exact; only their coefficients' residues are ranked."""
-    D, res = dq_spec(), Residues()
-    act = dq_action()
-    words = [w for w in D.pbw.enumerate(M, N) if act._word_weight(w) == (0, 0)]
-    ranks = res.ranks([res.row(e.terms) for e in act.images("E", words)])
-    return res.agreed(f"{D.algebra_id}: invariant dimension at ({M}, {N})",
-                      [len(words) - r for r in ranks], ranks)
+    The words are weight_zero_words(M, N): each normal (M, 0)-word, an
+    A-word, followed by each normal (0, N)-word, a P-word, of the opposite
+    weight, without enumerating and filtering the rest of dq's (M, N)
+    words.  There is one row per word: the residues of its E image,
+    built from its tail's by the coproduct rule (AdjointAction.scalars),
+    E > (x u) = s_img (E > x) u + s_x x (E > u), in integers mod N: the
+    nf_row of x v over the tail image's residues and of iw u over the words
+    iw of E > x.  Evaluation at a point and reduction mod N are ring maps
+    (see rewrite.POINTS) and normal forms are linear, so each row is the
+    row of the exact image that AdjointAction.images builds, evaluated, and
+    the bound chain above is unchanged.  The normal forms come from dq's
+    one cache, and the words reduced are those the exact images reduce,
+    save one whose coefficient vanishes mod N.  One tail_map makes the rows
+    of every requested bidegree, so words that end alike share their
+    tails' images across the bidegrees; it is dropped when the call
+    returns."""
+    D, res, act = dq_spec(), Residues(), dq_action()
+    of, weights = res.of, act.weights
+    e_images = {x: [(iw, of(c)) for iw, c in p.terms.items()] for x, p in act.e_images.items()}
+
+    def step(x, u, tail):
+        (a, b), img_u = tail
+        wa, wb = weights[x]
+        s_img, s_x = (of(s) for s in act.scalars("E", x, (a, b)))
+        pairs = [((x,) + v, r * s_x) for v, r in img_u.items()]
+        pairs += [(iw + u, r * s_img) for iw, r in e_images[x]]
+        return (a + wa, b + wb), res.nf_row(D, pairs)
+
+    image = tail_map(step, ((0, 0), {}))
+    out = {}
+    for M, N in dict.fromkeys(bidegrees):
+        words = weight_zero_words(M, N)
+        ranks = res.ranks([image(w)[1] for w in words])
+        out[M, N] = res.agreed(f"{D.algebra_id}: invariant dimension at ({M}, {N})",
+                               [len(words) - r for r in ranks], ranks)
+    return out
+
+
+def invariant_dimension(M: int, N: int) -> int:
+    """The kernel of E on dq's weight-zero words of (M, N), as
+    invariant_dimensions computes it."""
+    return invariant_dimensions([(M, N)])[M, N]
 
 
 # ---------------------------------------------------------------------------

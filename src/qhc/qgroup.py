@@ -461,12 +461,22 @@ class AdjointAction:
             b += wb
         return (a, b)
 
+    def scalars(self, gen: str, x: int, tail_weight: tuple[int, int]) -> tuple[RatCoeff, RatCoeff]:
+        """(s_img, s_x), the two scalars of the coproduct rule for gen > (x u),
+        gen E or F, x a letter and u a word of K-weight tail_weight:
+
+            gen > (x u) = s_img (gen > x) u + s_x x (gen > u), so
+            E > (x u) = q^(w1(u) - w2(u)) (E > x) u + x (E > u)
+            F > (x u) = (F > x) u + q^(w2(x) - w1(x)) x (F > u)."""
+        if gen == "E":
+            a, b = tail_weight
+            return _q(a - b), RC_ONE
+        wa, wb = self.weights[x]
+        return RC_ONE, _q(wb - wa)
+
     def images(self, gen: str, words) -> list[NcPoly]:
         """[nf(gen > w) for w in words], gen E or F, each word's image built
-        from its tail's by the coproduct rule:
-
-            E > (x u) = q^(w1(u) - w2(u)) (E > x) u + x (E > u)
-            F > (x u) = (F > x) u + q^(w2(x) - w1(x)) x (F > u)
+        from its tail's by the coproduct rule (scalars).
 
         Every term is an image word of x in front of u, or x in front of a
         normal word, and one nf per tail reduces them (one rewrite.tail_map
@@ -482,7 +492,7 @@ class AdjointAction:
         def step(x, u, tail):
             (a, b), img_u = tail
             wa, wb = weights[x]
-            s_img, s_x = (_q(a - b), RC_ONE) if gen == "E" else (RC_ONE, _q(wb - wa))
+            s_img, s_x = self.scalars(gen, x, (a, b))
             terms = NcPoly(alph, {(x,) + v: c * s_x for v, c in img_u.terms.items()}, field, _clean=True)
             terms += NcPoly(alph, {iw + u: c * s_img for iw, c in table[x].terms.items()}, field, _clean=True)
             return (a + wa, b + wb), spec.nf(terms)

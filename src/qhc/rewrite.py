@@ -158,9 +158,9 @@ class PowerBlocksPbw:
         the least the later blocks can still complete, so one-letter blocks
         of positive degree give the words in lexicographic order of their
         letter indexes (for oq, the order of
-        itertools.combinations_with_replacement).  dq's invariant_dimension
-        takes its row order from this, and frac_rank keeps it only among
-        rows of equal length, so the rank does not depend on it.
+        itertools.combinations_with_replacement).  The rank families take
+        their row order from this, and frac_rank keeps it only among rows
+        of equal length, so no rank depends on it.
         """
         alph = self.alphabet
         blocks = [(p, cap, alph.gens[p].bidegree) for p, _, cap in self.blocks]
@@ -872,24 +872,26 @@ class Residues:
         """{key: residue} for {key: coefficient}, zero residues dropped."""
         return {k: v for k, c in terms.items() if (v := self.of(c))}
 
+    def nf_row(self, spec: AlgebraSpec, pairs) -> dict[Word, int]:
+        """The residues of the sum of r * nf(w) over the (w, r) pairs, r a
+        residue: the cached normal forms spec._nf_terms(w), so a word
+        missing from the spec's one normal-form cache is reduced and stored
+        there as nf stores it."""
+        n, of, nf_terms = self.n, self.of, spec._nf_terms
+        out: dict[Word, int] = {}
+        for w, r in pairs:
+            for hw, hc in nf_terms(w):
+                out[hw] = out.get(hw, 0) + r * of(hc)
+        return {w: s for w, r in out.items() if (s := r % n)}
+
     def acts(self, spec: AlgebraSpec, b: dict[Word, int]) -> Callable[[NcPoly], dict[Word, int]]:
         """The map a -> the residues of nf(a * b), for b the residues of a
         normal form: spec._acts in integers mod N.  Each word of a acts on b
-        one letter at a time through a tail_map whose step sums the cached
-        normal forms spec._nf_terms(x v) over the words v of its tail's
-        image, so a word missing from the spec's one normal-form cache is
-        reduced and stored there as nf stores it.  The tail map lives as
+        one letter at a time through a tail_map whose step is the nf_row of
+        x v over the words v of its tail's image.  The tail map lives as
         long as this map does."""
-        n, of, nf_terms = self.n, self.of, spec._nf_terms
-
-        def step(x, u, img: dict[Word, int]) -> dict[Word, int]:
-            out: dict[Word, int] = {}
-            for v, r in img.items():
-                for hw, hc in nf_terms((x,) + v):
-                    out[hw] = out.get(hw, 0) + r * of(hc)
-            return {w: s for w, r in out.items() if (s := r % n)}
-
-        image = tail_map(step, b)
+        n, of = self.n, self.of
+        image = tail_map(lambda x, u, img: self.nf_row(spec, [((x,) + v, r) for v, r in img.items()]), b)
 
         def apply(a: NcPoly) -> dict[Word, int]:
             out: dict[Word, int] = {}

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -457,3 +458,19 @@ def test_cli_rejects_huge_exponent(capsys):
         rc = main(argv)
         assert rc == 2
         assert "exceeds the limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr, col", [("(Q1+P1)^24", 8), ("*".join(["(Q1+P1)"] * 24), 8 * 17)],
+                         ids=["power", "chain"])
+def test_cli_product_chain_coefficients_are_bounded(capsys, expr, col):
+    # both forms once ran past 20 s: after 17 factors the terms number 554
+    # but their coefficients hold about 81,000 monomials, so the next
+    # factor is refused at its '^' or '*'
+    t0 = time.perf_counter()
+    rc = main(["normalize", "--algebra", "sdaha", expr])
+    assert time.perf_counter() - t0 < 20
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.out == ""
+    assert cap.err == (f"error: sdaha: a product's coefficients exceed the limit of "
+                       f"{exprparse.MAX_COEFF_MONOMIALS} monomials (line 1, column {col})\n")

@@ -18,6 +18,7 @@ from qhc.invham import (
     ham_spec,
     inv_spec,
     invariant_dimension,
+    invariant_dimensions,
     moment_zt_in_invariant_coordinates,
     psi_congruent_zero,
     psibar_apply,
@@ -27,6 +28,7 @@ from qhc.invham import (
     psibar_relation_residuals,
     psibar_words,
     quotient_w_image,
+    weight_zero_words,
 )
 from qhc.ncpoly import NcPoly
 from qhc.qgroup import AdjointAction
@@ -195,6 +197,26 @@ def test_invariant_dimension_matches_hilbert(B):
     for m in range(4):
         for n in range(4):
             assert invariant_dimension(m, n) == series.get((m, n), 0), (m, n)
+
+
+def test_weight_zero_words_are_the_filtered_enumeration():
+    # each A-word paired with the P-words of opposite weight gives the
+    # weight-zero normal words of (m, n), each once
+    D, act = dq_spec(), dq_action()
+    for m in range(5):
+        for n in range(5):
+            words = weight_zero_words(m, n)
+            assert len(set(words)) == len(words), (m, n)
+            assert set(words) == {w for w in D.pbw.enumerate(m, n) if act._word_weight(w) == (0, 0)}, (m, n)
+
+
+def test_invariant_dimensions_match_one_bidegree_at_a_time():
+    # one tail map across the bidegrees gives each the value it gets alone,
+    # keyed in the order the bidegrees first appear
+    bidegrees = [(2, 2), (0, 0), (3, 1), (2, 2), (1, 3)]
+    got = invariant_dimensions(bidegrees)
+    assert list(got) == [(2, 2), (0, 0), (3, 1), (1, 3)]
+    assert got == {d: invariant_dimension(*d) for d in got}
 
 
 def test_invariant_dimension_equals_the_joint_kernel_at_each_point():

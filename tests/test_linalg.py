@@ -328,16 +328,16 @@ def test_point_ranks_equal_separate_eliminations_on_the_suite_families(monkeypat
 # ---------------------------------------------------------------------------
 
 def _residue_rows(monkeypatch, family, bidegrees):
-    """{(M, N): the residue rows family ranks there}, read off Residues.rank."""
+    """{(M, N): the residue rows family ranks there}, read off Residues.ranks."""
     seen = []
-    rank = Residues.rank
+    ranks = Residues.ranks
 
-    def recording(self, rows, what):
+    def recording(self, rows):
         seen.append(rows)
-        return rank(self, rows, what)
+        return ranks(self, rows)
 
     with monkeypatch.context() as m:
-        m.setattr(Residues, "rank", recording)
+        m.setattr(Residues, "ranks", recording)
         family(bidegrees)
     return dict(zip(dict.fromkeys(bidegrees), seen, strict=True))
 
@@ -372,6 +372,12 @@ def test_psibar_residue_rows_equal_the_exact_images_evaluated(monkeypatch):
         assert not any(any(img.exps) for img in images)
         want[d] = _evaluated([img.body for img in images])
     assert got == want
+
+
+def test_kernel_of_e_residue_rows_equal_the_exact_images_evaluated(monkeypatch):
+    got = _residue_rows(monkeypatch, invham.invariant_dimensions, BIDEGREES_33)
+    act = invham.dq_action()
+    assert got == {d: _evaluated(act.images("E", invham.weight_zero_words(*d))) for d in BIDEGREES_33}
 
 
 SCALARS = [RC_ONE, n(-2), RC_Q, RC_T, RC_Q - RC_T, RC_ONE / (RC_ONE + RC_T * RC_T), RC_ONE / RC_Q]

@@ -57,7 +57,8 @@ def test_oq_enumeration_order():
 
 
 def test_dq_enumeration_order():
-    # invariant_dimension takes its rows in this order
+    # each normal word of (m, n) is an (m, 0)-word followed by a (0, n)-word,
+    # which invham.weight_zero_words relies on
     D = dq_spec()
     a = D.alphabet.word("a11", "a12", "a21", "a22")
     p = D.alphabet.word("p11", "p12", "p21", "p22")
