@@ -23,10 +23,11 @@ import re
 import sys
 
 from . import daha, dqops, hciso, invham, qgroup, suites
-from .coeffring import CoeffError, coeff_str
-from .exprparse import ParseError, Parser, ValueOps, WordAlgebraOps
+from .coeffring import CoeffError, QQField, coeff_str
+from .exprparse import ParseError, Parser, ValueOps, WordAlgebraOps, tokenize
 from .ncpoly import NcPoly
-from .rewrite import EngineError, LocElem, check_ambiguities, hilbert_table, rank_of_family
+from .rewrite import (EngineError, LocElem, check_ambiguities, hilbert_table, rank_of_family,
+                      specialisation_point)
 
 ALGEBRAS = ("daha", "sdaha", "uq", "oq", "dq", "inv", "ham")
 
@@ -80,8 +81,9 @@ class Context:
             "inv": invham.inv_spec,
             "ham": invham.ham_spec,
         }[algebra]()
-        # specialize converts --q/--t and refuses malformed or degenerate points
-        self.spec = base.specialize(q0, t0) if self.specialized else base
+        # specialisation_point converts --q/--t and refuses malformed or
+        # degenerate points
+        self.spec = base.over(QQField(*specialisation_point(q0, t0))) if self.specialized else base
         if not self.specialized and algebra in LOCALISED:
             dens, named = LOCALISED[algebra]
             self.ops: ValueOps = LocOps(self.spec, dens(), named)
@@ -135,7 +137,8 @@ def cmd_mul(args) -> int:
     ctx = Context(args.algebra, args.q, args.t)
     a = ctx.parse(args.exprs[0])
     for src in args.exprs[1:]:
-        a = ctx.ops.mul(a, ctx.parse(src))
+        # bounded like a '*' chain; a breach points at the operand's start
+        a = ctx.ops.mul(ctx.ops.bounded(a, tokenize(src)[0]), ctx.parse(src))
     a = ctx.normalize(a)
     _emit({
         "schema": 1,

@@ -631,6 +631,10 @@ class RatField:
     def from_int(n: int) -> RatCoeff:
         return RatCoeff.from_int(n)
 
+    @staticmethod
+    def eval(c: RatCoeff) -> RatCoeff:
+        return c
+
 
 class QQField:
     """Coefficients specialised at a rational point (q0, t0)."""

@@ -37,26 +37,22 @@ point's prime, so every per-point rank is unchanged.
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 
-from .coeffring import RAT, RC_ONE, RC_T, RatCoeff
+from .coeffring import RAT, RC_ONE, RC_T
 from .ncpoly import Alphabet, NcPoly
 from .rewrite import (
     AlgebraSpec,
     EngineError,
     PowerBlocksPbw,
     QCentralGen,
-    Residues,
     RewriteRule,
+    carry,
     tail_map,
 )
 
 BETA = RC_T - RC_T.inverse()          # t - 1/t
 T2P1 = RC_ONE + RC_T * RC_T           # 1 + t^2
-
-
-def _q(k: int) -> RatCoeff:
-    return RAT.q_power(k)
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +173,10 @@ class _DahaBuilder:
         y1x1 = self.word("Y1", "X1")
         s2 = self.partial(trusted)
         xy_pos = {
-            ("X1", "Y1"): s2.nf(tm2 * y1x1).scale(_q(-2)),
+            ("X1", "Y1"): s2.nf(tm2 * y1x1).scale(RAT.q_power(-2)),
             ("X1", "Y2"): self.word("Y2", "X1") + s2.nf(tm1 * y1x1).scale(BETA),
-            ("X2", "Y1"): self.word("Y1", "X2") + s2.nf(tm1 * y1x1).scale(BETA * _q(-2)),
-            ("X2", "Y2"): s2.nf(self.word("Y2", "X2") * tm2).scale(_q(-2)),
+            ("X2", "Y1"): self.word("Y1", "X2") + s2.nf(tm1 * y1x1).scale(BETA * RAT.q_power(-2)),
+            ("X2", "Y2"): s2.nf(self.word("Y2", "X2") * tm2).scale(RAT.q_power(-2)),
         }
         xy_rules = [self.rule(k, v, f"{k[0]}*{k[1]}") for k, v in xy_pos.items()]
         trusted += xy_rules
@@ -205,11 +201,11 @@ class _DahaBuilder:
             return out
 
         def m_factor(w):
-            return _q(2 * a.word_bidegree(w)[0])
+            return RAT.q_power(2 * a.word_bidegree(w)[0])
 
         def n_factor_of_x(w):
             xl = w[-1]
-            return _q(2 * (1 if a.gens[xl].inverse_of is None else -1))
+            return RAT.q_power(2 * (1 if a.gens[xl].inverse_of is None else -1))
 
         partner = {"X1": "X2", "X2": "X1", "Y1": "Y2", "Y2": "Y1"}
 
@@ -256,7 +252,7 @@ def defining_relation_residuals(spec: AlgebraSpec | None = None) -> list[tuple[s
         ("TiY1Ti=Y2", spec.nf(w("Ti", "Y1", "Ti") - g("Y2"))),
         ("X1X2=X2X1", spec.nf(w("X1", "X2") - w("X2", "X1"))),
         ("Y1Y2=Y2Y1", spec.nf(w("Y1", "Y2") - w("Y2", "Y1"))),
-        ("Y1X1X2=q2X1X2Y1", spec.nf(w("Y1", "X1", "X2") - w("X1", "X2", "Y1").scale(_q(2)))),
+        ("Y1X1X2=q2X1X2Y1", spec.nf(w("Y1", "X1", "X2") - w("X1", "X2", "Y1").scale(RAT.q_power(2)))),
         ("X1iY2=Y2X1iTi2", spec.nf(w("X1i", "Y2") - spec.mul(w("Y2", "X1i"), w("Ti", "Ti")))),
         ("hecke", spec.nf(spec.mul(g("T") + spec.scalar(RC_T.inverse()),
                                    g("T") - spec.scalar(RC_T)))),
@@ -272,12 +268,12 @@ def reordering_residuals(spec: AlgebraSpec | None = None) -> list[tuple[str, NcP
     w = spec.word_poly
     tm2 = w("Ti", "Ti")
     items = [
-        ("X1Y1", spec.nf(w("X1", "Y1") - spec.mul(tm2, w("Y1", "X1")).scale(_q(-2)))),
+        ("X1Y1", spec.nf(w("X1", "Y1") - spec.mul(tm2, w("Y1", "X1")).scale(RAT.q_power(-2)))),
         ("X1Y2", spec.nf(w("X1", "Y2") - w("Y2", "X1")
                          - spec.mul(w("Ti"), w("Y1", "X1")).scale(BETA))),
         ("X2Y1", spec.nf(w("X2", "Y1") - w("Y1", "X2")
-                         - spec.mul(w("Ti"), w("Y1", "X1")).scale(BETA * _q(-2)))),
-        ("X2Y2", spec.nf(w("X2", "Y2") - spec.mul(w("Y2", "X2"), tm2).scale(_q(-2)))),
+                         - spec.mul(w("Ti"), w("Y1", "X1")).scale(BETA * RAT.q_power(-2)))),
+        ("X2Y2", spec.nf(w("X2", "Y2") - spec.mul(w("Y2", "X2"), tm2).scale(RAT.q_power(-2)))),
         ("Ti=T-(t-1/t)", spec.nf(w("Ti") - spec.gen("T") + spec.unit().scale(BETA))),
     ]
     return items
@@ -342,12 +338,12 @@ def sdaha_spec() -> AlgebraSpec:
         return NcPoly.from_word(alph, alph.word(*names))
 
     one = RC_ONE
-    qm2 = _q(-2)
-    r2_coeff = T2P1 * (_q(-2) + (RC_T * RC_T).inverse())
+    qm2 = RAT.q_power(-2)
+    r2_coeff = T2P1 * (RAT.q_power(-2) + (RC_T * RC_T).inverse())
     rules_src = [
         (("P2", "P1"), W("P1", "P2"), "P2*P1"),
         (("Q2", "Q1"), W("Q1", "Q2"), "Q2*Q1"),
-        (("P2", "Q2"), W("Q2", "P2").scale(_q(-4)), "P2*Q2"),
+        (("P2", "Q2"), W("Q2", "P2").scale(RAT.q_power(-4)), "P2*Q2"),
         (("P2", "Q1"), W("Q1", "P2").scale(qm2), "P2*Q1"),
         (("P1", "Q2"), W("Q2", "P1").scale(qm2), "P1*Q2"),
         (("P1", "Q1"), W("Q1", "P1") + W("R").scale(qm2 - one), "P1*Q1"),
@@ -399,13 +395,14 @@ def _phi_images() -> dict[str, NcPoly]:
 def _phi_bodies(acts, body):
     """The map w -> (body b1) ... (body bk) body on spherical words
     w = x1...xk, which is phi(w) / E_SCALE^(k+1) since e * e = e: a
-    rewrite.tail_map from body, each letter's image acting on its tail's
-    through acts(tail), the map a -> nf(a * tail), so words that end alike
-    share their tails' bodies.  phi_apply passes daha_spec()._acts and the
-    body 1 + t T, phi_ranks a Residues product map and that body's
-    residues."""
-    images, gens = _phi_images(), sdaha_spec().alphabet.gens
-    return tail_map(lambda x, u, tail: acts(tail)(images[gens[x].name]), body)
+    rewrite.tail_map from body, each letter's image, carried into body's
+    field, acting on its tail's through acts(tail), the map
+    a -> nf(a * tail), so words that end alike share their tails' bodies.
+    phi_apply passes daha_spec()._acts and the body 1 + t T, phi_ranks the
+    same in daha's residue spec."""
+    alph = sdaha_spec().alphabet
+    images = {alph.index(name): carry(p, body.field) for name, p in _phi_images().items()}
+    return tail_map(lambda x, u, tail: acts(tail)(images[x]), body)
 
 
 def phi_apply(x: NcPoly) -> NcPoly:
@@ -454,22 +451,20 @@ def spherical_dimensions(bidegrees) -> dict[tuple[int, int], int]:
     t0 is a unit mod its point's prime, so the T-led rows change no
     per-point rank.
 
-    Each row is built as residues from the one normal-form cache
-    (Residues.acts), which equals the exact row evaluated (see
-    rewrite.POINTS).  One product map makes the residues of
-    nf(w (1 + t T)) for the words of every bidegree, so words that end
-    alike share their tails' products across the bidegrees; it is dropped
-    when the call returns.  Each bidegree's rows are ranked and dropped
+    The rows are products in daha's residue spec (AlgebraSpec.at_points;
+    see rewrite.POINTS).  One _acts map makes nf(w (1 + t T)) for the words
+    of every bidegree, so words that end alike share their tails' products
+    across the bidegrees.  Each bidegree's rows are ranked and dropped
     before the next are made."""
-    spec, res = daha_spec(), Residues()
-    body = idempotent_body()
+    spec = daha_spec().at_points()
+    body = carry(idempotent_body(), spec.field)
     T = spec.alphabet.index("T")
-    right = res.acts(spec, res.row(body.terms))
+    right = spec._acts(body)
     out = {}
     for M, N in dict.fromkeys(bidegrees):
-        rows = [res.acts(spec, right(NcPoly.from_word(spec.alphabet, w)))(body)
+        rows = [spec._acts(right(NcPoly.from_word(spec.alphabet, w, field=spec.field)))(body).terms
                 for w in spec.pbw.enumerate(M, N) if w[:1] != (T,)]
-        out[M, N] = res.rank(rows, f"{spec.algebra_id}: sandwich rank at ({M}, {N})")
+        out[M, N] = spec.field.rank(rows, f"{spec.algebra_id}: sandwich rank at ({M}, {N})")
     return out
 
 
@@ -484,17 +479,12 @@ def phi_ranks(bidegrees) -> dict[tuple[int, int], int]:
     at rewrite.POINTS, which must agree (Residues.rank): a lower bound on
     the generic rank.  The rows are the word bodies, each phi(w) times
     (1 + t^2)^(k+1) for a word of length k, a nonzero scalar at every point
-    mod its prime, so the rank is the same.
-
-    The bodies are built as residues from the one normal-form cache
-    (Residues.acts), which equals the exact bodies evaluated (see
-    rewrite.POINTS).  One _phi_bodies map makes them all, so words that
-    end alike share their tails' bodies across the bidegrees; the map is
-    dropped when the call returns."""
-    spec, sd, res = daha_spec(), sdaha_spec(), Residues()
-    body = _phi_bodies(partial(res.acts, spec), res.row(idempotent_body().terms))
-    return {(M, N): res.rank([body(w) for w in sd.pbw.enumerate(M, N)],
-                             f"{spec.algebra_id}: phi rank at ({M}, {N})")
+    mod its prime, so the rank is the same.  One _phi_bodies map in daha's
+    residue spec (AlgebraSpec.at_points) makes them all."""
+    spec, sd = daha_spec().at_points(), sdaha_spec()
+    body = _phi_bodies(spec._acts, carry(idempotent_body(), spec.field))
+    return {(M, N): spec.field.rank([body(w).terms for w in sd.pbw.enumerate(M, N)],
+                                    f"{spec.algebra_id}: phi rank at ({M}, {N})")
             for M, N in dict.fromkeys(bidegrees)}
 
 

@@ -56,10 +56,6 @@ from .qgroup import (
 from .rewrite import AlgebraSpec, Denominator, LocElem, PowerBlocksPbw, RewriteRule
 
 
-def _q(k: int) -> RatCoeff:
-    return RAT.q_power(k)
-
-
 _A_NAMES = ("a11", "a12", "a21", "a22")
 _P_NAMES = ("p11", "p12", "p21", "p22")
 
@@ -79,7 +75,7 @@ def dq_spec() -> AlgebraSpec:
         return NcPoly.from_word(alph, alph.word(*names))
 
     one = RC_ONE
-    qm2, qm4, q2 = _q(-2), _q(-4), _q(2)
+    qm2, qm4, q2 = RAT.q_power(-2), RAT.q_power(-4), RAT.q_power(2)
     qq2 = (RAT.q_power(1) - RAT.q_power(-1)) ** 2      # (q - 1/q)^2
     rules = _re_rules(alph, *_A_NAMES) + _re_rules(alph, *_P_NAMES)
     cross = [
@@ -156,7 +152,7 @@ def qmat_d() -> list[list[LocElem]]:
 def trq_xt() -> RatCoeff:
     """tr_q of the defining diagonal matrix diag(1/t^2, t^2)."""
     t2 = RC_T * RC_T
-    return t2.inverse() + _q(-2) * t2
+    return t2.inverse() + RAT.q_power(-2) * t2
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +180,7 @@ def claimed_cofactor_display(which: str) -> tuple[tuple[NcPoly, ...], ...]:
     erratum (they repeat the 22 letter where the solved value needs the 11)."""
     D = dq_spec()
     n11, n12, n21, n22 = _names(which)
-    q2 = _q(2)
+    q2 = RAT.q_power(2)
     return (
         (D.gen(n22), D.gen(n12).scale(-q2)),
         (D.gen(n21).scale(-q2), D.gen(n22).scale(q2) + D.gen(n22).scale(RC_ONE - q2)),
@@ -241,10 +237,10 @@ def det_qcommutation_residuals() -> list[tuple[str, NcPoly]]:
     for n in _A_NAMES:
         g = D.gen(n)
         out.append((f"detA*{n}", D.nf(dA * g - g * dA)))
-        out.append((f"detD*{n}", D.nf(dD * g - (g * dD).scale(_q(-2)))))
+        out.append((f"detD*{n}", D.nf(dD * g - (g * dD).scale(RAT.q_power(-2)))))
     for n in _P_NAMES:
         g = D.gen(n)
-        out.append((f"{n}*detA", D.nf(g * dA - (dA * g).scale(_q(-2)))))
+        out.append((f"{n}*detA", D.nf(g * dA - (dA * g).scale(RAT.q_power(-2)))))
         out.append((f"{n}*detD", D.nf(g * dD - dD * g)))
     return out
 
@@ -281,7 +277,7 @@ def moment_matrix() -> tuple[tuple[LocElem, ...], ...]:
 @cache
 def moment_zt() -> LocElem:
     """mu(Z_t) = tr_q(mu(L)) - q^4 (1/t^2 + q^-2 t^2)."""
-    return qtrace(moment_matrix()) - dq_elem(dq_spec().scalar(_q(4) * trq_xt()))
+    return qtrace(moment_matrix()) - dq_elem(dq_spec().scalar(RAT.q_power(4) * trq_xt()))
 
 
 def _moment_table() -> dict[str, list[tuple[RatCoeff, int, int]]]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 
-from .coeffring import RAT, RC_ONE, RatCoeff
+from .coeffring import RAT, RC_ONE
 from .dqops import (
     cofactor,
     det_a_body,
@@ -42,15 +42,11 @@ from .rewrite import (
     LocElem,
     PowerBlocksPbw,
     QCentralGen,
-    Residues,
     RewriteRule,
+    carry,
     divide,
     tail_map,
 )
-
-
-def _q(k: int) -> RatCoeff:
-    return RAT.q_power(k)
 
 
 _INV_GENS = [
@@ -82,11 +78,11 @@ def _inv_rules_common(alph):
         return NcPoly.from_word(alph, alph.word(*names))
 
     one = RC_ONE
-    qm2 = _q(-2)
+    qm2 = RAT.q_power(-2)
     rules = [
         RewriteRule(alph.word("c2", "c1"), W("c1", "c2"), "c2*c1"),
         RewriteRule(alph.word("d2", "d1"), W("d1", "d2"), "d2*d1"),
-        RewriteRule(alph.word("d2", "c2"), W("c2", "d2").scale(_q(-4)), "d2*c2"),
+        RewriteRule(alph.word("d2", "c2"), W("c2", "d2").scale(RAT.q_power(-4)), "d2*c2"),
         RewriteRule(alph.word("d2", "c1"), W("c1", "d2").scale(qm2), "d2*c1"),
         RewriteRule(alph.word("d1", "c2"), W("c2", "d1").scale(qm2), "d1*c2"),
         RewriteRule(alph.word("d1", "c1"), W("c1", "d1") + W("r").scale(qm2 - one), "d1*c1"),
@@ -115,12 +111,12 @@ def inv_spec() -> AlgebraSpec:
     def W(*names):
         return NcPoly.from_word(alph, alph.word(*names))
 
-    qm2, qm4 = _q(-2), _q(-4)
+    qm2, qm4 = RAT.q_power(-2), RAT.q_power(-4)
     rules = _inv_rules_common(alph)
     rules.append(RewriteRule(
         alph.word("r", "r"),
         W("w").scale(qm4)
-        + W("c2", "d2").scale(qm4 + _q(-6))
+        + W("c2", "d2").scale(qm4 + RAT.q_power(-6))
         - W("c2", "d1", "d1").scale(qm4)
         - W("c1", "c1", "d2").scale(qm4)
         + W("c1", "r", "d1").scale(qm2),
@@ -130,8 +126,8 @@ def inv_spec() -> AlgebraSpec:
         RewriteRule(alph.word("w", "r"), W("r", "w"), "w*r"),
         RewriteRule(alph.word("w", "c1"), W("c1", "w").scale(qm2), "w*c1"),
         RewriteRule(alph.word("w", "c2"), W("c2", "w").scale(qm4), "w*c2"),
-        RewriteRule(alph.word("w", "d1"), W("d1", "w").scale(_q(2)), "w*d1"),
-        RewriteRule(alph.word("w", "d2"), W("d2", "w").scale(_q(4)), "w*d2"),
+        RewriteRule(alph.word("w", "d1"), W("d1", "w").scale(RAT.q_power(2)), "w*d1"),
+        RewriteRule(alph.word("w", "d2"), W("d2", "w").scale(RAT.q_power(4)), "w*d2"),
     ]
     return AlgebraSpec(
         alph, rules, pbw,
@@ -198,7 +194,7 @@ def psibar_images() -> dict[str, LocElem]:
         "d1": qtrace(Dm),
         "d2": dq_elem(det_d_body()),
         "d2i": dq_elem(D.unit(), 0, 1),
-        "r": qtrace(mat_mul(Dm, Am)).scale(_q(2)),
+        "r": qtrace(mat_mul(Dm, Am)).scale(RAT.q_power(2)),
         "w": qtrace(w_mat),
     }
 
@@ -246,27 +242,26 @@ def psibar_ranks(bidegrees) -> dict[tuple[int, int], int]:
     rewrite.POINTS, which must agree (Residues.rank): a lower bound on the
     generic rank.
 
-    Each image is built as residues from dq's one normal-form cache, its
-    first letter's image acting on its tail's (Residues.acts), as
-    psibar_words builds it from LocElem products.  That equals the exact
-    image evaluated (see rewrite.POINTS).  Every positive-cone letter's
-    image has no denominator, so the product of two such images is the
-    normal form of the product of their bodies.  One tail_map makes the
-    images of every requested bidegree's PBW words, so words that end alike
-    share their tails' products across the bidegrees; it is dropped when
-    the call returns."""
-    B, D, res = inv_spec(), dq_spec(), Residues()
-    img, gens = psibar_images(), B.alphabet.gens
+    Each image is its first letter's image acting on its tail's, as
+    psibar_words builds it from LocElem products, but by _acts in dq's
+    residue spec (AlgebraSpec.at_points; see rewrite.POINTS).  Every
+    positive-cone letter's image has no denominator, so the product of two
+    such images is the normal form of the product of their bodies.  One
+    tail_map makes the images of every requested bidegree's PBW words, so
+    words that end alike share their tails' products across the
+    bidegrees."""
+    B, D = inv_spec(), dq_spec().at_points()
+    bodies = {B.alphabet.index(name): carry(im.body, D.field)
+              for name, im in psibar_images().items() if not any(im.exps)}
 
     def step(x, u, tail):
-        im = img[gens[x].name]
-        if any(im.exps):
+        if x not in bodies:
             raise EngineError("positive-cone image unexpectedly localised")
-        return res.acts(D, tail)(im.body)
+        return D._acts(tail)(bodies[x])
 
-    image = tail_map(step, res.row(D.unit().terms))
-    return {(M, N): res.rank([image(w) for w in B.pbw.enumerate(M, N)],
-                             f"{D.algebra_id}: psibar rank at ({M}, {N})")
+    image = tail_map(step, D.unit())
+    return {(M, N): D.field.rank([image(w).terms for w in B.pbw.enumerate(M, N)],
+                                 f"{D.algebra_id}: psibar rank at ({M}, {N})")
             for M, N in dict.fromkeys(bidegrees)}
 
 
@@ -316,38 +311,21 @@ def invariant_dimensions(bidegrees) -> dict[tuple[int, int], int]:
     The words are weight_zero_words(M, N): each normal (M, 0)-word, an
     A-word, followed by each normal (0, N)-word, a P-word, of the opposite
     weight, without enumerating and filtering the rest of dq's (M, N)
-    words.  There is one row per word: the residues of its E image,
-    built from its tail's by the coproduct rule (AdjointAction.scalars),
-    E > (x u) = s_img (E > x) u + s_x x (E > u), in integers mod N: the
-    nf_row of x v over the tail image's residues and of iw u over the words
-    iw of E > x.  Evaluation at a point and reduction mod N are ring maps
-    (see rewrite.POINTS) and normal forms are linear, so each row is the
-    row of the exact image that AdjointAction.images builds, evaluated, and
-    the bound chain above is unchanged.  The normal forms come from dq's
-    one cache, and the words reduced are those the exact images reduce,
-    save one whose coefficient vanishes mod N.  One tail_map makes the rows
-    of every requested bidegree, so words that end alike share their
-    tails' images across the bidegrees; it is dropped when the call
-    returns."""
-    D, res, act = dq_spec(), Residues(), dq_action()
-    of, weights = res.of, act.weights
-    e_images = {x: [(iw, of(c)) for iw, c in p.terms.items()] for x, p in act.e_images.items()}
-
-    def step(x, u, tail):
-        (a, b), img_u = tail
-        wa, wb = weights[x]
-        s_img, s_x = (of(s) for s in act.scalars("E", x, (a, b)))
-        pairs = [((x,) + v, r * s_x) for v, r in img_u.items()]
-        pairs += [(iw + u, r * s_img) for iw, r in e_images[x]]
-        return (a + wa, b + wb), res.nf_row(D, pairs)
-
-    image = tail_map(step, ((0, 0), {}))
+    words.  The rows are their E images by dq's action carried to dq's
+    residue spec (AdjointAction.over, AlgebraSpec.at_points; see
+    rewrite.POINTS), the residues of the exact images, so the bound chain
+    above is unchanged.  One images call makes the rows of every requested
+    bidegree, so words that end alike share their tails' images across the
+    bidegrees."""
+    act = dq_action().over(dq_spec().at_points())
+    res = act.spec.field
+    words = {d: weight_zero_words(*d) for d in dict.fromkeys(bidegrees)}
+    rows = iter(act.images("E", [w for ws in words.values() for w in ws]))
     out = {}
-    for M, N in dict.fromkeys(bidegrees):
-        words = weight_zero_words(M, N)
-        ranks = res.ranks([image(w)[1] for w in words])
-        out[M, N] = res.agreed(f"{D.algebra_id}: invariant dimension at ({M}, {N})",
-                               [len(words) - r for r in ranks], ranks)
+    for (M, N), ws in words.items():
+        ranks = res.ranks([next(rows).terms for _ in ws])
+        out[M, N] = res.agreed(f"{act.spec.algebra_id}: invariant dimension at ({M}, {N})",
+                               [len(ws) - r for r in ranks], ranks)
     return out
 
 

@@ -123,14 +123,16 @@ def frac_rank(rows: Sequence[dict[Hashable, int]], m: int) -> Optional[int]:
     mod m, which only a composite m allows.
 
     The rows are reordered first: columns by ascending nonzero count, rows
-    sparsest first.  Neither changes the rank."""
+    sparsest first.  Neither changes the rank.  Entries of an int subclass
+    (rewrite.Residues' values) are taken as plain ints, so the elimination
+    runs on ints."""
     rows = [r for r in rows if r]
     counts: dict[Hashable, int] = {}
     for r in rows:
         for c in r:
             counts[c] = counts.get(c, 0) + 1
     renumber = {c: k for k, c in enumerate(sorted(counts, key=counts.__getitem__))}
-    rows = sorted(({renumber[c]: v for c, v in r.items()} for r in rows), key=len)
+    rows = sorted(({renumber[c]: int(v) for c, v in r.items()} for r in rows), key=len)
     pivots = _echelon_mod(rows, m, len(counts))
     return None if pivots is None else len(pivots)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from .coeffring import QQField
 from .ncpoly import NcPoly
 from .rewrite import POINTS, AlgebraSpec, Residues, q_central_residual
 
@@ -79,7 +80,7 @@ def check_specialization_consistency(spec: AlgebraSpec, n: int = 40, seed: int =
     rng = random.Random(seed)
     samples = [random_word_poly(spec, rng, max_len) for _ in range(n)]
     for q0, t0, prime in POINTS:
-        sp, res = spec.specialize(q0, t0), Residues([(q0, t0, prime)])
+        sp, res = spec.over(QQField(q0, t0)), Residues([(q0, t0, prime)])
         for p in samples:
             nf_p = spec.nf(p).terms
             p_at = NcPoly(sp.alphabet, {w: c.eval(q0, t0) for w, c in p.terms.items()}, sp.field)

@@ -38,12 +38,10 @@ from .rewrite import (
     PowerBlocksPbw,
     QCentralGen,
     RewriteRule,
+    _add_scaled,
+    carry,
     tail_map,
 )
-
-
-def _q(k: int) -> RatCoeff:
-    return RAT.q_power(k)
 
 
 QMQI = RC_Q - RC_Q.inverse()          # q - 1/q
@@ -107,7 +105,7 @@ def rmatrix_vector() -> tuple[tuple[RatCoeff, ...], ...]:
     for i in range(2):
         for k in range(2):
             hh = WEIGHTS[i][0] * WEIGHTS[k][0] + WEIGHTS[i][1] * WEIGHTS[k][1]
-            scal = _q(hh)
+            scal = RAT.q_power(hh)
             row = []
             for j in range(2):
                 for l in range(2):
@@ -213,8 +211,8 @@ def lmatrix_check() -> list[tuple[str, bool]]:
     """All printed relations of the L-matrix presentation, checked in U_q."""
     U = uq_spec()
     lp, lm = lmatrices()
-    q1 = _q(1)
-    qm1 = _q(-1)
+    q1 = RAT.q_power(1)
+    qm1 = RAT.q_power(-1)
     results: list[tuple[str, bool]] = []
 
     def nfz(p):
@@ -277,7 +275,7 @@ def _re_rules(alph: Alphabet, n11, n12, n21, n22) -> list[RewriteRule]:
     generators named n11..n22 (shared by O_q, both matrix copies in D_q and
     the moment-map relations of dqops.MOMENT_TABLE)."""
     one = RC_ONE
-    c = one - _q(-2)
+    c = one - RAT.q_power(-2)
 
     def W(*names):
         return NcPoly.from_word(alph, alph.word(*names))
@@ -286,13 +284,13 @@ def _re_rules(alph: Alphabet, n11, n12, n21, n22) -> list[RewriteRule]:
         RewriteRule(alph.word(n12, n11), W(n11, n12) + W(n12, n22).scale(c), f"{n12}*{n11}"),
         RewriteRule(alph.word(n22, n11), W(n11, n22), f"{n22}*{n11}"),
         RewriteRule(alph.word(n21, n11), W(n11, n21) - W(n22, n21).scale(c), f"{n21}*{n11}"),
-        RewriteRule(alph.word(n22, n12), W(n12, n22).scale(_q(2)), f"{n22}*{n12}"),
+        RewriteRule(alph.word(n22, n12), W(n12, n22).scale(RAT.q_power(2)), f"{n22}*{n12}"),
         RewriteRule(
             alph.word(n21, n12),
             W(n12, n21) + (W(n11, n22) - W(n22, n22)).scale(c),
             f"{n21}*{n12}",
         ),
-        RewriteRule(alph.word(n22, n21), W(n21, n22).scale(_q(-2)), f"{n22}*{n21}"),
+        RewriteRule(alph.word(n22, n21), W(n21, n22).scale(RAT.q_power(-2)), f"{n22}*{n21}"),
     ]
 
 
@@ -303,20 +301,21 @@ def letter_matrix(spec: AlgebraSpec, names) -> list[list[NcPoly]]:
 
 def qtrace(m):
     """tr_q = (1,1) entry + q^-2 (2,2) entry, for entries that scale."""
-    return m[0][0] + m[1][1].scale(_q(-2))
+    return m[0][0] + m[1][1].scale(RAT.q_power(-2))
 
 
 def qdet(alph: Alphabet, names) -> NcPoly:
     """det_q = n11 n22 - q^2 n12 n21, a free polynomial over alph."""
     n11, n12, n21, n22 = names
-    return NcPoly.from_word(alph, alph.word(n11, n22)) - NcPoly.from_word(alph, alph.word(n12, n21), _q(2))
+    return (NcPoly.from_word(alph, alph.word(n11, n22))
+            - NcPoly.from_word(alph, alph.word(n12, n21), RAT.q_power(2)))
 
 
 def qadjugate(m):
     """((m22, -q^2 m12), (-q^2 m21, q^2 m11 + (1 - q^2) m22)), the adjugate of
     a matrix m whose entries satisfy _re_rules: m adj = adj m = det_q(m) I
     (checked exactly by the cofactor suite)."""
-    q2 = _q(2)
+    q2 = RAT.q_power(2)
     return ((m[1][1], m[0][1].scale(-q2)),
             (m[1][0].scale(-q2), m[0][0].scale(q2) + m[1][1].scale(RC_ONE - q2)))
 
@@ -387,8 +386,8 @@ def phi_images() -> dict[str, NcPoly]:
     c = QMQI
     return {
         "l11": U.word_poly("K1i", "K1i")
-        + U.word_poly("K1i", "K2i", "E", "F").scale(_q(-1) * c * c),
-        "l12": U.word_poly("K1i", "K2i", "E").scale(_q(-1) * c),
+        + U.word_poly("K1i", "K2i", "E", "F").scale(RAT.q_power(-1) * c * c),
+        "l12": U.word_poly("K1i", "K2i", "E").scale(RAT.q_power(-1) * c),
         "l21": U.word_poly("K2i", "K2i", "F").scale(c),
         "l22": U.word_poly("K2i", "K2i"),
     }
@@ -461,28 +460,18 @@ class AdjointAction:
             b += wb
         return (a, b)
 
-    def scalars(self, gen: str, x: int, tail_weight: tuple[int, int]) -> tuple[RatCoeff, RatCoeff]:
-        """(s_img, s_x), the two scalars of the coproduct rule for gen > (x u),
-        gen E or F, x a letter and u a word of K-weight tail_weight:
-
-            gen > (x u) = s_img (gen > x) u + s_x x (gen > u), so
-            E > (x u) = q^(w1(u) - w2(u)) (E > x) u + x (E > u)
-            F > (x u) = (F > x) u + q^(w2(x) - w1(x)) x (F > u)."""
-        if gen == "E":
-            a, b = tail_weight
-            return _q(a - b), RC_ONE
-        wa, wb = self.weights[x]
-        return RC_ONE, _q(wb - wa)
-
     def images(self, gen: str, words) -> list[NcPoly]:
         """[nf(gen > w) for w in words], gen E or F, each word's image built
-        from its tail's by the coproduct rule (scalars).
+        from its tail's by the coproduct rule, for x a letter and u a word:
 
-        Every term is an image word of x in front of u, or x in front of a
-        normal word, and one nf per tail reduces them (one rewrite.tail_map
-        over all the words, so words that end alike share their tails'
-        images).  Normal forms are unique, so each image is the nf of the
-        sum over positions."""
+            E > (x u) = q^(w1(u) - w2(u)) (E > x) u + x (E > u)
+            F > (x u) = (F > x) u + q^(w2(x) - w1(x)) x (F > u),
+
+        the q-powers taken in spec.field.  Every term is an image word of x
+        in front of u, or x in front of a normal word, and one nf per tail
+        reduces them (one rewrite.tail_map over all the words, so words that
+        end alike share their tails' images).  Normal forms are unique, so
+        each image is the nf of the sum over positions."""
         if gen not in ("E", "F"):
             raise EngineError(f"unknown action generator {gen!r}")
         spec, weights = self.spec, self.weights
@@ -492,13 +481,22 @@ class AdjointAction:
         def step(x, u, tail):
             (a, b), img_u = tail
             wa, wb = weights[x]
-            s_img, s_x = self.scalars(gen, x, (a, b))
-            terms = NcPoly(alph, {(x,) + v: c * s_x for v, c in img_u.terms.items()}, field, _clean=True)
-            terms += NcPoly(alph, {iw + u: c * s_img for iw, c in table[x].terms.items()}, field, _clean=True)
-            return (a + wa, b + wb), spec.nf(terms)
+            s_img = field.q_power(a - b) if gen == "E" else field.one
+            s_x = field.one if gen == "E" else field.q_power(wb - wa)
+            terms = {(x,) + v: c * s_x for v, c in img_u.terms.items()}
+            _add_scaled(terms, [(iw + u, c) for iw, c in table[x].terms.items()], s_img)
+            return (a + wa, b + wb), spec.nf(NcPoly(alph, terms, field, _clean=True))
 
         image = tail_map(step, ((0, 0), spec.zero()))
         return [image(w)[1] for w in words]
+
+    def over(self, spec: AlgebraSpec) -> "AdjointAction":
+        """This action on spec, this action's spec carried into another field
+        (AlgebraSpec.over), its image tables carried with it (carry)."""
+        names = [g.name for g in spec.alphabet.gens]
+        return AdjointAction(spec, {names[i]: w for i, w in self.weights.items()},
+                             {names[i]: carry(p, spec.field) for i, p in self.e_images.items()},
+                             {names[i]: carry(p, spec.field) for i, p in self.f_images.items()})
 
     def act(self, gen: str, x: NcPoly) -> NcPoly:
         """gen > x in normal form.  For E and F it is the sum of c times the
@@ -508,7 +506,7 @@ class AdjointAction:
         if gen in ("K1", "K2", "K1i", "K2i"):
             m = 0 if gen.startswith("K1") else 1
             sgn = -1 if gen.endswith("i") else 1
-            out = {w: c * _q(sgn * self._word_weight(w)[m]) for w, c in x.terms.items()}
+            out = {w: c * spec.field.q_power(sgn * self._word_weight(w)[m]) for w, c in x.terms.items()}
             return spec.nf(NcPoly(spec.alphabet, out, spec.field, _clean=True))
         return spec._sum_scaled(zip(self.images(gen, list(x.terms)), x.terms.values()))
 
@@ -544,13 +542,13 @@ def _oq_like_action_tables(spec: AlgebraSpec, names):
             if j == 0:
                 e = e + m[i][1]
             if i == 1:
-                e = e - m[0][j].scale(_q(2 * j))
+                e = e - m[0][j].scale(RAT.q_power(2 * j))
             e_im[n] = e
             f = z
             if j == 1:
-                f = f + m[i][0].scale(_q(2 * i - 1))
+                f = f + m[i][0].scale(RAT.q_power(2 * i - 1))
             if i == 0:
-                f = f - m[1][j].scale(_q(-1))
+                f = f - m[1][j].scale(RAT.q_power(-1))
             f_im[n] = f
     return weights, e_im, f_im
 

@@ -35,7 +35,7 @@ from functools import partial
 from math import prod
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .coeffring import RAT, QQField, coeff_str
+from .coeffring import RAT, RC_Q, RC_T, coeff_str
 from . import linalg
 from .ncpoly import EMPTY_WORD, Alphabet, NcPoly, Word
 
@@ -324,6 +324,7 @@ class AlgebraSpec:
         # each cached coefficient's value -> the one object the cache holds
         self._nf_coeffs: dict = {}
         self._nf_cached_terms = 0
+        self._at_points: dict[tuple, AlgebraSpec] = {}
 
     def _check_decreasing(self, rules: Sequence[RewriteRule]) -> None:
         key = self.pbw.order_key
@@ -499,17 +500,32 @@ class AlgebraSpec:
             alph, {(x,) + v: c for v, c in img.terms.items()}, field, _clean=True)), b)
         return lambda a: self._sum_scaled((image(w), c) for w, c in a.terms.items())
 
-    # -- specialisation ----------------------------------------------------------
+    # -- other coefficient fields ----------------------------------------------
 
-    def specialize(self, q0, t0) -> "AlgebraSpec":
-        """This presentation over Q at (q0, t0); its auxiliary rules are
-        generated again over Q."""
-        fld = QQField(*specialisation_point(q0, t0))
-        rules = [
-            RewriteRule(r.lhs, NcPoly(self.alphabet, {w: fld.eval(c) for w, c in r.rhs.terms.items()}, fld), r.tag)
-            for r in self.rules
-        ]
-        return AlgebraSpec(self.alphabet, rules, self.pbw, self.q_central, field=fld, partial=self.partial)
+    def over(self, field) -> "AlgebraSpec":
+        """This presentation, over RAT, carried into another coefficient
+        field: each core rule's coefficients through field.eval (carry), the
+        auxiliary rules generated again over field.  QQField(q0, t0) gives
+        it at a rational point, Residues over Z/N at a table of points."""
+        rules = [RewriteRule(r.lhs, carry(r.rhs, field), r.tag) for r in self.rules]
+        return AlgebraSpec(self.alphabet, rules, self.pbw, self.q_central, field=field, partial=self.partial)
+
+    def at_points(self) -> "AlgebraSpec":
+        """This presentation over Z/N at POINTS, over(Residues()), which the
+        rank families rewrite in.  It is built once per point table, POINTS
+        being read at each call, and kept, with its own normal-form cache,
+        as long as this spec lives."""
+        points = tuple(POINTS)
+        spec = self._at_points.get(points)
+        if spec is None:
+            spec = self._at_points[points] = self.over(Residues(points))
+        return spec
+
+
+def carry(p: NcPoly, field) -> NcPoly:
+    """p, a polynomial over RAT, with each coefficient carried into field
+    by field.eval; terms whose image is 0 are dropped."""
+    return NcPoly(p.alphabet, {w: field.eval(c) for w, c in p.terms.items()}, field)
 
 
 # ---------------------------------------------------------------------------
@@ -781,12 +797,21 @@ def hilbert_table(spec: AlgebraSpec, max_bidegree: tuple[int, int]) -> HilbertTa
 #
 # the generic rank being taken over Frac(Z[q,t]).  So a rank taken mod p_i
 # is a lower bound, and a kernel dimension taken mod p_i an upper bound.
-# The rank families build their rows as residues from the symbolic
-# normal-form cache (Residues.acts).  Evaluation at a point mod p_i is a
-# ring map on the coefficients that have a value there, and nf is linear,
-# so the residues of nf(a * b) are integer sums of products of the residues
-# of a's coefficients, of b's and of the cached normal forms' coefficients:
-# those rows equal the exact rows evaluated, and the chain holds for them.
+#
+# The rank families build their rows by rewriting over Z/N (N below), in the
+# presentation AlgebraSpec.at_points carries there.  Evaluation at point i
+# mod p_i, and so the residue mod N, is a ring map on the coefficients that
+# have a value there.  Building the residue spec evaluates every core rule
+# coefficient, so one with no value mod some p_i raises CoeffError then,
+# naming p_i; the auxiliary rules' q-powers need only q0 to be a unit mod
+# p_i, as 2, 3 and 5 are.  The ring map carries each rule, and each
+# reduction that resolves an ambiguity among the rules, so the ambiguities
+# resolve over Z/N too, and Bergman's diamond lemma, which holds over any
+# commutative ring, makes normal forms over Z/N unique.  A symbolic
+# reduction carried term by term is a reduction over Z/N, so the residue
+# normal form of a word is the residue of its symbolic one.  The residue
+# products (_acts) and E images (AdjointAction.images) are then the residues
+# of the exact ones, and the chain holds for the rows they make.
 #
 # The primes keep out the cases the paper excludes, q a root of unity and
 # t = +-i.  They are the three largest primes below 2^61 that are 3 mod 4,
@@ -829,15 +854,36 @@ def specialisation_point(q0, t0) -> tuple[Fraction, Fraction]:
     return q0, t0
 
 
+def _residue_type(n: int) -> type:
+    """The int subclass of residues mod n: the sum, difference and product
+    of one with an int, either way round, and its negation are residues mod
+    n again."""
+    new = int.__new__
+
+    class Residue(int):
+        __slots__ = ()
+
+        def __neg__(a):
+            return new(Residue, -int(a) % n)
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        setattr(Residue, name, lambda a, b, op=getattr(int, name): new(Residue, op(a, b) % n))
+    return Residue
+
+
 class Residues:
-    """Coefficients as residues mod N at a table of points (q0, t0, p),
-    POINTS unless points is given, N being the product of the table's
-    primes, which must be distinct: the residue of c is the one x mod N with
+    """The ring Z/N at a table of points (q0, t0, p), POINTS unless points
+    is given, N being the product of the table's primes, which must be
+    distinct: the residue of a coefficient c is the one x mod N with
     x = c(q0, t0) mod p for each (q0, t0, p) (the Chinese remainder
     theorem).  POINTS is read when the object is made, so rebinding it moves
-    every object made after it.  An object serves one call, and its memo and
-    maps go with it.  A denominator that vanishes mod p at its point raises
-    CoeffError naming p, even where it has a value over Q.
+    every object made after it.  A denominator that vanishes mod p at its
+    point raises CoeffError naming p, even where it has a value over Q.
+
+    It is a coefficient field for AlgebraSpec.over, as RAT and QQField are:
+    zero, one, q_power, t_power, from_int, and eval, which is of.  Its
+    values are ints of the type residue, whose +, - and * reduce mod N;
+    nothing divides by them.
     """
 
     def __init__(self, points: Optional[Sequence[tuple[Fraction, Fraction, int]]] = None):
@@ -850,6 +896,8 @@ class Residues:
         self._crt = [(q0, t0, p, n // p * pow(n // p, -1, p)) for q0, t0, p in self.points]
         self._by_id: dict[int, tuple[object, int]] = {}
         self._by_value: dict[tuple, int] = {}
+        self.residue = _residue_type(n)
+        self.zero, self.one = self.residue(0), self.residue(1)
 
     def of(self, c) -> int:
         """The residue of the coefficient c, evaluated once per object: the
@@ -864,44 +912,25 @@ class Residues:
         key = (tuple(c.lnum.items()), c.lden and tuple(c.lden.items()))
         v = self._by_value.get(key)
         if v is None:
-            v = self._by_value[key] = sum(e * c.eval_mod(q0, t0, p) for q0, t0, p, e in self._crt) % self.n
+            v = self._by_value[key] = self.residue(
+                sum(e * c.eval_mod(q0, t0, p) for q0, t0, p, e in self._crt) % self.n)
         self._by_id[id(c)] = (c, v)
         return v
+
+    eval = of
+
+    def from_int(self, k: int) -> int:
+        return self.residue(k % self.n)
+
+    def q_power(self, k: int) -> int:
+        return self.residue(pow(self.of(RC_Q), k, self.n))
+
+    def t_power(self, k: int) -> int:
+        return self.residue(pow(self.of(RC_T), k, self.n))
 
     def row(self, terms: dict) -> dict:
         """{key: residue} for {key: coefficient}, zero residues dropped."""
         return {k: v for k, c in terms.items() if (v := self.of(c))}
-
-    def nf_row(self, spec: AlgebraSpec, pairs) -> dict[Word, int]:
-        """The residues of the sum of r * nf(w) over the (w, r) pairs, r a
-        residue: the cached normal forms spec._nf_terms(w), so a word
-        missing from the spec's one normal-form cache is reduced and stored
-        there as nf stores it."""
-        n, of, nf_terms = self.n, self.of, spec._nf_terms
-        out: dict[Word, int] = {}
-        for w, r in pairs:
-            for hw, hc in nf_terms(w):
-                out[hw] = out.get(hw, 0) + r * of(hc)
-        return {w: s for w, r in out.items() if (s := r % n)}
-
-    def acts(self, spec: AlgebraSpec, b: dict[Word, int]) -> Callable[[NcPoly], dict[Word, int]]:
-        """The map a -> the residues of nf(a * b), for b the residues of a
-        normal form: spec._acts in integers mod N.  Each word of a acts on b
-        one letter at a time through a tail_map whose step is the nf_row of
-        x v over the words v of its tail's image.  The tail map lives as
-        long as this map does."""
-        n, of = self.n, self.of
-        image = tail_map(lambda x, u, img: self.nf_row(spec, [((x,) + v, r) for v, r in img.items()]), b)
-
-        def apply(a: NcPoly) -> dict[Word, int]:
-            out: dict[Word, int] = {}
-            for w, c in a.terms.items():
-                rc = of(c)
-                for v, r in image(w).items():
-                    out[v] = out.get(v, 0) + rc * r
-            return {v: s for v, r in out.items() if (s := r % n)}
-
-        return apply
 
     def ranks(self, rows: Sequence[dict]) -> tuple[int, ...]:
         """The rank of the residue rows {column: residue mod N} at each
@@ -1094,9 +1123,6 @@ class LocElem:
         out.exps = tuple(exps) if body else (0,) * len(self.dens)
         return out
 
-    def _q(self, e: int):
-        return self.spec.field.q_power(e)
-
     def _cross(self, e, f) -> int:
         """The c with den^-e den^-f = q^c den^-(e+f): den_j^-f_j moves left past
         den_i^-e_i for i > j, and den_i^-a den_j^-b = q^(a b <kappa_i, deg den_j>)
@@ -1136,7 +1162,7 @@ class LocElem:
             for _ in range(d):
                 out = (self.spec._act(self._graded(out, den.kappa), den.body) if right
                        else self.spec._act(den.body, out))
-        return out.scale(self._q(self._cross(self.exps, delta)))
+        return out.scale(self.spec.field.q_power(self._cross(self.exps, delta)))
 
     def __eq__(self, other):
         if not isinstance(other, LocElem):
@@ -1160,7 +1186,7 @@ class LocElem:
     def _graded(self, p: NcPoly, kappa, shift: int = 0) -> NcPoly:
         """p with each word w scaled by q^(shift + <kappa, deg w>)."""
         alph = self.spec.alphabet
-        return NcPoly(alph, {w: c * self._q(shift + _pair(kappa, alph.word_bidegree(w)))
+        return NcPoly(alph, {w: c * self.spec.field.q_power(shift + _pair(kappa, alph.word_bidegree(w)))
                              for w, c in p.terms.items()}, self.spec.field, _clean=True)
 
     def _moved(self, exps, sign: int = 1) -> NcPoly:

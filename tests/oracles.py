@@ -15,7 +15,9 @@ last four stand in for package helpers that only tests used: the spherical
 PBW words as elements, the inverse of the reduction-to-spherical transport
 read off its generator dictionary, the test that no word holds a redex, and
 the exact sandwich rows, which the package ranked before it built its rows
-as residues.
+as residues.  naive_redex and naive_nf are the reference reducer: every
+rule's left-hand side tried at every position, with no redex table, cache
+or resumed search, over whatever field the spec's rules are written in.
 """
 
 from __future__ import annotations
@@ -393,3 +395,31 @@ def spherical_rows(bidegrees):
         yield (M, N), [spec._act(body, right(NcPoly.from_word(spec.alphabet, w)))
                        for w in spec.pbw.enumerate(M, N) if w[:1] != (T,)]
 
+
+def naive_redex(spec, w, direction):
+    """Every position in the direction's order, every rule's lhs sliced
+    against the word there, a shorter lhs first."""
+    rules = sorted(spec.rules + spec.aux_rules, key=lambda r: len(r.lhs))
+    for i in range(len(w)) if direction == "leftmost" else range(len(w) - 1, -1, -1):
+        for r in rules:
+            if w[i:i + len(r.lhs)] == r.lhs:
+                return i, len(r.lhs), r
+    return None
+
+
+def naive_nf(spec, w, direction):
+    """Reduce w by rewriting naive_redex until no word has one."""
+    from qhc.ncpoly import NcPoly
+
+    work, out = {w: spec.field.one}, {}
+    while work:
+        v, c = work.popitem()
+        hit = naive_redex(spec, v, direction)
+        if hit is None:
+            out[v] = out[v] + c if v in out else c
+            continue
+        i, n, rule = hit
+        for rw, rc in rule.rhs.terms.items():
+            u = v[:i] + rw + v[i + n:]
+            work[u] = work[u] + c * rc if u in work else c * rc
+    return NcPoly(spec.alphabet, out, spec.field)

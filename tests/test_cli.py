@@ -474,3 +474,17 @@ def test_cli_product_chain_coefficients_are_bounded(capsys, expr, col):
     assert cap.out == ""
     assert cap.err == (f"error: sdaha: a product's coefficients exceed the limit of "
                        f"{exprparse.MAX_COEFF_MONOMIALS} monomials (line 1, column {col})\n")
+
+
+def test_cli_mul_products_are_bounded(capsys):
+    # 24 operands once ran past a 15 s timeout: mul bounds the product of
+    # the operands so far before each further one, as a '*' chain does, so
+    # the 18th is refused; a product of two operands stays unbounded
+    t0 = time.perf_counter()
+    rc = main(["mul", "--algebra", "sdaha", *["(Q1+P1)"] * 24])
+    assert time.perf_counter() - t0 < 15
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.out == ""
+    assert cap.err == (f"error: sdaha: a product's coefficients exceed the limit of "
+                       f"{exprparse.MAX_COEFF_MONOMIALS} monomials (line 1, column 1)\n")

@@ -1,6 +1,9 @@
 """Fuzzing the command line: expressions drawn from the README grammar over all
 seven algebras must end in JSON (exit 0) or one error line (exit 2), never in
-a traceback."""
+a traceback.  Where a request answers, its result is checked against other
+paths to the same value: the free expansion reduced by the reference
+reducer, the symbolic normal form evaluated at a point, localised round
+trips, and normalize of the product that mul computes."""
 
 import contextlib
 import io
@@ -12,9 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhc.cli import ALGEBRAS, Context, main
-from qhc.coeffring import CoeffError
+from qhc.coeffring import CoeffError, coeff_str
+from qhc.exprparse import Parser, ValueOps, WordAlgebraOps
 from qhc.ncpoly import NcPoly
 from qhc.qgroup import qdet_oq
+
+from oracles import naive_nf
 
 #: generator names, their inverse letters and the localised atoms
 ATOMS = {alg: sorted(Context(alg).spec.alphabet.by_name) for alg in ALGEBRAS}
@@ -137,6 +143,23 @@ def evaluated_normal_form(alg, expr, q0, t0):
     return {ctx.spec.alphabet.word_str(w): v for w, v in at.items() if v}
 
 
+class FreeOps(WordAlgebraOps):
+    """Values over a word algebra multiplied by ValueOps.mul, the free
+    product, so parsing gives an expression's free expansion."""
+
+    mul = ValueOps.mul
+
+
+def naive_terms(ctx, expr):
+    """The JSON terms of expr's normal form by the reference reducer: the
+    sum of c * naive_nf(w) over the terms c w of its free expansion."""
+    spec = ctx.spec
+    out = spec.zero()
+    for w, c in Parser(FreeOps(spec)).parse(expr).terms.items():
+        out = out + naive_nf(spec, w, "leftmost").scale(c)
+    return [[spec.alphabet.word_str(w), coeff_str(c)] for w, c in out.sorted_terms()]
+
+
 def check_round_trips(alg, expr):
     """Each of alg's ROUND_TRIPS around expr normalises to expr's own
     symbolic normal form, when expr has one."""
@@ -158,6 +181,12 @@ def test_cli_answers_json_or_one_error_line(argv):
     alg = opts[opts.index("--algebra") + 1]
     if alg in ROUND_TRIPS:
         check_round_trips(alg, exprs[0])
+    if argv[0] in ("normalize", "mul") and rc == 0:
+        # a word algebra's normal form, of an expression or of the product
+        # of mul's operands, is the reference reducer's on the free expansion
+        ctx = Context(alg, *(opts[opts.index(opt) + 1] if opt in opts else None for opt in ("--q", "--t")))
+        if isinstance(ctx.ops, WordAlgebraOps):
+            assert doc["terms"] == naive_terms(ctx, "*".join(f"({x})" for x in exprs)), argv
     if argv[0] == "normalize" and "--q" in opts and rc == 0:
         # specialisation commutes with normalisation: the terms at the
         # point equal the symbolic normal form evaluated there

@@ -1,12 +1,16 @@
-"""Every name a qhc module imports is used in that module: no dead imports."""
+"""Every name a qhc module, a script or the test oracles import is used in
+that file: no dead imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qhc"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qhc"
+MODULES = sorted(
+    [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "scripts").glob("*.py")) + [ROOT / "tests" / "oracles.py"])
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -40,12 +44,12 @@ def used_names(tree: ast.Module) -> set[str]:
     return out
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(module):
-    tree = ast.parse((SRC / module).read_text(), module)
+    tree = ast.parse(module.read_text(), module.name)
     used = used_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
-    assert not unused, f"{module} imports names it never uses: {unused}"
+    assert not unused, f"{module.name} imports names it never uses: {unused}"
 
 
 def test_the_guard_sees_an_unused_import():

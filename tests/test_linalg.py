@@ -5,6 +5,7 @@ its prime, and rewrite.Residues, its one reader: the evaluation at the
 points, the join into residues mod the product of the primes, and the one
 elimination that ranks at every point."""
 
+import itertools
 from fractions import Fraction
 from math import prod
 
@@ -18,9 +19,9 @@ from qhc.daha import _phi_bodies, daha_spec, idempotent_body, phi_ranks, sdaha_s
 from qhc.dqops import dq_spec
 from qhc.linalg import _echelon_mod, dense_rank, frac_rank, frac_solve, solve_dense
 from qhc.ncpoly import NcPoly
-from qhc.rewrite import POINTS, EngineError, Residues
+from qhc.rewrite import POINTS, AlgebraSpec, EngineError, Residues, RewriteRule, carry
 
-from oracles import ranks_at_points, spherical_rows
+from oracles import naive_nf, ranks_at_points, spherical_rows
 
 P = POINTS[0][2]
 
@@ -401,8 +402,8 @@ def test_residue_product_equals_the_residues_of_mul(spec):
     @settings(max_examples=25, deadline=None)
     @given(elements(spec), elements(spec))
     def check(a, b):
-        res = Residues()
-        assert res.acts(spec, res.row(spec.nf(b).terms))(a) == res.row(spec.mul(a, b).terms)
+        R = spec.at_points()
+        assert R._acts(carry(spec.nf(b), R.field))(carry(a, R.field)).terms == R.field.row(spec.mul(a, b).terms)
 
     check()
 
@@ -414,9 +415,10 @@ def test_residues_follow_primes_bound_between_two_calls(monkeypatch):
     for primes in (tuple(p for _, _, p in POINTS), (101, 103, 107)):
         points = with_primes(primes)
         monkeypatch.setattr(rewrite, "POINTS", points)
-        res = Residues()
+        R = H.at_points()
+        res = R.field
         assert res.primes == primes and res.n == prod(primes)
-        got = res.acts(H, res.row(b.terms))(a)
+        got = R._acts(carry(b, res))(carry(a, res)).terms
         assert set(got) == set(exact)
         for w, c in exact.items():
             assert [got[w] % p for p in primes] == [c.eval_mod(q0, t0, p) for q0, t0, p in points], w
@@ -426,7 +428,69 @@ def test_residue_product_names_the_prime_a_denominator_vanishes_mod():
     # q + (p_2 - 3) vanishes at the second point mod its prime p_2 only
     p = POINTS[1][2]
     H = daha_spec()
-    res = Residues()
-    times_x1 = res.acts(H, res.row(H.gen("X1").terms))
+    R = H.at_points()
+    times_x1 = R._acts(R.gen("X1"))
     with pytest.raises(CoeffError, match=rf"q \+ {p - 3} vanishes at \(q, t\) = \(3, 2\) mod {p}$"):
-        times_x1(H.gen("Y1").scale(RC_ONE / (RC_Q + n(p - 3))))
+        times_x1(carry(H.gen("Y1").scale(RC_ONE / (RC_Q + n(p - 3))), R.field))
+
+
+# ---------------------------------------------------------------------------
+# the residue specs: normal forms over Z/N against the symbolic ones
+# ---------------------------------------------------------------------------
+
+def short_words(spec, length=3):
+    """Every word of spec of at most length letters."""
+    letters = range(len(spec.alphabet))
+    return [w for k in range(length + 1) for w in itertools.product(letters, repeat=k)]
+
+
+def residue_mismatches(spec, R, words):
+    """The words whose normal form in R, a residue spec of spec, differs
+    from the residues of the symbolic normal form, or from naive_nf run over
+    R's own rules."""
+    return [w for w in words
+            if R.nf_word(w).terms != R.field.row(spec.nf_word(w).terms)
+            or R.nf_word(w) != naive_nf(R, w, "leftmost")]
+
+
+RESIDUE_SPECS = {"dq": dq_spec, "sdaha": sdaha_spec, "daha": daha_spec}
+
+
+@pytest.mark.parametrize("primes", [None, (101, 103, 107)], ids=["POINTS", "small-primes"])
+@pytest.mark.parametrize("name", sorted(RESIDUE_SPECS))
+def test_residue_normal_forms_are_the_residues_of_the_symbolic_ones(monkeypatch, name, primes):
+    # the diamond lemma over Z/N (see rewrite.POINTS): every word of up to
+    # three letters, so each rule and each overlap of two rules is reached
+    if primes is not None:
+        monkeypatch.setattr(rewrite, "POINTS", with_primes(primes))
+    spec = RESIDUE_SPECS[name]()
+    R = spec.at_points()
+    assert R.field.primes == tuple(p for _, _, p in rewrite.POINTS)
+    assert R is spec.at_points() and R.field is not spec.field
+    assert residue_mismatches(spec, R, short_words(spec)) == []
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUE_SPECS))
+def test_a_changed_rule_coefficient_breaks_the_residue_normal_forms(name):
+    # the fault: the residue spec's first core rule with a coefficient
+    # other than 1 gets that coefficient plus 1
+    spec = RESIDUE_SPECS[name]()
+    R = spec.at_points()
+    rules, k = list(R.rules), next(i for i, r in enumerate(R.rules) if any(c != 1 for c in r.rhs.terms.values()))
+    terms = dict(rules[k].rhs.terms)
+    w = next(v for v, c in terms.items() if c != 1)
+    terms[w] = terms[w] + 1
+    rules[k] = RewriteRule(rules[k].lhs, NcPoly(R.alphabet, terms, R.field), rules[k].tag)
+    faulted = AlgebraSpec(R.alphabet, rules, R.pbw, R.q_central, field=R.field)
+    assert residue_mismatches(spec, faulted, short_words(spec, 2))
+
+
+def test_a_rule_coefficient_without_a_residue_raises_when_the_residue_spec_is_built(monkeypatch):
+    # 1/(q + 99) in a core rule has no value mod 101 at q = 2
+    monkeypatch.setattr(rewrite, "POINTS", with_primes((101, 103, 107)))
+    H = daha_spec()
+    rule = H.rules[0]
+    bad = RewriteRule(rule.lhs, rule.rhs.scale(RC_ONE / (RC_Q + n(99))), rule.tag)
+    spec = AlgebraSpec(H.alphabet, [bad, *H.rules[1:]], H.pbw, H.q_central)
+    with pytest.raises(CoeffError, match=r"q \+ 99 vanishes at \(q, t\) = \(2, 3\) mod 101$"):
+        spec.at_points()

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qhc import rewrite
-from qhc.coeffring import RAT, RatCoeff
+from qhc.coeffring import RAT, QQField, RatCoeff
 from qhc.daha import daha_spec, sdaha_spec
 from qhc.dqops import MOMENT_TABLE, det_a_body, det_d_body, dq_denominators, dq_spec, moment_sums, moment_zt
 from qhc.invham import ham_spec, inv_spec
@@ -43,7 +43,7 @@ from qhc.rewrite import (
     straighten_trace,
 )
 
-from oracles import is_normal
+from oracles import is_normal, naive_nf, naive_redex
 
 
 def make_plane():
@@ -203,7 +203,7 @@ def test_straighten_trace_fixed_point(plane):
 
 
 def test_specialize(plane):
-    sp = plane.specialize(2, 3)
+    sp = plane.over(QQField(2, 3))
     p = sp.word_poly("y", "x")
     nf = normal_form(sp, p)
     ((w, c),) = nf.terms.items()
@@ -280,39 +280,12 @@ ALL_SPECS = dict(PRODUCT_SPECS, uq=uq_spec, inv=inv_spec)
 @pytest.mark.parametrize("name", sorted(ALL_SPECS))
 def test_specialize_regenerates_the_evaluated_aux_rules(name):
     spec = ALL_SPECS[name]()
-    sp = spec.specialize(2, 3)
+    sp = spec.over(QQField(2, 3))
 
     def table(s, value):
         return {r.lhs: (r.tag, {w: value(c) for w, c in r.rhs.terms.items()}) for r in s.aux_rules}
 
     assert table(sp, lambda c: c) == table(spec, sp.field.eval)
-
-
-def naive_redex(spec, w, direction):
-    """Every position in the direction's order, every rule's lhs sliced
-    against the word there, a shorter lhs first."""
-    rules = sorted(spec.rules + spec.aux_rules, key=lambda r: len(r.lhs))
-    for i in range(len(w)) if direction == "leftmost" else range(len(w) - 1, -1, -1):
-        for r in rules:
-            if w[i:i + len(r.lhs)] == r.lhs:
-                return i, len(r.lhs), r
-    return None
-
-
-def naive_nf(spec, w, direction):
-    """Reduce w by rewriting naive_redex until no word has one."""
-    work, out = {w: spec.field.one}, {}
-    while work:
-        v, c = work.popitem()
-        hit = naive_redex(spec, v, direction)
-        if hit is None:
-            out[v] = out[v] + c if v in out else c
-            continue
-        i, n, rule = hit
-        for rw, rc in rule.rhs.terms.items():
-            u = v[:i] + rw + v[i + n:]
-            work[u] = work[u] + c * rc if u in work else c * rc
-    return NcPoly(spec.alphabet, out, spec.field)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_SPECS))
