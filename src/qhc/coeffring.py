@@ -37,7 +37,6 @@ from typing import NamedTuple
 Mono = tuple[int, int]
 Poly = dict[Mono, int]
 
-P_ZERO: Poly = {}
 P_ONE: Poly = {(0, 0): 1}
 
 

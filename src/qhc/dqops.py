@@ -37,21 +37,19 @@ from .coeffring import RAT, RC_ONE, RC_T, RatCoeff
 from .ncpoly import Alphabet, NcPoly
 from .qgroup import (
     AdjointAction,
-    _leg1,
-    _leg2,
     _oq_like_action_tables,
     _re_rules,
     _scalar_mat_for,
-    _swap_legs,
     letter_matrix,
     mat_mul,
     mat_sub,
+    on_legs,
     qadjugate,
     qdet,
     qtrace,
     reflection_equation_entries,
+    rmatrix_21_inverse,
     rmatrix_vector,
-    scalar_inverse_4x4,
 )
 from .rewrite import AlgebraSpec, Denominator, LocElem, PowerBlocksPbw, RewriteRule
 
@@ -207,13 +205,11 @@ def cofactor_identity_residuals(which: str) -> list[tuple[str, NcPoly]]:
     adj = cofactor(which)
     det = qdet(D.alphabet, _names(which))
     out = []
-    for tag, prod in (("M*adj", (M, adj)), ("adj*M", (adj, M))):
-        L, R = prod
+    for tag, prod in (("M*adj", mat_mul(M, adj)), ("adj*M", mat_mul(adj, M))):
         for i in range(2):
             for j in range(2):
-                entry = D.nf(L[i][0] * R[0][j] + L[i][1] * R[1][j])
                 want = det if i == j else D.zero()
-                out.append((f"{which}:{tag}[{i + 1}{j + 1}]", D.nf(entry - want)))
+                out.append((f"{which}:{tag}[{i + 1}{j + 1}]", D.nf(prod[i][j] - want)))
     return out
 
 
@@ -248,14 +244,13 @@ def det_qcommutation_residuals() -> list[tuple[str, NcPoly]]:
 def matrix_relation_entries() -> dict[str, list[NcPoly]]:
     """Free entry residuals of the three defining matrix equations."""
     D = dq_spec()
+    z = D.zero()
     R = _scalar_mat_for(rmatrix_vector(), D)
-    R21 = _swap_legs(rmatrix_vector())
-    R21m = _scalar_mat_for(R21, D)
-    R21i = _scalar_mat_for(scalar_inverse_4x4(R21), D)
-    D1 = _leg1(letter_matrix(D, _P_NAMES), D)
-    A2 = _leg2(letter_matrix(D, _A_NAMES), D)
-    lhs = mat_mul(mat_mul(mat_mul(R21m, D1), R), A2)
-    rhs = mat_mul(mat_mul(mat_mul(A2, R21m), D1), R21i)
+    R21, R21i = on_legs(R, (1, 0), 2, z), _scalar_mat_for(rmatrix_21_inverse(), D)
+    D1 = on_legs(letter_matrix(D, _P_NAMES), (0,), 2, z)
+    A2 = on_legs(letter_matrix(D, _A_NAMES), (1,), 2, z)
+    lhs = mat_mul(mat_mul(mat_mul(R21, D1), R), A2)
+    rhs = mat_mul(mat_mul(mat_mul(A2, R21), D1), R21i)
     return {
         "coordinates": reflection_equation_entries(D, _A_NAMES),
         "derivatives": reflection_equation_entries(D, _P_NAMES),

@@ -10,7 +10,9 @@ mod some of the primes and not mod others; it stops the elimination, and
 
 ``solve_dense`` and ``dense_rank`` take dense rows over any field whose
 elements support + - * / and truth testing (RatCoeff for symbolic systems),
-given its zero.
+given its zero.  ``dense_rank`` serves the dq-relations suite;
+``solve_dense`` has no caller in the package and is the tests' symbolic
+solve.
 
 Both kernels work alike.  Rows are {column: value}; each row is reduced
 against the pivots found so far, always at its minimum column, and what is

@@ -143,7 +143,7 @@ class NcPoly:
     def scalar_coeff(self):
         """The coefficient if this is a multiple of 1, else None."""
         if not self.terms:
-            return self.field.from_int(0)
+            return self.field.zero
         if set(self.terms) == {EMPTY_WORD}:
             return self.terms[EMPTY_WORD]
         return None

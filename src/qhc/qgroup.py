@@ -16,6 +16,8 @@ O_q(GL2) is generated by the entries of a 2x2 matrix L subject to the
 reflection equation R21 L1 R L2 = L2 R21 L1 R; its q-trace and q-determinant
 generate the center and the subalgebra of invariants for the adjoint action.
 Its localisation at det_q(L) is rewrite.LocElem over oq_denominators().
+Where a matrix sits on the tensor legs of these equations is stated once, by
+on_legs, and R21^-1 is the closed form rmatrix_21_inverse.
 
 This module states that quantum 2x2 matrix once, for any four letters named
 n11, n12, n21, n22 (row-major): its six reflection-equation rules
@@ -29,7 +31,6 @@ from __future__ import annotations
 from functools import cache
 
 from .coeffring import RAT, RC_ONE, RC_Q, RatCoeff
-from .linalg import solve_dense
 from .ncpoly import Alphabet, NcPoly
 from .rewrite import (
     AlgebraSpec,
@@ -134,42 +135,39 @@ def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def scalar_inverse_4x4(R):
-    """Inverse of a 4x4 scalar matrix, solved one column at a time."""
-    zero = RatCoeff.from_int(0)
-    cols = []
-    for j in range(4):
-        status, x = solve_dense(R, [RC_ONE if i == j else zero for i in range(4)], zero)
-        if status != "unique":
-            raise EngineError("the 4x4 matrix is singular")
-        cols.append(x)
-    return [[x[i] for x in cols] for i in range(4)]
+def on_legs(m, legs, n, zero):
+    """m acting on the given legs of (C^2)^(x n), in that order, and as the
+    identity on the others: entry (I, J) is m's entry at the bits of I and J
+    on legs where I and J agree off legs, else zero.  Indexes are read
+    big-endian, leg 0 first: L1 = on_legs(L, (0,), 2, zero), L2 on (1,),
+    R21 = on_legs(R, (1, 0), 2, zero), R13 = on_legs(R, (0, 2), 3, zero)."""
+    rest = [leg for leg in range(n) if leg not in legs]
+
+    def bits(i, which):
+        return sum((i >> (n - 1 - leg) & 1) << (len(which) - 1 - k) for k, leg in enumerate(which))
+
+    return [[m[bits(i, legs)][bits(j, legs)] if bits(i, rest) == bits(j, rest) else zero
+             for j in range(1 << n)] for i in range(1 << n)]
+
+
+def rmatrix_21_inverse() -> list[list[RatCoeff]]:
+    """R21^-1 = R - (q - 1/q) P, P the flip of the two legs, whose row i has
+    its 1 in the column of i with its two bits swapped.
+
+    The vector R-matrix satisfies the Hecke relation (PR - q)(PR + 1/q) = 0
+    (Faddeev, Reshetikhin & Takhtajan 1990), so (PR)^-1 = PR - (q - 1/q),
+    R^-1 = R21 - (q - 1/q) P and R21^-1 = P R^-1 P is the closed form."""
+    R = rmatrix_vector()
+    return [[R[i][j] - QMQI if j == 2 * (i % 2) + i // 2 else R[i][j] for j in range(4)] for i in range(4)]
 
 
 def yang_baxter_residual() -> bool:
     """R12 R13 R23 = R23 R13 R12 as 8x8 scalar matrices; True when it holds."""
     R = rmatrix_vector()
     zero = RatCoeff.from_int(0)
-
-    def emb(which):
-        out = [[zero for _ in range(8)] for _ in range(8)]
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for i2 in range(2):
-                        for j2 in range(2):
-                            for k2 in range(2):
-                                if which == "12":
-                                    c = R[2 * i + j][2 * i2 + j2] if k == k2 else zero
-                                elif which == "23":
-                                    c = R[2 * j + k][2 * j2 + k2] if i == i2 else zero
-                                else:
-                                    c = R[2 * i + k][2 * i2 + k2] if j == j2 else zero
-                                out[4 * i + 2 * j + k][4 * i2 + 2 * j2 + k2] = c
-        return out
-
-    lhs = mat_mul(mat_mul(emb("12"), emb("13")), emb("23"))
-    rhs = mat_mul(mat_mul(emb("23"), emb("13")), emb("12"))
+    R12, R13, R23 = (on_legs(R, legs, 3, zero) for legs in ((0, 1), (0, 2), (1, 2)))
+    lhs = mat_mul(mat_mul(R12, R13), R23)
+    rhs = mat_mul(mat_mul(R23, R13), R12)
     return all(not c for row in mat_sub(lhs, rhs) for c in row)
 
 
@@ -192,19 +190,6 @@ def lmatrices() -> tuple[list[list[NcPoly]], list[list[NcPoly]]]:
         [U.word_poly("F", "K1").scale(-QMQI), U.gen("K2")],
     ]
     return lp, lm
-
-
-def _leg1(L, U):
-    """L x id on V x V with entries in U_q."""
-    zero = U.zero()
-    return [[L[i][j] if k == l else zero for j in range(2) for l in range(2)]
-            for i in range(2) for k in range(2)]
-
-
-def _leg2(L, U):
-    zero = U.zero()
-    return [[L[k][l] if i == j else zero for j in range(2) for l in range(2)]
-            for i in range(2) for k in range(2)]
 
 
 def lmatrix_check() -> list[tuple[str, bool]]:
@@ -243,8 +228,9 @@ def lmatrix_check() -> list[tuple[str, bool]]:
         ("L1- L2+ R = R L2+ L1-", lm, lp),
     ]
     for tag, A, B in eqs:
-        lhs = mat_mul(mat_mul(_leg1(A, U), _leg2(B, U)), R)
-        rhs = mat_mul(mat_mul(R, _leg2(B, U)), _leg1(A, U))
+        A1, B2 = on_legs(A, (0,), 2, U.zero()), on_legs(B, (1,), 2, U.zero())
+        lhs = mat_mul(mat_mul(A1, B2), R)
+        rhs = mat_mul(mat_mul(R, B2), A1)
         ok = all(nfz(x) for row in mat_sub(lhs, rhs) for x in row)
         results.append((tag, ok))
     return results
@@ -348,8 +334,8 @@ def reflection_equation_entries(spec: AlgebraSpec, names: tuple[str, str, str, s
     """Entry residuals of R21 L1 R L2 - L2 R21 L1 R as free polynomials."""
     L = letter_matrix(spec, names)
     R = _scalar_mat_for(rmatrix_vector(), spec)
-    R21 = _swap_legs(R)
-    L1, L2 = _leg1(L, spec), _leg2(L, spec)
+    z = spec.zero()
+    R21, L1, L2 = on_legs(R, (1, 0), 2, z), on_legs(L, (0,), 2, z), on_legs(L, (1,), 2, z)
     lhs = mat_mul(mat_mul(mat_mul(R21, L1), R), L2)
     rhs = mat_mul(mat_mul(mat_mul(L2, R21), L1), R)
     return [x for row in mat_sub(lhs, rhs) for x in row]
@@ -357,18 +343,6 @@ def reflection_equation_entries(spec: AlgebraSpec, names: tuple[str, str, str, s
 
 def _scalar_mat_for(R, spec):
     return [[spec.scalar(c) for c in row] for row in R]
-
-
-def _swap_legs(R):
-    """R21 from R: conjugate by the flip of tensor legs."""
-    n = len(R)
-    out = [[None] * n for _ in range(n)]
-    for i in range(2):
-        for k in range(2):
-            for j in range(2):
-                for l in range(2):
-                    out[2 * k + i][2 * l + j] = R[2 * i + k][2 * j + l]
-    return out
 
 
 # ---------------------------------------------------------------------------

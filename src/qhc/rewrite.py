@@ -31,11 +31,11 @@ step budget every normal-form computation carries only bounds its cost.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import prod
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .coeffring import RAT, RC_Q, RC_T, coeff_str
+from .coeffring import RAT, RC_Q, coeff_str
 from . import linalg
 from .ncpoly import EMPTY_WORD, Alphabet, NcPoly, Word
 
@@ -160,11 +160,11 @@ class PowerBlocksPbw:
         letter indexes (for oq, the order of
         itertools.combinations_with_replacement).  The rank families take
         their row order from this, and frac_rank keeps it only among rows
-        of equal length, so no rank depends on it.
+        of equal length, so no rank depends on it.  Only uq has blocks of
+        negative degree, and its K blocks are unbounded, so it raises.
         """
         alph = self.alphabet
         blocks = [(p, cap, alph.gens[p].bidegree) for p, _, cap in self.blocks]
-        signed = any(a < 0 or b < 0 for _, _, (a, b) in blocks)
 
         def most(cap, a, b, m, n):
             """Largest exponent a block of degree (a, b) can take within (m, n)."""
@@ -184,24 +184,22 @@ class PowerBlocksPbw:
             top = most(cap, a, b, m, n)
             if top is None:
                 raise EngineError(f"block {alph.gens[p].name} has an unbounded exponent and is not enumerable")
-            lo = 0
-            if not signed:
-                # skip exponents that leave more degree than the later
-                # blocks can take up: those branches end without a word
-                room_m = room_n = 0
-                for _, c, (x, y) in blocks[k + 1:]:
-                    most_j = most(c, x, y, m, n)
-                    if most_j is None:
-                        break
-                    room_m += most_j * x
-                    room_n += most_j * y
-                else:
-                    if (not a and m > room_m) or (not b and n > room_n):
-                        return
-                    if a:
-                        lo = max(lo, -((room_m - m) // a))
-                    if b:
-                        lo = max(lo, -((room_n - n) // b))
+            # skip exponents that leave more degree than the later blocks
+            # can take up: those branches end without a word
+            lo = room_m = room_n = 0
+            for _, c, (x, y) in blocks[k + 1:]:
+                most_j = most(c, x, y, m, n)
+                if most_j is None:
+                    break
+                room_m += most_j * x
+                room_n += most_j * y
+            else:
+                if (not a and m > room_m) or (not b and n > room_n):
+                    return
+                if a:
+                    lo = max(lo, -((room_m - m) // a))
+                if b:
+                    lo = max(lo, -((room_n - n) // b))
             for e in range(top, lo - 1, -1):
                 yield from rec(k + 1, m - e * a, n - e * b, acc + (p,) * e)
 
@@ -881,9 +879,9 @@ class Residues:
     point raises CoeffError naming p, even where it has a value over Q.
 
     It is a coefficient field for AlgebraSpec.over, as RAT and QQField are:
-    zero, one, q_power, t_power, from_int, and eval, which is of.  Its
-    values are ints of the type residue, whose +, - and * reduce mod N;
-    nothing divides by them.
+    zero, one, q_power and eval; no parser runs over it, so it lacks their
+    from_int and t_power.  Its values are ints of the type residue, whose
+    +, - and * reduce mod N; nothing divides by them.
     """
 
     def __init__(self, points: Optional[Sequence[tuple[Fraction, Fraction, int]]] = None):
@@ -894,43 +892,29 @@ class Residues:
         n = self.n = prod(self.primes)
         # e_i is 1 mod primes[i] and 0 mod the others
         self._crt = [(q0, t0, p, n // p * pow(n // p, -1, p)) for q0, t0, p in self.points]
-        self._by_id: dict[int, tuple[object, int]] = {}
-        self._by_value: dict[tuple, int] = {}
+        self._memo: dict = {}
         self.residue = _residue_type(n)
         self.zero, self.one = self.residue(0), self.residue(1)
 
-    def of(self, c) -> int:
-        """The residue of the coefficient c, evaluated once per object: the
-        memo is keyed by identity and holds c, so no id is reused while it
-        lives, and then by the items of c's stored form, lnum and lden, so
-        equal coefficients that are distinct objects share one evaluation.
-        Equal coefficients whose dicts list their terms in another order
-        miss it, which only costs a second evaluation."""
-        hit = self._by_id.get(id(c))
-        if hit is not None:
-            return hit[1]
-        key = (tuple(c.lnum.items()), c.lden and tuple(c.lden.items()))
-        v = self._by_value.get(key)
+    def eval(self, c) -> int:
+        """The residue of the coefficient c, evaluated once per value: the
+        memo is keyed by c, and RatCoeff hashes and compares by value."""
+        v = self._memo.get(c)
         if v is None:
-            v = self._by_value[key] = self.residue(
+            v = self._memo[c] = self.residue(
                 sum(e * c.eval_mod(q0, t0, p) for q0, t0, p, e in self._crt) % self.n)
-        self._by_id[id(c)] = (c, v)
         return v
 
-    eval = of
-
-    def from_int(self, k: int) -> int:
-        return self.residue(k % self.n)
+    @cached_property
+    def _q(self) -> int:
+        return self.eval(RC_Q)
 
     def q_power(self, k: int) -> int:
-        return self.residue(pow(self.of(RC_Q), k, self.n))
-
-    def t_power(self, k: int) -> int:
-        return self.residue(pow(self.of(RC_T), k, self.n))
+        return self.residue(pow(self._q, k, self.n))
 
     def row(self, terms: dict) -> dict:
         """{key: residue} for {key: coefficient}, zero residues dropped."""
-        return {k: v for k, c in terms.items() if (v := self.of(c))}
+        return {k: v for k, c in terms.items() if (v := self.eval(c))}
 
     def ranks(self, rows: Sequence[dict]) -> tuple[int, ...]:
         """The rank of the residue rows {column: residue mod N} at each

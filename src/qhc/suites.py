@@ -180,14 +180,16 @@ def suite_dq_relations() -> list[dict]:
     # span agreement between entries and printed rules
     a_idx = [D.alphabet.index(n) for n in ("a11", "a12", "a21", "a22")]
     p_idx = [D.alphabet.index(n) for n in ("p11", "p12", "p21", "p22")]
+
+    def rules_on(first, second):
+        """The rules whose left-hand side is a letter of first then one of second."""
+        return [r for r in D.rules if r.lhs[0] in first and r.lhs[1] in second]
+
     cases = {
-        "coordinates": ([(i, j) for i in a_idx for j in a_idx],
-                        [r for r in D.rules if r.tag[0] == "a"]),
-        "derivatives": ([(i, j) for i in p_idx for j in p_idx],
-                        [r for r in D.rules if r.tag[0] == "p" and r.tag[4] == "p"]),
+        "coordinates": ([(i, j) for i in a_idx for j in a_idx], rules_on(a_idx, a_idx)),
+        "derivatives": ([(i, j) for i in p_idx for j in p_idx], rules_on(p_idx, p_idx)),
         "cross": ([(i, j) for i in p_idx + a_idx for j in p_idx + a_idx
-                   if (i in p_idx) != (j in p_idx)],
-                  [r for r in D.rules if r.tag[0] == "p" and r.tag[4] == "a"]),
+                   if (i in p_idx) != (j in p_idx)], rules_on(p_idx, a_idx)),
     }
     zero = RAT.from_int(0)
     for block in sorted(cases):

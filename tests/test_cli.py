@@ -310,6 +310,17 @@ def test_cli_word_budget_exits_2(capsys, monkeypatch, argv, where):
     assert f"{where}; lower --max" in cap.err
 
 
+@pytest.mark.parametrize("top", ["0", "1"])
+def test_cli_hilbert_uq_is_not_enumerable(capsys, top):
+    # uq's K blocks have degree (0, 0) and no cap, so no bidegree bounds
+    # their exponents, not even (0, 0)
+    rc = main(["hilbert", "--algebra", "uq", "--max", top, top])
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.out == ""
+    assert cap.err == "error: block K1 has an unbounded exponent and is not enumerable\n"
+
+
 def test_cli_import_skips_dataclasses():
     # dataclasses pulls in inspect, ast, dis and tokenize: more than a third of
     # what importing qhc.cli costs every cold request; a bare interpreter is

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from functools import cache
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qhc.cli import ALGEBRAS, Context, main
@@ -171,7 +171,31 @@ def check_round_trips(alg, expr):
         assert rc2 == 0 and doc2["normal_form"] == doc["normal_form"], (alg, wrap, expr)
 
 
+#: products and powers of sums with scalar coefficients on the word
+#: algebras, so that the reference reducer checks normal forms with several
+#: terms: the derandomised draws are mostly atoms and scalars
+STRUCTURED = (
+    ("daha", "(2*T + q*Y1)*(X1 - t)"),
+    ("daha", "(q*X1 + 2*Y1i)^2"),
+    ("sdaha", "(2*Q1 + q*P1)*(P1 - t*R)"),
+    ("uq", "(2*E + q*F)*(F - K1)"),
+    ("uq", "(q*E + 2*K2i)^2"),
+    ("inv", "(2*c1 + q*d1)*(d1 - t*r)"),
+    ("ham", "(q*c1 + 2*d1)^2"),
+)
+
+
+def structured(test):
+    """test with two normalize examples per STRUCTURED pair: symbolic and at
+    a point."""
+    for alg, expr in STRUCTURED:
+        test = example(["normalize", "--algebra", alg, "--q", "5/3", "--t", "2", "--", expr])(test)
+        test = example(["normalize", "--algebra", alg, "--", expr])(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None)
+@structured
 @given(requests())
 def test_cli_answers_json_or_one_error_line(argv):
     rc, doc = run(argv)

@@ -34,9 +34,8 @@ from qhc.dqops import (
 )
 from qhc.invham import ham_spec, psibar_apply
 from qhc.linalg import dense_rank
-from qhc.qgroup import mat_mul
 from qhc.ncpoly import NcPoly
-from qhc.qgroup import oq_denominators, oq_spec
+from qhc.qgroup import QMQI, mat_mul, oq_denominators, oq_spec, rmatrix_vector
 from qhc.rewrite import LocElem, _on_right, check_ambiguities, hilbert_table
 from qhc.suites import run_verify_suite
 
@@ -141,6 +140,20 @@ def test_cofactor_suite_catches_a_wrong_adjugate(monkeypatch, capsys):
                        " display matches except the known erratum")]
     assert main(["verify", "--suite", "cofactor"]) == 1
     assert json.loads(capsys.readouterr().out)["failed"] == 10
+
+
+def test_dq_relations_suite_catches_a_wrong_r21_inverse(monkeypatch, capsys):
+    # R + (q - 1/q) P, the closed form with its sign flipped, inverts no R21:
+    # only the cross relations read R21^-1, and they then fail both to reduce
+    # and to span exactly the cross rules
+    R = rmatrix_vector()
+    wrong = [[R[i][j] + QMQI if j == 2 * (i % 2) + i // 2 else R[i][j] for j in range(4)] for i in range(4)]
+    monkeypatch.setattr(dqops, "rmatrix_21_inverse", lambda: wrong)
+    report = run_verify_suite("dq-relations")
+    failed = [item["name"] for item in report["items"] if not item["pass"]]
+    assert failed == ["matrix equation entries reduce: cross", "entries span exactly the cross rules"]
+    assert main(["verify", "--suite", "dq-relations"]) == 1
+    assert json.loads(capsys.readouterr().out)["failed"] == 2
 
 
 @pytest.mark.parametrize("spec, dens", [(dq_spec, dq_denominators), (oq_spec, oq_denominators)])

@@ -1,5 +1,7 @@
 """Every name a qhc module, a script or the test oracles import is used in
-that file: no dead imports."""
+that file: no dead imports.  Every module-level definition in qhc is loaded
+somewhere in the package, the scripts, the tests or perfbench: no dead
+definitions."""
 
 import ast
 from pathlib import Path
@@ -11,6 +13,8 @@ SRC = ROOT / "src" / "qhc"
 MODULES = sorted(
     [p for p in SRC.glob("*.py") if p.name != "__init__.py"]
     + list((ROOT / "scripts").glob("*.py")) + [ROOT / "tests" / "oracles.py"])
+#: every file whose loads keep a qhc definition alive
+READERS = sorted(p for d in ("src", "scripts", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -29,7 +33,7 @@ def used_names(tree: ast.Module) -> set[str]:
     """Every name the module loads, those in string annotations included."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         annotations = []
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -56,3 +60,46 @@ def test_the_guard_sees_an_unused_import():
     tree = ast.parse("from .rewrite import EngineError, LocElem\nx: 'LocElem' = None\n")
     used = used_names(tree)
     assert [n for n in imported_names(tree) if n not in used] == ["EngineError"]
+
+
+def defined_names(tree: ast.Module) -> dict[str, int]:
+    """{name: line} of the module-level defs, classes and constants, dunder
+    names such as __all__ aside."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                out.update((n.id, node.lineno) for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name: line for name, line in out.items() if not name.startswith("__")}
+
+
+def loaded_names(tree: ast.Module) -> set[str]:
+    """Every name the file loads, every attribute it reads, every name it
+    imports and each part of every dotted identifier string, such as the
+    targets perfbench's tracer names by string."""
+    out = used_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                out |= set(parts)
+    return out
+
+
+def test_every_definition_is_loaded():
+    loaded = set().union(*(loaded_names(ast.parse(p.read_text(), p.name)) for p in READERS))
+    dead = {f"{p.name}:{line}": name for p in sorted(SRC.glob("*.py"))
+            for name, line in defined_names(ast.parse(p.read_text(), p.name)).items() if name not in loaded}
+    assert not dead, f"module-level definitions nothing loads: {dead}"
+
+
+def test_the_guard_sees_a_dead_definition():
+    tree = ast.parse("A, B = 1, 2\n__all__ = []\ndef f(): return A\ndef g(): pass\nclass C: pass\n"
+                     "x = obj.g\ny = 'mod.C'\n")
+    assert sorted(n for n in defined_names(tree) if n not in loaded_names(tree)) == ["B", "f", "x", "y"]

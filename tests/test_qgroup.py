@@ -20,6 +20,7 @@ from qhc.qgroup import (
     lmatrices,
     lmatrix_check,
     mat_mul,
+    on_legs,
     oq_action,
     oq_spec,
     phi_images,
@@ -27,8 +28,8 @@ from qhc.qgroup import (
     qdet_oq,
     qtrace_oq,
     reflection_equation_entries,
+    rmatrix_21_inverse,
     rmatrix_vector,
-    scalar_inverse_4x4,
     uq_spec,
     yang_baxter_residual,
 )
@@ -76,12 +77,33 @@ def test_yang_baxter():
 
 
 def test_rmatrix_invertible():
-    R = rmatrix_vector()
-    Ri = scalar_inverse_4x4(R)
-    prod = mat_mul(R, Ri)
-    for i in range(4):
-        for j in range(4):
-            assert prod[i][j] == (RC_ONE if i == j else RatCoeff.from_int(0))
+    # the closed form R - (q - 1/q) P inverts R21 on both sides
+    zero = RatCoeff.from_int(0)
+    R21, R21i = on_legs(rmatrix_vector(), (1, 0), 2, zero), rmatrix_21_inverse()
+    eye = [[RC_ONE if i == j else zero for j in range(4)] for i in range(4)]
+    assert mat_mul(R21, R21i) == eye
+    assert mat_mul(R21i, R21) == eye
+
+
+def _kron(*ms):
+    out = [[1]]
+    for m in ms:
+        out = [[a * b for a in ra for b in rb] for ra in out for rb in m]
+    return out
+
+
+def test_on_legs_places_an_operator_on_its_legs():
+    # integer stand-ins for operators on one and two legs, so each placement
+    # is a Kronecker product with the identity, legs read big-endian
+    A, B, eye = [[1, 2], [3, 4]], [[5, 6], [7, 8]], [[1, 0], [0, 1]]
+    AB = _kron(A, B)
+    assert on_legs(A, (0,), 2, 0) == _kron(A, eye)
+    assert on_legs(B, (1,), 2, 0) == _kron(eye, B)
+    assert on_legs(AB, (0, 1), 2, 0) == AB
+    assert on_legs(AB, (1, 0), 2, 0) == _kron(B, A)
+    assert on_legs(AB, (0, 2), 3, 0) == _kron(A, eye, B)
+    assert on_legs(AB, (2, 1), 3, 0) == _kron(eye, B, A)
+    assert on_legs(A, (1,), 3, 0) == _kron(eye, A, eye)
 
 
 def test_lmatrix_presentation_holds():
