@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -116,7 +117,13 @@ def _emit(doc: dict, path: str | None) -> None:
         except OSError as exc:
             raise EngineError(f"cannot write --output {path}: {exc.strerror}") from None
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError as exc:
+            # the exit's own flush of stdout would fail again, so stdout goes
+            # to devnull (the recipe of Python's signal module documentation)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise EngineError(f"cannot write to stdout: {exc.strerror}") from None
 
 
 def cmd_normalize(args) -> int:
@@ -138,7 +145,7 @@ def cmd_mul(args) -> int:
     a = ctx.parse(args.exprs[0])
     for src in args.exprs[1:]:
         # bounded like a '*' chain; a breach points at the operand's start
-        a = ctx.ops.mul(ctx.ops.bounded(a, tokenize(src)[0]), ctx.parse(src))
+        a = ctx.ops.bounded_mul(a, ctx.parse(src), tokenize(src)[0])
     a = ctx.normalize(a)
     _emit({
         "schema": 1,

@@ -617,6 +617,8 @@ class RatField:
 
     zero = RC_ZERO
     one = RC_ONE
+    #: values are exact, so a normal form needs no reduction pass
+    reduce = None
 
     @staticmethod
     def q_power(k: int) -> RatCoeff:
@@ -637,6 +639,8 @@ class RatField:
 
 class QQField:
     """Coefficients specialised at a rational point (q0, t0)."""
+
+    reduce = None
 
     def __init__(self, q0: Fraction, t0: Fraction):
         self.q0 = Fraction(q0)

@@ -12,7 +12,9 @@ MAX_EXPONENT in absolute value, negative ones only on scalars and on
 invertible single generators.  A factor may sit inside at most MAX_DEPTH
 parentheses and unary minus signs.  A power or a '*' chain stops with an
 error when what it has multiplied so far has coefficients of more than
-MAX_COEFF_MONOMIALS monomials.  Errors carry line and column positions.
+MAX_COEFF_MONOMIALS monomials, and any product stops when its operands'
+monomial counts multiply to more than MAX_PRODUCT_SIZE.  Errors carry line
+and column positions.
 """
 
 from __future__ import annotations
@@ -32,6 +34,12 @@ MAX_EXPONENT = 1000
 #: grow much faster than its terms ((Q1+P1)^16 in sdaha has 473 terms and
 #: about 58,000 monomials, ^17 about 81,000), and so does the work
 MAX_COEFF_MONOMIALS = 65_536
+
+#: most size(a) * size(b) for one product a * b, size counting monomials as
+#: for MAX_COEFF_MONOMIALS: in sdaha (Q1+P1)^8 * (Q1+P1)^8 comes to about
+#: 2.0 million and takes seconds, the step from (Q1+P1)^16 to ^17 to about
+#: 117,000
+MAX_PRODUCT_SIZE = 2**20
 
 #: most parentheses and unary minus signs around one factor; each level costs
 #: the recursive-descent parser up to four Python frames, so this keeps it
@@ -104,6 +112,13 @@ def _int_value(tok: Token) -> int:
                          tok.line, tok.col) from None
 
 
+def _size(a) -> int:
+    """The monomials of a's coefficients, numerators and denominators, a
+    specialised coefficient counting one; a is an NcPoly or a LocElem."""
+    terms = a.terms if isinstance(a, NcPoly) else a.body.terms
+    return sum(len(c.lnum) + len(c.lden or ()) if isinstance(c, RatCoeff) else 1 for c in terms.values())
+
+
 class ValueOps:
     """Adapter the parser evaluates against.
 
@@ -126,17 +141,22 @@ class ValueOps:
     def mul(self, a, b):
         return a * b
 
-    def bounded(self, a, tok: Token):
-        """a, or ParseError naming the algebra when a's coefficients hold more
-        than MAX_COEFF_MONOMIALS monomials, a specialised coefficient counting
-        one; a power and a '*' chain pass each product so far through here
-        before they multiply it by the next factor."""
-        terms = a.terms if isinstance(a, NcPoly) else a.body.terms
-        size = sum(len(c.lnum) + len(c.lden or ()) if isinstance(c, RatCoeff) else 1 for c in terms.values())
-        if size > MAX_COEFF_MONOMIALS:
+    def bounded_mul(self, a, b, tok: Token):
+        """mul(a, b), or ParseError naming the algebra when a's coefficients
+        hold more than MAX_COEFF_MONOMIALS monomials or the two counts
+        multiply to more than MAX_PRODUCT_SIZE, a specialised coefficient
+        counting one.  A power, a '*' chain and cmd_mul multiply through
+        here, so the first bounds the product so far before each further
+        factor, and the second bounds one product of two large operands."""
+        size_a, size_b = _size(a), _size(b)
+        if size_a > MAX_COEFF_MONOMIALS:
             raise ParseError(f"{self.spec.algebra_id}: a product's coefficients exceed the limit of "
                              f"{MAX_COEFF_MONOMIALS} monomials", tok.line, tok.col)
-        return a
+        if size_a * size_b > MAX_PRODUCT_SIZE:
+            raise ParseError(f"{self.spec.algebra_id}: a product of operands with {size_a} and {size_b} "
+                             f"coefficient monomials exceeds the limit of {MAX_PRODUCT_SIZE}",
+                             tok.line, tok.col)
+        return self.mul(a, b)
 
     def div(self, a, b, tok: Token):
         c = b.scalar_coeff()
@@ -158,7 +178,7 @@ class ValueOps:
             a, n = self.invert_value(a, tok), -n
         out = self.scalar(self.field.one)
         for _ in range(n):
-            out = self.mul(self.bounded(out, tok), a)
+            out = self.bounded_mul(out, a, tok)
         return out
 
     def invert_value(self, a, tok: Token):
@@ -236,7 +256,7 @@ class Parser:
         while self._peek().kind in ("*", "/"):
             op = self._next()
             rhs = self._factor()
-            v = self.ops.mul(self.ops.bounded(v, op), rhs) if op.kind == "*" else self.ops.div(v, rhs, op)
+            v = self.ops.bounded_mul(v, rhs, op) if op.kind == "*" else self.ops.div(v, rhs, op)
         return v
 
     def _factor(self):

@@ -1,8 +1,8 @@
 """Exact linear algebra: modulo m for specialised systems, over any field
 for symbolic ones.
 
-``frac_rank`` and ``frac_solve`` take sparse rows of residues mod m.  Mod a
-prime m this is elimination over GF(m).  Mod a product m of distinct primes
+``frac_rank`` and ``frac_solve`` take sparse rows of ints, read mod m.  Mod
+a prime m this is elimination over GF(m).  Mod a product m of distinct primes
 it is the eliminations mod each of them done side by side, while every
 leading entry is a unit mod m.  A leading entry that is not a unit is zero
 mod some of the primes and not mod others; it stops the elimination, and
@@ -16,7 +16,12 @@ solve.
 
 Both kernels work alike.  Rows are {column: value}; each row is reduced
 against the pivots found so far, always at its minimum column, and what is
-left becomes a new pivot row divided by its leading entry.
+left becomes a new pivot row divided by its leading entry.  Mod m the
+reduction is delayed (as in Dumas, Giorgi & Pernet's FFLAS-FFPACK): a
+row's entries are updated as plain ints, and an entry is taken mod m only
+when it leads, which is the one place its residue decides anything, and
+when it enters a pivot row.  Reduction mod m is a ring map, so the residues,
+and the rank, are those of an elimination that reduced every step.
 
 ``frac_rank`` first chooses the order the kernel sees (Markowitz's rule of
 least fill, simplified to static counts).  It drops empty rows, renumbers the
@@ -58,9 +63,14 @@ def _echelon(rows, zero) -> dict[int, dict]:
 
 def _echelon_mod(rows: Sequence[dict[int, int]], m: int,
                  ncols: Optional[int] = None) -> Optional[dict[int, dict[int, int]]]:
-    """_echelon over Z/m: entries are nonzero residues mod m.  It stops once
-    it holds ncols pivots, if ncols is given.  None if a leading entry is
-    not a unit mod m, which only a composite m allows."""
+    """_echelon over Z/m, each pivot row stored reduced and without its
+    leading entry, which is one.  Entries are ints, reduced mod m only when
+    one is picked as a leading entry, and skipped if that is zero.  The
+    others are updated without reduction, each update moving one by less
+    than m^2, so an entry stays within m^2 times the number of pivots of
+    its value as given.  It stops once it holds ncols pivots, if ncols is
+    given.  None if a leading entry is not a unit mod m, which only a
+    composite m allows."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
         if len(pivots) == ncols:
@@ -68,17 +78,19 @@ def _echelon_mod(rows: Sequence[dict[int, int]], m: int,
         cur = dict(row)
         while cur:
             c = min(cur)
-            f = cur[c]
+            f = cur.pop(c) % m
+            if not f:
+                continue
             piv = pivots.get(c)
             if piv is None:
                 try:
                     inv = pow(f, -1, m)
                 except ValueError:
                     return None
-                pivots[c] = {cc: vv * inv % m for cc, vv in cur.items()}
+                pivots[c] = {cc: r for cc, vv in cur.items() if (r := vv * inv % m)}
                 break
             for cc, vv in piv.items():
-                s = (cur.get(cc, 0) - f * vv) % m
+                s = cur.get(cc, 0) - f * vv
                 if s:
                     cur[cc] = s
                 else:
@@ -120,21 +132,22 @@ def _sparse(row) -> dict[int, object]:
 
 
 def frac_rank(rows: Sequence[dict[Hashable, int]], m: int) -> Optional[int]:
-    """Rank mod m of a sparse matrix given as rows {column: residue mod m},
-    the columns any hashable keys; None if a leading entry is not a unit
-    mod m, which only a composite m allows.
+    """Rank mod m of a sparse matrix given as rows {column: int}, the
+    entries read mod m and the columns any hashable keys; None if a leading
+    entry is not a unit mod m, which only a composite m allows.
 
     The rows are reordered first: columns by ascending nonzero count, rows
-    sparsest first.  Neither changes the rank.  Entries of an int subclass
-    (rewrite.Residues' values) are taken as plain ints, so the elimination
-    runs on ints."""
+    sparsest first.  Neither changes the rank.  The entries need not be
+    reduced: the elimination reduces an entry only when it leads (see the
+    module docstring), so an entry that is a nonzero multiple of m counts
+    towards its column's count but never becomes a pivot."""
     rows = [r for r in rows if r]
     counts: dict[Hashable, int] = {}
     for r in rows:
         for c in r:
             counts[c] = counts.get(c, 0) + 1
     renumber = {c: k for k, c in enumerate(sorted(counts, key=counts.__getitem__))}
-    rows = sorted(({renumber[c]: int(v) for c, v in r.items()} for r in rows), key=len)
+    rows = sorted(({renumber[c]: v for c, v in r.items()} for r in rows), key=len)
     pivots = _echelon_mod(rows, m, len(counts))
     return None if pivots is None else len(pivots)
 

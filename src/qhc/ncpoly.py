@@ -104,7 +104,12 @@ def term_sort_key(w: Word):
 
 
 class NcPoly:
-    """Finitely supported map Word -> coefficient over one alphabet."""
+    """Finitely supported map Word -> coefficient over one alphabet.
+
+    Unless _clean is set, zero coefficients are dropped and, over a field
+    with a reduce (rewrite.Residues), every coefficient is brought back
+    through it; the arithmetic below does that over such a field, so its
+    results hold canonical values."""
 
     __slots__ = ("alphabet", "terms", "field")
 
@@ -113,8 +118,10 @@ class NcPoly:
         self.field = field
         if _clean:
             self.terms = terms
-        else:
+        elif field.reduce is None:
             self.terms = {w: c for w, c in terms.items() if c}
+        else:
+            self.terms = field.reduce(terms)
 
     # -- constructors --------------------------------------------------------
 
@@ -177,10 +184,11 @@ class NcPoly:
                 out[w] = s
             else:
                 out.pop(w, None)
-        return NcPoly(self.alphabet, out, self.field, _clean=True)
+        return NcPoly(self.alphabet, out, self.field, _clean=self.field.reduce is None)
 
     def __neg__(self) -> "NcPoly":
-        return NcPoly(self.alphabet, {w: -c for w, c in self.terms.items()}, self.field, _clean=True)
+        return NcPoly(self.alphabet, {w: -c for w, c in self.terms.items()}, self.field,
+                      _clean=self.field.reduce is None)
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
         return self + (-other)
@@ -188,7 +196,8 @@ class NcPoly:
     def scale(self, c) -> "NcPoly":
         if not c:
             return NcPoly.zero(self.alphabet, self.field)
-        return NcPoly(self.alphabet, {w: v * c for w, v in self.terms.items()}, self.field, _clean=True)
+        return NcPoly(self.alphabet, {w: v * c for w, v in self.terms.items()}, self.field,
+                      _clean=self.field.reduce is None)
 
     def __mul__(self, other: "NcPoly") -> "NcPoly":
         """Free concatenation product (no reduction)."""
@@ -204,7 +213,7 @@ class NcPoly:
                     out[w] = s
                 else:
                     out.pop(w, None)
-        return NcPoly(self.alphabet, out, self.field, _clean=True)
+        return NcPoly(self.alphabet, out, self.field, _clean=self.field.reduce is None)
 
     # -- grading ---------------------------------------------------------------
 

@@ -434,12 +434,14 @@ class AlgebraSpec:
 
     def _nf_terms(self, w: Word) -> NfTerms:
         """The normal form of w as (word, coefficient) pairs, from the cache,
-        or reduced and, while the cache is under CACHE_MAX_TERMS, stored
-        there with each coefficient replaced by the spec's one object of its
-        value."""
+        or reduced, brought back by field.reduce if the field has one, and,
+        while the cache is under CACHE_MAX_TERMS, stored there with each
+        coefficient replaced by the spec's one object of its value."""
         terms = self._nf_cache.get(w)
         if terms is None:
             out = self._reduce_terms({w: self.field.one})
+            if self.field.reduce is not None:
+                out = self.field.reduce(out)
             if self._nf_cached_terms < CACHE_MAX_TERMS:
                 share = self._nf_coeffs.setdefault
                 terms = self._nf_cache[w] = tuple([(v, share(c, c)) for v, c in out.items()])
@@ -456,7 +458,7 @@ class AlgebraSpec:
         out: dict[Word, object] = {}
         for p, c in pairs:
             _add_scaled(out, p.terms.items(), c)
-        return NcPoly(self.alphabet, out, self.field, _clean=True)
+        return NcPoly(self.alphabet, out, self.field, _clean=self.field.reduce is None)
 
     def nf(self, p: NcPoly, direction: str = "leftmost") -> NcPoly:
         """The normal form of p from the cached leftmost engine; any other
@@ -466,7 +468,7 @@ class AlgebraSpec:
         out: dict[Word, object] = {}
         for w, c in p.terms.items():
             _add_scaled(out, self._nf_terms(w), c)
-        return NcPoly(self.alphabet, out, self.field, _clean=True)
+        return NcPoly(self.alphabet, out, self.field, _clean=self.field.reduce is None)
 
     def mul(self, *factors: NcPoly) -> NcPoly:
         """Normal form of the product of factors, none of them need be normal.
@@ -807,9 +809,13 @@ def hilbert_table(spec: AlgebraSpec, max_bidegree: tuple[int, int]) -> HilbertTa
 # resolve over Z/N too, and Bergman's diamond lemma, which holds over any
 # commutative ring, makes normal forms over Z/N unique.  A symbolic
 # reduction carried term by term is a reduction over Z/N, so the residue
-# normal form of a word is the residue of its symbolic one.  The residue
-# products (_acts) and E images (AdjointAction.images) are then the residues
-# of the exact ones, and the chain holds for the rows they make.
+# normal form of a word is the residue of its symbolic one.  Inside
+# _reduce_terms and _add_scaled the residues are added and multiplied as
+# plain ints, and a term that is 0 mod N but not as an int stays alive
+# until Residues.reduce brings the normal form back to [0, N); Z -> Z/N is
+# a ring map, so no residue changes.  The residue products (_acts) and E
+# images (AdjointAction.images) are then the residues of the exact ones,
+# and the chain holds for the rows they make.
 #
 # The primes keep out the cases the paper excludes, q a root of unity and
 # t = +-i.  They are the three largest primes below 2^61 that are 3 mod 4,
@@ -852,23 +858,6 @@ def specialisation_point(q0, t0) -> tuple[Fraction, Fraction]:
     return q0, t0
 
 
-def _residue_type(n: int) -> type:
-    """The int subclass of residues mod n: the sum, difference and product
-    of one with an int, either way round, and its negation are residues mod
-    n again."""
-    new = int.__new__
-
-    class Residue(int):
-        __slots__ = ()
-
-        def __neg__(a):
-            return new(Residue, -int(a) % n)
-
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
-        setattr(Residue, name, lambda a, b, op=getattr(int, name): new(Residue, op(a, b) % n))
-    return Residue
-
-
 class Residues:
     """The ring Z/N at a table of points (q0, t0, p), POINTS unless points
     is given, N being the product of the table's primes, which must be
@@ -879,9 +868,11 @@ class Residues:
     point raises CoeffError naming p, even where it has a value over Q.
 
     It is a coefficient field for AlgebraSpec.over, as RAT and QQField are:
-    zero, one, q_power and eval; no parser runs over it, so it lacks their
-    from_int and t_power.  Its values are ints of the type residue, whose
-    +, - and * reduce mod N; nothing divides by them.
+    zero, one, q_power, eval and reduce; no parser runs over it, so it lacks
+    their from_int and t_power.  Its values are plain ints in [0, N), and
+    nothing divides by them.  The engine adds and multiplies them as ints
+    and brings a result back to [0, N) by reduce once per normal form (see
+    POINTS).
     """
 
     def __init__(self, points: Optional[Sequence[tuple[Fraction, Fraction, int]]] = None):
@@ -893,16 +884,14 @@ class Residues:
         # e_i is 1 mod primes[i] and 0 mod the others
         self._crt = [(q0, t0, p, n // p * pow(n // p, -1, p)) for q0, t0, p in self.points]
         self._memo: dict = {}
-        self.residue = _residue_type(n)
-        self.zero, self.one = self.residue(0), self.residue(1)
+        self.zero, self.one = 0, 1
 
     def eval(self, c) -> int:
         """The residue of the coefficient c, evaluated once per value: the
         memo is keyed by c, and RatCoeff hashes and compares by value."""
         v = self._memo.get(c)
         if v is None:
-            v = self._memo[c] = self.residue(
-                sum(e * c.eval_mod(q0, t0, p) for q0, t0, p, e in self._crt) % self.n)
+            v = self._memo[c] = sum(e * c.eval_mod(q0, t0, p) for q0, t0, p, e in self._crt) % self.n
         return v
 
     @cached_property
@@ -910,7 +899,12 @@ class Residues:
         return self.eval(RC_Q)
 
     def q_power(self, k: int) -> int:
-        return self.residue(pow(self._q, k, self.n))
+        return pow(self._q, k, self.n)
+
+    def reduce(self, terms: dict) -> dict:
+        """{key: value mod N} for {key: int}, zero residues dropped."""
+        n = self.n
+        return {k: r for k, c in terms.items() if (r := c % n)}
 
     def row(self, terms: dict) -> dict:
         """{key: residue} for {key: coefficient}, zero residues dropped."""

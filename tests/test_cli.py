@@ -499,3 +499,47 @@ def test_cli_mul_products_are_bounded(capsys):
     assert cap.out == ""
     assert cap.err == (f"error: sdaha: a product's coefficients exceed the limit of "
                        f"{exprparse.MAX_COEFF_MONOMIALS} monomials (line 1, column 1)\n")
+
+
+@pytest.mark.parametrize("argv, col", [
+    (["normalize", "--algebra", "sdaha", "((Q1+P1)^12)*((Q1+P1)^12)"], 13),
+    (["mul", "--algebra", "sdaha", "(Q1+P1)^12", "(Q1+P1)^12"], 1),
+], ids=["normalize", "mul"])
+def test_cli_one_product_of_two_large_operands_is_bounded(capsys, argv, col):
+    # both once ran past 20 s: each operand is under MAX_COEFF_MONOMIALS, but
+    # their counts, 12,113 each, multiply past MAX_PRODUCT_SIZE
+    t0 = time.perf_counter()
+    rc = main(argv)
+    assert time.perf_counter() - t0 < 10
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.out == ""
+    assert cap.err == (f"error: sdaha: a product of operands with 12113 and 12113 coefficient monomials "
+                       f"exceeds the limit of {exprparse.MAX_PRODUCT_SIZE} (line 1, column {col})\n")
+
+
+def test_cli_product_bound_is_a_bound_on_the_size_product(monkeypatch, capsys):
+    # the step from (Q1+P1)^8, of 1,427 monomials, to ^9 has a size product
+    # of 2,854: a bound of 2,853 refuses it at the '^', one of 2,854 admits it
+    monkeypatch.setattr(exprparse, "MAX_PRODUCT_SIZE", 2853)
+    assert main(["normalize", "--algebra", "sdaha", "(Q1+P1)^9"]) == 2
+    assert capsys.readouterr().err == ("error: sdaha: a product of operands with 1427 and 2 coefficient "
+                                       "monomials exceeds the limit of 2853 (line 1, column 8)\n")
+    monkeypatch.setattr(exprparse, "MAX_PRODUCT_SIZE", 2854)
+    assert main(["normalize", "--algebra", "sdaha", "(Q1+P1)^9"]) == 0
+    assert json.loads(capsys.readouterr().out)["normal_form"]
+
+
+def test_cli_closed_stdout_exits_2_with_one_error_line():
+    # a reader that closes the pipe once left a BrokenPipeError traceback and
+    # status 1; the read end is closed before the child writes
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        res = subprocess.run([sys.executable, "-m", "qhc", "hilbert", "--algebra", "inv", "--max", "4", "4"],
+                             stdout=w, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(w)
+    assert res.returncode == 2
+    assert res.stderr == "error: cannot write to stdout: Broken pipe\n"

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qhc import invham, linalg, rewrite
-from qhc.coeffring import RC_ONE, RC_Q, RC_T, RC_ZERO, CoeffError, RatCoeff
+from qhc.coeffring import RAT, RC_ONE, RC_Q, RC_T, RC_ZERO, CoeffError, QQField, RatCoeff
 from qhc.daha import _phi_bodies, daha_spec, idempotent_body, phi_ranks, sdaha_spec, spherical_dimensions
 from qhc.dqops import dq_spec
 from qhc.linalg import _echelon_mod, dense_rank, frac_rank, frac_solve, solve_dense
@@ -121,6 +121,67 @@ def test_rank_ignores_elimination_order(rows):
     # frac_rank drops empty rows and permutes rows and columns before
     # eliminating; the kernel on the rows as given is the reference
     assert frac_rank(rows, P) == len(_echelon_mod(rows, P))
+
+
+# the delayed kernel: entries are reduced mod m only when they lead
+
+SMALL_PRIMES = [2, 3, 5, 7, 101]
+COMPOSITE = 101 * 103 * 107
+
+
+@st.composite
+def unreduced_rows(draw, m):
+    """Rows of small ints lifted by random multiples of m, so they hold
+    negatives and nonzero multiples of m, with rows that are integer
+    combinations of others, lifted apart, so their entries cancel only mod m."""
+    ncols = draw(st.integers(1, 5))
+    base = draw(st.lists(st.lists(st.integers(-5, 5), min_size=ncols, max_size=ncols), min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        ks = draw(st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base)))
+        base.insert(draw(st.integers(0, len(base))),
+                    [sum(k * r[j] for k, r in zip(ks, base)) for j in range(ncols)])
+    lift = st.integers(-3, 3).map(lambda k: k * m)
+    return [{j: v + draw(lift) for j, v in enumerate(r) if v or draw(st.booleans())} for r in base]
+
+
+def reduced(rows, m):
+    return [{j: r for j, v in row.items() if (r := v % m)} for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SMALL_PRIMES + [COMPOSITE]).flatmap(lambda m: st.tuples(st.just(m), unreduced_rows(m))))
+def test_delayed_kernel_pivots_equal_those_of_the_reduced_rows(case):
+    # every entry stays congruent mod m to the one the reduced rows carry,
+    # so the same columns lead with the same residues, and the pivot rows,
+    # stored reduced, are the same, or both stop at the same non-unit
+    m, rows = case
+    assert _echelon_mod(rows, m) == _echelon_mod(reduced(rows, m), m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SMALL_PRIMES + [COMPOSITE]).flatmap(lambda m: st.tuples(st.just(m), unreduced_rows(m))))
+def test_rank_of_unreduced_rows_is_the_rank_of_the_reduced_ones(case):
+    # frac_rank orders by nonzero counts, which a nonzero multiple of m
+    # changes; the rank mod a prime does not depend on the order, and mod
+    # the composite one a rank it returns is the rank mod each of its primes
+    m, rows = case
+    got = frac_rank(rows, m)
+    if m in SMALL_PRIMES:
+        assert got == frac_rank(reduced(rows, m), m)
+    elif got is not None:
+        assert {frac_rank(reduced(rows, p), p) for p in (101, 103, 107)} == {got}
+
+
+def test_delayed_kernel_refuses_a_leading_entry_that_is_no_unit_mod_a_composite():
+    m = COMPOSITE
+    # 101 + 5m leads as given; 102 + 2m leads as 101 + 2m once the first
+    # row's pivot is taken off, unreduced
+    assert frac_rank([{0: 101 + 5 * m}], m) is None
+    assert frac_rank([{0: -101 - m, 1: 1}], m) is None
+    assert _echelon_mod([{0: 1, 1: 1}, {0: 1 + m, 1: 102 + 2 * m}], m) is None
+    # a leading entry that is a nonzero multiple of m is skipped, not refused
+    assert frac_rank([{0: 3 * m, 1: 7}], m) == 1
+    assert _echelon_mod([{0: 3 * m, 1: 7}], m) == {1: {}}
 
 
 @settings(max_examples=200, deadline=None)
@@ -494,3 +555,34 @@ def test_a_rule_coefficient_without_a_residue_raises_when_the_residue_spec_is_bu
     spec = AlgebraSpec(H.alphabet, [bad, *H.rules[1:]], H.pbw, H.q_central)
     with pytest.raises(CoeffError, match=r"q \+ 99 vanishes at \(q, t\) = \(2, 3\) mod 101$"):
         spec.at_points()
+
+
+@pytest.mark.parametrize("name", ["daha", "dq"])
+def test_residue_values_are_plain_ints_in_range(name):
+    # Z/N values are plain ints; the engine reduces them once per normal
+    # form, before it caches one, and NcPoly's arithmetic reduces too, so
+    # every value handed out or kept lies in (0, N)
+    spec = RESIDUE_SPECS[name]()
+    R = spec.at_points()
+    polys = [R.nf_word(w) for w in short_words(spec)]
+    if name == "daha":
+        a, b = spec.gen("T") + spec.scalar(RC_Q), spec.nf(spec.word_poly("Y1", "X1", "T"))
+        polys.append(R._acts(carry(b, R.field))(carry(a, R.field)))
+    else:
+        polys += invham.dq_action().over(R).images("E", invham.weight_zero_words(2, 2))
+    x, y = max(polys, key=lambda p: len(p.terms)), polys[-1]
+    polys += [x + y, -x, x - y, x.scale(R.field.q_power(3)), x * y]
+    values = [c for p in polys for c in p.terms.values()]
+    values += [c for terms in R._nf_cache.values() for _, c in terms]
+    assert len(values) > 100
+    assert all(type(c) is int and 0 < c < R.field.n for c in values)
+    assert RAT.reduce is None and QQField(2, 3).reduce is None
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUE_SPECS))
+def test_unreduced_residue_normal_forms_are_caught(monkeypatch, name):
+    # the fault: a reduce that leaves its terms as they are, so values pass
+    # N or are 0 mod N and stay; a residue spec built under it must fail
+    monkeypatch.setattr(Residues, "reduce", lambda self, terms: terms)
+    spec = RESIDUE_SPECS[name]()
+    assert residue_mismatches(spec, spec.over(Residues()), short_words(spec))
