@@ -342,27 +342,30 @@ def invariant_dimension(M: int, N: int) -> int:
 def find_ideal_multiplier(x: LocElem):
     """Find s with x = s * mu(Z_t); returns the multiplier or None.
 
-    s = den^-sigma * body, first with sigma = max(x.exps - z.exps, (0, 0)),
-    then with one more detq(A) detq(D) pair.  x written over
-    den^-(sigma + z.exps) is divided exactly on the right by the body of z
-    (None if it is no multiple), and the q-power that z's denominators pick
-    up moving past the quotient is taken off.  What is returned is certified
-    by the exact check x == s * z, which checks the denominator bookkeeping.
+    mu(Z_t) = den^-f * beta with f = z.exps and beta its body, and den^-f is
+    a unit, so x lies in the left ideal exactly when x = Q * beta for some Q
+    in the localisation; then s = Q * den^f.  x is written over den^-L for
+    L = max(x.exps, (k, k)), k = 0, 1, 2, and its body at L is divided on
+    the right by beta.  The first level is x's own, so no determinant
+    product is made where none is needed.  Right division by beta is
+    complete (dq is of solvable type, see rewrite.divide), so None at L
+    means no Q over den^-L exists, and a Q over den^-L is one over every
+    L' >= L.  A multiplier s over den^-sigma gives Q = s * den^-f over
+    den^-(sigma + f), so the three levels find every s with sigma <= (1, 1).
+
+    The ideal status rests on the exact identity x == Q * beta, checked
+    here with Q = den^-L * quotient; it does not trust the division.
     """
     if not x:
         return dq_elem(dq_spec().zero())
     z = moment_zt()
-    for k in (0, 1):
-        sigma = [max(a - b, k) for a, b in zip(x.exps, z.exps)]
-        target = x._at_loc([a + b for a, b in zip(sigma, z.exps)])
-        quo = divide(dq_spec(), z.body, target, right=True)
-        if quo is None:
-            continue
-        # quo = s._moved(z.exps), the body of s * z before it acts on z's body
-        s = dq_elem(quo, *sigma)
-        s = s._new(sigma, s._moved(z.exps, -1))
-        if x == s * z:
-            return s
+    for level in dict.fromkeys(tuple(max(e, k) for e in x.exps) for k in (0, 1, 2)):
+        quo = divide(dq_spec(), z.body, x._at_loc(level), right=True)
+        if quo is not None:
+            Q = dq_elem(quo, *level)
+            if x != Q * dq_elem(z.body):
+                return None
+            return Q * dq_elem(dq_elem(dq_spec().unit())._at_loc(z.exps))
     return None
 
 

@@ -490,7 +490,8 @@ def test_cli_product_chain_coefficients_are_bounded(capsys, expr, col):
 def test_cli_mul_products_are_bounded(capsys):
     # 24 operands once ran past a 15 s timeout: mul bounds the product of
     # the operands so far before each further one, as a '*' chain does, so
-    # the 18th is refused; a product of two operands stays unbounded
+    # the 18th is refused; one product of two large operands is bounded by
+    # MAX_PRODUCT_SIZE, see the test below
     t0 = time.perf_counter()
     rc = main(["mul", "--algebra", "sdaha", *["(Q1+P1)"] * 24])
     assert time.perf_counter() - t0 < 15

@@ -282,8 +282,9 @@ def test_denominator_sides():
 
 @pytest.mark.parametrize("exps", [(1, 1), (2, 2)])
 def test_ham_square_residual_at_loc_matches_left_products(exps):
-    # find_ideal_multiplier writes the psibar image of the r*r residual over
-    # detA^-1 detD^-1, and over detA^-2 detD^-2 when that finds no multiplier
+    # find_ideal_multiplier divides the psibar image of the r*r residual at
+    # its own level (0, 0); (1, 1) and (2, 2) are the levels it tries next
+    # for an element over no denominators when that finds no quotient
     H = ham_spec()
     (rule,) = [r for r in H.rules if r.tag == "r*r"]
     img = psibar_apply(NcPoly.from_word(H.alphabet, rule.lhs) - rule.rhs)

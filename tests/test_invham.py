@@ -437,6 +437,85 @@ def test_find_ideal_multiplier_refuses_a_nonmember_with_denominators():
     assert find_ideal_multiplier(dq_elem(D.word_poly("a11", "p12"), 1, 1)) is None
 
 
+def r2_residual(H):
+    (rule,) = [r for r in H.rules if r.tag == "r*r"]
+    return NcPoly.from_word(H.alphabet, rule.lhs) - rule.rhs
+
+
+@pytest.fixture
+def fresh_ham_caches():
+    # a faulty value cached by one case must not reach another test
+    cached = (psi_congruent_zero, ham_relation_congruences, dqops.moment_zt)
+    for f in cached:
+        f.cache_clear()
+    yield
+    for f in cached:
+        f.cache_clear()
+
+
+def test_r2_membership_divides_once_at_its_own_level(H, monkeypatch):
+    # the r*r image has no denominators, so beta divides its 25-term body
+    # as it stands and no determinant product is made
+    img = psibar_apply(r2_residual(H))
+    calls = []
+
+    def recording(spec, factor, p, right=False):
+        calls.append(p)
+        return rewrite.divide(spec, factor, p, right=right)
+
+    monkeypatch.setattr(invham, "divide", recording)
+    assert find_ideal_multiplier(img) is not None
+    assert calls == [img.body]
+
+
+def test_faulty_division_leaves_the_r2_residual_unverified(H, monkeypatch, fresh_ham_caches):
+    # a division that returns its quotient off by q^2 is caught only by the
+    # identity x == Q * beta
+    resid = r2_residual(H)
+    assert psi_congruent_zero(resid)[0] == "ideal"
+    psi_congruent_zero.cache_clear()
+
+    def scaled(spec, factor, p, right=False):
+        quo = rewrite.divide(spec, factor, p, right=right)
+        return None if quo is None else quo.scale(RAT.q_power(2))
+
+    monkeypatch.setattr(invham, "divide", scaled)
+    assert find_ideal_multiplier(psibar_apply(resid)) is None
+    assert psi_congruent_zero(resid) == ("unverified", None)
+    assert dict(ham_relation_congruences())["r*r"] == "unverified"
+
+
+@pytest.mark.parametrize("pick", [0, -1], ids=["first", "last"])
+def test_changed_moment_body_leaves_the_r2_residual_unverified(H, monkeypatch, fresh_ham_caches, pick):
+    z = moment_zt()
+    w = sorted(z.body.terms, key=dq_spec().pbw.order_key)[pick]
+    bad = z._new(z.exps, z.body + NcPoly.from_word(z.body.alphabet, w).scale(RC_T))
+    monkeypatch.setattr(invham, "moment_zt", lambda: bad)
+    resid = r2_residual(H)
+    assert find_ideal_multiplier(psibar_apply(resid)) is None
+    assert psi_congruent_zero(resid) == ("unverified", None)
+
+
+@pytest.mark.parametrize("exps", [(1, 1), (1, 0), (0, 0)], ids=["detA-detD", "detA", "none"])
+def test_find_ideal_multiplier_ignores_a_spare_determinant_pair(exps):
+    # the same member written over one more detq(A) detq(D) pair than it
+    # needs gives a multiplier equal to the one it was built from
+    D = dq_spec()
+    s = dq_elem(D.word_poly("p12", "a21") + D.word_poly("a22").scale(RC_T), *exps)
+    x = s * moment_zt()
+    e1 = [e + 1 for e in x.exps]
+    spare = x._new(e1, x._at_loc(e1))
+    assert spare.exps == tuple(e1) and spare == x
+    assert find_ideal_multiplier(spare) == s
+
+
+def test_r2_multiplier_survives_a_spare_determinant_pair(H):
+    img = psibar_apply(r2_residual(H))
+    s = find_ideal_multiplier(img)
+    spare = img._new((1, 1), img._at_loc((1, 1)))
+    assert find_ideal_multiplier(spare) == s
+
+
 def test_psibar_words_match_left_fold_up_to_3_3(B):
     # one call over every PBW word up to (3,3), each image against the
     # left-to-right product of its letters' images
