@@ -8,9 +8,14 @@ condition), which by Bergman's lemma certifies that the normal-form words are
 a linear basis.
 
 Because every lhs has at most two letters, the rule that applies at a
-position is one lookup in a letter-pair table.  After a rewrite only the
-seam around it can hold a new redex, so the search in each word it makes
-resumes there instead of rescanning the untouched letters.
+position is one lookup in a letter-pair table.  The cached engine computes
+every normal form as products of one letter x with a normal word v, each
+memoised per spec: x v can hold a redex only at its start, so one lookup
+finds it, and the rule's right-hand side, folded onto the rest of v one
+letter at a time, gives nf(x v) from products with shorter normal words.
+Normal forms are unique (Bergman's diamond lemma, which the ambiguity
+check certifies for the core rules), so this order of rewriting gives the
+same normal forms as any other, leftmost or rightmost.
 
 Two layers of rules are kept:
 
@@ -238,8 +243,18 @@ class QCentralGen(NamedTuple):
     kappa: tuple[int, int]
 
 
-#: most rewrite steps one normal-form computation may take
+#: most rule applications one request to the cached engine may make: one
+#: _nf_terms call, or one letter acting on a normal form (_letter_times)
 STEP_BUDGET = 10**6
+
+#: most letter products (_times) one request may nest, each inside the one
+#: that called it.  A letter sinks through a normal word about one letter
+#: per level (the suites reach depth 6, the ranks to (7,7) depth 9), so
+#: this bounds the words a letter can sink through.  Each level costs two
+#: Python frames, which keeps a request inside the default recursion limit
+#: of 1000; a caller already deep in the stack can still exhaust it, and the
+#: request then fails as it does here, naming its word
+NEST_BUDGET = 200
 
 #: most terms one spec's cached normal forms may hold; nf stops caching once
 #: they reach it.  A cached term holds about 220 bytes with its word and its
@@ -256,6 +271,11 @@ def _over_budget(spec: AlgebraSpec, words) -> NonTermination:
     """The error for a reduction of words that took more than STEP_BUDGET rewrites."""
     return NonTermination(f"{spec.algebra_id}: step budget of {STEP_BUDGET} exceeded while reducing "
                           + ", ".join(spec.alphabet.word_str(w) for w in words))
+
+
+class _Spent(Exception):
+    """A request to the cached engine passed STEP_BUDGET or NEST_BUDGET;
+    the request's entry point names the word it was asked for."""
 
 
 def _add_scaled(out: dict[Word, object], terms, c) -> None:
@@ -368,89 +388,115 @@ class AlgebraSpec:
                 return i, len(rule.lhs), rule
         return None
 
-    def _reduce_terms(self, terms: dict[Word, object]) -> dict[Word, object]:
-        """Reduce the sum of c * w over terms to normal form, rewriting in
-        each word its leftmost redex, the one _find_redex(w, "leftmost")
-        names.
+    def _times(self, x: int, v: Word, spent: list, depth: int) -> NfTerms:
+        """nf(x v) for a letter x and a normal word v, as (word, coefficient)
+        pairs: from the cache, or made here and stored as _store says.
 
-        A rewrite at position i leaves the letters before it as they were,
-        and the search that found it had passed them, so no redex of a word
-        it makes starts before position i - 1.  clean[w] holds that position
-        for a pending word, and the search in w starts there.  It is a fact
-        about the word alone, so a word made twice keeps the position stored
-        first.  Irreducible words must be PBW words, except in a partial
-        spec."""
-        pbw_only = not self.partial
-        cache = self._nf_cache
-        table, end = self._rule_at, self._end
-        work = dict(terms)
-        clean: dict[Word, int] = {}
-        out: dict[Word, object] = {}
-        steps = 0
-        while work:
-            w = next(iter(work))
-            c = work.pop(w)
-            if not c:
-                continue
-            hit = cache.get(w)
-            if hit is not None:
-                _add_scaled(out, hit, c)
-                continue
-            n, v, k = len(w), w + end, clean.pop(w, 0)
-            for i in range(k, n):
-                rule = table[v[i]][v[i + 1]]
-                if rule is not None:
-                    break
-            else:
-                if pbw_only and not self.pbw.accepts(w):
-                    raise EngineError(
-                        f"{self.algebra_id}: irreducible word {self.alphabet.word_str(w)} "
-                        f"is outside the normal-form set"
-                    )
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-                continue
-            steps += 1
-            if steps > STEP_BUDGET:
-                raise _over_budget(self, terms)
-            pre, post = w[:i], w[i + len(rule.lhs) :]
-            k = i - 1 if i else 0
-            for rw, rc in rule.rhs.terms.items():
-                nw = pre + rw + post
-                nc = c * rc
-                s = work.get(nw)
-                s = nc if s is None else s + nc
-                if s:
-                    work[nw] = s
-                    if k:
-                        clean.setdefault(nw, k)
-                else:
-                    work.pop(nw, None)
-        return out
+        v is irreducible, so the one redex x v can hold starts at x, and the
+        rule there is _rule_at[x][v[0]] (the end column if v is empty).
+        With none, x v is irreducible and, except in a partial spec, must
+        be a PBW word.  Otherwise x v = lhs v', and nf(x v) is the sum of
+        rc * nf(rw v') over the rule's terms rc * rw, each made by folding
+        rw's letters right to left onto v' through this same product.  Each
+        call is on a reduct of x v, or a suffix of one, which is smaller
+        under the certified Knuth-Bendix order, so the recursion ends.
 
-    def _nf_terms(self, w: Word) -> NfTerms:
-        """The normal form of w as (word, coefficient) pairs, from the cache,
-        or reduced, brought back by field.reduce if the field has one, and,
-        while the cache is under CACHE_MAX_TERMS, stored there with each
-        coefficient replaced by the spec's one object of its value."""
+        spent[0] counts the rule applications of the request this call
+        serves, and depth how many products it sits inside; past
+        STEP_BUDGET or NEST_BUDGET it raises _Spent for the request to name
+        its word."""
+        w = (x,) + v
         terms = self._nf_cache.get(w)
-        if terms is None:
-            out = self._reduce_terms({w: self.field.one})
-            if self.field.reduce is not None:
-                out = self.field.reduce(out)
-            if self._nf_cached_terms < CACHE_MAX_TERMS:
-                share = self._nf_coeffs.setdefault
-                terms = self._nf_cache[w] = tuple([(v, share(c, c)) for v, c in out.items()])
-                self._nf_cached_terms += len(terms)
-            else:
-                terms = tuple(out.items())
+        if terms is not None:
+            return terms
+        rule = self._rule_at[x][v[0] if v else self._end[0]]
+        if rule is None:
+            self._check_pbw(w)
+            return self._store(w, {w: self.field.one})
+        spent[0] += 1
+        if spent[0] > STEP_BUDGET:
+            raise _Spent(f"step budget of {STEP_BUDGET}")
+        if depth >= NEST_BUDGET:
+            raise _Spent(f"nesting depth of {NEST_BUDGET}")
+        rest, out, one = v[len(rule.lhs) - 1:], {}, self.field.one
+        for rw, rc in rule.rhs.terms.items():
+            _add_scaled(out, self._fold(rw, {rest: rc}, spent, depth + 1).items(), one)
+        return self._store(w, out)
+
+    def _fold(self, letters: Word, part: dict[Word, object], spent: list, depth: int) -> dict[Word, object]:
+        """nf(letters * part) for part a sum of c * u over normal words u:
+        the letters act one at a time, right to left, through _times."""
+        for y in reversed(letters):
+            acc: dict[Word, object] = {}
+            for u, c in part.items():
+                _add_scaled(acc, self._times(y, u, spent, depth), c)
+            part = acc
+        return part
+
+    def _check_pbw(self, w: Word) -> None:
+        """Raise EngineError if the irreducible word w is not a PBW word;
+        a partial spec lacks the rules that would make it one."""
+        if not self.partial and not self.pbw.accepts(w):
+            raise EngineError(f"{self.algebra_id}: irreducible word {self.alphabet.word_str(w)} "
+                              f"is outside the normal-form set")
+
+    def _store(self, w: Word, out: dict[Word, object]) -> NfTerms:
+        """The normal form out of w as (word, coefficient) pairs, brought
+        back by field.reduce if the field has one and, while the cache is
+        under CACHE_MAX_TERMS, stored there with each coefficient replaced
+        by the spec's one object of its value."""
+        if self.field.reduce is not None:
+            out = self.field.reduce(out)
+        if self._nf_cached_terms >= CACHE_MAX_TERMS:
+            return tuple(out.items())
+        share = self._nf_coeffs.setdefault
+        terms = self._nf_cache[w] = tuple([(u, share(c, c)) for u, c in out.items()])
+        self._nf_cached_terms += len(terms)
         return terms
 
+    def _exceeded(self, e: BaseException, w: Word) -> NonTermination:
+        """The error for a request on w that passed a budget (_Spent) or
+        Python's recursion limit."""
+        what = e if isinstance(e, _Spent) else "the recursion limit"
+        return NonTermination(f"{self.algebra_id}: {what} exceeded while reducing {self.alphabet.word_str(w)}")
+
+    def _nf_terms(self, w: Word) -> NfTerms:
+        """The normal form of w as (word, coefficient) pairs, one request:
+        the letters of w before its longest irreducible suffix are folded,
+        right to left, onto that suffix through _times.  The result is
+        stored under w as _store says, as _times stores its own words."""
+        terms = self._nf_cache.get(w)
+        if terms is not None:
+            return terms
+        table, v = self._rule_at, w + self._end
+        k = len(w)
+        while k and table[v[k - 1]][v[k]] is None:
+            k -= 1
+        self._check_pbw(w[k:])
+        spent = [0]
+        try:
+            if k == 1:
+                return self._times(w[0], w[1:], spent, 0)
+            out = self._fold(w[:k], {w[k:]: self.field.one}, spent, 0)
+        except (_Spent, RecursionError) as e:
+            raise self._exceeded(e, w) from None
+        return self._store(w, out)
+
+    def _letter_times(self, x: int, p: NcPoly) -> NcPoly:
+        """nf(x * p) for a letter x and a normal form p, one request: one
+        _times per word of p.  A breach of a budget names the word x v of
+        the term it was reducing."""
+        out: dict[Word, object] = {}
+        spent, v = [0], EMPTY_WORD
+        try:
+            for v, c in p.terms.items():
+                _add_scaled(out, self._times(x, v, spent, 0), c)
+        except (_Spent, RecursionError) as e:
+            raise self._exceeded(e, (x,) + v) from None
+        return NcPoly(self.alphabet, out, self.field, _clean=self.field.reduce is None)
+
     def nf_word(self, w: Word, direction: str = "leftmost") -> NcPoly:
+        """nf of the word w, from the engine direction names (see nf)."""
         return self.nf(NcPoly.from_word(self.alphabet, w, field=self.field), direction)
 
     def _sum_scaled(self, pairs) -> NcPoly:
@@ -461,8 +507,11 @@ class AlgebraSpec:
         return NcPoly(self.alphabet, out, self.field, _clean=self.field.reduce is None)
 
     def nf(self, p: NcPoly, direction: str = "leftmost") -> NcPoly:
-        """The normal form of p from the cached leftmost engine; any other
-        direction goes to the uncached reduce_by."""
+        """The normal form of p.  The default, "leftmost", is the cached
+        engine (_nf_terms), which rewrites by letter products, not leftmost
+        redexes; normal forms are unique, so its results are the leftmost
+        ones.  Any other direction goes to the uncached reduce_by, which
+        rewrites in that direction."""
         if direction != "leftmost":
             return reduce_by(self, p, direction)
         out: dict[Word, object] = {}
@@ -489,15 +538,13 @@ class AlgebraSpec:
         """The map a -> nf(a * b), for b already in normal form.
 
         Each word of a acts on b one letter at a time, right to left: a
-        tail_map with image(()) = b and image(x u) = nf(x * image(u)), the
-        words' images then summed with a's coefficients.  The tail map lives
-        as long as this map does, so words that share a suffix share the
-        work, within one left factor and across every left factor the map
-        is applied to.
+        tail_map with image(()) = b and image(x u) = nf(x * image(u)), one
+        _letter_times, the words' images then summed with a's coefficients.
+        The tail map lives as long as this map does, so words that share a
+        suffix share the work, within one left factor and across every left
+        factor the map is applied to.
         """
-        alph, field = self.alphabet, self.field
-        image = tail_map(lambda x, u, img: self.nf(NcPoly(
-            alph, {(x,) + v: c for v, c in img.terms.items()}, field, _clean=True)), b)
+        image = tail_map(lambda x, u, img: self._letter_times(x, img), b)
         return lambda a: self._sum_scaled((image(w), c) for w, c in a.terms.items())
 
     # -- other coefficient fields ----------------------------------------------
@@ -681,9 +728,9 @@ def reduce_by(spec: AlgebraSpec, p: NcPoly, direction: str, keep=()) -> NcPoly:
     _find_redex(w, direction) names, "leftmost" or "rightmost", until no
     word outside keep has one; the words in keep stay as they are.
 
-    It keeps no cache, resumes no search and checks no word against the
-    PBW set, so it shares nothing with the cached engine behind nf but the
-    rules; it raises NonTermination past STEP_BUDGET rewrites."""
+    It keeps no cache, rewrites whole words and checks no word against
+    the PBW set, so it shares nothing with the cached engine behind nf but
+    the rules; it raises NonTermination past STEP_BUDGET rewrites."""
     if direction not in ("leftmost", "rightmost"):
         raise ValueError(f"direction must be 'leftmost' or 'rightmost', not {direction!r}")
     pending = dict(p.terms)
@@ -809,11 +856,11 @@ def hilbert_table(spec: AlgebraSpec, max_bidegree: tuple[int, int]) -> HilbertTa
 # resolve over Z/N too, and Bergman's diamond lemma, which holds over any
 # commutative ring, makes normal forms over Z/N unique.  A symbolic
 # reduction carried term by term is a reduction over Z/N, so the residue
-# normal form of a word is the residue of its symbolic one.  Inside
-# _reduce_terms and _add_scaled the residues are added and multiplied as
-# plain ints, and a term that is 0 mod N but not as an int stays alive
-# until Residues.reduce brings the normal form back to [0, N); Z -> Z/N is
-# a ring map, so no residue changes.  The residue products (_acts) and E
+# normal form of a word is the residue of its symbolic one.  Inside the
+# letter products (_times) and _add_scaled the residues are added and
+# multiplied as plain ints, and a term that is 0 mod N but not as an int
+# stays alive until Residues.reduce brings each stored normal form back to
+# [0, N); Z -> Z/N is a ring map, so no residue changes.  The residue products (_acts) and E
 # images (AdjointAction.images) are then the residues of the exact ones,
 # and the chain holds for the rows they make.
 #

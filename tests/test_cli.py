@@ -109,6 +109,19 @@ def test_cli_deep_nesting_exits_2(capsys):
     assert main(["normalize", "--algebra", "daha", "(" * n + "T" + ")" * n]) == 0
 
 
+def test_cli_deep_word_exits_2_with_one_error_line(capsys):
+    # p11 sinks through the normal word a11^250 one nesting level per letter,
+    # past NEST_BUDGET; inside 200 parentheses the parser's frames leave too
+    # few for that, and the recursion limit ends the request the same way
+    n = rewrite.NEST_BUDGET
+    for expr, what in [("p11*a11^250", f"nesting depth of {n}"),
+                       ("(" * 200 + "p11*a11^250" + ")" * 200, "the recursion limit")]:
+        assert main(["normalize", "--algebra", "dq", expr]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err == f"error: dq: {what} exceeded while reducing p11*a11^250\n"
+
+
 def test_roundtrip_printed_normal_forms():
     rng = random.Random(31)
     for algebra in ("daha", "sdaha", "inv", "uq"):

@@ -10,8 +10,11 @@ against the q-determinants and mu(Z_t), on the production presentations
 themselves.
 """
 
+import inspect
 import itertools
 import random
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -40,6 +43,7 @@ from qhc.rewrite import (
     hilbert_table,
     normal_form,
     rank_of_family,
+    reduce_by,
     straighten_trace,
 )
 
@@ -197,6 +201,77 @@ def test_budget_error_names_algebra_word_and_steps(monkeypatch):
         spec.nf_word(long_word)
 
 
+def make_loop():
+    """The budget tests' presentation: a*b -> b*a, so a letter a moves right
+    past a run of b's one rule application, and one nesting level, per b."""
+    alph = Alphabet("loop", [("a", (1, 0), None), ("b", (1, 0), None)])
+    pbw = PowerBlocksPbw(alph, [("b", None, None), ("a", None, None)])
+    rule = RewriteRule(alph.word("a", "b"), NcPoly(alph, {alph.word("b", "a"): RAT.one}), "a*b")
+    return AlgebraSpec(alph, [rule], pbw)
+
+
+def test_budget_error_names_a_letter_times_a_normal_word(monkeypatch):
+    # a*b^3 is a letter times a normal word: three rule applications
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 2)
+    spec = make_loop()
+    w = spec.alphabet.word(*"abbb")
+    with pytest.raises(NonTermination, match=r"^loop: step budget of 2 exceeded while reducing a\*b\^3$"):
+        spec.nf_word(w)
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 3)
+    spec = make_loop()
+    assert spec.nf_word(w) == spec.word_poly(*"bbba")
+
+
+def test_budget_error_names_the_word_of_a_tail_step(monkeypatch):
+    # mul(a^2, b^3) acts with a on b^3 and then with a on b^3*a, each one
+    # request of three rule applications; the first breaches the budget
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 2)
+    spec = make_loop()
+    with pytest.raises(NonTermination, match=r"^loop: step budget of 2 exceeded while reducing a\*b\^3$"):
+        spec.mul(spec.word_poly(*"aa"), spec.word_poly(*"bbb"))
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 3)
+    spec = make_loop()
+    assert spec.mul(spec.word_poly(*"aa"), spec.word_poly(*"bbb")) == spec.word_poly(*"bbbaa")
+
+
+def test_nest_budget_names_algebra_and_word(monkeypatch):
+    monkeypatch.setattr(rewrite, "NEST_BUDGET", 4)
+    spec = make_loop()
+    w = spec.alphabet.word("a", *"bbbbb")
+    with pytest.raises(NonTermination, match=r"^loop: nesting depth of 4 exceeded while reducing a\*b\^5$"):
+        spec.nf_word(w)
+    spec = make_loop()
+    assert spec.nf_word(w[:-1]) == spec.word_poly(*"bbbba")
+    # p11 sinks through dq's normal word a11^9 one level per letter
+    D = dq_spec()
+    fresh = AlgebraSpec(D.alphabet, D.rules, D.pbw, D.q_central)
+    p11, a11 = D.alphabet.index("p11"), D.alphabet.index("a11")
+    with pytest.raises(NonTermination, match=r"^dq: nesting depth of 4 exceeded while reducing p11\*a11\^9$"):
+        fresh.mul(D.gen("p11"), NcPoly.from_word(D.alphabet, (a11,) * 9))
+    assert fresh.nf_word((p11, a11)) == D.nf_word((p11, a11))
+
+
+def _stack_depth() -> int:
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+def test_recursion_limit_inside_the_engine_is_a_non_termination():
+    # a caller deep in the stack leaves the engine fewer frames than a
+    # letter sinking through b^60 takes, inside NEST_BUDGET
+    spec = make_loop()
+    w = spec.alphabet.word("a", *"b" * 60)
+
+    def nested(k):
+        return nested(k - 1) if k else spec.nf_word(w)
+
+    with pytest.raises(NonTermination, match=r"^loop: the recursion limit exceeded while reducing a\*b\^60$"):
+        nested(sys.getrecursionlimit() - _stack_depth() - 40)
+    assert spec.nf_word(w) == spec.word_poly(*"b" * 60, "a")
+
+
 def test_straighten_trace_fixed_point(plane):
     w = plane.alphabet.word("x", "y")
     assert straighten_trace(plane, w) == plane.word_poly("x", "y")
@@ -256,18 +331,19 @@ def test_acts_map_matches_nf_of_free_product_across_left_factors(name, data):
     overlapping = NcPoly(spec.alphabet, {(x,) + w: c for w, c in a.terms.items()}, spec.field)
     lefts = [a, spec.zero(), spec.scalar(data.draw(laurent)), overlapping,
              data.draw(short_polys(spec)), a]
-    nf, calls = AlgebraSpec.nf, []
+    letter_times, calls = AlgebraSpec._letter_times, []
 
-    def counting(self, p, direction="leftmost"):
+    def counting(self, x, p):
         calls.append(p)
-        return nf(self, p, direction)
+        return letter_times(self, x, p)
 
     times_b = spec._acts(b)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(AlgebraSpec, "nf", counting)
+        mp.setattr(AlgebraSpec, "_letter_times", counting)
         got = [times_b(left) for left in lefts]
     assert got == [spec.nf(left * b) for left in lefts]
-    # nf runs once per distinct nonempty suffix over all the left factors
+    # the tail step, one letter acting on a normal form, runs once per
+    # distinct nonempty suffix over all the left factors
     assert len(calls) == len(_suffixes(lefts))
 
 
@@ -297,8 +373,8 @@ def test_redex_table_and_resumed_reduction_match_naive(name, data):
     w = tuple(data.draw(st.lists(letters, max_size=10)))
     for d in ("leftmost", "rightmost"):
         assert spec._find_redex(w, d) == naive_redex(spec, w, d)
-    # a fresh spec has empty normal-form caches, so every intermediate word
-    # goes through the resumed search
+    # a fresh spec has an empty normal-form cache, so every letter product
+    # is made here, none read from an earlier test
     fresh = AlgebraSpec(spec.alphabet, spec.rules, spec.pbw, spec.q_central, field=spec.field)
     v = w[:5]
     left = fresh.nf_word(v, "leftmost")
@@ -425,6 +501,52 @@ def test_strategy_check_catches_a_fault_in_the_cached_engine(name, monkeypatch):
 
     monkeypatch.setattr(AlgebraSpec, "_nf_terms", doubled)
     assert check_strategy_independence(fresh, n=50) is not None
+
+
+def _mutant_times(old: str, new: str):
+    """AlgebraSpec._times with the one occurrence of old in its source
+    replaced by new, compiled against the rewrite module's globals."""
+    src = textwrap.dedent(inspect.getsource(AlgebraSpec._times))
+    assert src.count(old) == 1
+    names: dict = {}
+    exec(compile(src.replace(old, new), rewrite.__file__, "exec"), vars(rewrite), names)
+    return names["_times"]
+
+
+LETTER_PRODUCT_MUTANTS = {
+    "drops-the-last-rhs-term": ("rule.rhs.terms.items()", "list(rule.rhs.terms.items())[:-1]"),
+    "squares-rc": ("{rest: rc}", "{rest: rc * rc}"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(LETTER_PRODUCT_MUTANTS))
+@pytest.mark.parametrize("name", sorted(ALL_SPECS))
+def test_letter_product_mutants_fail_the_strategy_check_and_the_oracle(name, mutant, monkeypatch):
+    spec = ALL_SPECS[name]()
+
+    def own_spec():
+        return AlgebraSpec(spec.alphabet, spec.rules, spec.pbw, spec.q_central, field=spec.field)
+
+    monkeypatch.setattr(AlgebraSpec, "_times", _mutant_times(*LETTER_PRODUCT_MUTANTS[mutant]))
+    assert check_strategy_independence(own_spec(), n=50) is not None
+    fresh = own_spec()
+    words = itertools.product(range(len(spec.alphabet)), repeat=2)
+    assert any(fresh.nf_word(w) != naive_nf(spec, w, "leftmost") for w in words)
+
+
+NF_SPECS = dict(ALL_SPECS, **{"daha-residues": lambda: daha_spec().at_points(),
+                              "dq-residues": lambda: dq_spec().at_points()})
+
+
+@pytest.mark.parametrize("name", sorted(NF_SPECS))
+def test_cached_engine_matches_rightmost_reduce_by_on_every_short_word(name):
+    spec = NF_SPECS[name]()
+    fresh = AlgebraSpec(spec.alphabet, spec.rules, spec.pbw, spec.q_central, field=spec.field)
+    words = [w for k in range(4) for w in itertools.product(range(len(spec.alphabet)), repeat=k)]
+    bad = [spec.alphabet.word_str(w) for w in words if fresh.nf_word(w) != reduce_by(
+        spec, NcPoly.from_word(spec.alphabet, w, field=spec.field), "rightmost")]
+    assert bad == []
+    assert fresh._nf_cached_terms > 0
 
 
 def test_three_letter_lhs_is_refused():
