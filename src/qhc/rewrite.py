@@ -243,18 +243,15 @@ class QCentralGen(NamedTuple):
     kappa: tuple[int, int]
 
 
-#: most rule applications one request to the cached engine may make: one
-#: _nf_terms call, or one letter acting on a normal form (_letter_times)
-STEP_BUDGET = 10**6
-
-#: most letter products (_times) one request may nest, each inside the one
-#: that called it.  A letter sinks through a normal word about one letter
-#: per level (the suites reach depth 6, the ranks to (7,7) depth 9), so
-#: this bounds the words a letter can sink through.  Each level costs two
-#: Python frames, which keeps a request inside the default recursion limit
-#: of 1000; a caller already deep in the stack can still exhaust it, and the
-#: request then fails as it does here, naming its word
-NEST_BUDGET = 200
+#: most work one request to the cached engine may do: one _nf_terms call,
+#: or one tail step (_letter_times).  Each rule application counts one, and
+#: each term of a letter product x v added into a sum counts the letters of
+#: x v: those multiply-adds take most of the engine's time and memory, and
+#: a term costs more as its word, and in the q-deformed algebras its
+#: coefficient, grows.  The largest request of the rank families to (8, 8)
+#: does 1.4e7 units, an explosive word such as p11^20*a11^20 in dq stops
+#: after about 50 s and 350 MB (2 vCPU, Python 3.11)
+STEP_BUDGET = 3 * 10**7
 
 #: most terms one spec's cached normal forms may hold; nf stops caching once
 #: they reach it.  A cached term holds about 220 bytes with its word and its
@@ -268,14 +265,26 @@ NfTerms = tuple[tuple[Word, object], ...]
 
 
 def _over_budget(spec: AlgebraSpec, words) -> NonTermination:
-    """The error for a reduction of words that took more than STEP_BUDGET rewrites."""
+    """The error for a reduction of words that passed STEP_BUDGET."""
     return NonTermination(f"{spec.algebra_id}: step budget of {STEP_BUDGET} exceeded while reducing "
                           + ", ".join(spec.alphabet.word_str(w) for w in words))
 
 
-class _Spent(Exception):
-    """A request to the cached engine passed STEP_BUDGET or NEST_BUDGET;
-    the request's entry point names the word it was asked for."""
+class _Request:
+    """One request to a spec's cached engine: the word it names if it
+    passes STEP_BUDGET, the work it has done, and made, the letter products
+    it made once the cache was full, so that none is made twice in it."""
+
+    __slots__ = ("spec", "word", "work", "made")
+
+    def __init__(self, spec: AlgebraSpec, word: Word) -> None:
+        self.spec, self.word, self.work, self.made = spec, word, 0, {}
+
+    def charge(self, n: int) -> None:
+        """Count n more units of work; past STEP_BUDGET, raise NonTermination."""
+        self.work += n
+        if self.work > STEP_BUDGET:
+            raise _over_budget(self.spec, (self.word,))
 
 
 def _add_scaled(out: dict[Word, object], terms, c) -> None:
@@ -388,50 +397,78 @@ class AlgebraSpec:
                 return i, len(rule.lhs), rule
         return None
 
-    def _times(self, x: int, v: Word, spent: list, depth: int) -> NfTerms:
-        """nf(x v) for a letter x and a normal word v, as (word, coefficient)
-        pairs: from the cache, or made here and stored as _store says.
+    def _drive(self, gen, req: _Request):
+        """Run gen, a generator that yields each letter product x v it lacks
+        and is sent back nf(x v), and return its value.
 
-        v is irreducible, so the one redex x v can hold starts at x, and the
-        rule there is _rule_at[x][v[0]] (the end column if v is empty).
+        v is a normal word, so the one redex x v can hold starts at x, and
+        the rule there is _rule_at[x][v[0]] (the end column if v is empty).
         With none, x v is irreducible and, except in a partial spec, must
         be a PBW word.  Otherwise x v = lhs v', and nf(x v) is the sum of
-        rc * nf(rw v') over the rule's terms rc * rw, each made by folding
-        rw's letters right to left onto v' through this same product.  Each
-        call is on a reduct of x v, or a suffix of one, which is smaller
-        under the certified Knuth-Bendix order, so the recursion ends.
+        rc * nf(rw v') over the rule's terms rc * rw (_rewrite), itself a
+        generator of the products it lacks.  Each of those is a reduct of x
+        v, or a suffix of one, smaller under the certified Knuth-Bendix
+        order, so the products asked for end.  The generators waiting for a
+        product are kept on an explicit stack, innermost last, so a letter
+        sinks through a word of any length without deepening Python's
+        stack.  Each product made is stored as _store says."""
+        table, end, made = self._rule_at, self._end[0], req.made
+        stack: list = [(None, gen)]
+        terms = None
+        while True:
+            top, gen = stack[-1]
+            try:
+                w = gen.send(terms)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                terms = self._store(top, done.value, made)
+                continue
+            terms = made.get(w)
+            if terms is None:
+                rule = table[w[0]][w[1] if len(w) > 1 else end]
+                if rule is None:
+                    self._check_pbw(w)
+                    terms = self._store(w, {w: self.field.one}, made)
+                else:
+                    req.charge(1)
+                    stack.append((w, self._rewrite(rule, w, req)))
 
-        spent[0] counts the rule applications of the request this call
-        serves, and depth how many products it sits inside; past
-        STEP_BUDGET or NEST_BUDGET it raises _Spent for the request to name
-        its word."""
-        w = (x,) + v
-        terms = self._nf_cache.get(w)
-        if terms is not None:
-            return terms
-        rule = self._rule_at[x][v[0] if v else self._end[0]]
-        if rule is None:
-            self._check_pbw(w)
-            return self._store(w, {w: self.field.one})
-        spent[0] += 1
-        if spent[0] > STEP_BUDGET:
-            raise _Spent(f"step budget of {STEP_BUDGET}")
-        if depth >= NEST_BUDGET:
-            raise _Spent(f"nesting depth of {NEST_BUDGET}")
-        rest, out, one = v[len(rule.lhs) - 1:], {}, self.field.one
+    @staticmethod
+    def _ask(w: Word):
+        """Generator that asks for the letter product w and returns nf(w)."""
+        return (yield w)
+
+    def _rewrite(self, rule: RewriteRule, w: Word, req: _Request):
+        """Generator of nf(w) for w = lhs v' with v' normal: the sum of rc *
+        nf(rw v') over the rule's terms rc * rw, asking for each letter
+        product the cache lacks as _fold does."""
+        rest, out = w[len(rule.lhs):], {}
         for rw, rc in rule.rhs.terms.items():
-            _add_scaled(out, self._fold(rw, {rest: rc}, spent, depth + 1).items(), one)
-        return self._store(w, out)
+            yield from self._fold(rw, {rest: rc}, out, req)
+        return out
 
-    def _fold(self, letters: Word, part: dict[Word, object], spent: list, depth: int) -> dict[Word, object]:
-        """nf(letters * part) for part a sum of c * u over normal words u:
-        the letters act one at a time, right to left, through _times."""
-        for y in reversed(letters):
-            acc: dict[Word, object] = {}
+    def _fold(self, letters: Word, part: dict[Word, object], out: dict[Word, object], req: _Request):
+        """Generator that adds nf(letters * part) into out, for part a sum
+        of c * u over normal words u: the letters act one at a time, right
+        to left, each on every word of the sum so far.  It yields each
+        letter product y u the cache lacks and is sent back its normal
+        form; each term of a product that it adds is charged to req as
+        the letters of the product's word."""
+        cache = self._nf_cache
+        if not letters:
+            _add_scaled(out, part.items(), self.field.one)
+        for i in range(len(letters) - 1, -1, -1):
+            y, acc = letters[i], out if i == 0 else {}
             for u, c in part.items():
-                _add_scaled(acc, self._times(y, u, spent, depth), c)
+                yu = (y,) + u
+                terms = cache.get(yu)
+                if terms is None:
+                    terms = yield yu
+                req.charge(len(terms) * len(yu))
+                _add_scaled(acc, terms, c)
             part = acc
-        return part
 
     def _check_pbw(self, w: Word) -> None:
         """Raise EngineError if the irreducible word w is not a PBW word;
@@ -440,31 +477,27 @@ class AlgebraSpec:
             raise EngineError(f"{self.algebra_id}: irreducible word {self.alphabet.word_str(w)} "
                               f"is outside the normal-form set")
 
-    def _store(self, w: Word, out: dict[Word, object]) -> NfTerms:
+    def _store(self, w: Word, out: dict[Word, object], made: dict) -> NfTerms:
         """The normal form out of w as (word, coefficient) pairs, brought
         back by field.reduce if the field has one and, while the cache is
         under CACHE_MAX_TERMS, stored there with each coefficient replaced
-        by the spec's one object of its value."""
+        by the spec's one object of its value; once it is full, stored in
+        made, the products of one request."""
         if self.field.reduce is not None:
             out = self.field.reduce(out)
         if self._nf_cached_terms >= CACHE_MAX_TERMS:
-            return tuple(out.items())
+            terms = made[w] = tuple(out.items())
+            return terms
         share = self._nf_coeffs.setdefault
         terms = self._nf_cache[w] = tuple([(u, share(c, c)) for u, c in out.items()])
         self._nf_cached_terms += len(terms)
         return terms
 
-    def _exceeded(self, e: BaseException, w: Word) -> NonTermination:
-        """The error for a request on w that passed a budget (_Spent) or
-        Python's recursion limit."""
-        what = e if isinstance(e, _Spent) else "the recursion limit"
-        return NonTermination(f"{self.algebra_id}: {what} exceeded while reducing {self.alphabet.word_str(w)}")
-
     def _nf_terms(self, w: Word) -> NfTerms:
         """The normal form of w as (word, coefficient) pairs, one request:
         the letters of w before its longest irreducible suffix are folded,
-        right to left, onto that suffix through _times.  The result is
-        stored under w as _store says, as _times stores its own words."""
+        right to left, onto that suffix (_fold).  The result is stored under
+        w as _store says, as _drive stores the products it makes."""
         terms = self._nf_cache.get(w)
         if terms is not None:
             return terms
@@ -472,27 +505,29 @@ class AlgebraSpec:
         k = len(w)
         while k and table[v[k - 1]][v[k]] is None:
             k -= 1
+        req = _Request(self, w)
+        if k <= 1 and w:
+            return self._drive(self._ask(w), req)
         self._check_pbw(w[k:])
-        spent = [0]
-        try:
-            if k == 1:
-                return self._times(w[0], w[1:], spent, 0)
-            out = self._fold(w[:k], {w[k:]: self.field.one}, spent, 0)
-        except (_Spent, RecursionError) as e:
-            raise self._exceeded(e, w) from None
-        return self._store(w, out)
+        out: dict[Word, object] = {}
+        self._drive(self._fold(w[:k], {w[k:]: self.field.one}, out, req), req)
+        return self._store(w, out, req.made)
 
     def _letter_times(self, x: int, p: NcPoly) -> NcPoly:
-        """nf(x * p) for a letter x and a normal form p, one request: one
-        _times per word of p.  A breach of a budget names the word x v of
-        the term it was reducing."""
-        out: dict[Word, object] = {}
-        spent, v = [0], EMPTY_WORD
-        try:
-            for v, c in p.terms.items():
-                _add_scaled(out, self._times(x, v, spent, 0), c)
-        except (_Spent, RecursionError) as e:
-            raise self._exceeded(e, (x,) + v) from None
+        """nf(x * p) for a letter x and a normal form p, one request: the
+        sum of c * nf(x v) over p's terms c * v, each term charged as _fold
+        charges it.  Past STEP_BUDGET it names the word x v it was at."""
+        cache, out = self._nf_cache, {}
+        req = _Request(self, EMPTY_WORD)
+        for v, c in p.terms.items():
+            w = req.word = (x,) + v
+            terms = cache.get(w)
+            if terms is None:
+                terms = req.made.get(w)
+            if terms is None:
+                terms = self._drive(self._ask(w), req)
+            req.charge(len(terms) * len(w))
+            _add_scaled(out, terms, c)
         return NcPoly(self.alphabet, out, self.field, _clean=self.field.reduce is None)
 
     def nf_word(self, w: Word, direction: str = "leftmost") -> NcPoly:
@@ -857,7 +892,7 @@ def hilbert_table(spec: AlgebraSpec, max_bidegree: tuple[int, int]) -> HilbertTa
 # commutative ring, makes normal forms over Z/N unique.  A symbolic
 # reduction carried term by term is a reduction over Z/N, so the residue
 # normal form of a word is the residue of its symbolic one.  Inside the
-# letter products (_times) and _add_scaled the residues are added and
+# letter products (_drive, _fold) and _add_scaled the residues are added and
 # multiplied as plain ints, and a term that is 0 mod N but not as an int
 # stays alive until Residues.reduce brings each stored normal form back to
 # [0, N); Z -> Z/N is a ring map, so no residue changes.  The residue products (_acts) and E

@@ -109,17 +109,19 @@ def test_cli_deep_nesting_exits_2(capsys):
     assert main(["normalize", "--algebra", "daha", "(" * n + "T" + ")" * n]) == 0
 
 
-def test_cli_deep_word_exits_2_with_one_error_line(capsys):
-    # p11 sinks through the normal word a11^250 one nesting level per letter,
-    # past NEST_BUDGET; inside 200 parentheses the parser's frames leave too
-    # few for that, and the recursion limit ends the request the same way
-    n = rewrite.NEST_BUDGET
-    for expr, what in [("p11*a11^250", f"nesting depth of {n}"),
-                       ("(" * 200 + "p11*a11^250" + ")" * 200, "the recursion limit")]:
-        assert main(["normalize", "--algebra", "dq", expr]) == 2
-        cap = capsys.readouterr()
-        assert cap.out == ""
-        assert cap.err == f"error: dq: {what} exceeded while reducing p11*a11^250\n"
+def test_cli_deep_word_normalises_and_an_explosive_one_exits_2(capsys, monkeypatch):
+    # p22 sinks through a12^250 one letter product per a12, inside 200
+    # parentheses too: the products wait on an explicit stack, not Python's
+    for expr in ["p22*a12^250", "(" * 200 + "p22*a12^250" + ")" * 200]:
+        assert main(["normalize", "--algebra", "dq", expr]) == 0
+        assert json.loads(capsys.readouterr().out)["normal_form"] == "a12^250*p22"
+    # p11 sinks through a11^20 with results that grow at each a11; the
+    # terms the request adds are charged, so it ends on the budget
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 10**4)
+    assert main(["normalize", "--algebra", "dq", "p11^20*a11^20"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: dq: step budget of 10000 exceeded while reducing p11*a11^20\n"
 
 
 def test_roundtrip_printed_normal_forms():

@@ -10,12 +10,11 @@ against the q-determinants and mu(Z_t), on the production presentations
 themselves.
 """
 
-import inspect
 import itertools
 import random
 import sys
-import textwrap
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -203,7 +202,7 @@ def test_budget_error_names_algebra_word_and_steps(monkeypatch):
 
 def make_loop():
     """The budget tests' presentation: a*b -> b*a, so a letter a moves right
-    past a run of b's one rule application, and one nesting level, per b."""
+    past a run of b's one rule application, and one letter product, per b."""
     alph = Alphabet("loop", [("a", (1, 0), None), ("b", (1, 0), None)])
     pbw = PowerBlocksPbw(alph, [("b", None, None), ("a", None, None)])
     rule = RewriteRule(alph.word("a", "b"), NcPoly(alph, {alph.word("b", "a"): RAT.one}), "a*b")
@@ -211,44 +210,64 @@ def make_loop():
 
 
 def test_budget_error_names_a_letter_times_a_normal_word(monkeypatch):
-    # a*b^3 is a letter times a normal word: three rule applications
-    monkeypatch.setattr(rewrite, "STEP_BUDGET", 2)
+    # a*b^3 is a letter times a normal word: three rule applications, and
+    # six one-term products added, a, b*a, a*b, b^2*a, a*b^2 and b^3*a, of
+    # 1 + 2 + 2 + 3 + 3 + 4 letters, eighteen units of work
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 17)
     spec = make_loop()
     w = spec.alphabet.word(*"abbb")
-    with pytest.raises(NonTermination, match=r"^loop: step budget of 2 exceeded while reducing a\*b\^3$"):
+    with pytest.raises(NonTermination, match=r"^loop: step budget of 17 exceeded while reducing a\*b\^3$"):
         spec.nf_word(w)
-    monkeypatch.setattr(rewrite, "STEP_BUDGET", 3)
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 18)
     spec = make_loop()
     assert spec.nf_word(w) == spec.word_poly(*"bbba")
 
 
 def test_budget_error_names_the_word_of_a_tail_step(monkeypatch):
-    # mul(a^2, b^3) acts with a on b^3 and then with a on b^3*a, each one
-    # request of three rule applications; the first breaches the budget
-    monkeypatch.setattr(rewrite, "STEP_BUDGET", 2)
+    # mul(a^2, b^3) acts with a on b^3 and then with a on b^3*a, each tail
+    # step one request: making a*b^3 does eighteen units of work and adding
+    # its one term of four letters four more; the second step does 29
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 17)
     spec = make_loop()
-    with pytest.raises(NonTermination, match=r"^loop: step budget of 2 exceeded while reducing a\*b\^3$"):
+    with pytest.raises(NonTermination, match=r"^loop: step budget of 17 exceeded while reducing a\*b\^3$"):
         spec.mul(spec.word_poly(*"aa"), spec.word_poly(*"bbb"))
-    monkeypatch.setattr(rewrite, "STEP_BUDGET", 3)
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 28)
+    spec = make_loop()
+    with pytest.raises(NonTermination, match=r"^loop: step budget of 28 exceeded while reducing a\*b\^3\*a$"):
+        spec.mul(spec.word_poly(*"aa"), spec.word_poly(*"bbb"))
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 29)
     spec = make_loop()
     assert spec.mul(spec.word_poly(*"aa"), spec.word_poly(*"bbb")) == spec.word_poly(*"bbbaa")
+    # the terms of one tail step share its budget: a*(b^3 + b^2) adds the
+    # one term of a*b^2, made with a*b^3, after a*b^3's 22 units
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 24)
+    spec = make_loop()
+    with pytest.raises(NonTermination, match=r"^loop: step budget of 24 exceeded while reducing a\*b\^2$"):
+        spec.mul(spec.gen("a"), spec.word_poly(*"bbb") + spec.word_poly(*"bb"))
 
 
-def test_nest_budget_names_algebra_and_word(monkeypatch):
-    monkeypatch.setattr(rewrite, "NEST_BUDGET", 4)
-    spec = make_loop()
-    w = spec.alphabet.word("a", *"bbbbb")
-    with pytest.raises(NonTermination, match=r"^loop: nesting depth of 4 exceeded while reducing a\*b\^5$"):
-        spec.nf_word(w)
-    spec = make_loop()
-    assert spec.nf_word(w[:-1]) == spec.word_poly(*"bbbba")
-    # p11 sinks through dq's normal word a11^9 one level per letter
+def test_budget_charges_the_terms_a_request_adds(monkeypatch):
+    # p11 sinks through dq's a11^6 with results that grow at each a11: the
+    # request adds many terms per rule application, and their letters are
+    # charged, so ten units per rule application do not cover it
     D = dq_spec()
-    fresh = AlgebraSpec(D.alphabet, D.rules, D.pbw, D.q_central)
     p11, a11 = D.alphabet.index("p11"), D.alphabet.index("a11")
-    with pytest.raises(NonTermination, match=r"^dq: nesting depth of 4 exceeded while reducing p11\*a11\^9$"):
-        fresh.mul(D.gen("p11"), NcPoly.from_word(D.alphabet, (a11,) * 9))
-    assert fresh.nf_word((p11, a11)) == D.nf_word((p11, a11))
+    w = (p11,) + (a11,) * 6
+    rewrite_, applied = AlgebraSpec._rewrite, []
+
+    def counting(self, rule, v, req):
+        applied.append(v)
+        return rewrite_(self, rule, v, req)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AlgebraSpec, "_rewrite", counting)
+        AlgebraSpec(D.alphabet, D.rules, D.pbw, D.q_central).nf_word(w)
+    monkeypatch.setattr(rewrite, "STEP_BUDGET", 10 * len(applied))
+    fresh = AlgebraSpec(D.alphabet, D.rules, D.pbw, D.q_central)
+    with pytest.raises(NonTermination, match=r"^dq: step budget of \d+ exceeded while reducing p11\*a11\^6$"):
+        fresh.nf_word(w)
+    monkeypatch.undo()
+    assert fresh.nf_word(w) == D.nf_word(w)
 
 
 def _stack_depth() -> int:
@@ -258,18 +277,25 @@ def _stack_depth() -> int:
     return n
 
 
-def test_recursion_limit_inside_the_engine_is_a_non_termination():
-    # a caller deep in the stack leaves the engine fewer frames than a
-    # letter sinking through b^60 takes, inside NEST_BUDGET
+def test_a_letter_sinks_through_a_word_longer_than_the_recursion_limit():
+    # the letter products wait on an explicit stack, not on Python's: a
+    # sinks through b^n one product per b, from deep in the caller's stack
+    n = sys.getrecursionlimit() + 500
     spec = make_loop()
-    w = spec.alphabet.word("a", *"b" * 60)
+    w = spec.alphabet.word("a", *"b" * n)
 
     def nested(k):
         return nested(k - 1) if k else spec.nf_word(w)
 
-    with pytest.raises(NonTermination, match=r"^loop: the recursion limit exceeded while reducing a\*b\^60$"):
-        nested(sys.getrecursionlimit() - _stack_depth() - 40)
-    assert spec.nf_word(w) == spec.word_poly(*"b" * 60, "a")
+    assert nested(sys.getrecursionlimit() - _stack_depth() - 30) == spec.word_poly(*"b" * n, "a")
+    # p22 passes dq's a12 by one rule of one term, the swapped pair
+    D = dq_spec()
+    p22, a12 = D.alphabet.index("p22"), D.alphabet.index("a12")
+    fresh = AlgebraSpec(D.alphabet, D.rules, D.pbw, D.q_central)
+    w = (p22,) + (a12,) * 250
+    got = fresh.nf_word(w)
+    assert got == reduce_by(D, NcPoly.from_word(D.alphabet, w), "rightmost")
+    assert got == D.word_poly(*["a12"] * 250, "p22")
 
 
 def test_straighten_trace_fixed_point(plane):
@@ -503,19 +529,21 @@ def test_strategy_check_catches_a_fault_in_the_cached_engine(name, monkeypatch):
     assert check_strategy_independence(fresh, n=50) is not None
 
 
-def _mutant_times(old: str, new: str):
-    """AlgebraSpec._times with the one occurrence of old in its source
-    replaced by new, compiled against the rewrite module's globals."""
-    src = textwrap.dedent(inspect.getsource(AlgebraSpec._times))
-    assert src.count(old) == 1
-    names: dict = {}
-    exec(compile(src.replace(old, new), rewrite.__file__, "exec"), vars(rewrite), names)
-    return names["_times"]
+def _mutant_rewrite(mutate):
+    """AlgebraSpec._rewrite applying, in place of each rule, one whose
+    right-hand side's terms are mutate(its terms as a list)."""
+    rewrite_ = AlgebraSpec._rewrite
+
+    def mutant(self, rule, w, req):
+        rhs = NcPoly(self.alphabet, dict(mutate(list(rule.rhs.terms.items()))), self.field)
+        return rewrite_(self, SimpleNamespace(lhs=rule.lhs, rhs=rhs), w, req)
+
+    return mutant
 
 
 LETTER_PRODUCT_MUTANTS = {
-    "drops-the-last-rhs-term": ("rule.rhs.terms.items()", "list(rule.rhs.terms.items())[:-1]"),
-    "squares-rc": ("{rest: rc}", "{rest: rc * rc}"),
+    "drops-the-last-rhs-term": lambda terms: terms[:-1],
+    "squares-rc": lambda terms: [(rw, rc * rc) for rw, rc in terms],
 }
 
 
@@ -527,7 +555,7 @@ def test_letter_product_mutants_fail_the_strategy_check_and_the_oracle(name, mut
     def own_spec():
         return AlgebraSpec(spec.alphabet, spec.rules, spec.pbw, spec.q_central, field=spec.field)
 
-    monkeypatch.setattr(AlgebraSpec, "_times", _mutant_times(*LETTER_PRODUCT_MUTANTS[mutant]))
+    monkeypatch.setattr(AlgebraSpec, "_rewrite", _mutant_rewrite(LETTER_PRODUCT_MUTANTS[mutant]))
     assert check_strategy_independence(own_spec(), n=50) is not None
     fresh = own_spec()
     words = itertools.product(range(len(spec.alphabet)), repeat=2)
