@@ -29,10 +29,14 @@ point.  At each point 1 + t0^2 is also nonzero mod that point's prime in
 rewrite.POINTS, since each is 3 (mod 4), which leaves -1 without a square
 root.
 
-The body absorbs T up to a scalar: T^2 = (t - 1/t) T + 1 gives
-(1 + t T) T = t (1 + t T).  So spherical_dimensions ranks only the T-free
-PBW words: the row of T w is t times the row of w, and t0 is a unit mod each
-point's prime, so every per-point rank is unchanged.
+The body absorbs T up to a scalar on either side: T^2 = (t - 1/t) T + 1
+gives (1 + t T) T = t (1 + t T) and T (1 + t T) = t (1 + t T).  So
+spherical_dimensions ranks only the T-free PBW words: the row of T w is t
+times the row of w, and t0 is a unit mod each point's prime, so every
+per-point rank is unchanged.  And the left factor of each row costs no
+product: T is the first PBW block, with cap 1, so a normal form is
+X = A + T B with A and B T-free, T u is normal for every T-free normal
+word u, and nf((1 + t T) X) = C + t T C with C = A + t B.
 """
 
 from __future__ import annotations
@@ -438,6 +442,35 @@ def hplus_words(M: int, N: int) -> list[NcPoly]:
     return [NcPoly.from_word(H.alphabet, w) for w in H.pbw.enumerate(M, N)]
 
 
+def _left_idempotent(spec: AlgebraSpec, body: NcPoly):
+    """The map X -> C = A + t B on spec's normal forms X = A + T B, A and B
+    T-free, for spec daha's or its residue spec and body 1 + t T carried to
+    its field: nf(body X) = C + t T C (the module docstring).  It checks, once,
+    the facts that identity rests on, raising EngineError on the first that
+    fails: T is spec's first PBW block, with cap 1, and its rule T*T is
+    (t - 1/t) T + 1 carried to spec's field."""
+    alph, field = spec.alphabet, spec.field
+    T = alph.index("T")
+    first, _, cap = spec.pbw.blocks[0]
+    if (first, cap) != (T, 1):
+        raise EngineError(f"{spec.algebra_id}: the sandwich identity needs T as the first PBW block, with cap 1")
+    hecke = carry(NcPoly.gen(alph, "T").scale(BETA) + NcPoly.unit(alph), field)
+    if [r.rhs for r in spec.rules if r.lhs == (T, T)] != [hecke]:
+        raise EngineError(f"{spec.algebra_id}: the sandwich identity needs the rule T*T -> (t - 1/t) T + 1")
+    t = body.terms[(T,)]
+
+    def t_free(x: NcPoly) -> NcPoly:
+        out: dict = {}
+        for w, c in x.terms.items():
+            if w[:1] == (T,):
+                w, c = w[1:], c * t
+            s = out.get(w)
+            out[w] = c if s is None else s + c
+        return NcPoly(alph, out, field)
+
+    return t_free
+
+
 def spherical_dimensions(bidegrees) -> dict[tuple[int, int], int]:
     """{(M, N): dim e H^+[M,N] e} for the requested bidegrees, in the order
     they first appear: the rank of the sandwiched PBW basis at
@@ -446,24 +479,30 @@ def spherical_dimensions(bidegrees) -> dict[tuple[int, int], int]:
     the exact sandwich times (1 + t^2)^2, a nonzero scalar at every point
     mod its prime (see the module docstring), so the rank is the same.
 
-    Only the T-free words w are ranked.  T^2 = (t - 1/t) T + 1 gives
-    (1 + t T) T = t (1 + t T), so the row of T w is t times the row of w;
-    t0 is a unit mod its point's prime, so the T-led rows change no
-    per-point rank.
+    The two identities of the module docstring shrink the rows without
+    changing a per-point rank, t0 being a unit mod each prime.  By
+    (1 + t T) T = t (1 + t T) the row of T w is t times the row of w, so
+    only the T-free words w are ranked.  By T (1 + t T) = t (1 + t T) the
+    row of w is C + t T C, C = A + t B for A + T B = nf(w (1 + t T)), so
+    only C is ranked and the left factor is never multiplied out
+    (_left_idempotent, which checks T's PBW block and the rule T*T once per
+    call).  The phi suite's "e T = t e" and the daha suite's "hecke" and
+    "T2" residuals certify the relation both rest on.
 
-    The rows are products in daha's residue spec (AlgebraSpec.at_points;
-    see rewrite.POINTS).  One _acts map makes nf(w (1 + t T)) for the words
-    of every bidegree, so words that end alike share their tails' products
-    across the bidegrees.  Each bidegree's rows are ranked and dropped
-    before the next are made."""
+    The products w (1 + t T) are made in daha's residue spec
+    (AlgebraSpec.at_points; see rewrite.POINTS) one letter at a time
+    (AlgebraSpec._letter_times), along one tail_map over the words of every
+    bidegree, so words that end alike share their tails' products across
+    the bidegrees.  Each bidegree's rows are ranked and dropped before the
+    next are made."""
     spec = daha_spec().at_points()
     body = carry(idempotent_body(), spec.field)
     T = spec.alphabet.index("T")
-    right = spec._acts(body)
+    right = tail_map(lambda x, u, img: spec._letter_times(x, img), body)
+    t_free = _left_idempotent(spec, body)
     out = {}
     for M, N in dict.fromkeys(bidegrees):
-        rows = [spec._acts(right(NcPoly.from_word(spec.alphabet, w, field=spec.field)))(body).terms
-                for w in spec.pbw.enumerate(M, N) if w[:1] != (T,)]
+        rows = [t_free(right(w)).terms for w in spec.pbw.enumerate(M, N) if w[:1] != (T,)]
         out[M, N] = spec.field.rank(rows, f"{spec.algebra_id}: sandwich rank at ({M}, {N})")
     return out
 

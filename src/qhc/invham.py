@@ -43,6 +43,7 @@ from .rewrite import (
     PowerBlocksPbw,
     QCentralGen,
     RewriteRule,
+    _add_scaled,
     carry,
     divide,
     tail_map,
@@ -289,6 +290,55 @@ def weight_zero_words(M: int, N: int) -> list[Word]:
             for v in p_words.get(tuple(-x for x in act._word_weight(u)), ())]
 
 
+def _weight_zero_e_images(act, bidegrees):
+    """((M, N), the E images of weight_zero_words(M, N)) for each requested
+    bidegree once, in the order they first appear, for dq's action act over
+    any field; each bidegree's images are made when it is reached.
+
+    Each image comes from its word's factors w = u v, u an A-word of (M, 0)
+    and v a P-word of (0, N), by the coproduct step AdjointAction.images
+    applies letter by letter:
+
+        E > (u v) = q^(w1(v) - w2(v)) (E > u) v + u (E > v).
+
+    E > u holds only A-words and E > v only P-words, and an A-word followed
+    by a P-word is normal, so the image is two concatenations of the images
+    from one images call over the A-words and one over the P-words.  The
+    facts this rests on are checked once, and EngineError names the first
+    that fails: every letter is an A-letter, of bidegree (1, 0), or a
+    P-letter, of (0, 1), and every A-block precedes every P-block; the E
+    image of each A-letter holds only A-letters, of each P-letter only
+    P-letters (the rules keep bidegree, so the normal forms of A-words are
+    A-words)."""
+    spec = act.spec
+    alph, field, block_of = spec.alphabet, spec.field, spec.pbw.block_of
+    a_letters = {g.index for g in alph.gens if g.bidegree == (1, 0)}
+    p_letters = {g.index for g in alph.gens if g.bidegree == (0, 1)}
+    if (len(a_letters) + len(p_letters) != len(alph)
+            or max(block_of[x] for x in a_letters) > min(block_of[x] for x in p_letters)):
+        raise EngineError(f"{spec.algebra_id}: the E split needs A- and P-letters only, "
+                          f"every A-block before every P-block")
+    for letters in (a_letters, p_letters):
+        if any(not letters.issuperset(iw) for x in letters for iw in act.e_images[x].terms):
+            raise EngineError(f"{spec.algebra_id}: the E split needs E images of A-letters in A-letters "
+                              f"and of P-letters in P-letters")
+    words = {(M, N): weight_zero_words(M, N) for M, N in dict.fromkeys(bidegrees)}
+    a_words = list(dict.fromkeys(w[:M] for (M, _), ws in words.items() for w in ws))
+    p_words = list(dict.fromkeys(w[M:] for (M, _), ws in words.items() for w in ws))
+    e_a = dict(zip(a_words, act.images("E", a_words)))
+    e_p = dict(zip(p_words, act.images("E", p_words)))
+    for (M, N), ws in words.items():
+        rows = []
+        for w in ws:
+            u, v = w[:M], w[M:]
+            a, b = act._word_weight(v)
+            s = field.q_power(a - b)
+            terms = {x + v: c * s for x, c in e_a[u].terms.items()}
+            _add_scaled(terms, [(u + y, c) for y, c in e_p[v].terms.items()], field.one)
+            rows.append(NcPoly(alph, terms, field))
+        yield (M, N), rows
+
+
 def invariant_dimensions(bidegrees) -> dict[tuple[int, int], int]:
     """{(M, N): an upper bound on dim of the U-invariants of D_q^+[M,N]} for
     the requested bidegrees, in the order they first appear: the kernel of
@@ -314,18 +364,20 @@ def invariant_dimensions(bidegrees) -> dict[tuple[int, int], int]:
     words.  The rows are their E images by dq's action carried to dq's
     residue spec (AdjointAction.over, AlgebraSpec.at_points; see
     rewrite.POINTS), the residues of the exact images, so the bound chain
-    above is unchanged.  One images call makes the rows of every requested
-    bidegree, so words that end alike share their tails' images across the
-    bidegrees."""
+    above is unchanged.  Each row is two concatenations of the E images of
+    its word's A- and P-factors, by the coproduct step
+    E > (u v) = q^(w1(v) - w2(v)) (E > u) v + u (E > v), each factor's image
+    made once across the requested bidegrees and no A-word times P-word
+    rewritten (_weight_zero_e_images, which checks the facts this rests on
+    once per call; tests/test_pbw.py's dq enumeration order shows dq's
+    A-before-P block order)."""
     act = dq_action().over(dq_spec().at_points())
     res = act.spec.field
-    words = {d: weight_zero_words(*d) for d in dict.fromkeys(bidegrees)}
-    rows = iter(act.images("E", [w for ws in words.values() for w in ws]))
     out = {}
-    for (M, N), ws in words.items():
-        ranks = res.ranks([next(rows).terms for _ in ws])
+    for (M, N), rows in _weight_zero_e_images(act, bidegrees):
+        ranks = res.ranks([row.terms for row in rows])
         out[M, N] = res.agreed(f"{act.spec.algebra_id}: invariant dimension at ({M}, {N})",
-                               [len(ws) - r for r in ranks], ranks)
+                               [len(rows) - r for r in ranks], ranks)
     return out
 
 

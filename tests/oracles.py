@@ -15,9 +15,10 @@ last four stand in for package helpers that only tests used: the spherical
 PBW words as elements, the inverse of the reduction-to-spherical transport
 read off its generator dictionary, the test that no word holds a redex, and
 the exact sandwich rows, which the package ranked before it built its rows
-as residues.  naive_redex and naive_nf are the reference reducer: every
-rule's left-hand side tried at every position, with no redex table, cache
-or resumed search, over whatever field the spec's rules are written in.
+as residues; t_free_part gives such a row's T-free part, which it ranks
+now.  naive_redex and naive_nf are the reference reducer: every rule's
+left-hand side tried at every position, with no redex table, cache or
+resumed search, over whatever field the spec's rules are written in.
 """
 
 from __future__ import annotations
@@ -394,6 +395,15 @@ def spherical_rows(bidegrees):
     for M, N in dict.fromkeys(bidegrees):
         yield (M, N), [spec._act(body, right(NcPoly.from_word(spec.alphabet, w)))
                        for w in spec.pbw.enumerate(M, N) if w[:1] != (T,)]
+
+
+def t_free_part(row):
+    """The terms of a daha element whose words do not start with T."""
+    from qhc.daha import daha_spec
+    from qhc.ncpoly import NcPoly
+
+    T = daha_spec().alphabet.index("T")
+    return NcPoly(row.alphabet, {w: c for w, c in row.terms.items() if w[:1] != (T,)}, row.field)
 
 
 def naive_redex(spec, w, direction):

@@ -30,6 +30,7 @@ from qhc.daha import (
 from qhc.ncpoly import NcPoly
 from qhc.rewrite import (
     EngineError,
+    RewriteRule,
     check_ambiguities,
     hilbert_table,
     q_central_residual,
@@ -37,7 +38,7 @@ from qhc.rewrite import (
     straighten_trace,
 )
 
-from oracles import aplus_words, fold_phi_body, spherical_positive_series, spherical_rows
+from oracles import aplus_words, fold_phi_body, spherical_positive_series, spherical_rows, t_free_part
 
 
 @pytest.fixture(scope="module")
@@ -413,3 +414,48 @@ def test_t_free_rows_keep_every_per_point_rank(H):
         if full:
             assert (rank_of_family(H, t_free).per_point
                     == rank_of_family(H, full).per_point), (m, n)
+
+
+def test_exact_rows_split_as_their_t_free_part_and_t_times_t_it(H):
+    # T (1 + t T) = t (1 + t T): each exact row is C + t T C, C its T-free
+    # part, which _left_idempotent reads off nf(w (1 + t T)) as A + t B
+    body = idempotent_body()
+    T = H.gen("T")
+    t_free = daha._left_idempotent(H, body)
+    right = H._acts(body)
+    for (m, n), rows in spherical_rows(BIDEGREES_33):
+        words = _t_free_words(H, m, n)
+        assert len(rows) == len(words), (m, n)
+        for w, row in zip(words, rows):
+            c = t_free_part(row)
+            assert row == c + (T * c).scale(RC_T), (m, n, w)
+            assert t_free(right(w)) == c, (m, n, w)
+
+
+@pytest.fixture
+def fresh_residue_specs():
+    # a residue spec built from a faulted daha must not reach another test
+    daha_spec()._at_points.clear()
+    yield
+    daha_spec()._at_points.clear()
+
+
+@pytest.mark.parametrize("blocks", [
+    lambda b: [b[0][:2] + (2,)] + b[1:],
+    lambda b: [b[1], b[0]] + b[2:],
+], ids=["cap-2", "t-second"])
+def test_sandwich_shortcut_refuses_t_off_the_first_block_of_cap_1(H, monkeypatch, fresh_residue_specs, blocks):
+    monkeypatch.setattr(H.pbw, "blocks", blocks(H.pbw.blocks))
+    with pytest.raises(EngineError, match=r"^daha: the sandwich identity needs T as the first PBW block, with cap 1$"):
+        spherical_dimensions([(1, 1)])
+
+
+def test_sandwich_shortcut_refuses_another_t_squared_rule(H, monkeypatch, fresh_residue_specs):
+    # T^2 = (1/t - t) T + 1, the Hecke rule at t -> 1/t, carried to the
+    # residue spec that at_points builds afresh
+    T = H.alphabet.index("T")
+    rules = [RewriteRule(r.lhs, H.gen("T").scale(-BETA) + H.unit(), r.tag) if r.lhs == (T, T) else r
+             for r in H.rules]
+    monkeypatch.setattr(H, "rules", rules)
+    with pytest.raises(EngineError, match=r"^daha: the sandwich identity needs the rule T\*T -> \(t - 1/t\) T \+ 1$"):
+        spherical_dimensions([(1, 1)])

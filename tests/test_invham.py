@@ -227,15 +227,15 @@ def test_invariant_dimension_equals_the_joint_kernel_at_each_point():
         assert joint_kernel_dims(m, n) == (invariant_dimension(m, n),) * len(POINTS), (m, n)
 
 
-def _faulted_action(gen: str, letters) -> AdjointAction:
-    """A fresh copy of dq_action() in which gen > x is zero for each letter x
-    of letters, gen E or F."""
+def _faulted_action(gen: str, letters, image=lambda act, name: act.spec.zero()) -> AdjointAction:
+    """A fresh copy of dq_action() in which gen > x is image(act, x), zero
+    unless image is given, for each letter x of letters, gen E or F."""
     act = dq_action()
     gens = act.spec.alphabet.gens
     weights, e_images, f_images = ({gens[i].name: p for i, p in table.items()}
                                    for table in (act.weights, act.e_images, act.f_images))
     for name in letters:
-        (e_images if gen == "E" else f_images)[name] = act.spec.zero()
+        (e_images if gen == "E" else f_images)[name] = image(act, name)
     return AdjointAction(act.spec, weights, e_images, f_images)
 
 
@@ -248,6 +248,50 @@ def test_invariant_dimension_sees_an_e_action_that_loses_rank(monkeypatch):
     monkeypatch.setattr(invham, "dq_action", lambda: faulty)
     series = suites.invariant_series(2, 2)
     assert any(invariant_dimension(m, n) > series.get((m, n), 0) for m in range(3) for n in range(3))
+
+
+def test_e_rows_from_their_factors_equal_the_images_of_the_whole_words():
+    # E > (u v) = q^(w1(v) - w2(v)) (E > u) v + u (E > v), term for term
+    # against the coproduct rule applied letter by letter over whole words
+    act = dq_action()
+    bidegrees = [(m, n) for m in range(4) for n in range(4)]
+    got = list(invham._weight_zero_e_images(act, bidegrees))
+    assert [d for d, _ in got] == bidegrees
+    for (m, n), rows in got:
+        words = weight_zero_words(m, n)
+        assert [row.terms for row in rows] == [img.terms for img in act.images("E", words)], (m, n)
+    # (1, 1) has a P-factor with w1 != w2, whose q-power is not 1
+    assert any(a != b for a, b in (act._word_weight(w[1:]) for w in weight_zero_words(1, 1)))
+
+
+@pytest.fixture
+def fresh_e_split():
+    # a residue action built from a faulted dq must not reach another test
+    for clear in (dq_action.cache_clear, dq_spec()._at_points.clear):
+        clear()
+    yield
+    for clear in (dq_action.cache_clear, dq_spec()._at_points.clear):
+        clear()
+
+
+def test_e_split_refuses_a_p_block_before_an_a_block(monkeypatch, fresh_e_split):
+    D = dq_spec()
+    block_of = dict(D.pbw.block_of)
+    block_of[D.alphabet.index("p22")] = -1
+    monkeypatch.setattr(D.pbw, "block_of", block_of)
+    with pytest.raises(EngineError, match=(r"^dq: the E split needs A- and P-letters only, "
+                                           r"every A-block before every P-block$")):
+        invariant_dimension(1, 1)
+
+
+@pytest.mark.parametrize("letter, other", [("a12", "p12"), ("p21", "a21")])
+def test_e_split_refuses_an_e_image_across_the_factors(monkeypatch, fresh_e_split, letter, other):
+    faulty = _faulted_action("E", [letter], lambda act, name: act.e_images[act.spec.alphabet.index(name)]
+                             + act.spec.gen(other))
+    monkeypatch.setattr(invham, "dq_action", lambda: faulty)
+    with pytest.raises(EngineError, match=(r"^dq: the E split needs E images of A-letters in A-letters "
+                                           r"and of P-letters in P-letters$")):
+        invariant_dimension(1, 1)
 
 
 def test_invariant_dimension_raises_where_one_prime_makes_q_a_root_of_unity(monkeypatch):
