@@ -69,9 +69,6 @@ def dq_spec() -> AlgebraSpec:
     weights = dict(zip(_A_NAMES + _P_NAMES, (8, 3, 7, 1, 5, 5, 2, 1)))
     pbw = PowerBlocksPbw(alph, [(g.name, None, None) for g in alph.gens], weights=weights)
 
-    def W(*names):
-        return NcPoly.from_word(alph, alph.word(*names))
-
     one = RC_ONE
     qm2, qm4, q2 = RAT.q_power(-2), RAT.q_power(-4), RAT.q_power(2)
     qq2 = (RAT.q_power(1) - RAT.q_power(-1)) ** 2      # (q - 1/q)^2
@@ -97,9 +94,9 @@ def dq_spec() -> AlgebraSpec:
     for lhs1, lhs2, pc, pw, sorted_terms in cross:
         rhs = NcPoly.zero(alph)
         if pw is not None:
-            rhs = rhs + W(*pw).scale(pc)
+            rhs = rhs + alph.poly(*pw).scale(pc)
         for c, wnames in sorted_terms:
-            rhs = rhs + W(*wnames).scale(c)
+            rhs = rhs + alph.poly(*wnames).scale(c)
         rules.append(RewriteRule(alph.word(lhs1, lhs2), rhs, f"{lhs1}*{lhs2}"))
 
     return AlgebraSpec(alph, rules, pbw)
@@ -281,7 +278,7 @@ def _moment_table() -> dict[str, list[tuple[RatCoeff, int, int]]]:
     sum of terms c * m_ij * m_kl, written (c, ij, kl)."""
     names = ("m11", "m12", "m21", "m22")
     alph = Alphabet("mu", [(n, (1, 0), None) for n in names])
-    rows = [(r.tag, NcPoly.from_word(alph, r.lhs) - r.rhs) for r in _re_rules(alph, *names)]
+    rows = [(r.tag, r.residual) for r in _re_rules(alph, *names)]
     rows.append(("detq", qdet(alph, names)))
     return {tag: [(c, int(names[i][1:]), int(names[j][1:])) for (i, j), c in p.terms.items()]
             for tag, p in rows}

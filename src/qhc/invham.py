@@ -61,7 +61,7 @@ _INV_GENS = [
     ("w", (2, 2), None),
 ]
 
-# the PBW blocks shared by inv and ham; inv appends w
+# the PBW blocks and q-central letters shared by inv and ham; inv appends w
 _INV_BLOCKS = [
     ("c1", None, None),
     ("c2", "c2i", None),
@@ -69,34 +69,31 @@ _INV_BLOCKS = [
     ("d1", None, None),
     ("d2", "d2i", None),
 ]
+_INV_QCENTRAL = (QCentralGen("c2", (0, 2)), QCentralGen("d2", (-2, 0)))
 
 
 def _inv_rules_common(alph):
     """The straightening rules shared by the invariant algebra and its
     Hamiltonian reduction (all except the r^2 relation and the w block)."""
-
-    def W(*names):
-        return NcPoly.from_word(alph, alph.word(*names))
-
     one = RC_ONE
     qm2 = RAT.q_power(-2)
     rules = [
-        RewriteRule(alph.word("c2", "c1"), W("c1", "c2"), "c2*c1"),
-        RewriteRule(alph.word("d2", "d1"), W("d1", "d2"), "d2*d1"),
-        RewriteRule(alph.word("d2", "c2"), W("c2", "d2").scale(RAT.q_power(-4)), "d2*c2"),
-        RewriteRule(alph.word("d2", "c1"), W("c1", "d2").scale(qm2), "d2*c1"),
-        RewriteRule(alph.word("d1", "c2"), W("c2", "d1").scale(qm2), "d1*c2"),
-        RewriteRule(alph.word("d1", "c1"), W("c1", "d1") + W("r").scale(qm2 - one), "d1*c1"),
-        RewriteRule(alph.word("d2", "r"), W("r", "d2").scale(qm2), "d2*r"),
-        RewriteRule(alph.word("r", "c2"), W("c2", "r").scale(qm2), "r*c2"),
+        RewriteRule(alph.word("c2", "c1"), alph.poly("c1", "c2"), "c2*c1"),
+        RewriteRule(alph.word("d2", "d1"), alph.poly("d1", "d2"), "d2*d1"),
+        RewriteRule(alph.word("d2", "c2"), alph.poly("c2", "d2").scale(RAT.q_power(-4)), "d2*c2"),
+        RewriteRule(alph.word("d2", "c1"), alph.poly("c1", "d2").scale(qm2), "d2*c1"),
+        RewriteRule(alph.word("d1", "c2"), alph.poly("c2", "d1").scale(qm2), "d1*c2"),
+        RewriteRule(alph.word("d1", "c1"), alph.poly("c1", "d1") + alph.poly("r").scale(qm2 - one), "d1*c1"),
+        RewriteRule(alph.word("d2", "r"), alph.poly("r", "d2").scale(qm2), "d2*r"),
+        RewriteRule(alph.word("r", "c2"), alph.poly("c2", "r").scale(qm2), "r*c2"),
         RewriteRule(
             alph.word("d1", "r"),
-            W("r", "d1").scale(qm2) + W("c1", "d2").scale((one - qm2) * qm2),
+            alph.poly("r", "d1").scale(qm2) + alph.poly("c1", "d2").scale((one - qm2) * qm2),
             "d1*r",
         ),
         RewriteRule(
             alph.word("r", "c1"),
-            W("c1", "r").scale(qm2) + W("c2", "d1").scale((one - qm2) * qm2),
+            alph.poly("c1", "r").scale(qm2) + alph.poly("c2", "d1").scale((one - qm2) * qm2),
             "r*c1",
         ),
     ]
@@ -109,31 +106,25 @@ def inv_spec() -> AlgebraSpec:
     alph = Alphabet("inv", _INV_GENS)
     pbw = PowerBlocksPbw(alph, _INV_BLOCKS + [("w", None, None)])
 
-    def W(*names):
-        return NcPoly.from_word(alph, alph.word(*names))
-
     qm2, qm4 = RAT.q_power(-2), RAT.q_power(-4)
     rules = _inv_rules_common(alph)
     rules.append(RewriteRule(
         alph.word("r", "r"),
-        W("w").scale(qm4)
-        + W("c2", "d2").scale(qm4 + RAT.q_power(-6))
-        - W("c2", "d1", "d1").scale(qm4)
-        - W("c1", "c1", "d2").scale(qm4)
-        + W("c1", "r", "d1").scale(qm2),
+        alph.poly("w").scale(qm4)
+        + alph.poly("c2", "d2").scale(qm4 + RAT.q_power(-6))
+        - alph.poly("c2", "d1", "d1").scale(qm4)
+        - alph.poly("c1", "c1", "d2").scale(qm4)
+        + alph.poly("c1", "r", "d1").scale(qm2),
         "r*r",
     ))
     rules += [
-        RewriteRule(alph.word("w", "r"), W("r", "w"), "w*r"),
-        RewriteRule(alph.word("w", "c1"), W("c1", "w").scale(qm2), "w*c1"),
-        RewriteRule(alph.word("w", "c2"), W("c2", "w").scale(qm4), "w*c2"),
-        RewriteRule(alph.word("w", "d1"), W("d1", "w").scale(RAT.q_power(2)), "w*d1"),
-        RewriteRule(alph.word("w", "d2"), W("d2", "w").scale(RAT.q_power(4)), "w*d2"),
+        RewriteRule(alph.word("w", "r"), alph.poly("r", "w"), "w*r"),
+        RewriteRule(alph.word("w", "c1"), alph.poly("c1", "w").scale(qm2), "w*c1"),
+        RewriteRule(alph.word("w", "c2"), alph.poly("c2", "w").scale(qm4), "w*c2"),
+        RewriteRule(alph.word("w", "d1"), alph.poly("d1", "w").scale(RAT.q_power(2)), "w*d1"),
+        RewriteRule(alph.word("w", "d2"), alph.poly("d2", "w").scale(RAT.q_power(4)), "w*d2"),
     ]
-    return AlgebraSpec(
-        alph, rules, pbw,
-        q_central=[QCentralGen("c2", (0, 2)), QCentralGen("d2", (-2, 0))],
-    )
+    return AlgebraSpec(alph, rules, pbw, q_central=_INV_QCENTRAL)
 
 
 def quotient_w_image() -> NcPoly:
@@ -149,9 +140,6 @@ def ham_spec() -> AlgebraSpec:
     alph = Alphabet("ham", gens)
     pbw = PowerBlocksPbw(alph, _INV_BLOCKS)
 
-    def W(*names):
-        return NcPoly.from_word(alph, alph.word(*names))
-
     B = inv_spec()
     (r2_rule,) = [r for r in B.rules if r.tag == "r*r"]
     subs = trq_xt()
@@ -166,13 +154,10 @@ def ham_spec() -> AlgebraSpec:
                 coeff = coeff * subs
             else:
                 names.append(nm)
-        rhs = rhs + W(*names).scale(coeff)
+        rhs = rhs + alph.poly(*names).scale(coeff)
     rules = _inv_rules_common(alph)
     rules.append(RewriteRule(alph.word("r", "r"), rhs, "r*r"))
-    return AlgebraSpec(
-        alph, rules, pbw,
-        q_central=[QCentralGen("c2", (0, 2)), QCentralGen("d2", (-2, 0))],
-    )
+    return AlgebraSpec(alph, rules, pbw, q_central=_INV_QCENTRAL)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +214,9 @@ def psibar_apply(x: NcPoly) -> LocElem:
 
 
 def psibar_relation_residuals() -> list[tuple[str, LocElem]]:
-    B = inv_spec()
-    out = []
-    for rule in B.rules:
-        lhs = NcPoly.from_word(B.alphabet, rule.lhs)
-        out.append((rule.tag, psibar_apply(lhs) - psibar_apply(rule.rhs)))
-    return out
+    """psibar(lhs - rhs) for the sixteen relations of inv: psibar_apply is
+    linear and exact, so this one image is psibar(lhs) - psibar(rhs)."""
+    return [(rule.tag, psibar_apply(rule.residual)) for rule in inv_spec().rules]
 
 
 def psibar_ranks(bidegrees) -> dict[tuple[int, int], int]:
@@ -439,13 +421,7 @@ def psi_congruent_zero(x: NcPoly):
 @cache
 def ham_relation_congruences() -> list[tuple[str, str]]:
     """Each reduction relation, checked in D_q modulo the moment ideal."""
-    H = ham_spec()
-    out = []
-    for rule in H.rules:
-        resid = NcPoly.from_word(H.alphabet, rule.lhs) - rule.rhs
-        status, _ = psi_congruent_zero(resid)
-        out.append((rule.tag, status))
-    return out
+    return [(rule.tag, psi_congruent_zero(rule.residual)[0]) for rule in ham_spec().rules]
 
 
 def moment_zt_in_invariant_coordinates() -> bool:

@@ -75,6 +75,10 @@ class Alphabet:
     def word(self, *names: str) -> Word:
         return tuple(self.index(n) for n in names)
 
+    def poly(self, *names: str) -> "NcPoly":
+        """The word of these generators as a polynomial over RAT."""
+        return NcPoly.from_word(self, self.word(*names))
+
     def word_bidegree(self, w: Word) -> tuple[int, int]:
         m = n = 0
         for i in w:

@@ -72,11 +72,7 @@ def uq_spec() -> AlgebraSpec:
         ("K2", "K2i", None),
     ])
     inv = QMQI.inverse()
-    ef_rhs = (
-        NcPoly.from_word(alph, alph.word("F", "E"))
-        + NcPoly.from_word(alph, alph.word("K1", "K2i"), inv)
-        - NcPoly.from_word(alph, alph.word("K1i", "K2"), inv)
-    )
+    ef_rhs = alph.poly("F", "E") + alph.poly("K1", "K2i").scale(inv) - alph.poly("K1i", "K2").scale(inv)
     rules = [RewriteRule(alph.word("E", "F"), ef_rhs, "E*F")]
     return AlgebraSpec(
         alph, rules, pbw,
@@ -262,21 +258,17 @@ def _re_rules(alph: Alphabet, n11, n12, n21, n22) -> list[RewriteRule]:
     the moment-map relations of dqops.MOMENT_TABLE)."""
     one = RC_ONE
     c = one - RAT.q_power(-2)
-
-    def W(*names):
-        return NcPoly.from_word(alph, alph.word(*names))
-
     return [
-        RewriteRule(alph.word(n12, n11), W(n11, n12) + W(n12, n22).scale(c), f"{n12}*{n11}"),
-        RewriteRule(alph.word(n22, n11), W(n11, n22), f"{n22}*{n11}"),
-        RewriteRule(alph.word(n21, n11), W(n11, n21) - W(n22, n21).scale(c), f"{n21}*{n11}"),
-        RewriteRule(alph.word(n22, n12), W(n12, n22).scale(RAT.q_power(2)), f"{n22}*{n12}"),
+        RewriteRule(alph.word(n12, n11), alph.poly(n11, n12) + alph.poly(n12, n22).scale(c), f"{n12}*{n11}"),
+        RewriteRule(alph.word(n22, n11), alph.poly(n11, n22), f"{n22}*{n11}"),
+        RewriteRule(alph.word(n21, n11), alph.poly(n11, n21) - alph.poly(n22, n21).scale(c), f"{n21}*{n11}"),
+        RewriteRule(alph.word(n22, n12), alph.poly(n12, n22).scale(RAT.q_power(2)), f"{n22}*{n12}"),
         RewriteRule(
             alph.word(n21, n12),
-            W(n12, n21) + (W(n11, n22) - W(n22, n22)).scale(c),
+            alph.poly(n12, n21) + (alph.poly(n11, n22) - alph.poly(n22, n22)).scale(c),
             f"{n21}*{n12}",
         ),
-        RewriteRule(alph.word(n22, n21), W(n21, n22).scale(RAT.q_power(-2)), f"{n22}*{n21}"),
+        RewriteRule(alph.word(n22, n21), alph.poly(n21, n22).scale(RAT.q_power(-2)), f"{n22}*{n21}"),
     ]
 
 
@@ -293,8 +285,7 @@ def qtrace(m):
 def qdet(alph: Alphabet, names) -> NcPoly:
     """det_q = n11 n22 - q^2 n12 n21, a free polynomial over alph."""
     n11, n12, n21, n22 = names
-    return (NcPoly.from_word(alph, alph.word(n11, n22))
-            - NcPoly.from_word(alph, alph.word(n12, n21), RAT.q_power(2)))
+    return alph.poly(n11, n22) - alph.poly(n12, n21).scale(RAT.q_power(2))
 
 
 def qadjugate(m):
@@ -491,13 +482,8 @@ class AdjointAction:
         return self.act("K1", x) == x and self.act("K2", x) == x
 
     def kills_defining_relations(self) -> list[tuple[str, str, bool]]:
-        out = []
-        for rule in self.spec.rules:
-            resid = NcPoly.from_word(self.spec.alphabet, rule.lhs) - rule.rhs
-            for g in ("E", "F", "K1", "K2"):
-                r = self.act(g, resid)
-                out.append((rule.tag, g, not r))
-        return out
+        return [(rule.tag, g, not self.act(g, rule.residual))
+                for rule in self.spec.rules for g in ("E", "F", "K1", "K2")]
 
 
 def _oq_like_action_tables(spec: AlgebraSpec, names):

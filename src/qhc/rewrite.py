@@ -232,6 +232,11 @@ class RewriteRule:
             if alph.word_bidegree(w) != d:
                 raise SpecError(f"rule {tag}: rhs word {alph.word_str(w)} is not homogeneous with lhs")
 
+    @property
+    def residual(self) -> NcPoly:
+        """lhs - rhs, in the rule's own alphabet and field."""
+        return NcPoly.from_word(self.rhs.alphabet, self.lhs, field=self.rhs.field) - self.rhs
+
     def __repr__(self):
         return f"<rule {self.tag}>"
 
@@ -758,6 +763,12 @@ def check_ambiguities(spec: AlgebraSpec) -> list[AmbiguityReport]:
     return reports
 
 
+def _check_direction(direction: str) -> None:
+    """Refuse any direction but these two; _find_redex reads any other as rightmost."""
+    if direction not in ("leftmost", "rightmost"):
+        raise ValueError(f"direction must be 'leftmost' or 'rightmost', not {direction!r}")
+
+
 def reduce_by(spec: AlgebraSpec, p: NcPoly, direction: str, keep=()) -> NcPoly:
     """The reference reducer: rewrite in each word of p the redex
     _find_redex(w, direction) names, "leftmost" or "rightmost", until no
@@ -766,8 +777,7 @@ def reduce_by(spec: AlgebraSpec, p: NcPoly, direction: str, keep=()) -> NcPoly:
     It keeps no cache, rewrites whole words and checks no word against
     the PBW set, so it shares nothing with the cached engine behind nf but
     the rules; it raises NonTermination past STEP_BUDGET rewrites."""
-    if direction not in ("leftmost", "rightmost"):
-        raise ValueError(f"direction must be 'leftmost' or 'rightmost', not {direction!r}")
+    _check_direction(direction)
     pending = dict(p.terms)
     out: dict[Word, object] = {}
     steps = 0
@@ -797,8 +807,7 @@ def straighten_trace(spec: AlgebraSpec, w: Word, first: str = "leftmost") -> NcP
     reduce_by, not on the cached engine; a breach of its step budget names
     the traced word.
     """
-    if first not in ("leftmost", "rightmost"):
-        raise ValueError("first must be 'leftmost' or 'rightmost'")
+    _check_direction(first)
     hit = spec._find_redex(w, first)
     if hit is None:
         return NcPoly.from_word(spec.alphabet, w, field=spec.field)

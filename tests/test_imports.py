@@ -1,7 +1,7 @@
 """Every name a qhc module, a script or the test oracles import is used in
-that file: no dead imports.  Every module-level definition in qhc is loaded
-somewhere in the package, the scripts, the tests or perfbench: no dead
-definitions."""
+that file: no dead imports.  Every module-level definition in qhc, and every
+function or property in the body of a qhc class, is loaded somewhere in the
+package, the scripts, the tests or perfbench: no dead definitions."""
 
 import ast
 from pathlib import Path
@@ -63,12 +63,16 @@ def test_the_guard_sees_an_unused_import():
 
 
 def defined_names(tree: ast.Module) -> dict[str, int]:
-    """{name: line} of the module-level defs, classes and constants, dunder
-    names such as __all__ aside."""
+    """{name: line} of the module-level defs, classes and constants and of
+    the functions and properties defined in class bodies, dunder names such
+    as __all__ and __init__ aside."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             out[node.name] = node.lineno
+        if isinstance(node, ast.ClassDef):
+            out.update((f.name, f.lineno) for f in node.body
+                       if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 out.update((n.id, node.lineno) for n in ast.walk(target) if isinstance(n, ast.Name))
@@ -96,10 +100,13 @@ def test_every_definition_is_loaded():
     loaded = set().union(*(loaded_names(ast.parse(p.read_text(), p.name)) for p in READERS))
     dead = {f"{p.name}:{line}": name for p in sorted(SRC.glob("*.py"))
             for name, line in defined_names(ast.parse(p.read_text(), p.name)).items() if name not in loaded}
-    assert not dead, f"module-level definitions nothing loads: {dead}"
+    assert not dead, f"definitions nothing loads: {dead}"
 
 
 def test_the_guard_sees_a_dead_definition():
     tree = ast.parse("A, B = 1, 2\n__all__ = []\ndef f(): return A\ndef g(): pass\nclass C: pass\n"
-                     "x = obj.g\ny = 'mod.C'\n")
-    assert sorted(n for n in defined_names(tree) if n not in loaded_names(tree)) == ["B", "f", "x", "y"]
+                     "class D:\n    def __init__(self): self.used()\n    def used(self): pass\n"
+                     "    def dead(self): pass\n    @property\n    def prop(self): return self.p\n"
+                     "x = obj.g\ny = 'mod.C'\nz = D().prop\n")
+    dead = sorted(n for n in defined_names(tree) if n not in loaded_names(tree))
+    assert dead == ["B", "dead", "f", "x", "y", "z"]

@@ -105,6 +105,11 @@ def test_unknown_direction_is_refused(plane):
         plane.nf(plane.word_poly("y", "x"), "rightmots")
 
 
+def test_straighten_trace_refuses_an_unknown_direction(plane):
+    with pytest.raises(ValueError, match=r"^direction must be 'leftmost' or 'rightmost', not 'up'$"):
+        straighten_trace(plane, plane.alphabet.word("y", "x"), "up")
+
+
 def test_no_ambiguities_in_plane(plane):
     assert check_ambiguities(plane) == []
 
@@ -564,6 +569,22 @@ def test_letter_product_mutants_fail_the_strategy_check_and_the_oracle(name, mut
 
 NF_SPECS = dict(ALL_SPECS, **{"daha-residues": lambda: daha_spec().at_points(),
                               "dq-residues": lambda: dq_spec().at_points()})
+
+
+@pytest.mark.parametrize("name", sorted(NF_SPECS))
+def test_rule_residuals_vanish_and_poly_matches_word_poly(name):
+    """Every core and auxiliary rule's residual lhs - rhs lies in the spec's
+    field and normalises to 0; over RAT, Alphabet.poly builds the word
+    AlgebraSpec.word_poly builds."""
+    spec = NF_SPECS[name]()
+    for rule in spec.rules + spec.aux_rules:
+        assert rule.residual.field is spec.field, rule.tag
+        assert not spec.nf(rule.residual), rule.tag
+    if spec.field is RAT:
+        names = [g.name for g in spec.alphabet.gens]
+        for word in [(n,) for n in names] + [(names[1], names[0])]:
+            assert spec.alphabet.poly(*word) == spec.word_poly(*word)
+            assert spec.alphabet.poly(*word).field is RAT
 
 
 @pytest.mark.parametrize("name", sorted(NF_SPECS))
