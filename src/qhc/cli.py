@@ -250,9 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def common(p, algebra=True):
-        if algebra:
-            p.add_argument("--algebra", required=True, choices=ALGEBRAS)
+    def common(p):
+        p.add_argument("--algebra", required=True, choices=ALGEBRAS)
         p.add_argument("--q", default=None, help="specialise q at a rational, e.g. 2 or 5/3")
         p.add_argument("--t", default=None, help="specialise t at a rational")
         p.add_argument("--output", default=None, help="write the JSON report to a file")

@@ -9,10 +9,12 @@ satisfy
 
 with normal-form words T^eps Y1^a1 Y2^a2 X1^b1 X2^b2 (eps in {0,1}, signed
 exponents).  Only reorderings of positive generator pairs are written down
-explicitly anywhere; the full signed rule table is derived here mechanically
-by conjugating with the q-central products X1*X2 and Y1*Y2 and eliminating
-Ti through Ti = T - (t - 1/t).  Every derived rule is accepted only after an
-inverse-clearing residual reduces to zero against the rules already trusted.
+explicitly anywhere; the full signed rule table is derived here mechanically.
+Each signed X.Y rule is a normal form of a product with (X1 X2)^-1 or
+(Y1 Y2)^-1, the q-central units, in the partial spec of the rules trusted so
+far, and Ti is eliminated through Ti = T - (t - 1/t).  Every derived rule is
+accepted only after an inverse-clearing residual reduces to zero against the
+rules already trusted.
 
 The spherical subalgebra e*H*e, with e = (1 + t T)/(1 + t^2), is presented on
 generators P1, P2^+-, Q1, Q2^+-, R and accessed through the map phi and the
@@ -143,26 +145,17 @@ class _DahaBuilder:
             zt[zc] = self.rule((zc, "T"), rhs, f"{zc}*T")
         trusted = base + [zt[z] for z in ("X1", "X2", "Y1", "Y2", "X1i", "X2i", "Y1i", "Y2i")]
 
-        # lattice sorting rules, positive pair from the commutation relations,
-        # signed pairs validated by clearing the inverse letter
-        sorts = []
+        # lattice sorting rules: the positive pair from the commutation
+        # relations, each signed pair certified by clearing an inverse letter
+        # against the rules trusted so far
         for hi, lo in (("X2", "X1"), ("Y2", "Y1")):
-            for sh in ("", "i"):
-                for sl in ("", "i"):
-                    x, y = hi + sh, lo + sl
-                    r = self.rule((x, y), a.poly(y, x), f"{x}*{y}")
-                    if sh or sl:
-                        # derived from the positive commutation; validate by
-                        # clearing an inverse letter against trusted rules
-                        check = self.partial(trusted + sorts)
-                        resid = a.poly(x, y) - a.poly(y, x)
-                        if sh == "i":
-                            resid = a.poly(hi) * resid
-                        else:
-                            resid = resid * a.poly(lo)
-                        self.assert_zero(check, resid, f"{x}*{y}")
-                    sorts.append(r)
-        trusted += sorts
+            for x, y in ((hi, lo), (hi, lo + "i"), (hi + "i", lo), (hi + "i", lo + "i")):
+                r = self.rule((x, y), a.poly(y, x), f"{x}*{y}")
+                if x != hi:
+                    self.assert_zero(self.partial(trusted), a.poly(hi) * r.residual, r.tag)
+                elif y != lo:
+                    self.assert_zero(self.partial(trusted), r.residual * a.poly(lo), r.tag)
+                trusted.append(r)
 
         # the four positive X.Y reorderings, with negative powers of T
         # eliminated through Ti = T - (t - 1/t)
@@ -176,58 +169,30 @@ class _DahaBuilder:
             ("X2", "Y1"): a.poly("Y1", "X2") + s2.nf(tm1 * y1x1).scale(BETA * RAT.q_power(-2)),
             ("X2", "Y2"): s2.nf(a.poly("Y2", "X2") * tm2).scale(RAT.q_power(-2)),
         }
-        xy_rules = [self.rule(k, v, f"{k[0]}*{k[1]}") for k, v in xy_pos.items()]
-        trusted += xy_rules
+        trusted += [self.rule(k, v, f"{k[0]}*{k[1]}") for k, v in xy_pos.items()]
 
-        # signed X.Y pairs by conjugation with the q-central products
-        # Xi = (X1 X2)^-1 Xother and Yi = Yother (Y1 Y2)^-1
-        x_im = {a.index("X1"): a.index("X2i"), a.index("X2"): a.index("X1i")}
-        y_im = {a.index("Y1"): a.index("Y2i"), a.index("Y2"): a.index("Y1i")}
-        rule_map = {tuple(a.gens[i].name for i in r.lhs): r for r in trusted}
-        for r in xy_rules:
-            rule_map[tuple(a.gens[i].name for i in r.lhs)] = r
-
-        def conj_terms(rhs: NcPoly, image: dict[int, int], pos: str, mfun):
-            out = NcPoly.zero(a)
-            for w, c in rhs.terms.items():
-                if pos == "last":
-                    neww = w[:-1] + (image[w[-1]],)
-                else:
-                    body = [image.get(x, x) if a.gens[x].name.startswith("Y") else x for x in w]
-                    neww = tuple(body)
-                out = out + NcPoly.from_word(a, neww, c * mfun(w))
-            return out
-
-        def m_factor(w):
-            return RAT.q_power(2 * a.word_bidegree(w)[0])
-
-        def n_factor_of_x(w):
-            xl = w[-1]
-            return RAT.q_power(2 * (1 if a.gens[xl].inverse_of is None else -1))
-
+        # signed X.Y pairs as products with the q-central units: an h of
+        # bidegree (M, N) has h (Y1 Y2)^-1 = q^2N (Y1 Y2)^-1 h and
+        # (X1 X2)^-1 h = q^2M h (X1 X2)^-1, so x Yb^-1 = x Yother (Y1 Y2)^-1
+        # (N = 1) and Xb^-1 y = (X1 X2)^-1 Xother y (M = +-1, y's Y-degree)
+        # are normal forms in the partial spec of the rules trusted so far,
+        # each certified by clearing its inverse letter
         partner = {"X1": "X2", "X2": "X1", "Y1": "Y2", "Y2": "Y1"}
-
-        # x * Yi from x * Yother, multiplying by (Y1 Y2)^-1 on the right
         check = self.partial(trusted)
         for x in ("X1", "X2"):
             for yb in ("Y1", "Y2"):
-                src = rule_map[(x, partner[yb])]
-                rhs = conj_terms(src.rhs, y_im, "ymap", n_factor_of_x)
+                rhs = check.nf(a.poly("Y1i", "Y2i", x, partner[yb])).scale(RAT.q_power(2))
                 r = self.rule((x, yb + "i"), rhs, f"{x}*{yb}i")
-                self.assert_zero(check, (a.poly(x, yb + "i") - rhs) * a.poly(yb), f"{x}*{yb}i")
+                self.assert_zero(check, r.residual * a.poly(yb), r.tag)
                 trusted.append(r)
-                rule_map[(x, yb + "i")] = r
-
-        # Xi * y from Xother * y, multiplying by (X1 X2)^-1 on the left
         check = self.partial(trusted)
         for xb in ("X1", "X2"):
             for y in ("Y1", "Y2", "Y1i", "Y2i"):
-                src = rule_map[(partner[xb], y)]
-                rhs = conj_terms(src.rhs, x_im, "last", m_factor)
+                M = a.gens[a.index(y)].bidegree[0]
+                rhs = check.nf(a.poly(partner[xb], y, "X1i", "X2i")).scale(RAT.q_power(2 * M))
                 r = self.rule((xb + "i", y), rhs, f"{xb}i*{y}")
-                self.assert_zero(check, a.poly(xb) * (a.poly(xb + "i", y) - rhs), f"{xb}i*{y}")
+                self.assert_zero(check, a.poly(xb) * r.residual, r.tag)
                 trusted.append(r)
-                rule_map[(xb + "i", y)] = r
 
         return AlgebraSpec(self.alph, trusted, self.pbw, field=RAT)
 

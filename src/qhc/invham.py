@@ -135,28 +135,20 @@ def quotient_w_image() -> NcPoly:
 
 @cache
 def ham_spec() -> AlgebraSpec:
-    """The Hamiltonian reduction: substitute w by its class in the r^2 rule."""
+    """The Hamiltonian reduction: inv's rules but w's, with w replaced in
+    the r^2 rule by its class, quotient_w_image(), and each word moved to
+    ham's alphabet by its letters' names."""
     gens = [g for g in _INV_GENS if g[0] != "w"]
     alph = Alphabet("ham", gens)
     pbw = PowerBlocksPbw(alph, _INV_BLOCKS)
 
     B = inv_spec()
-    (r2_rule,) = [r for r in B.rules if r.tag == "r*r"]
-    subs = trq_xt()
-    rhs = NcPoly.zero(alph)
-    for word, c in r2_rule.rhs.terms.items():
-        names = []
-        coeff = c
-        for i in word:
-            nm = B.alphabet.gens[i].name
-            if nm == "w":
-                names += ["c2", "d2"]
-                coeff = coeff * subs
-            else:
-                names.append(nm)
-        rhs = rhs + alph.poly(*names).scale(coeff)
+    (r2,) = [r for r in B.rules if r.tag == "r*r"]
+    rhs = r2.rhs + (quotient_w_image() - B.gen("w")).scale(r2.rhs.terms[B.alphabet.word("w")])
+    inv_gens = B.alphabet.gens
     rules = _inv_rules_common(alph)
-    rules.append(RewriteRule(alph.word("r", "r"), rhs, "r*r"))
+    rules.append(RewriteRule(alph.word("r", "r"), NcPoly(alph, {
+        alph.word(*(inv_gens[i].name for i in u)): c for u, c in rhs.terms.items()}), "r*r"))
     return AlgebraSpec(alph, rules, pbw, q_central=_INV_QCENTRAL)
 
 
@@ -427,5 +419,4 @@ def ham_relation_congruences() -> list[tuple[str, str]]:
 def moment_zt_in_invariant_coordinates() -> bool:
     """mu(Z_t) = psibar(c2^-1 d2^-1 (w - (1/t^2 + q^-2 t^2) c2 d2))."""
     B = inv_spec()
-    elem = B.word_poly("c2i", "d2i", "w") - B.word_poly("c2i", "d2i", "c2", "d2").scale(trq_xt())
-    return psibar_apply(elem) == moment_zt()
+    return psibar_apply(B.word_poly("c2i", "d2i") * (B.gen("w") - quotient_w_image())) == moment_zt()

@@ -549,9 +549,11 @@ class AlgebraSpec:
     def nf(self, p: NcPoly, direction: str = "leftmost") -> NcPoly:
         """The normal form of p.  The default, "leftmost", is the cached
         engine (_nf_terms), which rewrites by letter products, not leftmost
-        redexes; normal forms are unique, so its results are the leftmost
-        ones.  Any other direction goes to the uncached reduce_by, which
-        rewrites in that direction."""
+        redexes; normal forms are unique in a complete spec, so its results
+        are the leftmost ones.  Any other direction goes to the uncached
+        reduce_by, which rewrites in that direction.  In a partial spec,
+        such as the daha bootstrap's, nf gives a candidate, which the
+        bootstrap accepts only once its clearing residual reduces to zero."""
         if direction != "leftmost":
             return reduce_by(self, p, direction)
         out: dict[Word, object] = {}
@@ -619,6 +621,12 @@ def carry(p: NcPoly, field) -> NcPoly:
 # auxiliary rule generation
 # ---------------------------------------------------------------------------
 
+def _pair(kappa: tuple[int, int], d: tuple[int, int]) -> int:
+    """<kappa, d>: a q-central letter of kappa moves past an element of
+    bidegree d at the cost of q to this power."""
+    return kappa[0] * d[0] + kappa[1] * d[1]
+
+
 def generate_aux_rules(spec: AlgebraSpec) -> list[RewriteRule]:
     """Commutation and cancellation rules for invertible q-central letters.
 
@@ -652,16 +660,16 @@ def generate_aux_rules(spec: AlgebraSpec) -> list[RewriteRule]:
                 dy = alph.gens[y].bidegree
                 dx = alph.gens[x].bidegree
                 if x in kappa:
-                    e = kappa[x][0] * dy[0] + kappa[x][1] * dy[1]
+                    e = _pair(kappa[x], dy)
                     if y in kappa:
-                        e2 = -(kappa[y][0] * dx[0] + kappa[y][1] * dx[1])
+                        e2 = -_pair(kappa[y], dx)
                         if e2 != e:
                             raise SpecError(
                                 f"inconsistent q-central exponents for "
                                 f"{alph.gens[x].name}*{alph.gens[y].name}"
                             )
                 elif y in kappa:
-                    e = -(kappa[y][0] * dx[0] + kappa[y][1] * dx[1])
+                    e = -_pair(kappa[y], dx)
                 else:
                     raise SpecError(
                         f"{alph.algebra_id}: no rule covers misordered pair "
@@ -1122,9 +1130,8 @@ def q_central_residual(spec: AlgebraSpec, name: str, h: NcPoly) -> NcPoly:
     d = h.bidegree()
     if d in (None, "any"):
         raise EngineError("q-centrality check needs a homogeneous element")
-    e = kap[0] * d[0] + kap[1] * d[1]
     g = spec.gen(name)
-    return spec.nf(g * h - (h * g).scale(spec.field.q_power(e)))
+    return spec.nf(g * h - (h * g).scale(spec.field.q_power(_pair(kap, d))))
 
 
 # ---------------------------------------------------------------------------
@@ -1138,10 +1145,6 @@ class Denominator(NamedTuple):
     inverse_name: str
     body: NcPoly
     kappa: tuple[int, int]
-
-
-def _pair(kappa: tuple[int, int], d: tuple[int, int]) -> int:
-    return kappa[0] * d[0] + kappa[1] * d[1]
 
 
 def _on_right(spec: AlgebraSpec, den: Denominator) -> bool:
@@ -1258,13 +1261,12 @@ class LocElem:
         return NcPoly(alph, {w: c * self.spec.field.q_power(shift + _pair(kappa, alph.word_bidegree(w)))
                              for w, c in p.terms.items()}, self.spec.field, _clean=True)
 
-    def _moved(self, exps, sign: int = 1) -> NcPoly:
+    def _moved(self, exps) -> NcPoly:
         """The body, each word scaled by the q-power that den^-exps costs
         moving left past it and then past self's denominators, so that
-        self * den^-exps = den^-(self.exps + exps) * self._moved(exps);
-        sign=-1 scales by the inverse powers and so undoes the move."""
-        kappa = [sign * sum(f * den.kappa[k] for f, den in zip(exps, self.dens)) for k in (0, 1)]
-        return self._graded(self.body, kappa, sign * self._cross(self.exps, exps))
+        self * den^-exps = den^-(self.exps + exps) * self._moved(exps)."""
+        kappa = [sum(f * den.kappa[k] for f, den in zip(exps, self.dens)) for k in (0, 1)]
+        return self._graded(self.body, kappa, self._cross(self.exps, exps))
 
     def __mul__(self, other: "LocElem") -> "LocElem":
         return next(LocElem.products([self], other))

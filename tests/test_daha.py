@@ -91,6 +91,28 @@ def test_partial_specs_hold_only_rules_of_the_final_spec(monkeypatch):
     assert all(id(r) in held for spec in partial for r in spec.rules)
 
 
+def test_every_rule_has_a_normal_right_hand_side(H):
+    # with the relation residuals and the diamonds, this pins each derived rhs
+    assert len(H.rules) == 42
+    assert [r.tag for r in H.rules if H.nf(r.rhs) != r.rhs] == []
+
+
+class _QSquaredAsQ4:
+    """RAT, but with q^2 read as q^4."""
+
+    def __getattr__(self, name):
+        return getattr(RAT, name)
+
+    def q_power(self, e):
+        return RAT.q_power(4 if e == 2 else e)
+
+
+def test_a_wrong_q_power_fails_the_signed_xy_certificate(monkeypatch):
+    monkeypatch.setattr(daha, "RAT", _QSquaredAsQ4())
+    with pytest.raises(EngineError, match=r"daha bootstrap: residual of X1\*Y1i is nonzero"):
+        daha._DahaBuilder().build()
+
+
 def test_all_daha_diamonds_resolve(H):
     reports = check_ambiguities(H)
     assert reports, "expected a nonempty ambiguity set"

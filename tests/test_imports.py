@@ -1,7 +1,9 @@
 """Every name a qhc module, a script or the test oracles import is used in
 that file: no dead imports.  Every module-level definition in qhc, and every
 function or property in the body of a qhc class, is loaded somewhere in the
-package, the scripts, the tests or perfbench: no dead definitions."""
+package, the scripts, the tests or perfbench: no dead definitions.  Every
+defaulted parameter of a qhc function is passed by some call there: no
+settings that nothing sets."""
 
 import ast
 from pathlib import Path
@@ -110,3 +112,68 @@ def test_the_guard_sees_a_dead_definition():
                      "x = obj.g\ny = 'mod.C'\nz = D().prop\n")
     dead = sorted(n for n in defined_names(tree) if n not in loaded_names(tree))
     assert dead == ["B", "dead", "f", "x", "y", "z"]
+
+
+
+def defaulted_params(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(function, parameter, position in a call or None) for each defaulted
+    parameter of every def in the file; a class's __init__ goes by the
+    class's name, and a method's positions skip self."""
+    out = []
+    for node in ast.walk(tree):
+        for f in node.body if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) else []:
+            if isinstance(f, ast.FunctionDef):
+                a, args = f.args, f.args.posonlyargs + f.args.args
+                method = isinstance(node, ast.ClassDef) and "staticmethod" not in [
+                    getattr(d, "id", None) for d in f.decorator_list]
+                params = [(arg.arg, i - method) for i, arg in enumerate(args) if i >= len(args) - len(a.defaults)]
+                params += [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                name = node.name if method and f.name == "__init__" else f.name
+                out += [(name, param, pos) for param, pos in params]
+    return out
+
+
+def calls(tree: ast.Module) -> tuple[dict[str, set], set[str]]:
+    """({callee name: the positions and keywords its calls pass, "*" for a
+    call through * or **}, every name the file loads other than as a
+    callee)."""
+    passed, callees = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            callees.add(id(node.func))
+            got = passed.setdefault(getattr(node.func, "id", None) or node.func.attr, set())
+            got |= set(range(len(node.args))) | {k.arg or "*" for k in node.keywords}
+            if any(isinstance(x, ast.Starred) for x in node.args):
+                got.add("*")
+    values = {getattr(n, "id", None) or n.attr for n in ast.walk(tree) if id(n) not in callees
+              and (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute))}
+    return passed, values
+
+
+def unpassed_params(defining: list[ast.Module], readers: list[ast.Module]) -> list[str]:
+    """"function(parameter)" for each defaulted parameter that no call in
+    readers passes, functions that readers load other than as a callee
+    (callbacks, tables of checks) aside."""
+    passed, values = {}, set()
+    for tree in readers:
+        got, loaded = calls(tree)
+        values |= loaded
+        for name, params in got.items():
+            passed.setdefault(name, set()).update(params)
+    return sorted(f"{fn}({param})" for tree in defining for fn, param, pos in defaulted_params(tree)
+                  if fn not in values and not passed.get(fn, set()) & {"*", param, pos})
+
+
+def test_every_defaulted_parameter_is_passed():
+    trees = {p: ast.parse(p.read_text(), p.name) for p in READERS}
+    unpassed = unpassed_params([trees[p] for p in sorted(SRC.glob("*.py"))], list(trees.values()))
+    assert not unpassed, f"defaulted parameters no call passes: {unpassed}"
+
+
+def test_the_guard_sees_a_parameter_nobody_passes():
+    tree = ast.parse("def f(a, b=1, *, c=2): pass\ndef g(a=1, b=2): pass\ndef h(x=0): pass\ndef j(y=0): pass\n"
+                     "class K:\n    def __init__(self, n=0): pass\n    def m(self, u=0, v=1): pass\n"
+                     "    @staticmethod\n    def s(u=0): pass\n"
+                     "def outer():\n    def inner(z=0): pass\n    inner()\n"
+                     "f(0, c=3)\ng(*args)\nj(**kw)\ncheck = h\nK(5).m(1)\nK.s()\n")
+    assert unpassed_params([tree], [tree]) == ["f(b)", "inner(z)", "m(v)", "s(u)"]

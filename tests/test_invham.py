@@ -412,6 +412,18 @@ def test_ham_presentation(H):
     assert H.nf(H.word_poly("r", "r")) == expected
 
 
+def test_every_ham_rule_has_a_normal_right_hand_side(H):
+    assert len(H.rules) == 11
+    assert [r.tag for r in H.rules if H.nf(r.rhs) != r.rhs] == []
+
+
+def test_ham_substitutes_the_class_quotient_w_image_gives(B, monkeypatch):
+    monkeypatch.setattr(invham, "quotient_w_image", lambda: B.word_poly("c2", "d2"))
+    (r2,) = [r for r in invham.ham_spec.__wrapped__().rules if r.tag == "r*r"]
+    qm4 = RAT.q_power(-4)
+    assert r2.rhs.terms[r2.rhs.alphabet.word("c2", "d2")] == qm4 + qm4 + RAT.q_power(-6)
+
+
 def test_quotient_w_image(B):
     img = quotient_w_image()
     assert img == B.word_poly("c2", "d2").scale((RC_T * RC_T).inverse() + RAT.q_power(-2) * RC_T * RC_T)
