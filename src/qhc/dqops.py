@@ -12,6 +12,8 @@ dq_denominators(), whose kappas are read off the inner grading
     detq(A) h = q^{2N} h detq(A)      detq(D) h = q^{-2M} h detq(D)
 
 for h of bidegree (M, N); dq_elem(body, la, ld) is detq(A)^-la detq(D)^-ld body.
+The dq-relations suite certifies these kappas as dq_denominators() declares
+them, the ones LocElem moves the determinants with.
 By that grading a determinant may multiply a body on either side, with the
 q-power fixed by the body's bidegree, and the element is the same.  LocElem
 multiplies and divides by detq(D) on the right, where its p-letters only
@@ -51,7 +53,8 @@ from .qgroup import (
     rmatrix_21_inverse,
     rmatrix_vector,
 )
-from .rewrite import AlgebraSpec, Denominator, LocElem, PowerBlocksPbw, RewriteRule
+from .rewrite import (AlgebraSpec, Denominator, LocElem, PowerBlocksPbw, RewriteRule,
+                      q_central_residual)
 
 
 _A_NAMES = ("a11", "a12", "a21", "a22")
@@ -222,20 +225,12 @@ def inverse_matrix(which: str) -> list[list[LocElem]]:
 # ---------------------------------------------------------------------------
 
 def det_qcommutation_residuals() -> list[tuple[str, NcPoly]]:
-    """detq(A) a = a detq(A),  p detq(A) = q^-2 detq(A) p,
-    detq(D) a = q^-2 a detq(D),  p detq(D) = detq(D) p."""
-    D = dq_spec()
-    dA, dD = det_a_body(), det_d_body()
-    out = []
-    for n in _A_NAMES:
-        g = D.gen(n)
-        out.append((f"detA*{n}", D.nf(dA * g - g * dA)))
-        out.append((f"detD*{n}", D.nf(dD * g - (g * dD).scale(RAT.q_power(-2)))))
-    for n in _P_NAMES:
-        g = D.gen(n)
-        out.append((f"{n}*detA", D.nf(g * dA - (dA * g).scale(RAT.q_power(-2)))))
-        out.append((f"{n}*detD", D.nf(g * dD - dD * g)))
-    return out
+    """den*g - q^<kappa, deg g> g*den for each of dq_denominators(), by the
+    kappa LocElem moves it with, and each generator g; all must be zero."""
+    D, dens = dq_spec(), list(zip(("detA", "detD"), dq_denominators()))
+    return [(f"{tag}*{n}" if n in _A_NAMES else f"{n}*{tag}",
+             q_central_residual(D, den.body, den.kappa, D.gen(n)))
+            for n in _A_NAMES + _P_NAMES for tag, den in dens]
 
 
 def matrix_relation_entries() -> dict[str, list[NcPoly]]:

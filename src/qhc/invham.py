@@ -18,7 +18,7 @@ confirmed by the diamond check and by the identification above.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache
 
 from .coeffring import RAT, RC_ONE
 from .dqops import (
@@ -395,7 +395,6 @@ def find_ideal_multiplier(x: LocElem):
     return None
 
 
-@lru_cache(maxsize=128)
 def psi_congruent_zero(x: NcPoly):
     """Check psi(x) = 0 modulo the left ideal of mu(Z_t).
 

@@ -8,11 +8,11 @@ leading entry is a unit mod m.  A leading entry that is not a unit is zero
 mod some of the primes and not mod others; it stops the elimination, and
 ``frac_rank`` then returns None.
 
-``solve_dense`` and ``dense_rank`` take dense rows over any field whose
-elements support + - * / and truth testing (RatCoeff for symbolic systems),
-given its zero.  ``dense_rank`` serves the dq-relations suite;
-``solve_dense`` has no caller in the package and is the tests' symbolic
-solve.
+``dense_rank`` takes sparse rows {column: value}, the columns any orderable
+keys, and ``solve_dense`` dense rows, over any field with + - * / and truth
+testing (RatCoeff for symbolic systems), given its zero.  ``dense_rank``
+serves the dq-relations suite; ``solve_dense`` has no caller in the package
+and is the tests' symbolic solve.
 
 Both kernels work alike.  Rows are {column: value}; each row is reduced
 against the pivots found so far, always at its minimum column, and what is
@@ -38,11 +38,11 @@ from __future__ import annotations
 from typing import Hashable, Optional, Sequence
 
 
-def _echelon(rows, zero) -> dict[int, dict]:
+def _echelon(rows, zero) -> dict:
     """Pivot rows of the row space, keyed by their leading column, each with
     leading entry one.  The pivot columns are the leading columns of the row
     space, whatever the row order."""
-    pivots: dict[int, dict] = {}
+    pivots: dict = {}
     for row in rows:
         cur = dict(row)
         while cur:
@@ -173,5 +173,5 @@ def solve_dense(rows, rhs, zero):
 
 
 def dense_rank(rows, zero) -> int:
-    """Rank of dense rows over the field whose zero is given."""
-    return len(_echelon([_sparse(r) for r in rows], zero))
+    """Rank of sparse rows {column: value} over the field whose zero is given."""
+    return len(_echelon(rows, zero))

@@ -3,7 +3,7 @@
 A word is a tuple of generator indexes into a fixed per-algebra alphabet.
 An NcPoly is a finitely supported map from words to coefficients.  Both are
 immutable in spirit: every operation returns fresh values, so elements can
-be shared freely across threads and caches.
+be shared freely across caches.
 
 Each generator carries a Z^2 bidegree; a generator and its formal inverse
 have opposite bidegrees.  Products of homogeneous elements are homogeneous

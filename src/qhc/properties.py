@@ -67,7 +67,7 @@ def check_q_centrality(spec: AlgebraSpec, n: int = 50) -> Optional[str]:
             d = h.bidegree()
             if d in (None, "any"):
                 continue
-            if q_central_residual(spec, qc.name, h):
+            if q_central_residual(spec, spec.gen(qc.name), qc.kappa, h):
                 return f"{qc.name} fails q-centrality on {h}"
     return None
 

@@ -1119,19 +1119,13 @@ def divide(spec: AlgebraSpec, factor: NcPoly, p: NcPoly, right: bool = False):
     return NcPoly(spec.alphabet, quo, spec.field, _clean=True)
 
 
-def q_central_residual(spec: AlgebraSpec, name: str, h: NcPoly) -> NcPoly:
-    """normal_form(g*h - q^<kappa,(M,N)> h*g) for a declared q-central g."""
-    for qc in spec.q_central:
-        if qc.name == name:
-            kap = qc.kappa
-            break
-    else:
-        raise EngineError(f"{name} is not declared q-central")
+def q_central_residual(spec: AlgebraSpec, g: NcPoly, kappa: tuple[int, int], h: NcPoly) -> NcPoly:
+    """normal_form(g*h - q^<kappa,(M,N)> h*g) for h of bidegree (M, N), g a
+    QCentralGen's generator or a Denominator's body and kappa its kappa."""
     d = h.bidegree()
     if d in (None, "any"):
         raise EngineError("q-centrality check needs a homogeneous element")
-    g = spec.gen(name)
-    return spec.nf(g * h - (h * g).scale(spec.field.q_power(_pair(kap, d))))
+    return spec.nf(g * h - (h * g).scale(spec.field.q_power(_pair(kappa, d))))
 
 
 # ---------------------------------------------------------------------------
@@ -1209,15 +1203,6 @@ class LocElem:
     def scalar_coeff(self):
         """The coefficient if this is a multiple of 1, else None."""
         return None if any(self.exps) else self.body.scalar_coeff()
-
-    def bidegree(self):
-        d = self.body.bidegree()
-        if d in (None, "any"):
-            return d
-        for e, den in zip(self.exps, self.dens):
-            dd = den.body.bidegree()
-            d = (d[0] - e * dd[0], d[1] - e * dd[1])
-        return d
 
     def _at_loc(self, exps) -> NcPoly:
         """Body of the same element written over den^-exps, exps >= self.exps:

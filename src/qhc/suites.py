@@ -175,37 +175,18 @@ def suite_dq_relations() -> list[dict]:
     for block, vs in sorted(ents.items()):
         ok = all(not D.nf(v) for v in vs)
         items.append(_item(f"matrix equation entries reduce: {block}", ok))
-    # span agreement between entries and printed rules
-    a_idx = [D.alphabet.index(n) for n in ("a11", "a12", "a21", "a22")]
-    p_idx = [D.alphabet.index(n) for n in ("p11", "p12", "p21", "p22")]
-
-    def rules_on(first, second):
-        """The rules whose left-hand side is a letter of first then one of second."""
-        return [r for r in D.rules if r.lhs[0] in first and r.lhs[1] in second]
-
-    cases = {
-        "coordinates": ([(i, j) for i in a_idx for j in a_idx], rules_on(a_idx, a_idx)),
-        "derivatives": ([(i, j) for i in p_idx for j in p_idx], rules_on(p_idx, p_idx)),
-        "cross": ([(i, j) for i in p_idx + a_idx for j in p_idx + a_idx
-                   if (i in p_idx) != (j in p_idx)], rules_on(p_idx, a_idx)),
-    }
+    # a block's entries span exactly its printed rules when their rank is the
+    # number of rules and adding every rule's residual leaves it unchanged
+    a = {D.alphabet.index(n) for n in ("a11", "a12", "a21", "a22")}
+    p = {D.alphabet.index(n) for n in ("p11", "p12", "p21", "p22")}
+    blocks = {"coordinates": (a, a), "derivatives": (p, p), "cross": (p, a)}
     zero = RAT.from_int(0)
-    for block in sorted(cases):
-        words, rules = cases[block]
-        col = {w: i for i, w in enumerate(words)}
-
-        def row(p):
-            r = [zero] * len(words)
-            for w, c in p.terms.items():
-                r[col[w]] = c
-            return r
-
-        base = [row(e) for e in ents[block] if e]
+    for block in sorted(blocks):
+        first, second = blocks[block]
+        rules = [r for r in D.rules if r.lhs[0] in first and r.lhs[1] in second]
+        base = [e.terms for e in ents[block] if e]
         rk = dense_rank(base, zero)
-        ok = rk == len(rules)
-        for rule in rules:
-            if dense_rank(base + [row(rule.residual)], zero) != rk:
-                ok = False
+        ok = rk == len(rules) == dense_rank(base + [r.residual.terms for r in rules], zero)
         items.append(_item(f"entries span exactly the {block} rules", ok,
                            f"rank {rk}, rules {len(rules)}"))
     for tag, resid in dqops.det_qcommutation_residuals():

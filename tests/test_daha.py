@@ -188,12 +188,13 @@ def test_straighten_trace_p1rq1(A):
 def test_q_centrality_declared(A):
     rng = random.Random(3)
     letters = ["Q1", "Q2", "R", "P1", "P2", "Q2i", "P2i"]
+    kappas = {qc.name: qc.kappa for qc in A.q_central}
     for name in ("P2", "Q2"):
         for _ in range(8):
             w = [rng.choice(letters) for _ in range(rng.randint(1, 4))]
             h = A.nf(A.word_poly(*w))
             if h and h.bidegree() not in (None, "any"):
-                assert not q_central_residual(A, name, h)
+                assert not q_central_residual(A, A.gen(name), kappas[name], h)
 
 
 def test_phi_homomorphism_relations():

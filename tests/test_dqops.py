@@ -78,35 +78,18 @@ def test_matrix_equations_reduce_and_span(D):
         for v in vs:
             assert not D.nf(v), block
     # the entry residuals span exactly the straightening rules of each block
-    def rows_of(polys, words):
-        col = {w: i for i, w in enumerate(words)}
-        zero = RAT.from_int(0)
-        out = []
-        for p in polys:
-            r = [zero] * len(words)
-            for w, c in p.terms.items():
-                r[col[w]] = c
-            out.append(r)
-        return out
-
-    a_idx = [D.alphabet.index(n) for n in ("a11", "a12", "a21", "a22")]
-    p_idx = [D.alphabet.index(n) for n in ("p11", "p12", "p21", "p22")]
     cases = {
-        "coordinates": ([(i, j) for i in a_idx for j in a_idx],
-                        [r for r in D.rules if r.tag[0] == "a"]),
-        "derivatives": ([(i, j) for i in p_idx for j in p_idx],
-                        [r for r in D.rules if r.tag[0] == "p" and r.tag[4] == "p"]),
-        "cross": ([(i, j) for i in p_idx + a_idx for j in p_idx + a_idx
-                   if (i in p_idx) != (j in p_idx)],
-                  [r for r in D.rules if r.tag[0] == "p" and r.tag[4] == "a"]),
+        "coordinates": [r for r in D.rules if r.tag[0] == "a"],
+        "derivatives": [r for r in D.rules if r.tag[0] == "p" and r.tag[4] == "p"],
+        "cross": [r for r in D.rules if r.tag[0] == "p" and r.tag[4] == "a"],
     }
-    for block, (words, rules) in cases.items():
-        base = rows_of([e for e in ents[block] if e], words)
+    for block, rules in cases.items():
+        base = [e.terms for e in ents[block] if e]
         rk = dense_rank(base, RAT.zero)
         assert rk == len(rules), block
         for rule in rules:
             resid = NcPoly.from_word(D.alphabet, rule.lhs) - rule.rhs
-            assert dense_rank(base + rows_of([resid], words), RAT.zero) == rk, rule.tag
+            assert dense_rank(base + [resid.terms], RAT.zero) == rk, rule.tag
 
 
 def test_cofactors_solved_and_identities(D):
@@ -154,6 +137,19 @@ def test_dq_relations_suite_catches_a_wrong_r21_inverse(monkeypatch, capsys):
     assert failed == ["matrix equation entries reduce: cross", "entries span exactly the cross rules"]
     assert main(["verify", "--suite", "dq-relations"]) == 1
     assert json.loads(capsys.readouterr().out)["failed"] == 2
+
+
+def test_dq_relations_suite_catches_a_wrong_determinant_kappa(monkeypatch, capsys):
+    # detA's kappa read (0, 4) in place of (0, 2): the suite checks the kappas
+    # LocElem moves the determinants with, so the four p-letters, of bidegree
+    # (0, 1), fail; the a-letters, of bidegree (1, 0), do not see the change
+    dA, dD = dq_denominators()
+    monkeypatch.setattr(dqops, "dq_denominators", lambda: (dA._replace(kappa=(0, 4)), dD))
+    report = run_verify_suite("dq-relations")
+    failed = [item["name"] for item in report["items"] if not item["pass"]]
+    assert failed == [f"det commutation {n}*detA" for n in ("p11", "p12", "p21", "p22")]
+    assert main(["verify", "--suite", "dq-relations"]) == 1
+    assert json.loads(capsys.readouterr().out)["failed"] == 4
 
 
 @pytest.mark.parametrize("spec, dens", [(dq_spec, dq_denominators), (oq_spec, oq_denominators)])

@@ -212,7 +212,8 @@ def test_solve_inconsistent(a, data):
 def test_dense_rank_matches_sparse(a):
     # every minor is at most (9 * sqrt(6))^6 < 1.2 * 10^8 < P in absolute
     # value (Hadamard), so the rank mod P is the rank over Q
-    assert dense_rank([[Fraction(v) for v in r] for r in a], Fraction(0)) == frac_rank(sparse(a), P)
+    rows = [{j: Fraction(v) for j, v in enumerate(r) if v} for r in a]
+    assert dense_rank(rows, Fraction(0)) == frac_rank(sparse(a), P)
 
 
 def test_denominator_vanishing_mod_p_raises():

@@ -54,6 +54,17 @@ def test_scale_report_matches_series():
     assert name == "peak_rss_mb" and 1 < float(value) < 1000
 
 
+def test_code_lines_rows_sum_to_the_total():
+    res = run_script("scripts/code_lines.py")
+    assert res.returncode == 0, res.stderr
+    header, *rows, total = [line.split() for line in res.stdout.splitlines()]
+    assert header == ["module", "lines", "code"] and total[0] == "total"
+    assert {row[0] for row in rows} == {p.name for p in (ROOT / "src" / "qhc").glob("*.py")}
+    counts = [(int(lines), int(code)) for _, lines, code in rows]
+    assert [sum(col) for col in zip(*counts)] == [int(total[1]), int(total[2])]
+    assert all(0 < code < lines for lines, code in counts)
+
+
 def test_perfbench_tracer_installs():
     # Tracer.install raises on any public name it wraps that has gone
     res = run_script("perfbench/child.py", "suites", "cofactor", "--trace")
