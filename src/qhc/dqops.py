@@ -42,9 +42,9 @@ from .qgroup import (
     _oq_like_action_tables,
     _re_rules,
     _scalar_mat_for,
+    chain_residual,
     letter_matrix,
     mat_mul,
-    mat_sub,
     on_legs,
     qadjugate,
     qdet,
@@ -241,12 +241,10 @@ def matrix_relation_entries() -> dict[str, list[NcPoly]]:
     R21, R21i = on_legs(R, (1, 0), 2, z), _scalar_mat_for(rmatrix_21_inverse(), D)
     D1 = on_legs(letter_matrix(D, _P_NAMES), (0,), 2, z)
     A2 = on_legs(letter_matrix(D, _A_NAMES), (1,), 2, z)
-    lhs = mat_mul(mat_mul(mat_mul(R21, D1), R), A2)
-    rhs = mat_mul(mat_mul(mat_mul(A2, R21), D1), R21i)
     return {
         "coordinates": reflection_equation_entries(D, _A_NAMES),
         "derivatives": reflection_equation_entries(D, _P_NAMES),
-        "cross": [x for row in mat_sub(lhs, rhs) for x in row],
+        "cross": chain_residual((R21, D1, R, A2), (A2, R21, D1, R21i)),
     }
 
 

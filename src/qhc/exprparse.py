@@ -113,10 +113,14 @@ def _int_value(tok: Token) -> int:
 
 
 def _size(a) -> int:
-    """The monomials of a's coefficients, numerators and denominators, a
-    specialised coefficient counting one; a is an NcPoly or a LocElem."""
+    """The monomials of a's coefficients, numerators and denominators; a
+    specialised (rational) coefficient counts one, plus one per 64 bits of
+    its numerator and denominator, so that long digits weigh in as the work
+    they cost.  a is an NcPoly or a LocElem."""
     terms = a.terms if isinstance(a, NcPoly) else a.body.terms
-    return sum(len(c.lnum) + len(c.lden or ()) if isinstance(c, RatCoeff) else 1 for c in terms.values())
+    return sum(len(c.lnum) + len(c.lden or ()) if isinstance(c, RatCoeff)
+               else 1 + (abs(c.numerator).bit_length() + c.denominator.bit_length()) // 64
+               for c in terms.values())
 
 
 class ValueOps:
@@ -144,10 +148,11 @@ class ValueOps:
     def bounded_mul(self, a, b, tok: Token):
         """mul(a, b), or ParseError naming the algebra when a's coefficients
         hold more than MAX_COEFF_MONOMIALS monomials or the two counts
-        multiply to more than MAX_PRODUCT_SIZE, a specialised coefficient
-        counting one.  A power, a '*' chain and cmd_mul multiply through
-        here, so the first bounds the product so far before each further
-        factor, and the second bounds one product of two large operands."""
+        multiply to more than MAX_PRODUCT_SIZE, sizes counted by _size (a
+        specialised coefficient by its digits).  A power, a '*' chain and
+        cmd_mul multiply through here, so the first bounds the product so
+        far before each further factor, and the second bounds one product
+        of two large operands."""
         size_a, size_b = _size(a), _size(b)
         if size_a > MAX_COEFF_MONOMIALS:
             raise ParseError(f"{self.spec.algebra_id}: a product's coefficients exceed the limit of "

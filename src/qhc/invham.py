@@ -415,7 +415,8 @@ def ham_relation_congruences() -> list[tuple[str, str]]:
     return [(rule.tag, psi_congruent_zero(rule.residual)[0]) for rule in ham_spec().rules]
 
 
-def moment_zt_in_invariant_coordinates() -> bool:
-    """mu(Z_t) = psibar(c2^-1 d2^-1 (w - (1/t^2 + q^-2 t^2) c2 d2))."""
+def moment_zt_in_invariant_coordinates() -> LocElem:
+    """psibar(c2^-1 d2^-1 (w - (1/t^2 + q^-2 t^2) c2 d2)) - mu(Z_t), which is
+    zero when mu(Z_t) has these invariant coordinates."""
     B = inv_spec()
-    return psibar_apply(B.word_poly("c2i", "d2i") * (B.gen("w") - quotient_w_image())) == moment_zt()
+    return psibar_apply(B.word_poly("c2i", "d2i") * (B.gen("w") - quotient_w_image())) - moment_zt()

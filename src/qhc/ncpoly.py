@@ -166,9 +166,6 @@ class NcPoly:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((id(self.alphabet), frozenset(self.terms.keys())))
-
     def _check(self, other: "NcPoly"):
         if self.alphabet is not other.alphabet:
             raise AlgebraMismatch(

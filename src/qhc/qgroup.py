@@ -28,7 +28,7 @@ relations (dqops.MOMENT_TABLE) all read them.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 
 from .coeffring import RAT, RC_ONE, RC_Q, RatCoeff
 from .ncpoly import Alphabet, NcPoly
@@ -127,8 +127,11 @@ def _dot(row, col):
     return acc
 
 
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+def chain_residual(lhs, rhs) -> list:
+    """The entries, row by row, of the product of the matrices lhs less the
+    product of the matrices rhs, each product taken left to right."""
+    left, right = reduce(mat_mul, lhs), reduce(mat_mul, rhs)
+    return [a - b for ra, rb in zip(left, right) for a, b in zip(ra, rb)]
 
 
 def on_legs(m, legs, n, zero):
@@ -157,14 +160,13 @@ def rmatrix_21_inverse() -> list[list[RatCoeff]]:
     return [[R[i][j] - QMQI if j == 2 * (i % 2) + i // 2 else R[i][j] for j in range(4)] for i in range(4)]
 
 
-def yang_baxter_residual() -> bool:
-    """R12 R13 R23 = R23 R13 R12 as 8x8 scalar matrices; True when it holds."""
+def yang_baxter_residual() -> list[RatCoeff]:
+    """The nonzero entries of R12 R13 R23 - R23 R13 R12 as 8x8 scalar
+    matrices; empty when the Yang-Baxter equation holds."""
     R = rmatrix_vector()
     zero = RatCoeff.from_int(0)
     R12, R13, R23 = (on_legs(R, legs, 3, zero) for legs in ((0, 1), (0, 2), (1, 2)))
-    lhs = mat_mul(mat_mul(R12, R13), R23)
-    rhs = mat_mul(mat_mul(R23, R13), R12)
-    return all(not c for row in mat_sub(lhs, rhs) for c in row)
+    return [c for c in chain_residual((R12, R13, R23), (R23, R13, R12)) if c]
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +190,15 @@ def lmatrices() -> tuple[list[list[NcPoly]], list[list[NcPoly]]]:
     return lp, lm
 
 
-def lmatrix_check() -> list[tuple[str, bool]]:
-    """All printed relations of the L-matrix presentation, checked in U_q."""
+def lmatrix_check() -> list[tuple[str, object]]:
+    """All printed relations of the L-matrix presentation in U_q, as (tag,
+    residual): the normal form of lhs - rhs for each explicit relation, and
+    the list of nonzero normal entries of lhs - rhs for each RTT equation.
+    Every residual is zero or empty when the presentation holds."""
     U = uq_spec()
     lp, lm = lmatrices()
     q1 = RAT.q_power(1)
     qm1 = RAT.q_power(-1)
-    results: list[tuple[str, bool]] = []
-
-    def nfz(p):
-        return not U.nf(p)
-
     l11p, l12p, l22p = lp[0][0], lp[0][1], lp[1][1]
     l11m, l21m, l22m = lm[0][0], lm[1][0], lm[1][1]
     explicit = [
@@ -214,9 +214,7 @@ def lmatrix_check() -> list[tuple[str, bool]]:
          U.mul(l21m, l12p) - U.mul(l12p, l21m)
          - (U.mul(l22p, l11m) - U.mul(l11p, l22m)).scale(QMQI)),
     ]
-    for tag, resid in explicit:
-        results.append((tag, nfz(resid)))
-
+    results = [(tag, U.nf(resid)) for tag, resid in explicit]
     R = _scalar_mat_for(rmatrix_vector(), U)
     eqs = [
         ("L1+ L2+ R = R L2+ L1+", lp, lp),
@@ -225,10 +223,7 @@ def lmatrix_check() -> list[tuple[str, bool]]:
     ]
     for tag, A, B in eqs:
         A1, B2 = on_legs(A, (0,), 2, U.zero()), on_legs(B, (1,), 2, U.zero())
-        lhs = mat_mul(mat_mul(A1, B2), R)
-        rhs = mat_mul(mat_mul(R, B2), A1)
-        ok = all(nfz(x) for row in mat_sub(lhs, rhs) for x in row)
-        results.append((tag, ok))
+        results.append((tag, [x for x in map(U.nf, chain_residual((A1, B2, R), (R, B2, A1))) if x]))
     return results
 
 
@@ -327,9 +322,7 @@ def reflection_equation_entries(spec: AlgebraSpec, names: tuple[str, str, str, s
     R = _scalar_mat_for(rmatrix_vector(), spec)
     z = spec.zero()
     R21, L1, L2 = on_legs(R, (1, 0), 2, z), on_legs(L, (0,), 2, z), on_legs(L, (1,), 2, z)
-    lhs = mat_mul(mat_mul(mat_mul(R21, L1), R), L2)
-    rhs = mat_mul(mat_mul(mat_mul(L2, R21), L1), R)
-    return [x for row in mat_sub(lhs, rhs) for x in row]
+    return chain_residual((R21, L1, R, L2), (L2, R21, L1, R))
 
 
 def _scalar_mat_for(R, spec):
@@ -375,18 +368,15 @@ def embed_phi(x: NcPoly) -> NcPoly:
     return U._sum_scaled((image(w), c) for w, c in x.terms.items())
 
 
-def phi_matches_lmatrix_product() -> bool:
-    """The generator images coincide with the entries of L+ S(L-)."""
+def phi_matches_lmatrix_product() -> list[NcPoly]:
+    """The nonzero normal entries of L+ S(L-) less the generator images;
+    empty when the images coincide with the entries of L+ S(L-)."""
     U = uq_spec()
     lp, _ = lmatrices()
-    sl = antipode_lminus()
-    prod = mat_mul(lp, sl)
+    prod = mat_mul(lp, antipode_lminus())
     img = phi_images()
-    for i in range(2):
-        for j in range(2):
-            if U.nf(prod[i][j] - img[_L_NAMES[2 * i + j]]):
-                return False
-    return True
+    resid = (U.nf(prod[i][j] - img[_L_NAMES[2 * i + j]]) for i in range(2) for j in range(2))
+    return [r for r in resid if r]
 
 
 # ---------------------------------------------------------------------------

@@ -534,6 +534,22 @@ def test_cli_one_product_of_two_large_operands_is_bounded(capsys, argv, col):
                        f"exceeds the limit of {exprparse.MAX_PRODUCT_SIZE} (line 1, column {col})\n")
 
 
+def test_cli_specialised_product_counts_the_coefficients_digits(capsys):
+    # at q = t = 10^10, q^1000 has 10,001 digits; a specialised coefficient
+    # once counted one, so the power ran on to the print limit, and at
+    # 10^100 for 103 s.  Counted by its bits, 10^10000 weighs 520 and the
+    # step from ^2 to ^3 of the first factor is refused at its '^'
+    t0 = time.perf_counter()
+    rc = main(["mul", "--algebra", "dq", "--q", "1e10", "--t", "1e10",
+               "(a11+q^1000*p11)^3", "(a12+t^-999*p21)^3"])
+    assert time.perf_counter() - t0 < 10
+    cap = capsys.readouterr()
+    assert rc == 2
+    assert cap.out == ""
+    assert cap.err == (f"error: dq: a product of operands with 4161 and 521 coefficient monomials "
+                       f"exceeds the limit of {exprparse.MAX_PRODUCT_SIZE} (line 1, column 17)\n")
+
+
 def test_cli_product_bound_is_a_bound_on_the_size_product(monkeypatch, capsys):
     # the step from (Q1+P1)^8, of 1,427 monomials, to ^9 has a size product
     # of 2,854: a bound of 2,853 refuses it at the '^', one of 2,854 admits it

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qhc import dqops
+from qhc import dqops, suites
 from qhc.cli import main
 from qhc.coeffring import RAT, RC_ONE, RC_T, RatCoeff
 from qhc.dqops import (
@@ -146,10 +146,16 @@ def test_dq_relations_suite_catches_a_wrong_determinant_kappa(monkeypatch, capsy
     dA, dD = dq_denominators()
     monkeypatch.setattr(dqops, "dq_denominators", lambda: (dA._replace(kappa=(0, 4)), dD))
     report = run_verify_suite("dq-relations")
-    failed = [item["name"] for item in report["items"] if not item["pass"]]
-    assert failed == [f"det commutation {n}*detA" for n in ("p11", "p12", "p21", "p22")]
+    failed = [item for item in report["items"] if not item["pass"]]
+    assert [item["name"] for item in failed] == [f"det commutation {n}*detA" for n in ("p11", "p12", "p21", "p22")]
+    # each failing identity shows its residual, cut at DETAIL_CHARS
+    assert all(0 < len(item["detail"]) <= suites.DETAIL_CHARS for item in failed)
     assert main(["verify", "--suite", "dq-relations"]) == 1
     assert json.loads(capsys.readouterr().out)["failed"] == 4
+    monkeypatch.setattr(suites, "DETAIL_CHARS", 10)
+    cut = [item for item in run_verify_suite("dq-relations")["items"] if not item["pass"]]
+    assert [item["detail"] for item in cut] == [item["detail"][:10] for item in failed]
+    assert all(len(item["detail"]) == 10 for item in cut)
 
 
 @pytest.mark.parametrize("spec, dens", [(dq_spec, dq_denominators), (oq_spec, oq_denominators)])

@@ -439,7 +439,7 @@ def test_ham_counts_match_spherical_counts(H):
 
 
 def test_moment_zt_in_invariant_coordinates():
-    assert moment_zt_in_invariant_coordinates()
+    assert not moment_zt_in_invariant_coordinates()
 
 
 def test_ham_relation_congruences():

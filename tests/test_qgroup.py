@@ -73,7 +73,7 @@ def test_rmatrix_entries():
 
 
 def test_yang_baxter():
-    assert yang_baxter_residual()
+    assert not yang_baxter_residual()
 
 
 def test_rmatrix_invertible():
@@ -107,8 +107,8 @@ def test_on_legs_places_an_operator_on_its_legs():
 
 
 def test_lmatrix_presentation_holds():
-    for tag, ok in lmatrix_check():
-        assert ok, tag
+    for tag, resid in lmatrix_check():
+        assert not resid, tag
 
 
 def test_antipode_inverts_lminus(U):
@@ -158,7 +158,7 @@ def test_phi_embedding(O, U):
         resid = NcPoly.from_word(O.alphabet, rule.lhs) - rule.rhs
         assert not embed_phi(resid), rule.tag
     assert embed_phi(qdet_oq()) == U.word_poly("K1i", "K1i", "K2i", "K2i")
-    assert phi_matches_lmatrix_product()
+    assert not phi_matches_lmatrix_product()
 
 
 def test_adjoint_action_values(O):
